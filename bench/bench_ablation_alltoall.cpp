@@ -25,11 +25,11 @@ double run_alltoall(int threads, int nodes, std::size_t bytes_per_pair,
       co_await mpi.alltoall(t, nullptr, nullptr, bytes_per_pair);
     } else {
       // Modeled flat exchange: the UPC-style p2p pattern.
-      std::vector<sim::Future<>> pending;
+      std::vector<async::future<>> pending;
       for (int step = 1; step < t.threads(); ++step) {
         const int peer = (t.rank() + step) % t.threads();
         pending.push_back(
-            t.start_async(t.copy_raw(peer, nullptr, nullptr, bytes_per_pair)));
+            t.launch_async(t.copy_raw(peer, nullptr, nullptr, bytes_per_pair)));
       }
       for (auto& f : pending) co_await f.wait();
       co_await t.barrier();

@@ -51,7 +51,7 @@ constexpr Variant kVariantsB[] = {
 
 struct ExchangeTimes {
   double total = 0;  // blocking exchange
-  double issue = 0;  // non-blocking: time in memput_async calls
+  double issue = 0;  // non-blocking: time in the launch_async issue calls
   double wait = 0;   // non-blocking: time in waitsync
 };
 
@@ -81,10 +81,10 @@ ExchangeTimes run_exchange(const Variant& v, int threads, bool async) {
       co_await t.barrier();
       if (t.rank() == 0) times.total = sim::to_seconds(eng.now() - start);
     } else {
-      std::vector<sim::Future<>> pending;
+      std::vector<async::future<>> pending;
       for (int step = 1; step < t.threads(); ++step) {
         const int peer = (t.rank() + step) % t.threads();
-        pending.push_back(t.start_async(t.copy_raw(
+        pending.push_back(t.launch_async(t.copy_raw(
             peer, nullptr, nullptr, static_cast<std::size_t>(chunk))));
       }
       const sim::Time issued = eng.now();

@@ -59,7 +59,7 @@ double flood_mbs(net::ConnectionMode mode, int links, double bytes,
   for (int link = 0; link < links; ++link) {
     sim::spawn(engine, []([[maybe_unused]] sim::Engine& eng, net::Network& n,
                           int ep, double b, int count) -> sim::Task<void> {
-      std::vector<sim::Future<>> inflight;
+      std::vector<async::future<>> inflight;
       inflight.reserve(static_cast<std::size_t>(count));
       for (int i = 0; i < count; ++i) {
         inflight.push_back(

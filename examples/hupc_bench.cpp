@@ -6,9 +6,6 @@
 //                [--machine lehman|pyramid] [--nodes N] [--threads T]
 //                [--backend processes|pthreads] [--conduit ib-qdr|ib-ddr|gige]
 //                [--subs S]            (ft: sub-threads per UPC thread)
-//                [--async=on|off]      (ft: drain the all-to-all through the
-//                                       promise-based completion layer (on,
-//                                       default) or the legacy waitsync loop)
 //                [--coll-algo=auto|flat|hier|ring|dissem]
 //                                      (ft: all-to-all exchange algorithm —
 //                                       flat staggered or supernode-leader
@@ -214,19 +211,6 @@ int run_uts(const util::Cli& cli) {
   return export_trace(cli, tracer.get());
 }
 
-/// `--async=on|off`: route non-blocking transfers through the promise-based
-/// completion layer (async::future + when_all) or the legacy per-handle
-/// waitsync loop. Strict on|off: a typo must not silently measure the wrong
-/// completion path.
-bool async_flag(const util::Cli& cli, bool fallback) {
-  const std::string v = cli.get("async", fallback ? "on" : "off");
-  if (v != "on" && v != "off") {
-    throw std::invalid_argument("unknown --async value '" + v +
-                                "' (expected on|off)");
-  }
-  return v == "on";
-}
-
 /// `--coll-algo=auto|flat|hier|ring|dissem`: pin the collective algorithm
 /// (fft: the all-to-all exchange schedule). Exits 2 on anything unknown —
 /// a typo must not silently benchmark the wrong algorithm.
@@ -261,7 +245,6 @@ int run_ft(const util::Cli& cli) {
                    ? fft::CommVariant::overlap
                    : fft::CommVariant::split_phase;
   fc.subs = static_cast<int>(cli.get_int("subs", 0));
-  fc.async = async_flag(cli, true);
   fc.coll_algo = coll_algo_flag(cli, "hupc_bench");
   cli.reject_unread("hupc_bench");
   fft::FtModel ft(rt, fc);

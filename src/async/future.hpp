@@ -1,8 +1,9 @@
 // Chainable asynchronous completion objects for the simulated runtime
-// (DESIGN.md §13) — the UPC++-style `future`/`promise` pair the GAS layer
-// returns from non-blocking operations.
+// (DESIGN.md §13) — the UPC++-style `future`/`promise` pair and the only
+// completion type in the tree: fluid-link transfers, network and memory
+// legs, mpl rendezvous and every GAS non-blocking operation resolve one.
 //
-// Unlike sim::Future (a bare waitsync handle), async::future composes:
+// A future composes:
 //   fut.then(f)          — attach a continuation; returns a future for f's
 //                          result (futures returned by f are unwrapped);
 //   when_all(futs)       — one future that resolves after every input, with
@@ -20,9 +21,9 @@
 // (make_ready_future, unit tests without a simulation) run callbacks
 // inline at attach/fulfil time instead.
 //
-// This header is deliberately header-only and depends only on sim/: the
-// GAS layer returns async::future<> from copy_async without linking the
-// (gas-dependent) hupc_async RPC library above it.
+// This header is deliberately header-only and depends only on sim/engine
+// and sim/task: every layer from sim upward includes it without linking
+// the (gas-dependent) hupc_async RPC library.
 #pragma once
 
 #include <cassert>
@@ -226,8 +227,8 @@ class future {
 
   /// Awaitable resolution (the upc_waitsync analogue): suspends the
   /// awaiting coroutine until the future resolves, then yields the value
-  /// or rethrows. Identical spelling to sim::Future so call sites migrate
-  /// without edits: `co_await fut.wait()`.
+  /// or rethrows: `co_await fut.wait()`. Each waiter costs one same-instant
+  /// engine event at resolution, in FIFO order.
   [[nodiscard]] auto wait() const {
     struct Awaiter {
       std::shared_ptr<detail::State<T>> state;

@@ -65,31 +65,24 @@ class SubContext {
   [[nodiscard]] sim::Task<void> stream_local(double bytes);
 
   // --- GAS access from a sub-thread (safety-gated) ----------------------
+  // The blocking put/get shapes of gas::Thread::copy, charged at this
+  // sub-thread's location.
   template <class T>
-  [[nodiscard]] sim::Task<void> memput(gas::GlobalPtr<T> dst, const T* src,
-                                       std::size_t count) {
+  [[nodiscard]] sim::Task<void> copy(gas::GlobalPtr<T> dst, const T* src,
+                                     std::size_t count) {
     co_await gas_gate();
     co_await master().copy_raw_from(loc_, dst.owner, dst.raw, src,
                                     count * sizeof(T));
     gas_release();
   }
-  template <class T>
-  [[nodiscard]] sim::Task<void> memget(T* dst, gas::GlobalPtr<const T> src,
-                                       std::size_t count) {
+  template <class T, class U>
+    requires gas::SourceElement<U, T>
+  [[nodiscard]] sim::Task<void> copy(T* dst, gas::GlobalPtr<U> src,
+                                     std::size_t count) {
     co_await gas_gate();
     co_await master().copy_raw_from(loc_, src.owner, dst, src.raw,
                                     count * sizeof(T));
     gas_release();
-  }
-  template <class T>
-  [[nodiscard]] sim::Task<void> memget(T* dst, gas::GlobalPtr<T> src,
-                                       std::size_t count) {
-    co_await memget(dst, gas::to_const(src), count);
-  }
-  template <class T>
-  [[nodiscard]] sim::Future<> memput_async(gas::GlobalPtr<T> dst, const T* src,
-                                           std::size_t count) {
-    return master().start_async(memput(dst, src, count));
   }
 
  private:

@@ -97,28 +97,16 @@ sim::Task<void> FtModel::exchange_split(gas::Thread& self) {
     co_return;
   }
   // Berkeley-style split phase: issue every peer chunk non-blocking, then
-  // wait for all transfers, then a barrier to close the epoch. The async
-  // path pipelines through the completion layer (when_all over promise-
-  // backed futures); the legacy path drains per-handle sim::Futures.
-  if (cfg_.async) {
-    std::vector<async::future<>> pending;
-    pending.reserve(static_cast<std::size_t>(T - 1));
-    for (int step = 1; step < T; ++step) {
-      const int peer = (me + step) % T;
-      pending.push_back(self.launch_async(self.copy_raw(
-          peer, nullptr, nullptr, static_cast<std::size_t>(chunk_bytes_))));
-    }
-    co_await async::when_all(std::move(pending)).wait();
-  } else {
-    std::vector<sim::Future<>> pending;
-    pending.reserve(static_cast<std::size_t>(T - 1));
-    for (int step = 1; step < T; ++step) {
-      const int peer = (me + step) % T;
-      pending.push_back(self.start_async(self.copy_raw(
-          peer, nullptr, nullptr, static_cast<std::size_t>(chunk_bytes_))));
-    }
-    for (auto& f : pending) co_await f.wait();
+  // wait for all transfers (when_all over the completion layer's futures),
+  // then a barrier to close the epoch.
+  std::vector<async::future<>> pending;
+  pending.reserve(static_cast<std::size_t>(T - 1));
+  for (int step = 1; step < T; ++step) {
+    const int peer = (me + step) % T;
+    pending.push_back(self.launch_async(self.copy_raw(
+        peer, nullptr, nullptr, static_cast<std::size_t>(chunk_bytes_))));
   }
+  co_await async::when_all(std::move(pending)).wait();
   co_await self.barrier();
 }
 
@@ -194,20 +182,14 @@ sim::Task<void> FtModel::exchange_overlap(gas::Thread& self,
   const double piece = chunk_bytes_ / planes_per_rank_;
   const auto expected = static_cast<std::size_t>(planes) *
                         static_cast<std::size_t>(T - 1);
-  std::vector<sim::Future<>> pending;
-  std::vector<async::future<>> pending_async;
-  (cfg_.async ? pending_async.reserve(expected) : pending.reserve(expected));
+  std::vector<async::future<>> pending;
+  pending.reserve(expected);
 
   auto send_plane = [&](gas::Thread& t) {
     for (int step = 1; step < T; ++step) {
       const int peer = (me + step) % T;
-      auto op = t.copy_raw(peer, nullptr, nullptr,
-                           static_cast<std::size_t>(piece));
-      if (cfg_.async) {
-        pending_async.push_back(t.launch_async(std::move(op)));
-      } else {
-        pending.push_back(t.start_async(std::move(op)));
-      }
+      pending.push_back(t.launch_async(
+          t.copy_raw(peer, nullptr, nullptr, static_cast<std::size_t>(piece))));
     }
   };
 
@@ -235,11 +217,7 @@ sim::Task<void> FtModel::exchange_overlap(gas::Thread& self,
       for (int p = 0; p < batch; ++p) send_plane(self);
     }
   }
-  if (cfg_.async) {
-    co_await async::when_all(std::move(pending_async)).wait();
-  } else {
-    for (auto& f : pending) co_await f.wait();
-  }
+  co_await async::when_all(std::move(pending)).wait();
   co_await self.barrier();
 }
 

@@ -68,12 +68,6 @@ struct FtConfig {
   // Fraction of peak FLOP rate the FFT kernels achieve (cache-blocked
   // FFTs typically run at ~20-25% of peak on Nehalem-class cores).
   double fft_efficiency = 0.22;
-  // Drain the all-to-all through the promise-based completion layer
-  // (async::future + when_all, the pipelined path) instead of the legacy
-  // per-handle sim::Future waitsync loop. Same modeled schedule; the async
-  // path additionally flows through fault::CompletionHook and the
-  // async.copy.* counters. hupc_bench exposes it as --async=on|off.
-  bool async = true;
   // All-to-all algorithm for the upc_p2p split-phase exchange: flat
   // staggered (the §4.3.3.1 reference) or the supernode-leader
   // hierarchical schedule (node-local funnel -> one aggregated message

@@ -351,10 +351,6 @@ sim::Task<void> Thread::shared_loop(int home_rank, std::uint64_t count,
 
 bool Thread::castable(int owner) const { return rt_->same_supernode(rank_, owner); }
 
-sim::Future<> Thread::start_async(sim::Task<void> op) {
-  return sim::start(rt_->engine(), std::move(op));
-}
-
 async::future<> Thread::launch_async(sim::Task<void> op) {
   HUPC_TRACE_COUNT(rt_->tracer(), "async.copy.issued", rank_);
   async::promise<> done(rt_->engine());

@@ -475,37 +475,6 @@ class Thread {
         vis::lower(StridedSpec::contiguous(sspec.elems()), sspec, sizeof(T))));
   }
 
-  // --- legacy bulk-copy names (thin wrappers over copy/copy_async) ------
-  template <class T>
-  [[nodiscard]] sim::Task<void> memput(GlobalPtr<T> dst, const T* src,
-                                       std::size_t count) {
-    return copy(dst, src, count);
-  }
-  template <class T, class U>
-    requires SourceElement<U, T>
-  [[nodiscard]] sim::Task<void> memget(T* dst, GlobalPtr<U> src,
-                                       std::size_t count) {
-    return copy(dst, src, count);
-  }
-  template <class T, class U>
-    requires SourceElement<U, T>
-  [[nodiscard]] sim::Task<void> memcpy_shared(GlobalPtr<T> dst,
-                                              GlobalPtr<U> src,
-                                              std::size_t count) {
-    return copy(dst, src, count);
-  }
-  template <class T>
-  [[nodiscard]] async::future<> memput_async(GlobalPtr<T> dst, const T* src,
-                                             std::size_t count) {
-    return copy_async(dst, src, count);
-  }
-  template <class T, class U>
-    requires SourceElement<U, T>
-  [[nodiscard]] async::future<> memget_async(T* dst, GlobalPtr<U> src,
-                                             std::size_t count) {
-    return copy_async(dst, src, count);
-  }
-
   // --- privatization (bupc_cast / castability extension) ---------------
   /// Returns the raw pointer when `p` is addressable with plain loads and
   /// stores from this thread (same supernode), else nullptr.
@@ -537,7 +506,6 @@ class Thread {
   [[nodiscard]] sim::Task<void> copy_raw_from(topo::HwLoc at, int peer,
                                               void* dst, const void* src,
                                               std::size_t bytes);
-  [[nodiscard]] sim::Future<> start_async(sim::Task<void> op);
   /// Run `op` as an engine process behind a chainable future: resolves
   /// (or carries op's exception) at completion, after any installed
   /// fault::CompletionHook delay. Counters: async.copy.issued at launch,

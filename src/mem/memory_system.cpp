@@ -34,8 +34,8 @@ sim::FluidLink& MemorySystem::interconnect(int node, int from_socket) {
   return *interconnects_[idx];
 }
 
-sim::Future<> MemorySystem::stream_async(topo::HwLoc at, topo::HwLoc home,
-                                         double bytes) {
+async::future<> MemorySystem::stream_async(topo::HwLoc at, topo::HwLoc home,
+                                           double bytes) {
   assert(at.node == home.node && "cross-node traffic belongs to hupc::net");
   // The home socket's memory controller always carries the bytes. A
   // cross-socket stream also occupies the node interconnect; the transfer
@@ -54,8 +54,7 @@ sim::Future<> MemorySystem::stream_async(topo::HwLoc at, topo::HwLoc home,
 
 sim::Task<void> MemorySystem::stream(topo::HwLoc at, topo::HwLoc home,
                                      double bytes) {
-  auto fut = stream_async(at, home, bytes);
-  co_await fut.wait();
+  co_await stream_async(at, home, bytes).wait();
 }
 
 sim::Task<void> MemorySystem::access(topo::HwLoc at, topo::HwLoc home,

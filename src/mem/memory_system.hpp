@@ -15,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "async/future.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
 #include "sim/task.hpp"
@@ -34,8 +35,8 @@ class MemorySystem {
                                        double bytes);
 
   /// Start a stream without waiting (overlapped bulk copies).
-  [[nodiscard]] sim::Future<> stream_async(topo::HwLoc at, topo::HwLoc home,
-                                           double bytes);
+  [[nodiscard]] async::future<> stream_async(topo::HwLoc at, topo::HwLoc home,
+                                             double bytes);
 
   /// Fine-grained access latency for `count` dependent accesses of
   /// `bytes_each` with affinity at `home`: per-access DRAM latency scaled by

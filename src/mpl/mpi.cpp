@@ -74,14 +74,13 @@ sim::Task<void> Mpi::send_impl(gas::Thread& self, int dst, int tag,
   auto record = std::make_shared<Rendezvous>();
   record->sbuf = buf;
   record->bytes = bytes;
-  record->matched = std::make_unique<sim::Promise<>>(rt_->engine());
-  record->recv_done = std::make_unique<sim::Promise<>>(rt_->engine());
+  record->matched = async::promise<>(rt_->engine());
+  record->recv_done = async::promise<>(rt_->engine());
   sends_[key].push_back(record);
-  auto matched = record->matched->get_future();
-  co_await matched.wait();
+  co_await record->matched.get_future().wait();
   co_await matched_transfer(self, self.rank(), dst, record->rbuf, buf, bytes,
                             api_scale);
-  record->recv_done->set_value();
+  record->recv_done.set_value();
 }
 
 sim::Task<void> Mpi::recv_impl(gas::Thread& self, int src, int tag, void* buf,
@@ -102,12 +101,13 @@ sim::Task<void> Mpi::recv_impl(gas::Thread& self, int src, int tag, void* buf,
     }
     // Hand our buffer to the sender and wait for it to push the data.
     pending->rbuf = buf;
-    auto done = pending->recv_done->get_future();
-    pending->matched->set_value();
+    auto done = pending->recv_done.get_future();
+    pending->matched.set_value();
     co_await done.wait();
     co_return;
   }
-  recvs_[key].push_back(PendingRecv{buf, bytes, sim::Promise<>(rt_->engine())});
+  recvs_[key].push_back(
+      PendingRecv{buf, bytes, async::promise<>(rt_->engine())});
   auto fut = recvs_[key].back().done.get_future();
   co_await fut.wait();
 }
@@ -233,7 +233,7 @@ sim::Task<void> Mpi::alltoall(gas::Thread& self, const void* sendbuf,
   // busy), so the phase is NIC-bound rather than per-flow-cap-bound.
   if (static_cast<int>(local) == 0) {
     constexpr int kTag = 0x417;
-    std::vector<sim::Future<>> inflight;
+    std::vector<async::future<>> inflight;
     inflight.reserve(2 * static_cast<std::size_t>(nodes));
     for (int step = 1; step < nodes; ++step) {
       const int to_node = (my_node + step) % nodes;

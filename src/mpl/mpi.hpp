@@ -22,6 +22,7 @@
 #include <tuple>
 #include <vector>
 
+#include "async/future.hpp"
 #include "gas/gas.hpp"
 #include "sim/sim.hpp"
 
@@ -80,14 +81,13 @@ class Mpi {
     std::vector<std::byte> eager_data;
     bool eager = false;
     void* rbuf = nullptr;
-    bool matched_flag = false;
-    std::unique_ptr<sim::Promise<>> matched;    // recv arrived (sender waits)
-    std::unique_ptr<sim::Promise<>> recv_done;  // transfer done (recv waits)
+    async::promise<> matched;    // recv arrived (sender waits)
+    async::promise<> recv_done;  // transfer done (recv waits)
   };
   struct PendingRecv {
     void* buf;
     std::size_t bytes;
-    sim::Promise<> done;
+    async::promise<> done;
   };
   using Key = std::tuple<int, int, int>;  // (src, dst, tag)
 

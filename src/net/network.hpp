@@ -18,6 +18,7 @@
 #include <memory>
 #include <vector>
 
+#include "async/future.hpp"
 #include "fault/hooks.hpp"
 #include "net/conduit.hpp"
 #include "sim/engine.hpp"
@@ -88,7 +89,7 @@ class Network {
   /// index) on `t.src_node` to `t.dst_node`. Completes at remote delivery.
   [[nodiscard]] sim::Task<void> rma(Transfer t);
 
-  [[nodiscard]] sim::Future<> rma_async(Transfer t);
+  [[nodiscard]] async::future<> rma_async(Transfer t);
 
   /// Intra-node transfer through the network stack (the no-PSHM loopback
   /// path): pays API, injection and endpoint-pipeline costs like a real

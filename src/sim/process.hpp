@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "async/future.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -126,10 +127,7 @@ inline Process spawn(Engine& engine, Task<void> body) {
 }
 
 namespace detail {
-// NB: fully qualified — detail::Promise (the coroutine promise type in
-// task.hpp) would otherwise shadow the Future/Promise pair from sync.hpp.
-inline Task<void> complete_into(Task<void> body,
-                                ::hupc::sim::Promise<> promise) {
+inline Task<void> complete_into(Task<void> body, async::promise<> promise) {
   try {
     co_await std::move(body);
     promise.set_value();
@@ -139,13 +137,13 @@ inline Task<void> complete_into(Task<void> body,
 }
 }  // namespace detail
 
-/// Start `body` as a root process and return a Future that becomes ready
-/// (or carries the exception) when it completes. This is the bridge from
+/// Start `body` as a root process and return a future that resolves (or
+/// carries the exception) when it completes. This is the bridge from
 /// Task-returning APIs to fire-and-forget-then-waitsync usage patterns
 /// (upc_memput_async / upc_waitsync analogues in the GAS layer).
-inline Future<> start(Engine& engine, Task<void> body) {
-  Promise<> promise(engine);
-  Future<> future = promise.get_future();
+inline async::future<> start(Engine& engine, Task<void> body) {
+  async::promise<> promise(engine);
+  async::future<> future = promise.get_future();
   spawn(engine, detail::complete_into(std::move(body), std::move(promise)));
   return future;
 }

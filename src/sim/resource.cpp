@@ -19,10 +19,10 @@ FluidLink::FluidLink(Engine& engine, double capacity_bytes_per_sec)
   assert(capacity_ > 0.0);
 }
 
-Future<> FluidLink::transfer_async(double bytes, double max_rate) {
+async::future<> FluidLink::transfer_async(double bytes, double max_rate) {
   total_bytes_ += bytes;
-  Promise<> done(*engine_);
-  Future<> fut = done.get_future();
+  async::promise<> done(*engine_);
+  async::future<> fut = done.get_future();
   if (bytes <= kEpsilonBytes) {
     done.set_value();
     return fut;
@@ -38,8 +38,7 @@ Future<> FluidLink::transfer_async(double bytes, double max_rate) {
 }
 
 Task<void> FluidLink::transfer(double bytes, double max_rate) {
-  Future<> fut = transfer_async(bytes, max_rate);
-  co_await fut.wait();
+  co_await transfer_async(bytes, max_rate).wait();
 }
 
 void FluidLink::advance_progress() {

@@ -3,21 +3,18 @@
 // All waits are condition-based (C++ Core Guidelines CP.42): a coroutine
 // suspends on a primitive and is resumed by the event that satisfies it.
 // Wakeups are posted as same-instant engine events, which keeps resume
-// stacks flat and ordering deterministic (FIFO per primitive).
+// stacks flat and ordering deterministic (FIFO per primitive). Completion
+// handles for non-blocking operations are async::future (async/future.hpp).
 #pragma once
 
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
 #include <deque>
-#include <exception>
-#include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/task.hpp"
 #include "sim/time.hpp"
 
 namespace hupc::sim {
@@ -142,125 +139,6 @@ class ScopedLock {
   Mutex* mutex_;
 };
 
-namespace detail {
-
-template <class T>
-struct FutureState {
-  Engine* engine;
-  bool ready = false;
-  std::optional<T> value;
-  std::exception_ptr exception{};
-  std::vector<std::coroutine_handle<>> waiters;
-
-  void wake_all() {
-    for (auto h : waiters) {
-      engine->schedule_in(0, [h] { h.resume(); });
-    }
-    waiters.clear();
-  }
-};
-
-template <>
-struct FutureState<void> {
-  Engine* engine;
-  bool ready = false;
-  std::exception_ptr exception{};
-  std::vector<std::coroutine_handle<>> waiters;
-
-  void wake_all() {
-    for (auto h : waiters) {
-      engine->schedule_in(0, [h] { h.resume(); });
-    }
-    waiters.clear();
-  }
-};
-
-}  // namespace detail
-
-template <class T>
-class Promise;
-
-/// Shared-state future usable any number of times from any coroutine; the
-/// GAS layer returns these from non-blocking operations (upc_memput_async
-/// analogue: issue returns a Future, upc_waitsync is `co_await fut.wait()`).
-template <class T = void>
-class Future {
- public:
-  Future() = default;
-
-  [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
-  [[nodiscard]] bool ready() const noexcept { return state_ && state_->ready; }
-
-  [[nodiscard]] auto wait() {
-    struct Awaiter {
-      std::shared_ptr<detail::FutureState<T>> state;
-      bool await_ready() const noexcept { return !state || state->ready; }
-      void await_suspend(std::coroutine_handle<> h) {
-        state->waiters.push_back(h);
-      }
-      T await_resume() const {
-        if (state && state->exception) std::rethrow_exception(state->exception);
-        if constexpr (!std::is_void_v<T>) {
-          return *state->value;
-        }
-      }
-    };
-    return Awaiter{state_};
-  }
-
-  /// Value access once ready (tests / host-side inspection).
-  template <class U = T>
-    requires(!std::is_void_v<U>)
-  [[nodiscard]] const U& get() const {
-    assert(ready());
-    return *state_->value;
-  }
-
- private:
-  friend class Promise<T>;
-  explicit Future(std::shared_ptr<detail::FutureState<T>> s)
-      : state_(std::move(s)) {}
-  std::shared_ptr<detail::FutureState<T>> state_;
-};
-
-template <class T = void>
-class Promise {
- public:
-  explicit Promise(Engine& engine)
-      : state_(std::make_shared<detail::FutureState<T>>()) {
-    state_->engine = &engine;
-  }
-
-  [[nodiscard]] Future<T> get_future() const { return Future<T>(state_); }
-
-  template <class U = T>
-    requires(!std::is_void_v<U>)
-  void set_value(U value) {
-    assert(!state_->ready);
-    state_->value = std::move(value);
-    state_->ready = true;
-    state_->wake_all();
-  }
-
-  template <class U = T>
-    requires(std::is_void_v<U>)
-  void set_value() {
-    assert(!state_->ready);
-    state_->ready = true;
-    state_->wake_all();
-  }
-
-  void set_exception(std::exception_ptr e) {
-    assert(!state_->ready);
-    state_->exception = std::move(e);
-    state_->ready = true;
-    state_->wake_all();
-  }
-
- private:
-  std::shared_ptr<detail::FutureState<T>> state_;
-};
-
 /// Reusable cyclic barrier for N participants. Models the UPC barrier
 /// semantics including the split-phase notify/wait pair.
 class Barrier {
@@ -342,12 +220,5 @@ class Barrier {
   std::vector<std::coroutine_handle<>> waiters_;
   std::vector<std::pair<std::uint64_t, std::coroutine_handle<>>> phase_waiters_;
 };
-
-/// Await completion of a dynamic set of futures (upc_waitsync_all analogue).
-inline Task<void> wait_all(std::vector<Future<>> futures) {
-  for (auto& f : futures) {
-    co_await f.wait();
-  }
-}
 
 }  // namespace hupc::sim

@@ -253,6 +253,28 @@ TEST(AsyncFuture, CoAwaitIntegratesWithSimTasks) {
   EXPECT_EQ(got, 99);
 }
 
+TEST(AsyncFuture, ExceptionRethrowsThroughCoAwaitInSimTask) {
+  sim::Engine e;
+  promise<> p(e);
+  bool caught = false;
+  sim::Time caught_at = -1;
+  sim::spawn(e, [](future<> f, bool& c, sim::Time& at,
+                   sim::Engine& eng) -> sim::Task<void> {
+    try {
+      co_await f.wait();
+    } catch (const std::runtime_error&) {
+      c = true;
+      at = eng.now();
+    }
+  }(p.get_future(), caught, caught_at, e));
+  e.schedule_in(42, [&p] {
+    p.set_exception(std::make_exception_ptr(std::runtime_error("x")));
+  });
+  e.run();
+  EXPECT_TRUE(caught);
+  EXPECT_EQ(caught_at, 42);
+}
+
 TEST(AsyncFuture, SharedStatesAreCounterBalanced) {
   const std::int64_t before = debug_live_states();
   {

@@ -179,7 +179,7 @@ TEST(SubPool, GasFromSubThreadsRespectsSafetyLevels) {
         co_await pool.parallel_for(
             2, Schedule::static_chunks,
             [&dst](SubContext& c, std::size_t, std::size_t) -> sim::Task<void> {
-              co_await c.memput(dst, src.data(), src.size());
+              co_await c.copy(dst, src.data(), src.size());
             });
       } catch (const core::ThreadSafetyViolation&) {
         threw = true;
@@ -209,7 +209,7 @@ TEST(SubPool, SerializedGasCallsDoNotOverlap) {
       co_await pool.parallel_for(
           4, Schedule::static_chunks,
           [&dst](SubContext& c2, std::size_t, std::size_t) -> sim::Task<void> {
-            co_await c2.memput(dst, src.data(), src.size());
+            co_await c2.copy(dst, src.data(), src.size());
           });
     });
     rt.run_to_completion();

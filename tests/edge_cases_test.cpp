@@ -309,7 +309,7 @@ TEST(GasEdge, MemcpySharedThirdParty) {
   for (int i = 0; i < 32; ++i) src.raw[i] = 500 + i;
   rt.spmd([&](Thread& t) -> sim::Task<void> {
     if (t.rank() == 0) {
-      co_await t.memcpy_shared(dst, gas::to_const(src), 32);
+      co_await t.copy(dst, gas::to_const(src), 32);
     }
   });
   rt.run_to_completion();
@@ -326,7 +326,7 @@ TEST(GasEdge, ZeroByteCopyIsFreeAndSafe) {
   auto dst = rt.heap().alloc<char>(1, 1);
   rt.spmd([&](Thread& t) -> sim::Task<void> {
     if (t.rank() == 0) {
-      co_await t.memput(dst, static_cast<const char*>(nullptr), 0);
+      co_await t.copy(dst, static_cast<const char*>(nullptr), 0);
     }
   });
   rt.run_to_completion();

@@ -77,7 +77,7 @@ sim::Time run_mini(bool with_quiescent_plan, std::string* summary) {
     for (int iter = 0; iter < 3; ++iter) {
       const auto peer = static_cast<std::size_t>(
           (t.rank() + 1 + iter) % t.threads());
-      co_await t.memput(arr.at(peer * 256), buf.data(), 256);
+      co_await t.copy(arr.at(peer * 256), buf.data(), 256);
       co_await t.barrier();
     }
   });
@@ -180,7 +180,7 @@ TEST(Seams, BlackoutHoldsMessagesUntilRecovery) {
   auto cell = rt.heap().alloc<double>(remote_rank, 64);
   std::vector<double> buf(64, 2.0);
   rt.spmd([&](gas::Thread& t) -> sim::Task<void> {
-    if (t.rank() == 0) co_await t.memput(cell, buf.data(), 64);
+    if (t.rank() == 0) co_await t.copy(cell, buf.data(), 64);
   });
   rt.run_to_completion();
   EXPECT_GE(plan.stats().messages_held_blackout, 1u);

@@ -135,7 +135,7 @@ TEST(Runtime, MemputAcrossNodesCopiesAndCharges) {
   std::iota(src.begin(), src.end(), 0.0);
   rt.spmd([&](Thread& t) -> sim::Task<void> {
     if (t.rank() == 0) {
-      co_await t.memput(dst, src.data(), src.size());
+      co_await t.copy(dst, src.data(), src.size());
     }
     co_return;
   });
@@ -151,7 +151,7 @@ TEST(Runtime, SupernodeCopySkipsNetwork) {
   auto dst = rt.heap().alloc<int>(3, 64);
   std::vector<int> src(64, 42);
   rt.spmd([&](Thread& t) -> sim::Task<void> {
-    if (t.rank() == 0) co_await t.memput(dst, src.data(), src.size());
+    if (t.rank() == 0) co_await t.copy(dst, src.data(), src.size());
     co_return;
   });
   rt.run_to_completion();
@@ -210,7 +210,7 @@ TEST(Runtime, LoopbackSlowerThanPshm) {
     auto dst = rt.heap().alloc<char>(3, 1 << 20);
     static std::vector<char> src(1 << 20, 'x');
     rt.spmd([&](Thread& t) -> sim::Task<void> {
-      if (t.rank() == 0) co_await t.memput(dst, src.data(), src.size());
+      if (t.rank() == 0) co_await t.copy(dst, src.data(), src.size());
       co_return;
     });
     rt.run_to_completion();
@@ -235,7 +235,7 @@ TEST(Runtime, AsyncMemputOverlapsWithCompute) {
   sim::Time elapsed = 0;
   rt.spmd([&](Thread& t) -> sim::Task<void> {
     if (t.rank() != 0) co_return;
-    auto put = t.memput_async(dst, src.data(), src.size());
+    auto put = t.copy_async(dst, src.data(), src.size());
     co_await t.compute(500e-6);  // overlap ~= transfer time
     co_await put.wait();
     elapsed = t.runtime().engine().now();

@@ -170,7 +170,7 @@ TEST(Integration, GigeSlowsEverythingButChangesNothing) {
     auto dst = rt.heap().alloc<char>(7, 64 * 1024);
     static std::vector<char> src(64 * 1024, 'q');
     rt.spmd([&](Thread& t) -> sim::Task<void> {
-      if (t.rank() == 0) co_await t.memput(dst, src.data(), src.size());
+      if (t.rank() == 0) co_await t.copy(dst, src.data(), src.size());
       co_await t.barrier();
     });
     rt.run_to_completion();

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <vector>
 
+#include "async/future.hpp"
 #include "gas/gas.hpp"
 #include "mpl/mpi.hpp"
 
@@ -186,6 +187,57 @@ TEST(Mpi, HierarchicalBeatsFlatForSmallMessages) {
     return sim::to_seconds(e.now());
   };
   EXPECT_LT(timed(true), timed(false));
+}
+
+TEST(Mpi, LowerLayerSharedStatesBalanceWhenRuntimeDies) {
+  // Leak census below the GAS layer: one-sided rma_async legs (net), a
+  // cross-socket stream whose interconnect leg nobody awaits (mem), and a
+  // hierarchical alltoall whose leader exchange rides on rendezvous
+  // promises (mpl). Every shared state must die with the runtime.
+  const std::int64_t before = async::debug_live_states();
+  std::int64_t in_flight = before;
+  {
+    sim::Engine e;
+    Runtime rt(e, cfg(8, 2));  // 4 ranks/node
+    Mpi mpi(rt);
+    // 1 KiB per pair keeps the hierarchical schedule; each leader-pair
+    // chunk (4 x 4 x 1 KiB) exceeds the eager limit, so phase 2 takes the
+    // rendezvous path.
+    constexpr std::size_t kPer = 1024;
+    std::vector<std::vector<char>> send(8), recv(8);
+    for (int r = 0; r < 8; ++r) {
+      send[static_cast<std::size_t>(r)].assign(8 * kPer, static_cast<char>(r));
+      recv[static_cast<std::size_t>(r)].assign(8 * kPer, -1);
+    }
+    rt.spmd([&](Thread& t) -> sim::Task<void> {
+      if (t.rank() == 0) {
+        auto& nw = t.runtime().network();
+        auto a = nw.rma_async(
+            {.src_node = 0, .src_ep = 0, .dst_node = 1, .bytes = 64e3});
+        auto b = nw.rma_async(
+            {.src_node = 0, .src_ep = 1, .dst_node = 1, .bytes = 64e3});
+        in_flight = async::debug_live_states();
+        co_await a.wait();
+        co_await b.wait();
+        co_await t.runtime().memory().stream(
+            {.node = 0, .socket = 0}, {.node = 0, .socket = 1}, 1e6);
+      }
+      co_await t.barrier();
+      const auto r = static_cast<std::size_t>(t.rank());
+      co_await mpi.alltoall(t, send[r].data(), recv[r].data(), kPer);
+    });
+    rt.run_to_completion();
+    for (int r = 0; r < 8; ++r) {
+      for (int p = 0; p < 8; ++p) {
+        EXPECT_EQ(recv[static_cast<std::size_t>(r)]
+                      [static_cast<std::size_t>(p) * kPer],
+                  static_cast<char>(p));
+      }
+    }
+  }
+  EXPECT_GT(in_flight, before);
+  EXPECT_EQ(async::debug_live_states(), before)
+      << "a net/mem/mpl shared state outlived its runtime";
 }
 
 }  // namespace

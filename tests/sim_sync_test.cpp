@@ -94,38 +94,6 @@ TEST(Mutex, TryLockReflectsState) {
   m.unlock();
 }
 
-TEST(FuturePromise, DeliversValueAcrossProcesses) {
-  Engine e;
-  Promise<int> prom(e);
-  int got = 0;
-  spawn(e, [](Future<int> f, int& g) -> Task<void> {
-    g = co_await f.wait();
-  }(prom.get_future(), got));
-  spawn(e, [](Engine& eng, Promise<int> p) -> Task<void> {
-    co_await delay(eng, 42);
-    p.set_value(17);
-  }(e, std::move(prom)));
-  e.run();
-  EXPECT_EQ(got, 17);
-  EXPECT_EQ(e.now(), 42);
-}
-
-TEST(FuturePromise, ExceptionPropagates) {
-  Engine e;
-  Promise<> prom(e);
-  bool caught = false;
-  spawn(e, [](Future<> f, bool& c) -> Task<void> {
-    try {
-      co_await f.wait();
-    } catch (const std::runtime_error&) {
-      c = true;
-    }
-  }(prom.get_future(), caught));
-  prom.set_exception(std::make_exception_ptr(std::runtime_error("x")));
-  e.run();
-  EXPECT_TRUE(caught);
-}
-
 TEST(Barrier, AllPartiesLeaveTogether) {
   Engine e;
   Barrier bar(e, 4);
@@ -200,30 +168,6 @@ TEST(Barrier, SplitPhaseNotifyWaitOverlapsWork) {
   ASSERT_EQ(log.size(), 3u);
   EXPECT_EQ(log[0], 0);
   EXPECT_EQ(e.now(), 20);
-}
-
-TEST(WaitAll, CompletesWhenEveryFutureDoes) {
-  Engine e;
-  std::vector<Promise<>> proms;
-  std::vector<Future<>> futs;
-  for (int i = 0; i < 3; ++i) {
-    proms.emplace_back(e);
-    futs.push_back(proms.back().get_future());
-  }
-  bool done = false;
-  spawn(e, [](std::vector<Future<>> fs, bool& d) -> Task<void> {
-    co_await wait_all(std::move(fs));
-    d = true;
-  }(futs, done));
-  for (int i = 0; i < 3; ++i) {
-    spawn(e, [](Engine& eng, Promise<>& p, int id) -> Task<void> {
-      co_await delay(eng, 10 * (id + 1));
-      p.set_value();
-    }(e, proms[i], i));
-  }
-  e.run();
-  EXPECT_TRUE(done);
-  EXPECT_EQ(e.now(), 30);
 }
 
 }  // namespace
