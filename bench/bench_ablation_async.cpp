@@ -23,7 +23,7 @@
 #include "bench_common.hpp"
 #include "perf/runner.hpp"
 #include "sim/sim.hpp"
-#include "trace/trace.hpp"
+#include "trace/counters.hpp"
 
 namespace {
 
@@ -43,6 +43,7 @@ struct HaloResult {
   double step_us = 0.0;   // modeled microseconds per step (mean)
   double total_s = 0.0;   // modeled seconds for the whole run
   int steps = 0;
+  trace::Counters counters;  // the run's counter registry
 };
 
 sim::Task<void> halo_step_blocking(gas::Thread& t) {
@@ -73,13 +74,12 @@ sim::Task<void> halo_step_async(gas::Thread& t) {
   co_await t.barrier();
 }
 
-HaloResult run_halo(perf::Context& ctx, bool async, trace::Tracer& tracer) {
+HaloResult run_halo(perf::Context& ctx, bool async) {
   const int steps = ctx.smoke() ? 20 : 50;
 
   sim::Engine engine;
   auto config = bench::make_config("pyramid", kNodes, kThreads,
                                    gas::Backend::processes, "gige");
-  config.tracer = &tracer;
   gas::Runtime rt(engine, config);
 
   rt.spmd([&](gas::Thread& t) -> sim::Task<void> {
@@ -98,12 +98,12 @@ HaloResult run_halo(perf::Context& ctx, bool async, trace::Tracer& tracer) {
   r.steps = steps;
   r.total_s = sim::to_seconds(engine.now());
   r.step_us = r.total_s / steps * 1e6;
+  r.counters = engine.counters();
   return r;
 }
 
 void run_variant(perf::Context& ctx, bool async) {
-  trace::Tracer tracer;
-  const HaloResult r = run_halo(ctx, async, tracer);
+  const HaloResult r = run_halo(ctx, async);
 
   ctx.set_config("machine", "pyramid");
   ctx.set_config("conduit", "gige");
@@ -117,8 +117,8 @@ void run_variant(perf::Context& ctx, bool async) {
   ctx.report("steptime", r.step_us, "us/step",
              perf::Direction::lower_is_better);
   ctx.report_trace_counters(
-      tracer, {"net.msg", "net.bytes", "async.copy.issued",
-               "async.copy.completed", "async.copy.failed"});
+      r.counters, {"net.msg", "net.bytes", "async.copy.issued",
+                   "async.copy.completed", "async.copy.failed"});
 }
 
 PERF_BENCHMARK("halo.exchange.blocking") { run_variant(ctx, /*async=*/false); }

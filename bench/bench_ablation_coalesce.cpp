@@ -18,7 +18,7 @@
 #include "perf/runner.hpp"
 #include "sim/sim.hpp"
 #include "stream/random_access.hpp"
-#include "trace/trace.hpp"
+#include "trace/counters.hpp"
 
 namespace {
 
@@ -31,11 +31,9 @@ constexpr int kLog2Table = 16;
 void run_variant(perf::Context& ctx, stream::GupsVariant variant,
                  const comm::Params& coalesce) {
   const std::uint64_t updates = ctx.smoke() ? 1500 : 6000;
-  trace::Tracer tracer;
   sim::Engine engine;
   auto config = bench::make_config("lehman", kNodes, kThreads,
                                    gas::Backend::processes, "ib-qdr");
-  config.tracer = &tracer;
   gas::Runtime rt(engine, config);
   stream::RandomAccess ra(rt, kLog2Table);
   const auto r = ra.run(variant, updates, /*passes=*/1, coalesce);
@@ -48,9 +46,9 @@ void run_variant(perf::Context& ctx, stream::GupsVariant variant,
   ctx.set_config("log2_table", std::to_string(kLog2Table));
   ctx.set_config("updates", std::to_string(updates));
   ctx.report("gups", r.gups, "GUPS");
-  ctx.report_trace_counters(
-      tracer, {"net.msg", "net.bytes", "net.aggregated", "net.coalesced_ops",
-               "comm.flush.msgs"});
+  ctx.report_trace_counters(engine.counters(),
+                            {"net.msg", "net.bytes", "net.aggregated",
+                             "net.coalesced_ops", "comm.flush.msgs"});
 }
 
 comm::Params buffer_params(std::size_t ops) {

@@ -28,7 +28,7 @@
 #include "gas/collectives.hpp"
 #include "perf/runner.hpp"
 #include "sim/sim.hpp"
-#include "trace/trace.hpp"
+#include "trace/counters.hpp"
 
 namespace {
 
@@ -51,10 +51,10 @@ struct ExchangeResult {
   int threads = 0;
   int nodes = 0;
   std::uint64_t errors = 0;  // received elements that mismatched the oracle
+  trace::Counters counters;  // the run's counter registry
 };
 
-ExchangeResult run_exchange(perf::Context& ctx, gas::CollAlgo algo,
-                            trace::Tracer& tracer) {
+ExchangeResult run_exchange(perf::Context& ctx, gas::CollAlgo algo) {
   ExchangeResult res;
   res.threads = ctx.smoke() ? 256 : 1024;
   res.nodes = res.threads / kRanksPerNode;
@@ -62,7 +62,6 @@ ExchangeResult run_exchange(perf::Context& ctx, gas::CollAlgo algo,
   sim::Engine engine;
   auto config = bench::make_config("pyramid", res.nodes, res.threads,
                                    gas::Backend::processes, "gige");
-  config.tracer = &tracer;
   gas::Runtime rt(engine, config);
   gas::Collectives coll(rt);
   const int n = res.threads;
@@ -105,12 +104,12 @@ ExchangeResult run_exchange(perf::Context& ctx, gas::CollAlgo algo,
       }
     }
   }
+  res.counters = engine.counters();
   return res;
 }
 
 void run_variant(perf::Context& ctx, gas::CollAlgo algo) {
-  trace::Tracer tracer;
-  const ExchangeResult r = run_exchange(ctx, algo, tracer);
+  const ExchangeResult r = run_exchange(ctx, algo);
 
   ctx.set_config("machine", "pyramid");
   ctx.set_config("conduit", "gige");
@@ -124,7 +123,7 @@ void run_variant(perf::Context& ctx, gas::CollAlgo algo) {
              perf::Direction::lower_is_better);
   ctx.report("errors", static_cast<double>(r.errors), "elements",
              perf::Direction::lower_is_better);
-  ctx.report_trace_counters(tracer,
+  ctx.report_trace_counters(r.counters,
                             {"net.msg", "net.bytes", "gas.copy.rma",
                              "gas.copy.shm", "gas.coll.alltoall"});
 }

@@ -28,7 +28,7 @@
 #include "perf/runner.hpp"
 #include "sim/sim.hpp"
 #include "stream/random_access.hpp"
-#include "trace/trace.hpp"
+#include "trace/counters.hpp"
 
 namespace {
 
@@ -57,11 +57,9 @@ void run_variant(perf::Context& ctx, bool cached, std::size_t line_bytes,
     params.cache.lines = g_overrides.lines != 0 ? g_overrides.lines : lines;
   }
 
-  trace::Tracer tracer;
   sim::Engine engine;
   auto config = bench::make_config("lehman", kNodes, kThreads,
                                    gas::Backend::processes, "ib-qdr");
-  config.tracer = &tracer;
   gas::Runtime rt(engine, config);
   stream::RandomAccess ra(rt, kLog2Table);
   const auto r = ra.run_gather(params);
@@ -84,9 +82,9 @@ void run_variant(perf::Context& ctx, bool cached, std::size_t line_bytes,
   ctx.set_config("checksum", std::to_string(r.checksum));
   ctx.report("mreads", r.mreads, "Mreads/s");
   ctx.report_trace_counters(
-      tracer, {"net.msg", "net.bytes", "net.aggregated", "gas.cache.hits",
-               "gas.cache.misses", "gas.cache.evictions",
-               "gas.cache.invalidations"});
+      engine.counters(),
+      {"net.msg", "net.bytes", "net.aggregated", "gas.cache.hits",
+       "gas.cache.misses", "gas.cache.evictions", "gas.cache.invalidations"});
 }
 
 PERF_BENCHMARK("gather.readcache.off") {

@@ -44,9 +44,7 @@ void run_point(perf::Context& ctx, const std::string& conduit, int k,
     threads = 32;
     nodes = 8;
   }
-  trace::Tracer tracer;
-  const auto r =
-      bench::run_uts(tree, threads, nodes, conduit, variant, k, &tracer);
+  const auto r = bench::run_uts(tree, threads, nodes, conduit, variant, k);
 
   ctx.set_config("machine", "pyramid");
   ctx.set_config("conduit", conduit);
@@ -62,7 +60,7 @@ void run_point(perf::Context& ctx, const std::string& conduit, int k,
   ctx.report_counter("local_steals", r.local_steals);
   ctx.report_counter("remote_steals", r.remote_steals);
   ctx.report_counter("failed_probes", r.failed_probes);
-  ctx.report_trace_counters(tracer, {"net.msg", "net.bytes"});
+  ctx.report_trace_counters(r.counters, {"net.msg", "net.bytes"});
 }
 
 std::string point_id(const std::string& conduit, int k, bool diffusion) {

@@ -31,7 +31,7 @@
 #include "gas/gas.hpp"
 #include "perf/runner.hpp"
 #include "sim/sim.hpp"
-#include "trace/trace.hpp"
+#include "trace/counters.hpp"
 
 namespace {
 
@@ -54,11 +54,9 @@ void run_variant(perf::Context& ctx, Variant variant) {
   const std::size_t px = kNx / kThreads;
   const std::size_t plane = kNx * kNy;
 
-  trace::Tracer tracer;
   sim::Engine engine;
   auto config = bench::make_config("lehman", kNodes, kThreads,
                                    gas::Backend::processes, "ib-qdr");
-  config.tracer = &tracer;
   gas::Runtime rt(engine, config);
 
   // in_[r]: rank r's z-plane [x][y]; out_[r]: its x-slab [x_local][z][y].
@@ -134,8 +132,9 @@ void run_variant(perf::Context& ctx, Variant variant) {
   ctx.set_config("checksum", std::to_string(checksum));
   ctx.report("xchg", payload / secs / 1e9, "GB/s");
   ctx.report_trace_counters(
-      tracer, {"net.msg", "net.bytes", "net.vis.msg", "net.vis.regions",
-               "net.vis.bytes", "comm.flush.msgs", "gas.cache.hits"});
+      engine.counters(),
+      {"net.msg", "net.bytes", "net.vis.msg", "net.vis.regions",
+       "net.vis.bytes", "comm.flush.msgs", "gas.cache.hits"});
 }
 
 PERF_BENCHMARK("ft.transpose.loop") { run_variant(ctx, Variant::loop); }

@@ -45,9 +45,8 @@ void run_point(perf::Context& ctx, const Net& net, int threads,
                bench::UtsVariant variant) {
   uts::TreeParams tree = uts::paper_tree();
   if (ctx.smoke()) tree.root_seed = 42;
-  trace::Tracer tracer;
   const auto r = bench::run_uts(tree, threads, kNodes, net.conduit, variant,
-                                net.granularity, &tracer);
+                                net.granularity);
 
   ctx.set_config("machine", "pyramid");
   ctx.set_config("conduit", net.conduit);
@@ -62,8 +61,9 @@ void run_point(perf::Context& ctx, const Net& net, int threads,
   ctx.report_counter("tree_nodes", r.nodes);
   ctx.report_counter("local_steals", r.local_steals);
   ctx.report_counter("remote_steals", r.remote_steals);
-  ctx.report_trace_counters(tracer, {"net.msg", "net.bytes",
-                                     "sched.steal.attempt", "sched.steal.fail"});
+  ctx.report_trace_counters(r.counters,
+                            {"net.msg", "net.bytes", "sched.steal.attempt",
+                             "sched.steal.fail"});
 }
 
 std::string point_id(const char* conduit, int threads, bench::UtsVariant v) {

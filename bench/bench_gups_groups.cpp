@@ -16,7 +16,7 @@
 #include "perf/runner.hpp"
 #include "sim/sim.hpp"
 #include "stream/random_access.hpp"
-#include "trace/trace.hpp"
+#include "trace/counters.hpp"
 
 namespace {
 
@@ -29,11 +29,9 @@ constexpr int kLog2Table = 16;
 void run_point(perf::Context& ctx, const std::string& conduit, int threads,
                int nodes, stream::GupsVariant variant) {
   const std::uint64_t updates = ctx.smoke() ? 2048 : 8192;
-  trace::Tracer tracer;
   sim::Engine engine;
   auto config = bench::make_config("pyramid", nodes, threads,
                                    gas::Backend::processes, conduit);
-  config.tracer = &tracer;
   gas::Runtime rt(engine, config);
   stream::RandomAccess ra(rt, kLog2Table);
   const auto r = ra.run(variant, updates);
@@ -49,7 +47,7 @@ void run_point(perf::Context& ctx, const std::string& conduit, int threads,
   ctx.report("local_fraction",
              static_cast<double>(r.local) / static_cast<double>(r.updates),
              "fraction");
-  ctx.report_trace_counters(tracer, {"net.msg", "net.bytes"});
+  ctx.report_trace_counters(engine.counters(), {"net.msg", "net.bytes"});
 }
 
 std::string point_id(const std::string& conduit, int threads, int nodes,

@@ -31,7 +31,7 @@
 #include "kv/workload.hpp"
 #include "perf/runner.hpp"
 #include "sim/sim.hpp"
-#include "trace/trace.hpp"
+#include "trace/counters.hpp"
 
 namespace {
 
@@ -54,11 +54,9 @@ void run_cell(perf::Context& ctx, const Cell& cell) {
   const char* machine = cell.threads > 64 ? "pyramid" : "lehman";
   const char* conduit = cell.threads > 64 ? "ib-ddr" : "ib-qdr";
 
-  trace::Tracer tracer;
   sim::Engine engine;
   auto config = bench::make_config(machine, nodes, cell.threads,
                                    gas::Backend::processes, conduit);
-  config.tracer = &tracer;
   gas::Runtime rt(engine, config);
   async::RpcDomain rpc(rt);
   kv::KvStore::Params store_params;
@@ -102,9 +100,9 @@ void run_cell(perf::Context& ctx, const Cell& cell) {
   ctx.report("throughput_kops", res.throughput_ops_s / 1e3, "kops/s");
   ctx.report("slo_goodput_kops", res.slo_goodput_ops_s / 1e3, "kops/s");
   ctx.report_trace_counters(
-      tracer, {"net.msg", "net.bytes", "kv.latency.op", "kv.latency.slo_miss",
-               "gas.kv.path.amo", "gas.kv.path.rpc", "gas.kv.probe",
-               "gas.kv.retry"});
+      engine.counters(),
+      {"net.msg", "net.bytes", "kv.latency.op", "kv.latency.slo_miss",
+       "gas.kv.path.amo", "gas.kv.path.rpc", "gas.kv.probe", "gas.kv.retry"});
 }
 
 PERF_BENCHMARK("kv.serving.t64.r95.amo") {

@@ -8,7 +8,7 @@
 #include "gas/gas.hpp"
 #include "sched/work_stealing.hpp"
 #include "sim/sim.hpp"
-#include "trace/trace.hpp"
+#include "trace/counters.hpp"
 #include "uts/tree.hpp"
 
 namespace hupc::bench {
@@ -21,6 +21,7 @@ struct UtsRun {
   std::uint64_t local_steals = 0;
   std::uint64_t remote_steals = 0;
   std::uint64_t failed_probes = 0;
+  trace::Counters counters;  // the run's counter registry
 };
 
 enum class UtsVariant { baseline, local_steal, local_steal_diffusion };
@@ -35,16 +36,12 @@ enum class UtsVariant { baseline, local_steal, local_steal_diffusion };
 }
 
 /// One UTS run: `threads` ranks over `nodes` Pyramid nodes on `conduit`.
-/// Pass a tracer to collect a structured event trace of the run (the caller
-/// owns it; clear() between runs to keep runs separate).
 [[nodiscard]] inline UtsRun run_uts(const uts::TreeParams& tree, int threads,
                                     int nodes, const std::string& conduit,
-                                    UtsVariant variant, int granularity,
-                                    trace::Tracer* tracer = nullptr) {
+                                    UtsVariant variant, int granularity) {
   sim::Engine engine;
-  auto config = make_config("pyramid", nodes, threads,
-                            gas::Backend::processes, conduit);
-  config.tracer = tracer;
+  const auto config = make_config("pyramid", nodes, threads,
+                                  gas::Backend::processes, conduit);
   gas::Runtime rt(engine, config);
   sched::StealParams params;
   params.policy = variant == UtsVariant::baseline
@@ -74,6 +71,7 @@ enum class UtsVariant { baseline, local_steal, local_steal_diffusion };
     result.remote_steals += s.remote_steals;
     result.failed_probes += s.failed_probes;
   }
+  result.counters = engine.counters();
   return result;
 }
 

@@ -5,6 +5,13 @@
 
 namespace hupc::async {
 
+namespace {
+const trace::CounterId kSent = trace::intern("async.rpc.sent");
+const trace::CounterId kBytes = trace::intern("async.rpc.bytes");
+const trace::CounterId kExecuted = trace::intern("async.rpc.executed");
+const trace::CounterId kCompleted = trace::intern("async.rpc.completed");
+}  // namespace
+
 RpcDomain::RpcDomain(gas::Runtime& rt) : rt_(&rt) {
   personas_.reserve(static_cast<std::size_t>(rt.threads()));
   for (int r = 0; r < rt.threads(); ++r) {
@@ -49,21 +56,24 @@ sim::Task<void> RpcDomain::completion_delay(int rank) {
   }
 }
 
+RpcDomain::Stats RpcDomain::stats() const {
+  const trace::Counters& c = rt_->counters();
+  return Stats{.sent = c.total(kSent),
+               .executed = c.total(kExecuted),
+               .completed = c.total(kCompleted)};
+}
+
 void RpcDomain::note_sent(int rank, std::size_t wire_bytes) {
-  ++stats_.sent;
-  stats_.wire_bytes += static_cast<double>(wire_bytes);
-  HUPC_TRACE_COUNT(rt_->tracer(), "async.rpc.sent", rank);
-  HUPC_TRACE_COUNT(rt_->tracer(), "async.rpc.bytes", rank, wire_bytes);
+  rt_->counters().add(kSent, rank);
+  rt_->counters().add(kBytes, rank, wire_bytes);
 }
 
 void RpcDomain::note_executed(int rank) {
-  ++stats_.executed;
-  HUPC_TRACE_COUNT(rt_->tracer(), "async.rpc.executed", rank);
+  rt_->counters().add(kExecuted, rank);
 }
 
 void RpcDomain::note_completed(int rank) {
-  ++stats_.completed;
-  HUPC_TRACE_COUNT(rt_->tracer(), "async.rpc.completed", rank);
+  rt_->counters().add(kCompleted, rank);
 }
 
 }  // namespace hupc::async

@@ -69,11 +69,12 @@ inline constexpr bool is_task<sim::Task<T>> = true;
 
 class RpcDomain {
  public:
+  /// A view over the async.rpc.* counters, summed over every rank (wire
+  /// bytes are the async.rpc.bytes counter).
   struct Stats {
     std::uint64_t sent = 0;
     std::uint64_t executed = 0;
     std::uint64_t completed = 0;
-    double wire_bytes = 0.0;
   };
 
   explicit RpcDomain(gas::Runtime& rt);
@@ -81,7 +82,7 @@ class RpcDomain {
   RpcDomain(const RpcDomain&) = delete;
   RpcDomain& operator=(const RpcDomain&) = delete;
 
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  [[nodiscard]] Stats stats() const;
   /// Invocations delivered to `rank`'s persona but not yet started.
   [[nodiscard]] std::size_t inbox_depth(int rank) const {
     return personas_[static_cast<std::size_t>(rank)]->depth();
@@ -211,7 +212,6 @@ class RpcDomain {
 
   gas::Runtime* rt_;
   std::vector<std::unique_ptr<sim::ProgressQueue>> personas_;
-  Stats stats_;
   std::uint64_t next_id_ = 0;
 };
 

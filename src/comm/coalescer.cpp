@@ -8,19 +8,43 @@ namespace hupc::comm {
 
 namespace {
 
-[[nodiscard]] const char* cause_name(FlushCause cause) noexcept {
+const trace::CounterId kOpPut = trace::intern("comm.op.put");
+const trace::CounterId kOpRead = trace::intern("comm.op.read");
+const trace::CounterId kVisPacked = trace::intern("comm.vis.packed");
+const trace::CounterId kFlushMsgs = trace::intern("comm.flush.msgs");
+const trace::CounterId kFlushOps = trace::intern("comm.flush.ops");
+const trace::CounterId kFlushBytes = trace::intern("comm.flush.bytes");
+const trace::CounterId kFlushCapacity = trace::intern("comm.flush.capacity");
+const trace::CounterId kFlushConflict = trace::intern("comm.flush.conflict");
+const trace::CounterId kFlushFence = trace::intern("comm.flush.fence");
+const trace::CounterId kAbandoned = trace::intern("comm.abandoned");
+
+[[nodiscard]] trace::CounterId cause_counter(FlushCause cause) noexcept {
   switch (cause) {
     case FlushCause::capacity:
-      return "comm.flush.capacity";
+      return kFlushCapacity;
     case FlushCause::conflict:
-      return "comm.flush.conflict";
+      return kFlushConflict;
     case FlushCause::fence:
-      return "comm.flush.fence";
+      return kFlushFence;
   }
-  return "comm.flush.fence";
+  return kFlushFence;
 }
 
 }  // namespace
+
+const Stats& Coalescer::stats() const {
+  const trace::Counters& c = net_->counters();
+  const std::uint64_t puts = c.get(kOpPut, rank_);
+  view_ = Stats{.ops_absorbed = puts + c.get(kOpRead, rank_),
+                .puts_deferred = puts,
+                .flush_messages = c.get(kFlushMsgs, rank_),
+                .flushes_capacity = c.get(kFlushCapacity, rank_),
+                .flushes_conflict = c.get(kFlushConflict, rank_),
+                .flushes_fence = c.get(kFlushFence, rank_),
+                .abandoned_ops = c.get(kAbandoned, rank_)};
+  return view_;
+}
 
 void Coalescer::configure(const Params& params) {
   if (buffered_ops_ != 0) {
@@ -73,9 +97,7 @@ sim::Task<void> Coalescer::put(int dst_node, void* dst, const void* value,
   ++buf.ops;
   buf.payload_bytes += static_cast<double>(bytes);
   ++buffered_ops_;
-  ++stats_.ops_absorbed;
-  ++stats_.puts_deferred;
-  HUPC_TRACE_COUNT(tracer_, "comm.op.put", rank_);
+  net_->counters().add(kOpPut, rank_);
   if (over_capacity(buf)) {
     co_await drain(dst_node, buf, FlushCause::capacity);
   }
@@ -87,8 +109,7 @@ sim::Task<void> Coalescer::put_regions(int dst_node, void* dst_base,
                                        std::size_t count) {
   auto* dst = static_cast<std::byte*>(dst_base);
   const auto* src = static_cast<const std::byte*>(src_base);
-  HUPC_TRACE_COUNT(tracer_, "comm.vis.packed", rank_,
-                   static_cast<std::uint64_t>(count));
+  net_->counters().add(kVisPacked, rank_, static_cast<std::uint64_t>(count));
   for (std::size_t i = 0; i < count; ++i) {
     if (regions[i].bytes == 0) continue;
     co_await put(dst_node, dst + regions[i].dst_off, src + regions[i].src_off,
@@ -110,8 +131,7 @@ sim::Task<void> Coalescer::read(int dst_node, const void* addr,
   ++buf.ops;
   buf.payload_bytes += static_cast<double>(bytes);
   ++buffered_ops_;
-  ++stats_.ops_absorbed;
-  HUPC_TRACE_COUNT(tracer_, "comm.op.read", rank_);
+  net_->counters().add(kOpRead, rank_);
   if (over_capacity(buf)) {
     co_await drain(dst_node, buf, FlushCause::capacity);
   }
@@ -155,26 +175,13 @@ sim::Task<void> Coalescer::drain(int dst_node, Buffer& buf, FlushCause cause) {
   buf.ops = 0;
   buf.payload_bytes = 0.0;
 
-  ++stats_.flush_messages;
-  stats_.flushed_bytes += gross;
-  switch (cause) {
-    case FlushCause::capacity:
-      ++stats_.flushes_capacity;
-      break;
-    case FlushCause::conflict:
-      ++stats_.flushes_conflict;
-      break;
-    case FlushCause::fence:
-      ++stats_.flushes_fence;
-      break;
-  }
   HUPC_TRACE_SCOPE(tracer_, trace::Category::net, "coalesce.flush", rank_, ops,
                    static_cast<std::uint64_t>(dst_node));
-  HUPC_TRACE_COUNT(tracer_, "comm.flush.msgs", rank_);
-  HUPC_TRACE_COUNT(tracer_, "comm.flush.ops", rank_, ops);
-  HUPC_TRACE_COUNT(tracer_, "comm.flush.bytes", rank_,
-                   static_cast<std::uint64_t>(gross));
-  HUPC_TRACE_COUNT(tracer_, cause_name(cause), rank_);
+  trace::Counters& counters = net_->counters();
+  counters.add(kFlushMsgs, rank_);
+  counters.add(kFlushOps, rank_, ops);
+  counters.add(kFlushBytes, rank_, static_cast<std::uint64_t>(gross));
+  counters.add(cause_counter(cause), rank_);
   co_await net_->rma(net::Transfer{.src_node = src_node_,
                                    .src_ep = src_ep_,
                                    .dst_node = dst_node,
@@ -190,8 +197,7 @@ void Coalescer::abandon() {
     for (const PendingPut& p : buf.puts) {
       std::memcpy(p.dst, buf.arena.data() + p.offset, p.len);
     }
-    stats_.abandoned_ops += buf.ops;
-    HUPC_TRACE_COUNT(tracer_, "comm.abandoned", rank_, buf.ops);
+    net_->counters().add(kAbandoned, rank_, buf.ops);
     buffered_ops_ -= buf.ops;
     buf.puts.clear();
     buf.arena.clear();

@@ -64,12 +64,13 @@ struct Params {
   double api_scale = 1.0;
 };
 
-/// Lifetime statistics (accumulated across epochs of one rank).
+/// Lifetime statistics of one rank's coalescer: a view over its comm.*
+/// counters (comm.op.*, comm.flush.*, comm.abandoned), accumulated across
+/// epochs. Flushed bytes are the comm.flush.bytes counter.
 struct Stats {
   std::uint64_t ops_absorbed = 0;    // fine-grained ops that skipped rma
   std::uint64_t puts_deferred = 0;   // subset of ops_absorbed with payload
   std::uint64_t flush_messages = 0;  // aggregated rma messages issued
-  double flushed_bytes = 0.0;        // payload + headers, as charged
   std::uint64_t flushes_capacity = 0;
   std::uint64_t flushes_conflict = 0;
   std::uint64_t flushes_fence = 0;  // epoch end / barrier / bulk / explicit
@@ -99,7 +100,9 @@ class Coalescer {
   void configure(const Params& params);
 
   [[nodiscard]] const Params& params() const noexcept { return params_; }
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  /// This rank's Stats, read from the registry (the reference stays valid
+  /// until the next call).
+  [[nodiscard]] const Stats& stats() const;
   [[nodiscard]] bool empty() const noexcept { return buffered_ops_ == 0; }
   [[nodiscard]] std::uint64_t buffered_ops() const noexcept {
     return buffered_ops_;
@@ -149,7 +152,7 @@ class Coalescer {
   /// Teardown path (RAII guard destruction, rank teardown): apply all
   /// deferred puts to memory WITHOUT charging network time, so host data
   /// stays verifiable even when an epoch is abandoned mid-flight. Counted
-  /// in Stats::abandoned_ops; proper code awaits end_coalesce() instead.
+  /// in comm.abandoned; proper code awaits end_coalesce() instead.
   void abandon();
 
  private:
@@ -184,7 +187,7 @@ class Coalescer {
   int src_ep_;
   trace::Tracer* tracer_;
   Params params_{};
-  Stats stats_{};
+  mutable Stats view_{};  // last stats() result
   std::uint64_t buffered_ops_ = 0;
   // Ordered map: flush_all walks destinations in ascending node order,
   // which keeps multi-destination flush schedules deterministic.

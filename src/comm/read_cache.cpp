@@ -4,7 +4,27 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "trace/counters.hpp"
+
 namespace hupc::comm {
+
+namespace {
+const trace::CounterId kHits = trace::intern("gas.cache.hits");
+const trace::CounterId kMisses = trace::intern("gas.cache.misses");
+const trace::CounterId kEvictions = trace::intern("gas.cache.evictions");
+const trace::CounterId kInvalidations =
+    trace::intern("gas.cache.invalidations");
+const trace::CounterId kPrefetch = trace::intern("gas.cache.prefetch");
+}  // namespace
+
+const CacheStats& ReadCache::stats() const {
+  const trace::Counters& c = net_->counters();
+  view_ = CacheStats{.hits = c.get(kHits, rank_),
+                     .misses = c.get(kMisses, rank_),
+                     .evictions = c.get(kEvictions, rank_),
+                     .invalidations = c.get(kInvalidations, rank_)};
+  return view_;
+}
 
 void ReadCache::configure(const CacheParams& params) {
   if (params.line_bytes == 0 ||
@@ -69,14 +89,12 @@ sim::Task<bool> ReadCache::read(int owner, int dst_node, std::int64_t offset,
             set_index(owner, line_no) * params_.ways +
             static_cast<std::size_t>(way);
         lines_[idx].valid = false;
-        ++stats_.invalidations;
-        HUPC_TRACE_COUNT(tracer_, "gas.cache.invalidations", rank_);
+        net_->counters().add(kInvalidations, rank_);
       } else {
         lines_[set_index(owner, line_no) * params_.ways +
                static_cast<std::size_t>(way)]
             .tick = ++tick_;
-        ++stats_.hits;
-        HUPC_TRACE_COUNT(tracer_, "gas.cache.hits", rank_);
+        net_->counters().add(kHits, rank_);
         continue;
       }
     }
@@ -97,13 +115,10 @@ void ReadCache::install(int owner, std::uint64_t line_no) {
     if (lines_[base + w].tick < lines_[victim].tick) victim = base + w;
   }
   if (lines_[victim].valid) {
-    ++stats_.evictions;
-    HUPC_TRACE_COUNT(tracer_, "gas.cache.evictions", rank_);
+    net_->counters().add(kEvictions, rank_);
   }
   lines_[victim] = Line{true, owner, line_no, ++tick_};
-  ++stats_.misses;
-  stats_.fetched_bytes += static_cast<double>(params_.line_bytes);
-  HUPC_TRACE_COUNT(tracer_, "gas.cache.misses", rank_);
+  net_->counters().add(kMisses, rank_);
 }
 
 sim::Task<void> ReadCache::fill(int owner, int dst_node,
@@ -153,12 +168,10 @@ sim::Task<std::size_t> ReadCache::prefetch(int owner, int dst_node,
                               static_cast<std::size_t>(way);
       if (fault_ != nullptr && fault_->drop_cached_line(rank_)) {
         lines_[idx].valid = false;
-        ++stats_.invalidations;
-        HUPC_TRACE_COUNT(tracer_, "gas.cache.invalidations", rank_);
+        net_->counters().add(kInvalidations, rank_);
       } else {
         lines_[idx].tick = ++tick_;
-        ++stats_.hits;
-        HUPC_TRACE_COUNT(tracer_, "gas.cache.hits", rank_);
+        net_->counters().add(kHits, rank_);
         continue;
       }
     }
@@ -169,8 +182,7 @@ sim::Task<std::size_t> ReadCache::prefetch(int owner, int dst_node,
   // One packed message fetches every missing line the footprint touches:
   // regions/coalesced_count expose the batching to the counters and the
   // vis trace events, exactly like a coalescer flush (accounting only).
-  HUPC_TRACE_COUNT(tracer_, "gas.cache.prefetch", rank_,
-                   static_cast<std::uint64_t>(filled));
+  net_->counters().add(kPrefetch, rank_, static_cast<std::uint64_t>(filled));
   const double payload =
       static_cast<double>(filled) * static_cast<double>(params_.line_bytes);
   co_await net_->rma(net::Transfer{
@@ -198,8 +210,7 @@ void ReadCache::invalidate_range(int owner, std::int64_t offset,
     lines_[set_index(owner, line_no) * params_.ways +
            static_cast<std::size_t>(way)]
         .valid = false;
-    ++stats_.invalidations;
-    HUPC_TRACE_COUNT(tracer_, "gas.cache.invalidations", rank_);
+    net_->counters().add(kInvalidations, rank_);
   }
 }
 
@@ -211,8 +222,7 @@ void ReadCache::invalidate_all() {
     ++dropped;
   }
   if (dropped == 0) return;
-  stats_.invalidations += dropped;
-  HUPC_TRACE_COUNT(tracer_, "gas.cache.invalidations", rank_, dropped);
+  net_->counters().add(kInvalidations, rank_, dropped);
 }
 
 }  // namespace hupc::comm

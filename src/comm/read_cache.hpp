@@ -43,7 +43,6 @@
 #include "fault/hooks.hpp"
 #include "net/network.hpp"
 #include "sim/task.hpp"
-#include "trace/trace.hpp"
 
 namespace hupc::comm {
 
@@ -60,28 +59,21 @@ struct CacheParams {
   double api_scale = 1.0;
 };
 
-/// Lifetime statistics (accumulated across epochs of one rank).
+/// Lifetime statistics of one rank's cache: a view over its gas.cache.*
+/// counters, accumulated across epochs.
 struct CacheStats {
   std::uint64_t hits = 0;           // gets served at local cost
-  std::uint64_t misses = 0;         // line fills (one rma each)
+  std::uint64_t misses = 0;         // line fills
   std::uint64_t evictions = 0;      // valid lines displaced by fills
   std::uint64_t invalidations = 0;  // lines dropped by coherence events
-  std::uint64_t bypasses = 0;       // cacheable-path accesses that fell
-                                    // through (no segment offset / AMO)
-  double fetched_bytes = 0.0;       // line-fill payload, as charged
 };
 
 class ReadCache {
  public:
-  /// `rank` is the owning rank (trace attribution); `src_node`/`src_ep`
+  /// `rank` is the owning rank (counter attribution); `src_node`/`src_ep`
   /// identify its network endpoint for the line-fill messages.
-  ReadCache(net::Network& net, int rank, int src_node, int src_ep,
-            trace::Tracer* tracer)
-      : net_(&net),
-        rank_(rank),
-        src_node_(src_node),
-        src_ep_(src_ep),
-        tracer_(tracer) {}
+  ReadCache(net::Network& net, int rank, int src_node, int src_ep)
+      : net_(&net), rank_(rank), src_node_(src_node), src_ep_(src_ep) {}
 
   ReadCache(const ReadCache&) = delete;
   ReadCache& operator=(const ReadCache&) = delete;
@@ -92,7 +84,9 @@ class ReadCache {
   void configure(const CacheParams& params);
 
   [[nodiscard]] const CacheParams& params() const noexcept { return params_; }
-  [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
+  /// This rank's CacheStats, read from the registry (the reference stays
+  /// valid until the next call).
+  [[nodiscard]] const CacheStats& stats() const;
 
   /// Attach a cache-pressure fault hook (non-owning, may be null): each
   /// hit consults it and demotes to a refill when it fires — a forced
@@ -131,10 +125,6 @@ class ReadCache {
   /// Drop everything (fence / lock coherence). Host-side, free.
   void invalidate_all();
 
-  /// Account a cacheable-path access that could not be cached (no segment
-  /// offset for the address, e.g. an addressless metadata probe).
-  void count_bypass() noexcept { ++stats_.bypasses; }
-
  private:
   struct Line {
     bool valid = false;
@@ -161,10 +151,9 @@ class ReadCache {
   int rank_;
   int src_node_;
   int src_ep_;
-  trace::Tracer* tracer_;
   fault::CacheHook* fault_ = nullptr;
   CacheParams params_{};
-  CacheStats stats_{};
+  mutable CacheStats view_{};  // last stats() result
   std::uint64_t tick_ = 0;
   std::size_t sets_ = 0;
   // sets_ * ways lines, set-major: set s occupies [s*ways, (s+1)*ways).

@@ -7,6 +7,12 @@
 
 namespace hupc::core {
 
+namespace {
+const trace::CounterId kRegion = trace::intern("core.region");
+const trace::CounterId kTask = trace::intern("core.task");
+const trace::CounterId kSpawnThrottle = trace::intern("fault.spawn.throttle");
+}  // namespace
+
 SubModelParams params_for(SubModel model) {
   switch (model) {
     case SubModel::openmp:
@@ -42,7 +48,7 @@ SubPool::SubPool(gas::Thread& master, int width, SubModel model,
   if (fault::SpawnHook* throttle = rt.fault_hooks().spawn) {
     const int clamped = throttle->clamp_spawn_width(width);
     if (clamped >= 1 && clamped < width) {
-      HUPC_TRACE_COUNT(rt.tracer(), "fault.spawn.throttle", master.rank());
+      rt.counters().add(kSpawnThrottle, master.rank());
       width = clamped;
     }
   }
@@ -78,8 +84,7 @@ sim::Task<void> SubPool::parallel_for(std::size_t n, Schedule schedule,
   HUPC_TRACE_SCOPE(master_->runtime().tracer(), trace::Category::core,
                    "region", master_->rank(), n,
                    static_cast<std::uint64_t>(width()));
-  HUPC_TRACE_COUNT(master_->runtime().tracer(), "core.region",
-                   master_->rank());
+  master_->runtime().counters().add(kRegion, master_->rank());
   co_await region_prologue();
   if (n == 0) co_return;
   live_bodies_.push_back(std::move(body));
@@ -105,8 +110,7 @@ sim::Task<void> SubPool::parallel_for(std::size_t n, Schedule schedule,
         workers.push_back(sim::spawn(
             engine, [](SubContext& c, const ForBody& f, std::size_t a,
                        std::size_t b, double oh) -> sim::Task<void> {
-              HUPC_TRACE_COUNT(c.master().runtime().tracer(), "core.task",
-                               c.master().rank());
+              c.master().runtime().counters().add(kTask, c.master().rank());
               co_await sim::delay(c.master().runtime().engine(),
                                   sim::from_seconds(oh));
               co_await f(c, a, b);
@@ -133,8 +137,7 @@ sim::Task<void> SubPool::parallel_for(std::size_t n, Schedule schedule,
                 }
                 const std::size_t hi = std::min(total, lo + len);
                 *nx = hi;
-                HUPC_TRACE_COUNT(c.master().runtime().tracer(), "core.task",
-                                 c.master().rank());
+                c.master().runtime().counters().add(kTask, c.master().rank());
                 co_await sim::delay(eng, sim::from_seconds(oh));
                 co_await f(c, lo, hi);
               }
@@ -151,10 +154,8 @@ sim::Task<void> SubPool::spawn_all(std::vector<TaskFn> tasks) {
   HUPC_TRACE_SCOPE(master_->runtime().tracer(), trace::Category::core,
                    "region.spawn_all", master_->rank(), tasks.size(),
                    static_cast<std::uint64_t>(width()));
-  HUPC_TRACE_COUNT(master_->runtime().tracer(), "core.region",
-                   master_->rank());
-  HUPC_TRACE_COUNT(master_->runtime().tracer(), "core.task", master_->rank(),
-                   tasks.size());
+  master_->runtime().counters().add(kRegion, master_->rank());
+  master_->runtime().counters().add(kTask, master_->rank(), tasks.size());
   co_await region_prologue();
   if (tasks.empty()) co_return;
   live_tasks_.push_back(std::move(tasks));

@@ -50,13 +50,6 @@ gas::Config base_config(const CaseSpec& spec, trace::Tracer* tracer) {
   return cfg;
 }
 
-// Trace counters only exist when the instrumentation is compiled in; the
-// cross-checking invariants must not fire against all-zero counters in a
-// HUPC_TRACE=0 build.
-trace::Tracer* effective(trace::Tracer& tracer) {
-  return trace::kEnabled ? &tracer : nullptr;
-}
-
 void finish(CaseResult& res, const trace::Tracer& tracer,
             const sim::Engine& engine, const FaultPlan& plan) {
   res.virtual_time = engine.now();
@@ -108,10 +101,9 @@ CaseResult run_uts(const CaseSpec& spec, const PlanParams& plan_params) {
     return res;
   }
 
-  check_steal_conservation(ws, rt.threads(), oracle.nodes, effective(tracer),
-                           res.violations);
+  check_steal_conservation(ws, rt.threads(), oracle.nodes, res.violations);
   check_byte_conservation(rt, res.violations);
-  check_trace_network(effective(tracer), rt, res.violations);
+  check_network_counters(rt, res.violations);
   check_virtual_time(engine, res.violations);
   finish(res, tracer, engine, plan);
   return res;
@@ -164,7 +156,7 @@ CaseResult run_ft(const CaseSpec& spec, const PlanParams& plan_params) {
     }
   }
   check_byte_conservation(rt, res.violations);
-  check_trace_network(effective(tracer), rt, res.violations);
+  check_network_counters(rt, res.violations);
   check_virtual_time(engine, res.violations);
   finish(res, tracer, engine, plan);
   return res;
@@ -199,8 +191,7 @@ CaseResult run_barrier(const CaseSpec& spec, const PlanParams& plan_params) {
     return res;
   }
 
-  check_barrier(rt, static_cast<std::uint64_t>(phases), effective(tracer),
-                res.violations);
+  check_barrier(rt, static_cast<std::uint64_t>(phases), res.violations);
   check_byte_conservation(rt, res.violations);
   check_virtual_time(engine, res.violations);
   finish(res, tracer, engine, plan);
@@ -256,9 +247,9 @@ CaseResult run_gather(const CaseSpec& spec, const PlanParams& plan_params) {
     }
   }
   check_cache_transparency(cached.checksum, uncached.checksum, &total,
-                           effective(tracer), res.violations);
+                           res.violations);
   check_byte_conservation(rt, res.violations);
-  check_trace_network(effective(tracer), rt, res.violations);
+  check_network_counters(rt, res.violations);
   check_virtual_time(engine, res.violations);
   finish(res, tracer, engine, plan);
   return res;
@@ -355,14 +346,14 @@ CaseResult run_async(const CaseSpec& spec, const PlanParams& plan_params) {
   for (const auto& per_rank : records) {
     all.insert(all.end(), per_rank.begin(), per_rank.end());
   }
-  check_async_ordering(all, effective(tracer), res.violations);
+  check_async_ordering(all, rt.counters(), res.violations);
   if (stale_reads > 0) {
     res.violations.push_back(
         "async read-your-writes: " + std::to_string(stale_reads) +
         " RPC probe(s) observed stale data after copy_async resolution");
   }
   check_byte_conservation(rt, res.violations);
-  check_trace_network(effective(tracer), rt, res.violations);
+  check_network_counters(rt, res.violations);
   check_virtual_time(engine, res.violations);
   finish(res, tracer, engine, plan);
   return res;
@@ -647,7 +638,7 @@ CaseResult run_teams(const CaseSpec& spec, const PlanParams& plan_params) {
                                      digest[tt][m]});
     }
   }
-  check_team_agreement(records, expected_calls, effective(tracer),
+  check_team_agreement(records, expected_calls, rt.counters(),
                        res.violations);
   for (int t = 0; t < T; ++t) {
     const auto tt = static_cast<std::size_t>(t);
@@ -665,7 +656,7 @@ CaseResult run_teams(const CaseSpec& spec, const PlanParams& plan_params) {
     }
   }
   check_byte_conservation(rt, res.violations);
-  check_trace_network(effective(tracer), rt, res.violations);
+  check_network_counters(rt, res.violations);
   check_virtual_time(engine, res.violations);
   finish(res, tracer, engine, plan);
   return res;
@@ -880,9 +871,9 @@ CaseResult run_vis(const CaseSpec& spec, const PlanParams& plan_params) {
                                std::to_string(want_chk[rr]));
     }
   }
-  check_vis_conservation(rt, expect, effective(tracer), res.violations);
+  check_vis_conservation(rt, expect, res.violations);
   check_byte_conservation(rt, res.violations);
-  check_trace_network(effective(tracer), rt, res.violations);
+  check_network_counters(rt, res.violations);
   check_virtual_time(engine, res.violations);
   finish(res, tracer, engine, plan);
   return res;
@@ -1072,10 +1063,9 @@ CaseResult run_kv(const CaseSpec& spec, const PlanParams& plan_params) {
     check_phase("phase-b", phase_b[rr], got_b[rr], r);
   }
 
-  check_kv_conservation(store, mirror, expect, effective(tracer),
-                        res.violations);
+  check_kv_conservation(store, mirror, expect, res.violations);
   check_byte_conservation(rt, res.violations);
-  check_trace_network(effective(tracer), rt, res.violations);
+  check_network_counters(rt, res.violations);
   check_virtual_time(engine, res.violations);
   finish(res, tracer, engine, plan);
   return res;

@@ -10,7 +10,7 @@
 //
 // Workloads (kept small so hundreds of cases fit in a smoke budget):
 //   uts     — parallel UTS count on a tiny binomial tree vs. the sequential
-//             oracle (steal + byte conservation, trace cross-checks);
+//             oracle (steal + byte conservation, counter cross-checks);
 //   ft      — NAS FT class S, 2 iterations (byte conservation, per-rank
 //             phase-timing coherence);
 //   barrier — a barrier storm with skewed arrivals (linearizability);

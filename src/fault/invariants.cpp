@@ -34,39 +34,31 @@ void check_virtual_time(const sim::Engine& engine, Violations& out) {
   }
 }
 
-void check_trace_network(const trace::Tracer* tracer, gas::Runtime& rt,
-                         Violations& out) {
-  if (tracer == nullptr) return;
-  auto& net = rt.network();
-  const std::uint64_t msgs = net.total_messages();
-  const std::uint64_t traced = tracer->counter_total("net.msg");
-  if (traced != msgs) {
-    out.push_back("trace cross-check: net.msg " + std::to_string(traced) +
-                  " != network messages " + std::to_string(msgs));
-  }
-  const std::uint64_t delivered = tracer->counter_total("net.delivered");
+void check_network_counters(gas::Runtime& rt, Violations& out) {
+  const trace::Counters& counters = rt.counters();
+  const std::uint64_t msgs = counters.total("net.msg");
+  const std::uint64_t delivered = counters.total("net.delivered");
   if (delivered != msgs) {
-    out.push_back("trace cross-check: net.delivered " +
+    out.push_back("network counters: net.delivered " +
                   std::to_string(delivered) + " != injected " +
                   std::to_string(msgs) + " (message lost in flight)");
   }
   // The bytes counter truncates each message's byte count to an integer, so
   // it may undercount by < 1 byte per message.
-  const double traced_bytes =
-      static_cast<double>(tracer->counter_total("net.bytes"));
-  const double actual = net.total_bytes();
-  if (traced_bytes > actual || actual - traced_bytes >
-                                   static_cast<double>(msgs) + 1.0) {
-    out.push_back("trace cross-check: net.bytes " +
-                  std::to_string(traced_bytes) + " inconsistent with " +
+  const double counted_bytes =
+      static_cast<double>(counters.total("net.bytes"));
+  const double actual = rt.network().total_bytes();
+  if (counted_bytes > actual || actual - counted_bytes >
+                                    static_cast<double>(msgs) + 1.0) {
+    out.push_back("network counters: net.bytes " +
+                  std::to_string(counted_bytes) + " inconsistent with " +
                   std::to_string(actual));
   }
 }
 
 void check_cache_transparency(std::uint64_t cached_result,
                               std::uint64_t uncached_result,
-                              const comm::CacheStats* stats,
-                              const trace::Tracer* tracer, Violations& out) {
+                              const comm::CacheStats* stats, Violations& out) {
   if (cached_result != uncached_result) {
     out.push_back("cache transparency: cached result " +
                   std::to_string(cached_result) + " != uncached result " +
@@ -83,28 +75,10 @@ void check_cache_transparency(std::uint64_t cached_result,
     out.push_back(
         "cache accounting: invalidations without any serviced access");
   }
-  if (tracer == nullptr) return;
-  const struct {
-    const char* name;
-    std::uint64_t expected;
-  } counters[] = {
-      {"gas.cache.hits", stats->hits},
-      {"gas.cache.misses", stats->misses},
-      {"gas.cache.evictions", stats->evictions},
-      {"gas.cache.invalidations", stats->invalidations},
-  };
-  for (const auto& [name, expected] : counters) {
-    const std::uint64_t traced = tracer->counter_total(name);
-    if (traced != expected) {
-      out.push_back("trace cross-check: " + std::string(name) + " " +
-                    std::to_string(traced) + " != CacheStats " +
-                    std::to_string(expected));
-    }
-  }
 }
 
 void check_async_ordering(const std::vector<AsyncOpRecord>& ops,
-                          const trace::Tracer* tracer, Violations& out) {
+                          const trace::Counters& counters, Violations& out) {
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const AsyncOpRecord& op = ops[i];
     if (op.completions != 1) {
@@ -119,19 +93,18 @@ void check_async_ordering(const std::vector<AsyncOpRecord>& ops,
                     " before its issue at t=" + std::to_string(op.issued_at));
     }
   }
-  if (tracer == nullptr) return;
-  const std::uint64_t issued = tracer->counter_total("async.copy.issued");
-  const std::uint64_t copies = tracer->counter_total("async.copy.completed");
-  const std::uint64_t failed = tracer->counter_total("async.copy.failed");
+  const std::uint64_t issued = counters.total("async.copy.issued");
+  const std::uint64_t copies = counters.total("async.copy.completed");
+  const std::uint64_t failed = counters.total("async.copy.failed");
   if (issued != copies + failed) {
     out.push_back("async conservation: async.copy.issued " +
                   std::to_string(issued) + " != completed " +
                   std::to_string(copies) + " + failed " +
                   std::to_string(failed));
   }
-  const std::uint64_t sent = tracer->counter_total("async.rpc.sent");
-  const std::uint64_t executed = tracer->counter_total("async.rpc.executed");
-  const std::uint64_t completed = tracer->counter_total("async.rpc.completed");
+  const std::uint64_t sent = counters.total("async.rpc.sent");
+  const std::uint64_t executed = counters.total("async.rpc.executed");
+  const std::uint64_t completed = counters.total("async.rpc.completed");
   if (sent != executed || sent != completed) {
     out.push_back("async conservation: async.rpc sent " +
                   std::to_string(sent) + " / executed " +
@@ -141,7 +114,7 @@ void check_async_ordering(const std::vector<AsyncOpRecord>& ops,
 }
 
 void check_vis_conservation(gas::Runtime& rt, const VisExpectation& expected,
-                            const trace::Tracer* tracer, Violations& out) {
+                            Violations& out) {
   auto& net = rt.network();
   const std::uint64_t msgs = net.total_vis_messages();
   if (msgs != expected.messages) {
@@ -166,35 +139,11 @@ void check_vis_conservation(gas::Runtime& rt, const VisExpectation& expected,
                   " < payload " + std::to_string(payload) +
                   " (negative header overhead)");
   }
-  if (tracer == nullptr) return;
-  const std::uint64_t traced_msgs = tracer->counter_total("net.vis.msg");
-  if (traced_msgs != msgs) {
-    out.push_back("trace cross-check: net.vis.msg " +
-                  std::to_string(traced_msgs) + " != network vis messages " +
-                  std::to_string(msgs));
-  }
-  const std::uint64_t traced_regions =
-      tracer->counter_total("net.vis.regions");
-  if (traced_regions != net.total_vis_regions()) {
-    out.push_back("trace cross-check: net.vis.regions " +
-                  std::to_string(traced_regions) + " != network vis regions " +
-                  std::to_string(net.total_vis_regions()));
-  }
-  // net.vis.bytes counts each message's PAYLOAD, truncated to an integer
-  // (headers are a model charge, not traffic the descriptors asked for).
-  const double traced_bytes =
-      static_cast<double>(tracer->counter_total("net.vis.bytes"));
-  if (traced_bytes > payload + tol ||
-      payload - traced_bytes > static_cast<double>(msgs) + 1.0) {
-    out.push_back("trace cross-check: net.vis.bytes " +
-                  std::to_string(traced_bytes) + " inconsistent with payload " +
-                  std::to_string(payload));
-  }
 }
 
 void check_team_agreement(const std::vector<TeamOpRecord>& records,
                           std::uint64_t expected_coll_calls,
-                          const trace::Tracer* tracer, Violations& out) {
+                          const trace::Counters& counters, Violations& out) {
   std::map<int, const TeamOpRecord*> first_of;
   std::uint64_t total_ops = 0;
   for (const TeamOpRecord& rec : records) {
@@ -222,31 +171,30 @@ void check_team_agreement(const std::vector<TeamOpRecord>& records,
                   std::to_string(total_ops) + " collective calls, workload " +
                   "performed " + std::to_string(expected_coll_calls));
   }
-  if (tracer == nullptr) return;
   static const char* const kCollCounters[] = {
       "gas.coll.broadcast", "gas.coll.reduce", "gas.coll.gather",
       "gas.coll.allgather", "gas.coll.alltoall"};
-  std::uint64_t traced = 0;
-  for (const char* name : kCollCounters) traced += tracer->counter_total(name);
-  if (traced != expected_coll_calls) {
-    out.push_back("trace cross-check: gas.coll.* total " +
-                  std::to_string(traced) + " != member calls " +
+  std::uint64_t counted = 0;
+  for (const char* name : kCollCounters) counted += counters.total(name);
+  if (counted != expected_coll_calls) {
+    out.push_back("counter cross-check: gas.coll.* total " +
+                  std::to_string(counted) + " != member calls " +
                   std::to_string(expected_coll_calls) +
                   " (a collective call went uncounted or double-counted)");
   }
 }
 
 void check_barrier(gas::Runtime& rt, std::uint64_t expected_phases,
-                   const trace::Tracer* tracer, Violations& out) {
+                   Violations& out) {
   const std::uint64_t phase = rt.global_barrier().phase();
   if (phase != expected_phases) {
     out.push_back("barrier: completed phases " + std::to_string(phase) +
                   " != expected " + std::to_string(expected_phases));
   }
-  if (tracer != nullptr && expected_phases > 0) {
+  if (expected_phases > 0) {
     // Linearizability: every rank contributed to every phase exactly once.
     for (int r = 0; r < rt.threads(); ++r) {
-      const std::uint64_t arrived = tracer->counter("gas.barrier", r);
+      const std::uint64_t arrived = rt.counters().get("gas.barrier", r);
       if (arrived != expected_phases) {
         out.push_back("barrier: rank " + std::to_string(r) + " arrived " +
                       std::to_string(arrived) + " times, expected " +
@@ -259,8 +207,7 @@ void check_barrier(gas::Runtime& rt, std::uint64_t expected_phases,
 void check_kv_conservation(
     const kv::KvStore& store,
     const std::unordered_map<std::uint64_t, std::uint64_t>& mirror,
-    const KvExpectation& expected, const trace::Tracer* tracer,
-    Violations& out) {
+    const KvExpectation& expected, Violations& out) {
   // Every acked put readable, nothing extra: the live snapshot IS the
   // mirror. Walk the snapshot against the mirror, then compare sizes to
   // catch lost keys and duplicated slots in one pass each.
@@ -300,9 +247,8 @@ void check_kv_conservation(
     }
   }
 
-  // Op accounting against the oracle (host-side stats work at any trace
-  // level; the tracer cross-check below needs compiled-in counters).
-  const kv::KvStats& st = store.stats();
+  // Op accounting against the oracle.
+  const kv::KvStats st = store.stats();
   const auto expect_eq = [&out](const char* what, std::uint64_t got,
                                 std::uint64_t want) {
     if (got != want) {
@@ -317,33 +263,6 @@ void check_kv_conservation(
   expect_eq("updates", st.updates, expected.updates);
   expect_eq("path attributions (amo + rpc)", st.amo_ops + st.rpc_ops,
             st.total_ops());
-
-  if (tracer != nullptr) {
-    const auto cross = [&](const char* name, std::uint64_t want) {
-      const std::uint64_t traced = tracer->counter_total(name);
-      if (traced != want) {
-        out.push_back(std::string("trace cross-check: ") + name + " " +
-                      std::to_string(traced) + " != store stats " +
-                      std::to_string(want));
-      }
-    };
-    cross("gas.kv.get", st.gets);
-    cross("gas.kv.put", st.puts);
-    cross("gas.kv.erase", st.erases);
-    cross("gas.kv.update", st.updates);
-    cross("gas.kv.probe", st.probes);
-    cross("gas.kv.retry", st.retries);
-    cross("gas.kv.insert", st.inserts);
-    cross("gas.kv.tombstone", st.tombstones);
-    const std::uint64_t traced_paths =
-        tracer->counter_total("gas.kv.path.amo") +
-        tracer->counter_total("gas.kv.path.rpc");
-    if (traced_paths != st.total_ops()) {
-      out.push_back("trace cross-check: gas.kv.path.* total " +
-                    std::to_string(traced_paths) + " != total ops " +
-                    std::to_string(st.total_ops()));
-    }
-  }
 }
 
 }  // namespace hupc::fault

@@ -15,9 +15,9 @@
 //                            completed phases;
 //   monotone virtual time  — the run ended at a non-negative time with a
 //                            sane dispatch count;
-//   trace cross-checks     — the structured-trace counters agree with the
-//                            runtime's own counters (net.msg == messages,
-//                            sched.processed == RankStats, ...);
+//   counter cross-checks   — related but distinct counters of the run's
+//                            registry agree (net.msg == net.delivered,
+//                            copies issued == completed + failed, ...);
 //   cache transparency     — the read cache shifts the modeled cost
 //                            schedule only: cached and uncached runs of
 //                            the same workload compute identical results,
@@ -41,7 +41,7 @@
 #include "kv/store.hpp"
 #include "sched/work_stealing.hpp"
 #include "sim/engine.hpp"
-#include "trace/trace.hpp"
+#include "trace/counters.hpp"
 
 namespace hupc::fault {
 
@@ -53,27 +53,25 @@ void check_byte_conservation(gas::Runtime& rt, Violations& out);
 /// Final virtual time >= 0 and the engine actually dispatched events.
 void check_virtual_time(const sim::Engine& engine, Violations& out);
 
-/// Trace counters vs. network counters (no-op when `tracer` is null):
-/// net.msg == net.delivered == total_messages(), net.bytes ~ total_bytes().
-void check_trace_network(const trace::Tracer* tracer, gas::Runtime& rt,
-                         Violations& out);
+/// Every injected message was delivered (net.msg == net.delivered), and
+/// the truncated net.bytes counter is consistent with the exact
+/// total_bytes().
+void check_network_counters(gas::Runtime& rt, Violations& out);
 
-/// Every rank completed exactly `expected_phases` barrier phases.
+/// Every rank completed exactly `expected_phases` barrier phases, arriving
+/// at each exactly once (per-rank gas.barrier counts).
 void check_barrier(gas::Runtime& rt, std::uint64_t expected_phases,
-                   const trace::Tracer* tracer, Violations& out);
+                   Violations& out);
 
 /// Read-cache transparency: `cached_result` and `uncached_result` are the
 /// same workload's modeled outputs (e.g. a gather checksum) with the cache
 /// on and off — they must be bit-identical, because the cache holds tags,
 /// not data. `stats` (may be null) is the CACHED run's accounting summed
 /// over every rank's Thread::read_cache_stats(): hits+misses must cover
-/// the serviced accesses, evictions can never exceed misses, and when the
-/// cached run carried a tracer its gas.cache.* counter totals must agree
-/// with the stats exactly.
+/// the serviced accesses and evictions can never exceed misses.
 void check_cache_transparency(std::uint64_t cached_result,
                               std::uint64_t uncached_result,
-                              const comm::CacheStats* stats,
-                              const trace::Tracer* tracer, Violations& out);
+                              const comm::CacheStats* stats, Violations& out);
 
 /// One tracked asynchronous operation (copy_async / RPC) from an async
 /// workload run: when it was issued, when its future resolved, and how many
@@ -87,11 +85,11 @@ struct AsyncOpRecord {
 /// Async completion ordering: every tracked op's future resolved exactly
 /// once and never before the op was issued — a fault plan may HOLD a
 /// completion (delay when it is observed), never lose, duplicate, or
-/// time-travel one. With a tracer attached the async.* counters must also
-/// conserve: async.copy.issued == async.copy.completed + async.copy.failed
-/// and async.rpc.sent == async.rpc.executed == async.rpc.completed.
+/// time-travel one. The run's async.* counters must also conserve:
+/// async.copy.issued == async.copy.completed + async.copy.failed and
+/// async.rpc.sent == async.rpc.executed == async.rpc.completed.
 void check_async_ordering(const std::vector<AsyncOpRecord>& ops,
-                          const trace::Tracer* tracer, Violations& out);
+                          const trace::Counters& counters, Violations& out);
 
 /// The host-side oracle's count of the packed VIS traffic a workload must
 /// have injected: how many packed messages (Transfer::regions > 1) crossed
@@ -108,12 +106,9 @@ struct VisExpectation {
 /// match the oracle exactly — message and region counts are integers, and
 /// the payload must equal the sum of the oracle's region bytes (the ISSUE's
 /// "sum of region bytes equals transferred bytes"). Gross wire bytes can
-/// only exceed the payload (per-region headers are never negative). With a
-/// tracer attached, net.vis.msg / net.vis.regions must agree exactly and
-/// net.vis.bytes must match the payload within the per-message
-/// integer-truncation tolerance.
+/// only exceed the payload (per-region headers are never negative).
 void check_vis_conservation(gas::Runtime& rt, const VisExpectation& expected,
-                            const trace::Tracer* tracer, Violations& out);
+                            Violations& out);
 
 /// One team member's view of a finished team-collective workload: how many
 /// collective operations it completed on that team and the team digest it
@@ -130,12 +125,12 @@ struct TeamOpRecord {
 /// Team collective agreement: within each team, every member completed the
 /// same number of collective operations and derived the same digest —
 /// fault timing, algorithm choice, and team overlap may reshape the
-/// schedule but never WHAT a collective delivers. With a tracer attached,
-/// the summed gas.coll.* call counters must equal `expected_coll_calls`
-/// (the per-member call total the workload performed).
+/// schedule but never WHAT a collective delivers. The run's summed
+/// gas.coll.* call counters must equal `expected_coll_calls` (the
+/// per-member call total the workload performed).
 void check_team_agreement(const std::vector<TeamOpRecord>& records,
                           std::uint64_t expected_coll_calls,
-                          const trace::Tracer* tracer, Violations& out);
+                          const trace::Counters& counters, Violations& out);
 
 /// The kv fuzz workload's host-side oracle: the acknowledged operation
 /// counts the kernels performed (by op kind, summed over every rank).
@@ -149,26 +144,21 @@ struct KvExpectation {
 /// KV store conservation against a host mirror: every acknowledged put is
 /// readable (the store's live snapshot equals `mirror` exactly — no lost,
 /// extra, or duplicated keys), every shard's fetch_add-maintained live
-/// counter matches a slot-walk recount (value-count conservation), and the
-/// store's own op accounting matches the oracle's counts. With a tracer
-/// attached the gas.kv.* counters must agree too, and every operation must
-/// be attributed to exactly one path (amo + rpc == total ops). Faults may
+/// counter matches a slot-walk recount (value-count conservation), the
+/// store's op accounting matches the oracle's counts, and every operation
+/// is attributed to exactly one path (amo + rpc == total ops). Faults may
 /// stretch claim windows and delay replies, never lose or duplicate an
 /// acknowledged mutation.
 void check_kv_conservation(
     const kv::KvStore& store,
     const std::unordered_map<std::uint64_t, std::uint64_t>& mirror,
-    const KvExpectation& expected, const trace::Tracer* tracer,
-    Violations& out);
+    const KvExpectation& expected, Violations& out);
 
 /// Work conservation for a finished WorkStealing run: processed ==
-/// `expected_total`, outstanding == 0, every stack fully drained; when a
-/// tracer is attached, sched.processed and steal counters must agree with
-/// the RankStats the engine kept.
+/// `expected_total`, outstanding == 0, every stack fully drained.
 template <class T>
 void check_steal_conservation(sched::WorkStealing<T>& ws, int threads,
-                              std::uint64_t expected_total,
-                              const trace::Tracer* tracer, Violations& out) {
+                              std::uint64_t expected_total, Violations& out) {
   const std::uint64_t processed = ws.total_processed();
   if (processed != expected_total) {
     out.push_back("steal conservation: processed " + std::to_string(processed) +
@@ -178,7 +168,6 @@ void check_steal_conservation(sched::WorkStealing<T>& ws, int threads,
     out.push_back("steal conservation: outstanding " +
                   std::to_string(ws.outstanding()) + " != 0 after completion");
   }
-  std::uint64_t steals = 0;
   for (int r = 0; r < threads; ++r) {
     auto& stack = ws.stack(r);
     if (stack.local_count() != 0 || stack.shared_count() != 0) {
@@ -186,22 +175,6 @@ void check_steal_conservation(sched::WorkStealing<T>& ws, int threads,
                     " stack not drained (local " +
                     std::to_string(stack.local_count()) + ", shared " +
                     std::to_string(stack.shared_count()) + ")");
-    }
-    steals += ws.stats(r).local_steals + ws.stats(r).remote_steals;
-  }
-  if (tracer != nullptr) {
-    const std::uint64_t traced = tracer->counter_total("sched.processed");
-    if (traced != processed) {
-      out.push_back("trace cross-check: sched.processed " +
-                    std::to_string(traced) + " != RankStats total " +
-                    std::to_string(processed));
-    }
-    const std::uint64_t traced_steals =
-        tracer->counter_total("sched.steal.success");
-    if (traced_steals != steals) {
-      out.push_back("trace cross-check: sched.steal.success " +
-                    std::to_string(traced_steals) + " != RankStats steals " +
-                    std::to_string(steals));
     }
   }
 }

@@ -220,7 +220,7 @@ ScenarioResult run_scenario(const Scenario& scenario, const PlanParams& plan) {
         " network messages from self/empty transfers (expected 0)");
   }
   check_byte_conservation(rt, res.violations);
-  check_barrier(rt, 2, nullptr, res.violations);
+  check_barrier(rt, 2, res.violations);
   check_virtual_time(engine, res.violations);
   return res;
 }

@@ -57,6 +57,15 @@ namespace hupc::gas {
 
 namespace detail {
 
+inline const trace::CounterId kCollBroadcast =
+    trace::intern("gas.coll.broadcast");
+inline const trace::CounterId kCollReduce = trace::intern("gas.coll.reduce");
+inline const trace::CounterId kCollGather = trace::intern("gas.coll.gather");
+inline const trace::CounterId kCollAllgather =
+    trace::intern("gas.coll.allgather");
+inline const trace::CounterId kCollAlltoall =
+    trace::intern("gas.coll.alltoall");
+
 struct CollState {
   std::vector<std::unique_ptr<sim::Event>> ready;
   int arrived = 0;
@@ -167,7 +176,7 @@ class Collectives {
       const T* send, std::size_t count, bool overlap = false,
       CollAlgo algo = CollAlgo::automatic) {
     const CollAlgo chosen = resolve(CollOp::alltoall, count * sizeof(T), algo);
-    count_call(self, "gas.coll.alltoall");
+    count_call(self, detail::kCollAlltoall);
     if (chosen == CollAlgo::hier && node_groups() > 1) {
       co_await exchange_hier(self, recv_bases, send, count);
     } else {
@@ -184,7 +193,7 @@ class Collectives {
                                           std::size_t count, int root,
                                           CollAlgo algo = CollAlgo::automatic) {
     const CollAlgo chosen = resolve(CollOp::broadcast, count * sizeof(T), algo);
-    count_call(self, "gas.coll.broadcast");
+    count_call(self, detail::kCollBroadcast);
     if (chosen == CollAlgo::hier && node_groups() > 1) {
       co_await broadcast_hier(self, bufs, count, root);
     } else {
@@ -203,7 +212,7 @@ class Collectives {
                                        std::size_t count, int root, Op op,
                                        CollAlgo algo = CollAlgo::automatic) {
     const CollAlgo chosen = resolve(CollOp::reduce, count * sizeof(T), algo);
-    count_call(self, "gas.coll.reduce");
+    count_call(self, detail::kCollReduce);
     if (chosen == CollAlgo::hier && node_groups() > 1) {
       co_await reduce_hier(self, bufs, count, root, op);
     } else {
@@ -221,7 +230,7 @@ class Collectives {
                                           std::size_t count,
                                           CollAlgo algo = CollAlgo::automatic) {
     const CollAlgo chosen = resolve(CollOp::allgather, count * sizeof(T), algo);
-    count_call(self, "gas.coll.allgather");
+    count_call(self, detail::kCollAllgather);
     if (chosen == CollAlgo::ring) {
       co_await allgather_ring(self, bufs, count);
     } else if (chosen == CollAlgo::dissem) {
@@ -243,7 +252,7 @@ class Collectives {
     const int n = size();
     const int me = require_member(self);
     const int rel = (me - root + n) % n;
-    count_call(self, "gas.coll.gather");
+    count_call(self, detail::kCollGather);
     auto state = enter(CollOp::gather, me, static_cast<std::size_t>(n));
     if (rel != 0) {
       co_await self.copy(
@@ -318,10 +327,8 @@ class Collectives {
     return idx;
   }
 
-  void count_call(Thread& self, const char* counter) {
-    (void)self;
-    (void)counter;
-    HUPC_TRACE_COUNT(rt_->tracer(), counter, self.rank());
+  void count_call(Thread& self, trace::CounterId counter) {
+    rt_->counters().add(counter, self.rank());
   }
 
   [[nodiscard]] sim::Time barrier_cost() const {

@@ -11,6 +11,12 @@
 
 namespace hupc::gas {
 
+namespace detail {
+inline const trace::CounterId kLockAcquire = trace::intern("gas.lock.acquire");
+inline const trace::CounterId kLockAttempt = trace::intern("gas.lock.attempt");
+inline const trace::CounterId kLockRelease = trace::intern("gas.lock.release");
+}  // namespace detail
+
 class GlobalLock {
  public:
   GlobalLock(Runtime& rt, int affinity_rank)
@@ -25,7 +31,7 @@ class GlobalLock {
   [[nodiscard]] sim::Task<void> acquire(Thread& self) {
     HUPC_TRACE_SCOPE(rt_->tracer(), trace::Category::gas, "lock", self.rank(),
                      static_cast<std::uint64_t>(home_));
-    HUPC_TRACE_COUNT(rt_->tracer(), "gas.lock.acquire", self.rank());
+    rt_->counters().add(detail::kLockAcquire, self.rank());
     co_await access_cost(self);
     co_await mutex_.lock();
     self.invalidate_read_cache();
@@ -34,7 +40,7 @@ class GlobalLock {
   /// upc_lock_attempt: non-blocking; pays the access cost either way and
   /// fences the read cache only on success.
   [[nodiscard]] sim::Task<bool> try_acquire(Thread& self) {
-    HUPC_TRACE_COUNT(rt_->tracer(), "gas.lock.attempt", self.rank());
+    rt_->counters().add(detail::kLockAttempt, self.rank());
     co_await access_cost(self);
     const bool got = mutex_.try_lock();
     if (got) self.invalidate_read_cache();
@@ -43,7 +49,7 @@ class GlobalLock {
 
   /// upc_unlock. The release message to a remote home is fire-and-forget.
   [[nodiscard]] sim::Task<void> release(Thread& self) {
-    HUPC_TRACE_COUNT(rt_->tracer(), "gas.lock.release", self.rank());
+    rt_->counters().add(detail::kLockRelease, self.rank());
     co_await sim::delay(self.runtime().engine(),
                         sim::from_seconds(rt_->config().costs.lock_local_s));
     mutex_.unlock();

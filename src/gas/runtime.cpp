@@ -9,6 +9,28 @@ namespace hupc::gas {
 
 namespace {
 
+const trace::CounterId kCoalesceEpochBegin = trace::intern("comm.epoch.begin");
+const trace::CounterId kCoalesceEpochEnd = trace::intern("comm.epoch.end");
+const trace::CounterId kCacheEpochBegin =
+    trace::intern("gas.cache.epoch.begin");
+const trace::CounterId kCacheEpochEnd = trace::intern("gas.cache.epoch.end");
+const trace::CounterId kBarrier = trace::intern("gas.barrier");
+const trace::CounterId kAccessPrivatized =
+    trace::intern("gas.access.privatized");
+const trace::CounterId kAccessTranslated =
+    trace::intern("gas.access.translated");
+const trace::CounterId kCopyIssued = trace::intern("async.copy.issued");
+const trace::CounterId kCopyFailed = trace::intern("async.copy.failed");
+const trace::CounterId kCopyCompleted = trace::intern("async.copy.completed");
+const trace::CounterId kAccessCached = trace::intern("gas.access.cached");
+const trace::CounterId kAccessCoalesced = trace::intern("gas.access.coalesced");
+const trace::CounterId kCopyShm = trace::intern("gas.copy.shm");
+const trace::CounterId kCopyLoopback = trace::intern("gas.copy.loopback");
+const trace::CounterId kCopyRma = trace::intern("gas.copy.rma");
+const trace::CounterId kVisMsg = trace::intern("gas.vis.msg");
+const trace::CounterId kVisRegions = trace::intern("gas.vis.regions");
+const trace::CounterId kVisBytes = trace::intern("gas.vis.bytes");
+
 int ceil_log2(int n) {
   if (n <= 1) return 0;
   return std::bit_width(static_cast<unsigned>(n - 1));
@@ -217,14 +239,14 @@ void Thread::begin_coalesce(const comm::Params& params) {
   }
   coalescer_->configure(params);
   coalescing_ = true;
-  HUPC_TRACE_COUNT(rt_->tracer(), "comm.epoch.begin", rank_);
+  rt_->counters().add(kCoalesceEpochBegin, rank_);
 }
 
 sim::Task<void> Thread::end_coalesce() {
   if (!coalescing_) {
     throw std::logic_error("Thread::end_coalesce: no epoch open");
   }
-  HUPC_TRACE_COUNT(rt_->tracer(), "comm.epoch.end", rank_);
+  rt_->counters().add(kCoalesceEpochEnd, rank_);
   coalescing_ = false;
   co_await coalescer_->flush_all(comm::FlushCause::fence);
 }
@@ -249,22 +271,21 @@ void Thread::begin_read_cache(const comm::CacheParams& params) {
   }
   if (read_cache_ == nullptr) {
     read_cache_ = std::make_unique<comm::ReadCache>(
-        rt_->network(), rank_, loc_.node, rt_->endpoint_of(rank_),
-        rt_->tracer());
+        rt_->network(), rank_, loc_.node, rt_->endpoint_of(rank_));
   }
   read_cache_->configure(params);
   // The cache-pressure seam is read at epoch open (like the steal seam at
   // WorkStealing construction): install fault plans before opening epochs.
   read_cache_->set_fault(rt_->fault_hooks().cache);
   caching_ = true;
-  HUPC_TRACE_COUNT(rt_->tracer(), "gas.cache.epoch.begin", rank_);
+  rt_->counters().add(kCacheEpochBegin, rank_);
 }
 
 void Thread::end_read_cache() noexcept {
   if (!caching_) return;
   caching_ = false;
   read_cache_->invalidate_all();
-  HUPC_TRACE_COUNT(rt_->tracer(), "gas.cache.epoch.end", rank_);
+  rt_->counters().add(kCacheEpochEnd, rank_);
 }
 
 void Thread::invalidate_read_cache() noexcept {
@@ -280,7 +301,7 @@ void Thread::note_shared_store(int owner, const void* addr,
 
 sim::Task<void> Thread::barrier() {
   HUPC_TRACE_SCOPE(rt_->tracer(), trace::Category::gas, "barrier", rank_);
-  HUPC_TRACE_COUNT(rt_->tracer(), "gas.barrier", rank_);
+  rt_->counters().add(kBarrier, rank_);
   co_await coalesce_flush();  // fence: buffered puts visible past the barrier
   invalidate_read_cache();    // fence: peers' pre-barrier writes observable
   co_await rt_->barrier_.arrive_and_wait();
@@ -331,10 +352,8 @@ sim::Task<void> Thread::shared_loop(int home_rank, std::uint64_t count,
                                     double bytes_each, bool privatized) {
   HUPC_TRACE_SCOPE(rt_->tracer(), trace::Category::gas, "shared_loop", rank_,
                    count, static_cast<std::uint64_t>(home_rank));
-  HUPC_TRACE_COUNT(rt_->tracer(),
-                   privatized ? "gas.access.privatized"
-                              : "gas.access.translated",
-                   rank_, count);
+  rt_->counters().add(privatized ? kAccessPrivatized : kAccessTranslated,
+                      rank_, count);
   // CPU side: the translation overhead is serial work on this core.
   if (!privatized) {
     const double cpu = static_cast<double>(count) * rt_->config().costs.ptr_overhead_s;
@@ -352,7 +371,7 @@ sim::Task<void> Thread::shared_loop(int home_rank, std::uint64_t count,
 bool Thread::castable(int owner) const { return rt_->same_supernode(rank_, owner); }
 
 async::future<> Thread::launch_async(sim::Task<void> op) {
-  HUPC_TRACE_COUNT(rt_->tracer(), "async.copy.issued", rank_);
+  rt_->counters().add(kCopyIssued, rank_);
   async::promise<> done(rt_->engine());
   async::future<> fut = done.get_future();
   sim::spawn(rt_->engine(), complete_async(std::move(op), std::move(done)));
@@ -364,7 +383,7 @@ sim::Task<void> Thread::complete_async(sim::Task<void> op,
   try {
     co_await std::move(op);
   } catch (...) {
-    HUPC_TRACE_COUNT(rt_->tracer(), "async.copy.failed", rank_);
+    rt_->counters().add(kCopyFailed, rank_);
     done.set_exception(std::current_exception());
     co_return;
   }
@@ -375,14 +394,14 @@ sim::Task<void> Thread::complete_async(sim::Task<void> op,
     const std::int64_t extra = hook->delay_completion(rank_);
     if (extra > 0) co_await sim::delay(rt_->engine(), extra);
   }
-  HUPC_TRACE_COUNT(rt_->tracer(), "async.copy.completed", rank_);
+  rt_->counters().add(kCopyCompleted, rank_);
   done.set_value();
 }
 
 sim::Task<void> Thread::element_access(int owner, std::size_t bytes) {
   HUPC_TRACE_INSTANT(rt_->tracer(), trace::Category::gas, "element", rank_,
                      bytes, static_cast<std::uint64_t>(owner));
-  HUPC_TRACE_COUNT(rt_->tracer(), "gas.access.translated", rank_);
+  rt_->counters().add(kAccessTranslated, rank_);
   // Translation overhead always applies to un-cast shared accesses.
   co_await compute(rt_->config().costs.ptr_overhead_s);
   const topo::HwLoc home = rt_->loc_of(owner);
@@ -410,7 +429,7 @@ sim::Task<void> Thread::read_access(int owner, const void* addr,
       HUPC_TRACE_INSTANT(rt_->tracer(), trace::Category::gas,
                          "element.cached", rank_, bytes,
                          static_cast<std::uint64_t>(owner));
-      HUPC_TRACE_COUNT(rt_->tracer(), "gas.access.cached", rank_);
+      rt_->counters().add(kAccessCached, rank_);
       // Pointer translation is CPU work; caching only amortizes the
       // network side of the access.
       co_await compute(rt_->config().costs.ptr_overhead_s);
@@ -429,7 +448,6 @@ sim::Task<void> Thread::read_access(int owner, const void* addr,
                                     static_cast<double>(bytes));
       co_return;
     }
-    read_cache_->count_bypass();
   }
   co_await uncached_read_access(owner, addr, bytes);
 }
@@ -439,7 +457,7 @@ sim::Task<void> Thread::uncached_read_access(int owner, const void* addr,
   if (coalescing_ && remote_node(owner)) {
     HUPC_TRACE_INSTANT(rt_->tracer(), trace::Category::gas, "element.coalesced",
                        rank_, bytes, static_cast<std::uint64_t>(owner));
-    HUPC_TRACE_COUNT(rt_->tracer(), "gas.access.coalesced", rank_);
+    rt_->counters().add(kAccessCoalesced, rank_);
     // Pointer translation is CPU work; coalescing only amortizes the
     // network side of the access.
     co_await compute(rt_->config().costs.ptr_overhead_s);
@@ -462,7 +480,7 @@ sim::Task<void> Thread::coalesced_put(int owner, void* dst, const void* value,
                                       std::size_t bytes) {
   HUPC_TRACE_INSTANT(rt_->tracer(), trace::Category::gas, "element.coalesced",
                      rank_, bytes, static_cast<std::uint64_t>(owner));
-  HUPC_TRACE_COUNT(rt_->tracer(), "gas.access.coalesced", rank_);
+  rt_->counters().add(kAccessCoalesced, rank_);
   co_await compute(rt_->config().costs.ptr_overhead_s);
   co_await coalescer_->put(rt_->node_of(owner), dst, value, bytes);
 }
@@ -499,7 +517,7 @@ sim::Task<void> Thread::lower_transfer(topo::HwLoc at, int peer,
     // systems carry the bytes (read side and write side). Packing is a
     // wire concept — load/store moves each region at memory cost, so
     // `regions` adds nothing here.
-    HUPC_TRACE_COUNT(rt_->tracer(), "gas.copy.shm", rank_);
+    rt_->counters().add(kCopyShm, rank_);
     co_await sim::delay(rt_->engine(),
                         sim::from_seconds(costs.shm_copy_overhead_s));
     auto read_leg = rt_->memory().stream_async(at, at, b);
@@ -511,7 +529,7 @@ sim::Task<void> Thread::lower_transfer(topo::HwLoc at, int peer,
     // through the network stack (contending with real traffic) and with
     // TWICE the memory traffic of a direct copy (bounce-buffer staging on
     // both sides). PSHM's whole point is eliminating this.
-    HUPC_TRACE_COUNT(rt_->tracer(), "gas.copy.loopback", rank_);
+    rt_->counters().add(kCopyLoopback, rank_);
     co_await sim::delay(rt_->engine(),
                         sim::from_seconds(costs.loopback_overhead_s));
     auto src_mem = rt_->memory().stream_async(at, at, 2.0 * b);
@@ -528,7 +546,7 @@ sim::Task<void> Thread::lower_transfer(topo::HwLoc at, int peer,
     // per-region metadata header (address + length on the wire); the
     // footprint fields let the network and trace distinguish 1 x 64 KiB
     // from 4096 x 16 B.
-    HUPC_TRACE_COUNT(rt_->tracer(), "gas.copy.rma", rank_);
+    rt_->counters().add(kCopyRma, rank_);
     const double gross =
         b + static_cast<double>(regions) * costs.vis_region_header_bytes;
     co_await rt_->network().rma({.src_node = at.node,
@@ -538,7 +556,7 @@ sim::Task<void> Thread::lower_transfer(topo::HwLoc at, int peer,
                                  .regions = regions,
                                  .payload_bytes = b});
   } else {
-    HUPC_TRACE_COUNT(rt_->tracer(), "gas.copy.rma", rank_);
+    rt_->counters().add(kCopyRma, rank_);
     co_await rt_->network().rma({.src_node = at.node,
                                  .src_ep = rt_->endpoint_of(rank_),
                                  .dst_node = peer_loc.node,
@@ -602,11 +620,10 @@ sim::Task<void> Thread::copy_vis(int dst_owner, void* dst_base, int src_owner,
   if (payload == 0) co_return;
   HUPC_TRACE_SCOPE(rt_->tracer(), trace::Category::gas, "copy.vis", rank_,
                    payload, static_cast<std::uint64_t>(peer));
-  HUPC_TRACE_COUNT(rt_->tracer(), "gas.vis.msg", rank_);
-  HUPC_TRACE_COUNT(rt_->tracer(), "gas.vis.regions", rank_,
-                   static_cast<std::uint64_t>(regions.size()));
-  HUPC_TRACE_COUNT(rt_->tracer(), "gas.vis.bytes", rank_,
-                   static_cast<std::uint64_t>(payload));
+  rt_->counters().add(kVisMsg, rank_);
+  rt_->counters().add(kVisRegions, rank_,
+                      static_cast<std::uint64_t>(regions.size()));
+  rt_->counters().add(kVisBytes, rank_, static_cast<std::uint64_t>(payload));
 
   // Remote strided/indexed GET inside a read-cache epoch: the footprint is
   // known at region granularity, so prefetch every line it touches with
@@ -625,7 +642,6 @@ sim::Task<void> Thread::copy_vis(int dst_owner, void* dst_base, int src_owner,
       co_await rt_->memory().stream(loc_, loc_, static_cast<double>(payload));
       co_return;
     }
-    read_cache_->count_bypass();
   }
   co_await lower_transfer(loc_, peer, static_cast<double>(payload),
                           static_cast<std::uint64_t>(regions.size()));

@@ -111,10 +111,11 @@ struct Config {
   /// cooperatively (the MPI baseline) overrides this with 1.0.
   double nic_efficiency = 0.0;
   /// Optional structured tracer (non-owning). When set, the Runtime wires
-  /// it to the engine's virtual clock and the rank->node topology, and all
-  /// instrumented layers (engine, gas, net, sched, core) record into it.
-  /// Null disables tracing at runtime; building with HUPC_TRACE=0 compiles
-  /// the instrumentation out entirely.
+  /// it to the engine's virtual clock and the rank->node topology, all
+  /// instrumented layers (engine, gas, net, sched, core) record events into
+  /// it, and the engine counts into its registry. Null disables event
+  /// recording (counting stays on, in the engine's own registry); building
+  /// with HUPC_TRACE=0 compiles the event sites out entirely.
   trace::Tracer* tracer = nullptr;
 };
 
@@ -190,8 +191,9 @@ class Thread {
   /// (the CoalesceEpoch guard's unwind path — prefer end_coalesce()).
   void abandon_coalesce() noexcept;
   [[nodiscard]] bool coalescing() const noexcept { return coalescing_; }
-  /// Lifetime coalescing statistics (null before the first epoch).
-  [[nodiscard]] const comm::Stats* coalesce_stats() const noexcept {
+  /// Lifetime coalescing statistics, read from the counter registry (null
+  /// before the first epoch; valid until the next call).
+  [[nodiscard]] const comm::Stats* coalesce_stats() const {
     return coalescer_ == nullptr ? nullptr : &coalescer_->stats();
   }
 
@@ -214,8 +216,9 @@ class Thread {
   /// Explicit coherence point: drop every line, keep the epoch open.
   void invalidate_read_cache() noexcept;
   [[nodiscard]] bool read_caching() const noexcept { return caching_; }
-  /// Lifetime read-cache statistics (null before the first epoch).
-  [[nodiscard]] const comm::CacheStats* read_cache_stats() const noexcept {
+  /// Lifetime read-cache statistics, read from the counter registry (null
+  /// before the first epoch; valid until the next call).
+  [[nodiscard]] const comm::CacheStats* read_cache_stats() const {
     return read_cache_ == nullptr ? nullptr : &read_cache_->stats();
   }
 
@@ -662,6 +665,13 @@ class Runtime {
   // --- subsystems --------------------------------------------------------
   [[nodiscard]] sim::Engine& engine() noexcept { return *engine_; }
   [[nodiscard]] trace::Tracer* tracer() const noexcept { return config_.tracer; }
+  /// The simulation's counter registry (see sim::Engine::counters).
+  [[nodiscard]] trace::Counters& counters() noexcept {
+    return engine_->counters();
+  }
+  [[nodiscard]] const trace::Counters& counters() const noexcept {
+    return engine_->counters();
+  }
   [[nodiscard]] SharedHeap& heap() noexcept { return heap_; }
   [[nodiscard]] mem::MemorySystem& memory() noexcept { return memory_; }
   [[nodiscard]] net::Network& network() noexcept { return network_; }

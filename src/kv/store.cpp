@@ -18,6 +18,17 @@ constexpr double kBusyBackoffS = 500e-9;
 constexpr double kOwnerBaseS = 150e-9;
 constexpr double kOwnerProbeS = 40e-9;
 
+const trace::CounterId kGet = trace::intern("gas.kv.get");
+const trace::CounterId kPut = trace::intern("gas.kv.put");
+const trace::CounterId kErase = trace::intern("gas.kv.erase");
+const trace::CounterId kUpdate = trace::intern("gas.kv.update");
+const trace::CounterId kPathAmo = trace::intern("gas.kv.path.amo");
+const trace::CounterId kPathRpc = trace::intern("gas.kv.path.rpc");
+const trace::CounterId kProbe = trace::intern("gas.kv.probe");
+const trace::CounterId kRetry = trace::intern("gas.kv.retry");
+const trace::CounterId kInsert = trace::intern("gas.kv.insert");
+const trace::CounterId kTombstone = trace::intern("gas.kv.tombstone");
+
 }  // namespace
 
 KvStore::KvStore(gas::Runtime& rt, async::RpcDomain& rpc, ShardMap map,
@@ -38,34 +49,42 @@ KvStore::KvStore(gas::Runtime& rt, async::RpcDomain& rpc, ShardMap map,
   }
 }
 
+KvStats KvStore::stats() const {
+  const trace::Counters& c = rt_->counters();
+  return KvStats{.gets = c.total(kGet),
+                 .puts = c.total(kPut),
+                 .erases = c.total(kErase),
+                 .updates = c.total(kUpdate),
+                 .amo_ops = c.total(kPathAmo),
+                 .rpc_ops = c.total(kPathRpc),
+                 .probes = c.total(kProbe),
+                 .retries = c.total(kRetry),
+                 .inserts = c.total(kInsert),
+                 .tombstones = c.total(kTombstone)};
+}
+
 void KvStore::note_probe(int rank, std::uint64_t n) {
-  stats_.probes += n;
-  HUPC_TRACE_COUNT(rt_->tracer(), "gas.kv.probe", rank, n);
+  rt_->counters().add(kProbe, rank, n);
 }
 
 void KvStore::note_retry(int rank) {
-  ++stats_.retries;
-  HUPC_TRACE_COUNT(rt_->tracer(), "gas.kv.retry", rank);
+  rt_->counters().add(kRetry, rank);
 }
 
 KvPath KvStore::resolve(KvOp op, gas::Thread& t, int shard,
                         KvPath call_override) {
   switch (op) {
     case KvOp::get:
-      ++stats_.gets;
-      HUPC_TRACE_COUNT(rt_->tracer(), "gas.kv.get", t.rank());
+      rt_->counters().add(kGet, t.rank());
       break;
     case KvOp::put:
-      ++stats_.puts;
-      HUPC_TRACE_COUNT(rt_->tracer(), "gas.kv.put", t.rank());
+      rt_->counters().add(kPut, t.rank());
       break;
     case KvOp::erase:
-      ++stats_.erases;
-      HUPC_TRACE_COUNT(rt_->tracer(), "gas.kv.erase", t.rank());
+      rt_->counters().add(kErase, t.rank());
       break;
     case KvOp::update:
-      ++stats_.updates;
-      HUPC_TRACE_COUNT(rt_->tracer(), "gas.kv.update", t.rank());
+      rt_->counters().add(kUpdate, t.rank());
       break;
   }
   const int owner = map_.owner_of(shard);
@@ -75,11 +94,9 @@ KvPath KvStore::resolve(KvOp op, gas::Thread& t, int shard,
                        op, rt_->same_supernode(t.rank(), owner));
   if (p == KvPath::automatic) p = KvPath::amo;
   if (p == KvPath::amo) {
-    ++stats_.amo_ops;
-    HUPC_TRACE_COUNT(rt_->tracer(), "gas.kv.path.amo", t.rank());
+    rt_->counters().add(kPathAmo, t.rank());
   } else {
-    ++stats_.rpc_ops;
-    HUPC_TRACE_COUNT(rt_->tracer(), "gas.kv.path.rpc", t.rank());
+    rt_->counters().add(kPathRpc, t.rank());
   }
   return p;
 }
@@ -221,8 +238,7 @@ sim::Task<bool> KvStore::amo_put(gas::Thread& t, int shard, std::uint64_t key,
           (void)co_await t.fetch_add(tomb_ptr(sh),
                                      ~std::uint64_t{0});  // -1
         }
-        ++stats_.inserts;
-        HUPC_TRACE_COUNT(rt_->tracer(), "gas.kv.insert", t.rank());
+        rt_->counters().add(kInsert, t.rank());
         co_return true;
       }
       idx = (idx + 1) & mask;  // full, other key
@@ -244,8 +260,7 @@ sim::Task<bool> KvStore::amo_put(gas::Thread& t, int shard, std::uint64_t key,
     co_await t.put(state_ptr(sh, first_tomb), kFull);
     (void)co_await t.fetch_add(live_ptr(sh), std::uint64_t{1});
     (void)co_await t.fetch_add(tomb_ptr(sh), ~std::uint64_t{0});
-    ++stats_.inserts;
-    HUPC_TRACE_COUNT(rt_->tracer(), "gas.kv.insert", t.rank());
+    rt_->counters().add(kInsert, t.rank());
     co_return true;
   }
 }
@@ -279,8 +294,7 @@ sim::Task<bool> KvStore::amo_erase(gas::Thread& t, int shard,
         co_await t.put(state_ptr(sh, idx), kTomb);
         (void)co_await t.fetch_add(live_ptr(sh), ~std::uint64_t{0});
         (void)co_await t.fetch_add(tomb_ptr(sh), std::uint64_t{1});
-        ++stats_.tombstones;
-        HUPC_TRACE_COUNT(rt_->tracer(), "gas.kv.tombstone", t.rank());
+        rt_->counters().add(kTombstone, t.rank());
         co_return true;
       }
       idx = (idx + 1) & mask;
@@ -388,8 +402,7 @@ sim::Task<KvHit> KvStore::owner_op(gas::Thread& at, KvOp op, int shard,
             s.state = kTomb;
             --sh.meta.raw[0];
             ++sh.meta.raw[1];
-            ++stats_.tombstones;
-            HUPC_TRACE_COUNT(rt_->tracer(), "gas.kv.tombstone", at.rank());
+            rt_->counters().add(kTombstone, at.rank());
             out = KvHit{s.value, 1};
             break;
           case KvOp::update:
@@ -415,8 +428,7 @@ sim::Task<KvHit> KvStore::owner_op(gas::Thread& at, KvOp op, int shard,
           tgt.state = kFull;
           ++sh.meta.raw[0];
           if (reused) --sh.meta.raw[1];
-          ++stats_.inserts;
-          HUPC_TRACE_COUNT(rt_->tracer(), "gas.kv.insert", at.rank());
+          rt_->counters().add(kInsert, at.rank());
           out = KvHit{value, 1};
         }
         decided = true;  // get/erase/update: clean miss
@@ -439,8 +451,7 @@ sim::Task<KvHit> KvStore::owner_op(gas::Thread& at, KvOp op, int shard,
       tgt.state = kFull;
       ++sh.meta.raw[0];
       --sh.meta.raw[1];
-      ++stats_.inserts;
-      HUPC_TRACE_COUNT(rt_->tracer(), "gas.kv.insert", at.rank());
+      rt_->counters().add(kInsert, at.rank());
       out = KvHit{value, 1};
     }
     co_await at.compute(kOwnerBaseS +

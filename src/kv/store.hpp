@@ -53,9 +53,8 @@ struct KvHit {
   std::uint8_t found = 0;
 };
 
-/// Host-side aggregate of everything the gas.kv.* trace counters count —
-/// available in HUPC_TRACE_LEVEL=0 builds and cross-checked against the
-/// counters by fault::check_kv_conservation when tracing is compiled in.
+/// The store's operation accounting: a view over the gas.kv.* counters,
+/// summed over every rank.
 struct KvStats {
   std::uint64_t gets = 0;
   std::uint64_t puts = 0;
@@ -127,7 +126,7 @@ class KvStore {
 
   [[nodiscard]] const ShardMap& shard_map() const noexcept { return map_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] const KvStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] KvStats stats() const;
   [[nodiscard]] const KvSelector& selector() const noexcept {
     return params_.selector;
   }
@@ -226,7 +225,6 @@ class KvStore {
   Params params_;
   std::size_t capacity_ = 0;  // power of two
   std::vector<Shard> shards_;
-  KvStats stats_;
 };
 
 }  // namespace hupc::kv

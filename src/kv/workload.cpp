@@ -32,6 +32,10 @@ std::uint64_t ZipfSampler::draw(double u01) const {
 
 namespace {
 
+const trace::CounterId kLatencyOp = trace::intern("kv.latency.op");
+const trace::CounterId kSloMiss = trace::intern("kv.latency.slo_miss");
+const trace::CounterId kShardLive = trace::intern("gas.kv.shard.live");
+
 /// One planned operation: intended arrival (seconds after measured-phase
 /// start) plus everything needed to issue it.
 struct PlannedOp {
@@ -76,11 +80,11 @@ sim::Task<void> serve_op(gas::Thread& t, gas::Runtime& rt, KvStore& store,
   agg.max_s = std::max(agg.max_s, lat_s);
   agg.last_done_s = std::max(agg.last_done_s, done_s);
   ++agg.done;
-  HUPC_TRACE_COUNT(rt.tracer(), "kv.latency.op", t.rank());
+  rt.counters().add(kLatencyOp, t.rank());
   if (lat_s <= slo_s) {
     ++agg.within_slo;
   } else {
-    HUPC_TRACE_COUNT(rt.tracer(), "kv.latency.slo_miss", t.rank());
+    rt.counters().add(kSloMiss, t.rank());
   }
 }
 
@@ -196,8 +200,8 @@ ServingResult run_serving(gas::Runtime& rt, KvStore& store,
   // Shard occupancy counters: one weighted count per shard at its owner,
   // recorded once the table is quiescent.
   for (int s = 0; s < store.shard_map().shards(); ++s) {
-    HUPC_TRACE_COUNT(rt.tracer(), "gas.kv.shard.live",
-                     store.shard_map().owner_of(s), store.shard_live(s));
+    rt.counters().add(kShardLive, store.shard_map().owner_of(s),
+                      store.shard_live(s));
   }
 
   ServingResult res;

@@ -4,14 +4,27 @@
 
 namespace hupc::net {
 
+namespace {
+const trace::CounterId kMsg = trace::intern("net.msg");
+const trace::CounterId kBytes = trace::intern("net.bytes");
+const trace::CounterId kAggregated = trace::intern("net.aggregated");
+const trace::CounterId kCoalescedOps = trace::intern("net.coalesced_ops");
+const trace::CounterId kVisMsg = trace::intern("net.vis.msg");
+const trace::CounterId kVisRegions = trace::intern("net.vis.regions");
+const trace::CounterId kVisBytes = trace::intern("net.vis.bytes");
+const trace::CounterId kDelivered = trace::intern("net.delivered");
+const trace::CounterId kLoopback = trace::intern("net.loopback");
+const trace::CounterId kFaultHold = trace::intern("fault.msg.hold");
+const trace::CounterId kFaultDegrade = trace::intern("fault.msg.degrade");
+}  // namespace
+
 Network::Network(sim::Engine& engine, const topo::MachineSpec& machine,
                  ConduitSpec conduit, ConnectionMode mode,
                  int endpoints_per_node)
     : engine_(&engine),
       conduit_(std::move(conduit)),
       mode_(mode),
-      endpoints_per_node_(endpoints_per_node),
-      counters_(static_cast<std::size_t>(machine.nodes)) {
+      endpoints_per_node_(endpoints_per_node) {
   assert(endpoints_per_node_ >= 1);
   nics_.reserve(static_cast<std::size_t>(machine.nodes));
   for (int n = 0; n < machine.nodes; ++n) {
@@ -53,33 +66,26 @@ sim::Task<void> Network::rma(Transfer t) {
   HUPC_TRACE_INSTANT(tracer_, trace::Category::net, "inject", rank,
                      static_cast<std::uint64_t>(t.bytes),
                      static_cast<std::uint64_t>(t.dst_node));
-  HUPC_TRACE_COUNT(tracer_, "net.msg", rank);
-  HUPC_TRACE_COUNT(tracer_, "net.bytes", rank,
-                   static_cast<std::uint64_t>(t.bytes));
-  auto& src_counters = counters_[static_cast<std::size_t>(t.src_node)];
-  ++src_counters.messages;
-  src_counters.bytes += t.bytes;
+  trace::Counters& counters = engine_->counters();
+  counters.add(kMsg, rank);
+  counters.add(kBytes, rank, static_cast<std::uint64_t>(t.bytes));
+  bytes_ += t.bytes;
   if (t.coalesced_count > 1) {
-    ++src_counters.aggregated;
-    src_counters.coalesced_ops += t.coalesced_count;
-    HUPC_TRACE_COUNT(tracer_, "net.aggregated", rank);
-    HUPC_TRACE_COUNT(tracer_, "net.coalesced_ops", rank, t.coalesced_count);
+    counters.add(kAggregated, rank);
+    counters.add(kCoalescedOps, rank, t.coalesced_count);
   }
   if (t.regions > 1) {
     // Packed VIS footprint: the trace carries region count and bytes per
     // region so a Chrome-trace view distinguishes 1x64KiB from 4096x16B
     // (the "rma" scope above only shows the total).
-    ++src_counters.vis_messages;
-    src_counters.vis_regions += t.regions;
-    src_counters.vis_payload_bytes += t.payload_bytes;
-    src_counters.vis_bytes += t.bytes;
+    vis_payload_bytes_ += t.payload_bytes;
+    vis_bytes_ += t.bytes;
     HUPC_TRACE_INSTANT(tracer_, trace::Category::net, "vis", rank, t.regions,
                        static_cast<std::uint64_t>(
                            t.payload_bytes / static_cast<double>(t.regions)));
-    HUPC_TRACE_COUNT(tracer_, "net.vis.msg", rank);
-    HUPC_TRACE_COUNT(tracer_, "net.vis.regions", rank, t.regions);
-    HUPC_TRACE_COUNT(tracer_, "net.vis.bytes", rank,
-                     static_cast<std::uint64_t>(t.payload_bytes));
+    counters.add(kVisMsg, rank);
+    counters.add(kVisRegions, rank, t.regions);
+    counters.add(kVisBytes, rank, static_cast<std::uint64_t>(t.payload_bytes));
   }
 
   // Fault injection: one consultation per message. The mutation can hold
@@ -90,11 +96,11 @@ sim::Task<void> Network::rma(Transfer t) {
     const fault::MessageMutation mut =
         fault_->on_message(t.src_node, t.dst_node, t.bytes);
     if (mut.hold_s > 0.0) {
-      HUPC_TRACE_COUNT(tracer_, "fault.msg.hold", rank);
+      counters.add(kFaultHold, rank);
       co_await sim::delay(*engine_, sim::from_seconds(mut.hold_s));
     }
     if (mut.bw_scale < 1.0) {
-      HUPC_TRACE_COUNT(tracer_, "fault.msg.degrade", rank);
+      counters.add(kFaultDegrade, rank);
       // Floor at 1e-4x: a zero-rate flow would never complete (blackouts
       // are modeled as holds, not zero bandwidth).
       wire_cap *= mut.bw_scale < 1e-4 ? 1e-4 : mut.bw_scale;
@@ -157,14 +163,14 @@ sim::Task<void> Network::rma(Transfer t) {
   HUPC_TRACE_INSTANT(tracer_, trace::Category::net, "deliver", rank,
                      static_cast<std::uint64_t>(t.bytes),
                      static_cast<std::uint64_t>(t.dst_node));
-  HUPC_TRACE_COUNT(tracer_, "net.delivered", rank);
+  engine_->counters().add(kDelivered, rank);
 }
 
 sim::Task<void> Network::loopback(Transfer t, double loopback_bw) {
   const int rank = trace_rank(t.src_node, t.src_ep);
   HUPC_TRACE_SCOPE(tracer_, trace::Category::net, "loopback", rank,
                    static_cast<std::uint64_t>(t.bytes));
-  HUPC_TRACE_COUNT(tracer_, "net.loopback", rank);
+  engine_->counters().add(kLoopback, rank);
   const double api = mode_ == ConnectionMode::per_process
                          ? conduit_.api_overhead_process_s
                          : conduit_.api_overhead_shared_s;
@@ -195,51 +201,23 @@ async::future<> Network::rma_async(Transfer t) {
 }
 
 std::uint64_t Network::total_messages() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& c : counters_) total += c.messages;
-  return total;
-}
-
-double Network::total_bytes() const noexcept {
-  double total = 0;
-  for (const auto& c : counters_) total += c.bytes;
-  return total;
+  return counters().total(kMsg);
 }
 
 std::uint64_t Network::total_aggregated() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& c : counters_) total += c.aggregated;
-  return total;
+  return counters().total(kAggregated);
 }
 
 std::uint64_t Network::total_coalesced_ops() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& c : counters_) total += c.coalesced_ops;
-  return total;
+  return counters().total(kCoalescedOps);
 }
 
 std::uint64_t Network::total_vis_messages() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& c : counters_) total += c.vis_messages;
-  return total;
+  return counters().total(kVisMsg);
 }
 
 std::uint64_t Network::total_vis_regions() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& c : counters_) total += c.vis_regions;
-  return total;
-}
-
-double Network::total_vis_payload_bytes() const noexcept {
-  double total = 0;
-  for (const auto& c : counters_) total += c.vis_payload_bytes;
-  return total;
-}
-
-double Network::total_vis_bytes() const noexcept {
-  double total = 0;
-  for (const auto& c : counters_) total += c.vis_bytes;
-  return total;
+  return counters().total(kVisRegions);
 }
 
 }  // namespace hupc::net

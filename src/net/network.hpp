@@ -10,8 +10,10 @@
 // the number of fine-grained operations they absorbed so the counters can
 // reconcile message rates with logical access rates.
 //
-// Counters record message/byte volumes per endpoint so benches can report
-// messaging rates and verify communication schedules.
+// Message, aggregation and VIS counts go to the engine's counter registry
+// (net.* counters, attributed to the issuing rank) so benches can report
+// messaging rates and verify communication schedules; only the exact
+// double byte totals live here, for check_byte_conservation.
 #pragma once
 
 #include <cstdint>
@@ -64,22 +66,6 @@ struct Transfer {
 
 class Network {
  public:
-  struct Counters {
-    std::uint64_t messages = 0;
-    double bytes = 0.0;
-    /// Aggregated messages (Transfer::coalesced_count > 1) injected from
-    /// this node, and the fine-grained operations they carried.
-    std::uint64_t aggregated = 0;
-    std::uint64_t coalesced_ops = 0;
-    /// Packed VIS messages (Transfer::regions > 1) injected from this
-    /// node: message count, regions carried, payload bytes (sans headers)
-    /// and gross bytes (headers included) — check_vis_conservation's view.
-    std::uint64_t vis_messages = 0;
-    std::uint64_t vis_regions = 0;
-    double vis_payload_bytes = 0.0;
-    double vis_bytes = 0.0;
-  };
-
   /// `endpoints_per_node` — how many distinct endpoints (UPC ranks) may
   /// issue traffic per node; defines connection count in per_process mode.
   Network(sim::Engine& engine, const topo::MachineSpec& machine,
@@ -101,17 +87,28 @@ class Network {
 
   [[nodiscard]] const ConduitSpec& conduit() const noexcept { return conduit_; }
   [[nodiscard]] ConnectionMode mode() const noexcept { return mode_; }
-  [[nodiscard]] const Counters& node_counters(int node) const {
-    return counters_[static_cast<std::size_t>(node)];
+  /// The engine's counter registry (see sim::Engine::counters).
+  [[nodiscard]] trace::Counters& counters() noexcept {
+    return engine_->counters();
   }
+  [[nodiscard]] const trace::Counters& counters() const noexcept {
+    return engine_->counters();
+  }
+
+  // Views over the net.* counters, summed over every issuing rank.
   [[nodiscard]] std::uint64_t total_messages() const noexcept;
-  [[nodiscard]] double total_bytes() const noexcept;
   [[nodiscard]] std::uint64_t total_aggregated() const noexcept;
   [[nodiscard]] std::uint64_t total_coalesced_ops() const noexcept;
   [[nodiscard]] std::uint64_t total_vis_messages() const noexcept;
   [[nodiscard]] std::uint64_t total_vis_regions() const noexcept;
-  [[nodiscard]] double total_vis_payload_bytes() const noexcept;
-  [[nodiscard]] double total_vis_bytes() const noexcept;
+  /// Exact byte totals (the net.*bytes counters truncate per message):
+  /// gross wire bytes, and the payload and gross bytes of packed VIS
+  /// messages.
+  [[nodiscard]] double total_bytes() const noexcept { return bytes_; }
+  [[nodiscard]] double total_vis_payload_bytes() const noexcept {
+    return vis_payload_bytes_;
+  }
+  [[nodiscard]] double total_vis_bytes() const noexcept { return vis_bytes_; }
 
   [[nodiscard]] sim::FluidLink& nic(int node) {
     return *nics_[static_cast<std::size_t>(node)];
@@ -168,7 +165,9 @@ class Network {
   // ceiling of Fig 4.2b and the 2-threads-per-node knee of Fig 4.4).
   std::vector<std::unique_ptr<sim::Mutex>> endpoints_;
   std::vector<std::unique_ptr<sim::FifoServer>> api_queues_;  // per node
-  std::vector<Counters> counters_;
+  double bytes_ = 0.0;
+  double vis_payload_bytes_ = 0.0;
+  double vis_bytes_ = 0.0;
 };
 
 }  // namespace hupc::net

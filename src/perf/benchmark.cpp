@@ -92,11 +92,8 @@ void Context::report_counter(std::string name, std::uint64_t value) {
 }
 
 void Context::report_trace_counters(
-    const trace::Tracer& tracer, std::initializer_list<const char*> names) {
-  if constexpr (!trace::kEnabled) return;
-  for (const char* name : names) {
-    report_counter(name, tracer.counter_total(name));
-  }
+    const trace::Counters& counters, std::initializer_list<const char*> names) {
+  for (const char* name : names) report_counter(name, counters.total(name));
 }
 
 Registry& Registry::instance() {

@@ -23,7 +23,7 @@
 #include <utility>
 #include <vector>
 
-#include "trace/trace.hpp"
+#include "trace/counters.hpp"
 
 namespace hupc::perf {
 
@@ -96,10 +96,9 @@ class Context {
   /// Attach a behavioral counter (overwritten each repetition).
   void report_counter(std::string name, std::uint64_t value);
 
-  /// Copy the named counters out of `tracer` (totals across ranks). No-op
-  /// when trace instrumentation is compiled out (HUPC_TRACE=0) so untraced
-  /// builds produce artifacts without misleading zero counters.
-  void report_trace_counters(const trace::Tracer& tracer,
+  /// Copy the named counters out of a run's registry (totals across ranks,
+  /// e.g. `engine.counters()`); counting is on at every trace level.
+  void report_trace_counters(const trace::Counters& counters,
                              std::initializer_list<const char*> names);
 
  private:

@@ -18,6 +18,12 @@
 
 namespace hupc::sched {
 
+namespace detail {
+inline const trace::CounterId kRelease = trace::intern("sched.release");
+inline const trace::CounterId kDiffusionSplit =
+    trace::intern("sched.diffusion.split");
+}  // namespace detail
+
 template <class T>
 class StealStack {
  public:
@@ -50,14 +56,13 @@ class StealStack {
   /// private portion holds at least two chunks (keeps one for itself).
   [[nodiscard]] sim::Task<void> maybe_release(gas::Thread& self) {
     if (local_.size() < 2 * static_cast<std::size_t>(chunk_)) co_return;
-    HUPC_TRACE_COUNT(rt_->tracer(), "sched.release", self.rank());
+    rt_->counters().add(detail::kRelease, self.rank());
     co_await lock_.acquire(self);
     for (int i = 0; i < chunk_; ++i) {
       shared_.push_back(std::move(local_.front()));
       local_.pop_front();
     }
     sync_count();
-    ++releases_;
     co_await lock_.release(self);
   }
 
@@ -111,7 +116,7 @@ class StealStack {
       HUPC_TRACE_INSTANT(rt_->tracer(), trace::Category::sched, "diffusion",
                          thief.rank(), take,
                          static_cast<std::uint64_t>(owner_));
-      HUPC_TRACE_COUNT(rt_->tracer(), "sched.diffusion.split", thief.rank());
+      rt_->counters().add(detail::kDiffusionSplit, thief.rank());
     }
     if (take > 0) {
       // One bulk transfer for the stolen items.
@@ -136,7 +141,6 @@ class StealStack {
   [[nodiscard]] std::size_t shared_count() const noexcept {
     return shared_.size();
   }
-  [[nodiscard]] std::uint64_t releases() const noexcept { return releases_; }
 
  private:
   void sync_count() noexcept { *count_.raw = shared_.size(); }
@@ -148,7 +152,6 @@ class StealStack {
   gas::GlobalPtr<std::uint64_t> count_;
   std::deque<T> local_;
   std::deque<T> shared_;
-  std::uint64_t releases_ = 0;
 };
 
 }  // namespace hupc::sched

@@ -70,13 +70,30 @@ struct StealParams {
   bool test_split_off_by_one = false;
 };
 
+/// One rank's work-stealing accounting: a view over its sched.* counters
+/// (sched.processed, sched.steal.local/remote/fail).
 struct RankStats {
   std::uint64_t processed = 0;
   std::uint64_t local_steals = 0;
   std::uint64_t remote_steals = 0;
   std::uint64_t failed_probes = 0;
-  std::uint64_t releases = 0;
 };
+
+namespace detail {
+inline const trace::CounterId kProcessed = trace::intern("sched.processed");
+inline const trace::CounterId kBackoff = trace::intern("sched.backoff");
+inline const trace::CounterId kTerminated = trace::intern("sched.terminated");
+inline const trace::CounterId kStealAttempt =
+    trace::intern("sched.steal.attempt");
+inline const trace::CounterId kStealFail = trace::intern("sched.steal.fail");
+inline const trace::CounterId kStealSuccess =
+    trace::intern("sched.steal.success");
+inline const trace::CounterId kStealLocal = trace::intern("sched.steal.local");
+inline const trace::CounterId kStealRemote =
+    trace::intern("sched.steal.remote");
+inline const trace::CounterId kFaultStealFail =
+    trace::intern("fault.steal.fail");
+}  // namespace detail
 
 template <class T>
 class WorkStealing {
@@ -95,7 +112,6 @@ class WorkStealing {
       stacks_.push_back(
           std::make_unique<StealStack<T>>(rt, r, params_.chunk));
     }
-    stats_.resize(static_cast<std::size_t>(rt.threads()));
   }
 
   /// Seed rank `rank`'s stack before the run (typically the root at rank 0).
@@ -110,7 +126,7 @@ class WorkStealing {
   [[nodiscard]] sim::Task<void> run(gas::Thread& self) {
     const int me = self.rank();
     auto& stack = *stacks_[static_cast<std::size_t>(me)];
-    auto& stats = stats_[static_cast<std::size_t>(me)];
+    trace::Counters& counters = rt_->counters();
     util::Xoshiro256ss rng(params_.seed ^
                            (0x9E3779B97F4A7C15ULL * (me + 1)));
     std::vector<T> children;
@@ -134,9 +150,7 @@ class WorkStealing {
           outstanding_ += static_cast<std::int64_t>(children.size()) - 1;
           ++done;
         }
-        stats.processed += static_cast<std::uint64_t>(done);
-        HUPC_TRACE_COUNT(rt_->tracer(), "sched.processed", me,
-                         static_cast<std::uint64_t>(done));
+        counters.add(detail::kProcessed, me, static_cast<std::uint64_t>(done));
         co_await self.compute(params_.item_cost_s * done);
         co_await stack.maybe_release(self);
         backoff = 2 * sim::kMicrosecond;
@@ -145,35 +159,35 @@ class WorkStealing {
       // --- Local reacquire (own shared portion) --------------------------
       if (co_await stack.reacquire(self)) continue;
       // --- Discovery + stealing per policy -------------------------------
-      if (co_await try_steal(self, rng, stats)) {
+      if (co_await try_steal(self, rng)) {
         backoff = 2 * sim::kMicrosecond;
         continue;
       }
       if (outstanding_ <= 0) break;
-      HUPC_TRACE_COUNT(rt_->tracer(), "sched.backoff", me);
+      counters.add(detail::kBackoff, me);
       co_await sim::delay(rt_->engine(), backoff);
       backoff = std::min<sim::Time>(backoff * 2, 100 * sim::kMicrosecond);
     }
     HUPC_TRACE_INSTANT(rt_->tracer(), trace::Category::sched, "terminate", me,
-                       stats.processed);
-    HUPC_TRACE_COUNT(rt_->tracer(), "sched.terminated", me);
+                       counters.get(detail::kProcessed, me));
+    counters.add(detail::kTerminated, me);
     co_return;
   }
 
-  [[nodiscard]] const RankStats& stats(int rank) const {
-    return stats_[static_cast<std::size_t>(rank)];
+  [[nodiscard]] RankStats stats(int rank) const {
+    const trace::Counters& c = rt_->counters();
+    return RankStats{.processed = c.get(detail::kProcessed, rank),
+                     .local_steals = c.get(detail::kStealLocal, rank),
+                     .remote_steals = c.get(detail::kStealRemote, rank),
+                     .failed_probes = c.get(detail::kStealFail, rank)};
   }
   [[nodiscard]] std::uint64_t total_processed() const {
-    std::uint64_t total = 0;
-    for (const auto& s : stats_) total += s.processed;
-    return total;
+    return rt_->counters().total(detail::kProcessed);
   }
   [[nodiscard]] double local_steal_ratio() const {
-    std::uint64_t local = 0, all = 0;
-    for (const auto& s : stats_) {
-      local += s.local_steals;
-      all += s.local_steals + s.remote_steals;
-    }
+    const trace::Counters& c = rt_->counters();
+    const std::uint64_t local = c.total(detail::kStealLocal);
+    const std::uint64_t all = local + c.total(detail::kStealRemote);
     return all == 0 ? 0.0 : static_cast<double>(local) / static_cast<double>(all);
   }
   [[nodiscard]] StealStack<T>& stack(int rank) {
@@ -189,9 +203,9 @@ class WorkStealing {
  private:
   /// One discovery sweep. Returns true if work was stolen.
   [[nodiscard]] sim::Task<bool> try_steal(gas::Thread& self,
-                                          util::Xoshiro256ss& rng,
-                                          RankStats& stats) {
+                                          util::Xoshiro256ss& rng) {
     const int me = self.rank();
+    trace::Counters& counters = rt_->counters();
     const int nthreads = rt_->threads();
     std::vector<int> order;
     order.reserve(static_cast<std::size_t>(nthreads) - 1);
@@ -218,19 +232,17 @@ class WorkStealing {
     for (int victim : order) {
       const bool victim_local = rt_->node_of(victim) == rt_->node_of(me);
       auto& vstack = *stacks_[static_cast<std::size_t>(victim)];
-      HUPC_TRACE_COUNT(rt_->tracer(), "sched.steal.attempt", me);
+      counters.add(detail::kStealAttempt, me);
       // Fault injection: a transient steal failure (contention storm) makes
       // the victim look empty without even probing.
       if (steal_fault_ != nullptr && steal_fault_->fail_steal(me, victim)) {
-        ++stats.failed_probes;
-        HUPC_TRACE_COUNT(rt_->tracer(), "fault.steal.fail", me);
-        HUPC_TRACE_COUNT(rt_->tracer(), "sched.steal.fail", me);
+        counters.add(detail::kFaultStealFail, me);
+        counters.add(detail::kStealFail, me);
         continue;
       }
       const std::size_t visible = co_await vstack.probe(self);
       if (visible == 0) {
-        ++stats.failed_probes;
-        HUPC_TRACE_COUNT(rt_->tracer(), "sched.steal.fail", me);
+        counters.add(detail::kStealFail, me);
         continue;
       }
       // Close the epoch before the steal itself: the stolen payload is a
@@ -245,21 +257,15 @@ class WorkStealing {
         // a0 = victim chosen, a1 = items stolen.
         HUPC_TRACE_INSTANT(rt_->tracer(), trace::Category::sched, "steal", me,
                            static_cast<std::uint64_t>(victim), got);
-        HUPC_TRACE_COUNT(rt_->tracer(), "sched.steal.success", me);
-        HUPC_TRACE_COUNT(rt_->tracer(),
-                         victim_local ? "sched.steal.local"
-                                      : "sched.steal.remote",
-                         me);
+        counters.add(detail::kStealSuccess, me);
         if (victim_local) {
-          ++stats.local_steals;
+          counters.add(detail::kStealLocal, me);
         } else {
-          ++stats.remote_steals;
+          counters.add(detail::kStealRemote, me);
         }
-        stats.releases = stacks_[static_cast<std::size_t>(me)]->releases();
         co_return true;
       }
-      ++stats.failed_probes;
-      HUPC_TRACE_COUNT(rt_->tracer(), "sched.steal.fail", me);
+      counters.add(detail::kStealFail, me);
       // The failed steal closed the epoch; reopen for the remaining probes.
       if (params_.coalesce_probes) self.begin_coalesce(params_.coalesce);
     }
@@ -278,7 +284,6 @@ class WorkStealing {
   Process process_;
   fault::StealHook* steal_fault_;
   std::vector<std::unique_ptr<StealStack<T>>> stacks_;
-  std::vector<RankStats> stats_;
   std::int64_t outstanding_ = 0;
 };
 

@@ -4,6 +4,10 @@
 
 namespace hupc::sim {
 
+namespace {
+const trace::CounterId kDispatch = trace::intern("engine.dispatch");
+}  // namespace
+
 void Engine::schedule_at(Time at, std::function<void()> fn) {
   if (at < now_) at = now_;
   if (fault_ != nullptr) {
@@ -23,7 +27,7 @@ bool Engine::step() {
   // cooperative scheduler); a0 carries the scheduling sequence number.
   HUPC_TRACE_INSTANT(tracer_, trace::Category::engine, "dispatch",
                      trace::kEngineRank, ev.seq, queue_.size());
-  HUPC_TRACE_COUNT(tracer_, "engine.dispatch", trace::kEngineRank);
+  counters_->add(kDispatch, trace::kEngineRank);
   ev.fn();
   return true;
 }

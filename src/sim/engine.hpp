@@ -55,10 +55,23 @@ class Engine {
   }
 
   /// Attach a tracer (non-owning, may be null): every dispatched event is
-  /// recorded as an engine-category instant. Recording never charges
-  /// virtual time, so attaching a tracer cannot change a simulation.
-  void set_tracer(trace::Tracer* tracer) noexcept { tracer_ = tracer; }
+  /// recorded as an engine-category instant, and from now on the engine
+  /// counts into the tracer's registry instead of its own (null switches
+  /// back). Recording never charges virtual time, so attaching a tracer
+  /// cannot change a simulation.
+  void set_tracer(trace::Tracer* tracer) noexcept {
+    tracer_ = tracer;
+    counters_ = tracer != nullptr ? &tracer->counters() : &own_counters_;
+  }
   [[nodiscard]] trace::Tracer* tracer() const noexcept { return tracer_; }
+
+  /// The simulation's counter registry (always on): every layer running on
+  /// this engine counts into it. It is the attached tracer's registry when
+  /// there is one, else the engine's own.
+  [[nodiscard]] trace::Counters& counters() noexcept { return *counters_; }
+  [[nodiscard]] const trace::Counters& counters() const noexcept {
+    return *counters_;
+  }
 
   /// Attach a fault-injection hook (non-owning, may be null): every
   /// scheduled event's timestamp may be perturbed (delayed) by the hook.
@@ -84,6 +97,8 @@ class Engine {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   trace::Tracer* tracer_ = nullptr;
+  trace::Counters own_counters_;
+  trace::Counters* counters_ = &own_counters_;
   fault::ScheduleHook* fault_ = nullptr;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
 };

@@ -3,7 +3,6 @@
 
 #include "sim/engine.hpp"    // IWYU pragma: export
 #include "sim/process.hpp"   // IWYU pragma: export
-#include "sim/profiler.hpp"  // IWYU pragma: export
 #include "sim/resource.hpp"  // IWYU pragma: export
 #include "sim/sync.hpp"      // IWYU pragma: export
 #include "sim/task.hpp"      // IWYU pragma: export

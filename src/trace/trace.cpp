@@ -52,7 +52,6 @@ Tracer::Tracer(std::size_t capacity) : capacity_(std::max<std::size_t>(capacity,
 
 void Tracer::record(Category cat, char phase, const char* name, int rank,
                     std::uint64_t a0, std::uint64_t a1) {
-  if (!enabled_) return;
   TraceEvent ev{clock_ ? clock_() : 0,
                 rank,
                 cat,
@@ -82,29 +81,6 @@ void Tracer::instant(Category cat, const char* name, int rank,
   record(cat, 'i', name, rank, a0, a1);
 }
 
-void Tracer::count(const char* name, int rank, std::uint64_t delta) {
-  if (!enabled_) return;
-  auto& per_rank = counters_[name];
-  const auto idx = static_cast<std::size_t>(rank < kEngineRank ? 0 : rank + 1);
-  if (per_rank.size() <= idx) per_rank.resize(idx + 1, 0);
-  per_rank[idx] += delta;
-}
-
-std::uint64_t Tracer::counter(const std::string& name, int rank) const {
-  const auto it = counters_.find(name);
-  const auto idx = static_cast<std::size_t>(rank + 1);
-  if (it == counters_.end() || idx >= it->second.size()) return 0;
-  return it->second[idx];
-}
-
-std::uint64_t Tracer::counter_total(const std::string& name) const {
-  const auto it = counters_.find(name);
-  if (it == counters_.end()) return 0;
-  std::uint64_t total = 0;
-  for (std::uint64_t v : it->second) total += v;
-  return total;
-}
-
 std::vector<TraceEvent> Tracer::snapshot() const {
   std::vector<TraceEvent> out;
   out.reserve(size());
@@ -125,7 +101,7 @@ Summary Tracer::summary() const {
   Summary s;
   s.recorded = recorded_;
   s.dropped = dropped();
-  s.counters = counters_;
+  s.counters = counters_.snapshot();
 
   const auto events = snapshot();
   const std::size_t lanes = static_cast<std::size_t>(ranks()) + 1;

@@ -1,13 +1,15 @@
-// Structured event tracing and named counters for the simulated runtime.
+// Structured event tracing for the simulated runtime.
 //
 // A Tracer owns a fixed-capacity ring of TraceEvent records (virtual
-// timestamp, rank, category, name, two integer args) plus a named-counter
-// registry. Instrumentation sites across the stack — engine dispatch, GAS
-// accesses and barriers, network inject/deliver, steal attempts, sub-thread
-// regions — record through the HUPC_TRACE_* macros, which compile to
-// nothing (arguments unevaluated) when the translation unit is built with
-// HUPC_TRACE=0. Recording never charges virtual time, so an attached
-// tracer cannot perturb a simulation.
+// timestamp, rank, category, name, two integer args) plus a counter
+// registry (trace::Counters). Instrumentation sites across the stack —
+// engine dispatch, GAS accesses and barriers, network inject/deliver, steal
+// attempts, sub-thread regions — record events through the HUPC_TRACE_*
+// macros, which compile to nothing (arguments unevaluated) when the
+// translation unit is built with HUPC_TRACE=0. Counting is not macro-gated:
+// layers always count into their engine's registry, which is the attached
+// tracer's when there is one. Recording never charges virtual time, so an
+// attached tracer cannot perturb a simulation.
 //
 // Two exporters:
 //   export_chrome  — chrome://tracing / Perfetto "Trace Event Format" JSON
@@ -30,6 +32,8 @@
 #include <map>
 #include <string>
 #include <vector>
+
+#include "trace/counters.hpp"
 
 // Compile-time trace level: 0 compiles every HUPC_TRACE_* macro out
 // (arguments are not evaluated); >= 1 enables recording. Override per
@@ -114,18 +118,16 @@ class Tracer {
                : 0;
   }
 
-  /// Runtime toggle: a disabled tracer records nothing (counters included).
-  void set_enabled(bool on) noexcept { enabled_ = on; }
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-
   // --- recording --------------------------------------------------------
   void begin(Category cat, const char* name, int rank, std::uint64_t a0 = 0,
              std::uint64_t a1 = 0);
   void end(Category cat, const char* name, int rank);
   void instant(Category cat, const char* name, int rank, std::uint64_t a0 = 0,
                std::uint64_t a1 = 0);
-  /// Bump the named counter for `rank` (kEngineRank allowed).
-  void count(const char* name, int rank, std::uint64_t delta = 1);
+  /// The tracer's counter registry. An engine with this tracer attached
+  /// counts into it, so its counts outlive the engine and runtime.
+  [[nodiscard]] Counters& counters() noexcept { return counters_; }
+  [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
 
   // --- inspection -------------------------------------------------------
   [[nodiscard]] std::uint64_t recorded() const noexcept { return recorded_; }
@@ -136,8 +138,12 @@ class Tracer {
     return recorded_ < capacity_ ? static_cast<std::size_t>(recorded_)
                                  : capacity_;
   }
-  [[nodiscard]] std::uint64_t counter(const std::string& name, int rank) const;
-  [[nodiscard]] std::uint64_t counter_total(const std::string& name) const;
+  [[nodiscard]] std::uint64_t counter(const std::string& name, int rank) const {
+    return counters_.get(name, rank);
+  }
+  [[nodiscard]] std::uint64_t counter_total(const std::string& name) const {
+    return counters_.total(name);
+  }
 
   /// Retained events in chronological order (oldest surviving first).
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
@@ -161,10 +167,9 @@ class Tracer {
   std::size_t capacity_;
   std::vector<TraceEvent> ring_;
   std::uint64_t recorded_ = 0;
-  bool enabled_ = true;
   std::function<VTime()> clock_;
   std::vector<int> rank_nodes_;
-  std::map<std::string, std::vector<std::uint64_t>> counters_;
+  Counters counters_;
 };
 
 /// RAII begin/end pair; safe across co_await suspension points (the end
@@ -217,15 +222,9 @@ class Scope {
     if (::hupc::trace::Tracer* hupc_tr_ = (tracer))                          \
       hupc_tr_->instant((cat), (name), (rank)__VA_OPT__(, ) __VA_ARGS__);    \
   } while (0)
-#define HUPC_TRACE_COUNT(tracer, name, rank, ...)                            \
-  do {                                                                       \
-    if (::hupc::trace::Tracer* hupc_tr_ = (tracer))                          \
-      hupc_tr_->count((name), (rank)__VA_OPT__(, ) __VA_ARGS__);             \
-  } while (0)
 #else
 #define HUPC_TRACE_SCOPE(tracer, cat, name, rank, ...) ((void)0)
 #define HUPC_TRACE_BEGIN(tracer, cat, name, rank, ...) ((void)0)
 #define HUPC_TRACE_END(tracer, cat, name, rank) ((void)0)
 #define HUPC_TRACE_INSTANT(tracer, cat, name, rank, ...) ((void)0)
-#define HUPC_TRACE_COUNT(tracer, name, rank, ...) ((void)0)
 #endif

@@ -258,15 +258,13 @@ TEST(Coalescer, CountersReconcileWithNetworkAndTrace) {
   // Network view: every flush became one aggregated message.
   EXPECT_EQ(rt.network().total_aggregated(), flushes);
   EXPECT_EQ(rt.network().total_coalesced_ops(), absorbed);
-  // Trace view: the counter stream carries the identical totals (unless
-  // the instrumentation is compiled out entirely).
-  if (trace::kEnabled) {
-    EXPECT_EQ(tracer.counter_total("comm.flush.msgs"), flushes);
-    EXPECT_EQ(tracer.counter_total("comm.flush.ops"), absorbed);
-    EXPECT_EQ(tracer.counter_total("net.aggregated"), flushes);
-    EXPECT_EQ(tracer.counter_total("net.coalesced_ops"), absorbed);
-    EXPECT_EQ(tracer.counter_total("gas.access.coalesced"), absorbed);
-  }
+  // Trace view: the tracer's registry carries the identical totals, at
+  // every trace level.
+  EXPECT_EQ(tracer.counter_total("comm.flush.msgs"), flushes);
+  EXPECT_EQ(tracer.counter_total("comm.flush.ops"), absorbed);
+  EXPECT_EQ(tracer.counter_total("net.aggregated"), flushes);
+  EXPECT_EQ(tracer.counter_total("net.coalesced_ops"), absorbed);
+  EXPECT_EQ(tracer.counter_total("gas.access.coalesced"), absorbed);
   // Every deferred value landed.
   for (int peer = 0; peer < kThreads; ++peer) {
     for (int r = 0; r < kThreads; ++r) {

@@ -68,10 +68,9 @@ void run_one(std::uint64_t seed, sched::VictimPolicy policy,
   rt.run_to_completion();
 
   fault::Violations v;
-  fault::check_steal_conservation(ws, rt.threads(), oracle.nodes,
-                                  trace::kEnabled ? &tracer : nullptr, v);
+  fault::check_steal_conservation(ws, rt.threads(), oracle.nodes, v);
   fault::check_byte_conservation(rt, v);
-  fault::check_trace_network(trace::kEnabled ? &tracer : nullptr, rt, v);
+  fault::check_network_counters(rt, v);
   fault::check_virtual_time(engine, v);
   for (const std::string& violation : v) {
     ADD_FAILURE() << label(seed, policy, conduit) << ": " << violation;

@@ -73,11 +73,9 @@ struct CellResult {
 /// differs between algorithms) plus the watched counter totals.
 CellResult run_cell(const Cell& cell) {
   sim::Engine e;
-  trace::Tracer tracer;
   Config cfg;
   cfg.machine = topo::lehman(4);
   cfg.threads = kThreads;
-  cfg.tracer = trace::kEnabled ? &tracer : nullptr;
   Runtime rt(e, cfg);
   Collectives coll(rt, cell.members);
   const int n = coll.size();
@@ -186,7 +184,7 @@ CellResult run_cell(const Cell& cell) {
       break;
   }
   for (const auto& name : watched_counters()) {
-    out.counters.push_back(trace::kEnabled ? tracer.counter_total(name) : 0);
+    out.counters.push_back(rt.counters().total(name));
   }
   return out;
 }
@@ -273,17 +271,14 @@ TEST(CollAlgoGolden, RerunsAreBitIdenticalIncludingCounters) {
       EXPECT_EQ(a.result, b.result)
           << shape.name << " " << gas::coll_op_name(op) << " "
           << gas::coll_algo_name(algo);
-      if (trace::kEnabled) {
-        EXPECT_EQ(a.counters, b.counters)
-            << shape.name << " " << gas::coll_op_name(op) << " "
-            << gas::coll_algo_name(algo);
-      }
+      EXPECT_EQ(a.counters, b.counters)
+          << shape.name << " " << gas::coll_op_name(op) << " "
+          << gas::coll_algo_name(algo);
     }
   }
 }
 
 TEST(CollAlgoGolden, CollectiveCallCountersAreConserved) {
-  if (!trace::kEnabled) GTEST_SKIP() << "trace compiled out";
   // Every member counts its call exactly once, whatever the algorithm.
   for (CollAlgo algo : {CollAlgo::flat, CollAlgo::hier}) {
     const Cell cell{CollOp::alltoall, algo,

@@ -91,8 +91,12 @@ TEST(Network, CountersTrackMessagesAndBytes) {
   e.run();
   EXPECT_EQ(nw.total_messages(), 3u);
   EXPECT_DOUBLE_EQ(nw.total_bytes(), 600.0);
-  EXPECT_EQ(nw.node_counters(0).messages, 2u);
-  EXPECT_DOUBLE_EQ(nw.node_counters(1).bytes, 300.0);
+  // Without a placement table the counters attribute endpoint (node, ep)
+  // to rank node * 8 + ep (blockwise placement).
+  EXPECT_EQ(nw.counters().get("net.msg", 0), 1u);
+  EXPECT_EQ(nw.counters().get("net.msg", 1), 1u);
+  EXPECT_EQ(nw.counters().get("net.bytes", 8), 300u);
+  EXPECT_EQ(nw.counters().total("net.delivered"), 3u);
 }
 
 TEST(Network, AsyncRmaOverlaps) {

@@ -143,36 +143,25 @@ TEST_P(WsSweep, ConservationAndTraceCountersAgreeWithStats) {
   EXPECT_LE(ws.local_steal_ratio(), 1.0);
   std::uint64_t processed = 0, local = 0, remote = 0;
   for (int r = 0; r < threads; ++r) {
-    const auto& s = ws.stats(r);
+    const auto s = ws.stats(r);
     processed += s.processed;
     local += s.local_steals;
     remote += s.remote_steals;
     EXPECT_EQ(ws.stack(r).local_count(), 0u);
     EXPECT_EQ(ws.stack(r).shared_count(), 0u);
-    if (trace::kEnabled) {
-      // Per-rank trace counters match the scheduler's own bookkeeping.
-      EXPECT_EQ(tracer.counter("sched.processed", r), s.processed);
-      EXPECT_EQ(tracer.counter("sched.steal.local", r), s.local_steals);
-      EXPECT_EQ(tracer.counter("sched.steal.remote", r), s.remote_steals);
-      EXPECT_EQ(tracer.counter("sched.terminated", r), 1u);
-    }
+    EXPECT_EQ(tracer.counter("sched.terminated", r), 1u);
   }
   EXPECT_EQ(processed, oracle.nodes);
 
-  // Trace totals agree with RankStats totals (a HUPC_TRACE=0 build
-  // compiles the counter sites out, so there is nothing to compare).
-  if (trace::kEnabled) {
-    EXPECT_EQ(tracer.counter_total("sched.processed"), oracle.nodes);
-    EXPECT_EQ(tracer.counter_total("sched.steal.success"), local + remote);
-    EXPECT_EQ(tracer.counter_total("sched.steal.local"), local);
-    EXPECT_EQ(tracer.counter_total("sched.steal.remote"), remote);
-    EXPECT_EQ(tracer.counter_total("sched.terminated"),
-              static_cast<std::uint64_t>(threads));
-    // Every successful steal was also an attempt.
-    EXPECT_GE(tracer.counter_total("sched.steal.attempt"), local + remote);
-    if (!diffusion) {
-      EXPECT_EQ(tracer.counter_total("sched.diffusion.split"), 0u);
-    }
+  // The stats are views over the tracer's registry; check them against the
+  // counters they are not derived from (at every trace level).
+  EXPECT_EQ(tracer.counter_total("sched.steal.success"), local + remote);
+  EXPECT_EQ(tracer.counter_total("sched.terminated"),
+            static_cast<std::uint64_t>(threads));
+  // Every successful steal was also an attempt.
+  EXPECT_GE(tracer.counter_total("sched.steal.attempt"), local + remote);
+  if (!diffusion) {
+    EXPECT_EQ(tracer.counter_total("sched.diffusion.split"), 0u);
   }
 }
 

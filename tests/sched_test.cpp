@@ -189,6 +189,28 @@ TEST(WorkStealing, LocalityPaysOffMoreOnSlowNetworks) {
   EXPECT_GT(eth_gain, ib_gain * 0.9);  // at least comparable, expected larger
 }
 
+// Rank 0, seeded with the root, releases surplus work to thieves before it
+// ever steals anything itself; its sched.release count must show those
+// releases, whatever happens afterwards.
+TEST(WorkStealing, SeededRankReleaseCountIsFresh) {
+  uts::TreeParams tree;
+  tree.b0 = 300;
+  tree.root_seed = 5;
+  sim::Engine e;
+  Runtime rt(e, cfg(8, 2));
+  WorkStealing<uts::Node> ws(
+      rt, StealParams{},
+      [&tree](const uts::Node& n, std::vector<uts::Node>& out) {
+        uts::expand(tree, n, out);
+      });
+  ws.seed_work(0, {uts::root_node(tree)});
+  rt.spmd([&ws](Thread& t) -> sim::Task<void> { co_await ws.run(t); });
+  rt.run_to_completion();
+  const trace::Counters& counters = rt.counters();
+  EXPECT_GT(counters.get("sched.release", 0), 0u);
+  EXPECT_GT(counters.total("sched.steal.success"), 0u);  // thieves fed on it
+}
+
 TEST(WorkStealing, EmptyRunTerminatesImmediately) {
   sim::Engine e;
   Runtime rt(e, cfg(4, 1));
