@@ -458,8 +458,7 @@ CaseResult run_teams(const CaseSpec& spec, const PlanParams& plan_params) {
           elems = full;  // the flat tree stages per-member slots at the root
         }
         auto p = rt.heap().alloc<std::int64_t>(
-            members[static_cast<std::size_t>(m)], elems);
-        for (std::size_t i = 0; i < elems; ++i) p.raw[i] = 0;
+            members[static_cast<std::size_t>(m)], elems);  // zeroed
         switch (c.op) {
           case gas::CollOp::broadcast:
             if (m == c.root) {
@@ -542,7 +541,6 @@ CaseResult run_teams(const CaseSpec& spec, const PlanParams& plan_params) {
     const auto& members = shapes[static_cast<std::size_t>(t)];
     for (std::size_t m = 0; m < members.size(); ++m) {
       auto p = rt.heap().alloc<std::int64_t>(members[m], members.size());
-      for (std::size_t i = 0; i < members.size(); ++i) p.raw[i] = 0;
       dig[static_cast<std::size_t>(t)].push_back(p);
     }
     expected_calls += static_cast<std::uint64_t>(members.size());
@@ -696,10 +694,7 @@ CaseResult run_vis(const CaseSpec& spec, const PlanParams& plan_params) {
       std::vector<std::uint64_t>(kSlab, 0));
   for (int r = 0; r < kFuzzThreads; ++r) {
     slab[static_cast<std::size_t>(r)] =
-        rt.heap().alloc<std::uint64_t>(r, kSlab);
-    for (std::size_t i = 0; i < kSlab; ++i) {
-      slab[static_cast<std::size_t>(r)].raw[i] = 0;
-    }
+        rt.heap().alloc<std::uint64_t>(r, kSlab);  // zeroed, like mirror
   }
 
   struct VisOp {

@@ -1,8 +1,18 @@
 #include "gas/heap.hpp"
 
 #include <cassert>
+#include <cstring>
 #include <functional>
 #include <new>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#define HUPC_HEAP_POISON(p, n) ASAN_POISON_MEMORY_REGION(p, n)
+#define HUPC_HEAP_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION(p, n)
+#else
+#define HUPC_HEAP_POISON(p, n) ((void)(p), (void)(n))
+#define HUPC_HEAP_UNPOISON(p, n) ((void)(p), (void)(n))
+#endif
 
 namespace hupc::gas {
 
@@ -10,6 +20,9 @@ Segment::Segment(std::size_t chunk_bytes) : chunk_bytes_(chunk_bytes) {}
 
 void* Segment::allocate(std::size_t bytes, std::size_t align) {
   assert(align != 0 && (align & (align - 1)) == 0);
+  // try_fit aligns from the chunk's host address; new[] guarantees only
+  // this much, so a larger alignment would make offset_of host-dependent.
+  assert(align <= alignof(std::max_align_t));
   if (bytes == 0) bytes = 1;
   allocated_ += bytes;
 
@@ -17,11 +30,11 @@ void* Segment::allocate(std::size_t bytes, std::size_t align) {
     auto base = reinterpret_cast<std::uintptr_t>(c.data.get());
     const std::uintptr_t aligned = (base + c.used + align - 1) & ~(align - 1);
     const std::size_t end = static_cast<std::size_t>(aligned - base) + bytes;
-    if (end <= c.size) {
-      c.used = end;
-      return reinterpret_cast<void*>(aligned);
-    }
-    return nullptr;
+    if (end > c.size) return nullptr;
+    c.used = end;
+    void* p = reinterpret_cast<void*>(aligned);
+    HUPC_HEAP_UNPOISON(p, bytes);
+    return std::memset(p, 0, bytes);  // the zero contract (heap.hpp)
   };
 
   if (!chunks_.empty()) {
@@ -29,7 +42,10 @@ void* Segment::allocate(std::size_t bytes, std::size_t align) {
   }
   const std::size_t size = bytes + align > chunk_bytes_ ? bytes + align
                                                         : chunk_bytes_;
-  chunks_.push_back(Chunk{std::make_unique<std::byte[]>(size), size, 0});
+  // Uninitialised on purpose: pages commit only when first touched.
+  chunks_.push_back(
+      Chunk{std::make_unique_for_overwrite<std::byte[]>(size), size, 0});
+  HUPC_HEAP_POISON(chunks_.back().data.get(), size);
   void* p = try_fit(chunks_.back());
   assert(p != nullptr);
   return p;

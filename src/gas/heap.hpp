@@ -4,6 +4,16 @@
 // Allocation is bump-pointer with alignment; segments are stable in memory
 // (deque of fixed chunks) so raw pointers never invalidate — a property the
 // whole GlobalPtr design depends on.
+//
+// Zero contract: fresh shared memory is zero. Only the bytes handed out are
+// zeroed, never the chunk: chunks are allocated uninitialised, so the OS
+// commits a page only when an allocation first touches it, and a rank that
+// allocates 8 B costs one page, not the 8 MiB chunk. This is stricter than
+// UPC, which zero-initialises static shared arrays but not upc_alloc, and
+// callers may rely on it. The zeroing is required: a recycled host chunk
+// can carry an earlier heap's bytes. Under AddressSanitizer every byte of a
+// chunk not yet handed out is poisoned, so an over-run past an allocation
+// into its chunk's tail or alignment padding is reported.
 #pragma once
 
 #include <cstddef>
@@ -22,13 +32,15 @@ class Segment {
  public:
   explicit Segment(std::size_t chunk_bytes = kDefaultChunk);
 
-  /// Allocate `bytes` with `align` (power of two). Never returns nullptr.
+  /// Allocate `bytes` zeroed bytes with `align` (a power of two, at most
+  /// alignof(std::max_align_t)). Never returns nullptr.
   [[nodiscard]] void* allocate(std::size_t bytes, std::size_t align);
 
   /// Deterministic virtual offset of `p` inside this segment, or -1 when
   /// `p` does not point into it. Chunks occupy consecutive virtual ranges
   /// in allocation order, so the offset depends only on the allocation
-  /// sequence — never on where the OS mapped a chunk (ASLR). Anything that
+  /// sequence — never on where the OS mapped a chunk (ASLR), which holds
+  /// because no alignment exceeds the one every chunk has. Anything that
   /// must be run-stable (the comm::ReadCache line tags) keys on these
   /// offsets instead of raw addresses.
   [[nodiscard]] std::int64_t offset_of(const void* p) const noexcept;
@@ -59,11 +71,14 @@ class SharedHeap {
     return static_cast<int>(segments_.size());
   }
 
-  /// upc_alloc analogue: `count` Ts with affinity to thread `owner`.
+  /// upc_alloc analogue: `count` Ts with affinity to thread `owner`, all
+  /// bytes zero (see the zero contract above).
   /// Under heap-pressure fault injection the allocation may throw
   /// std::bad_alloc instead (see set_fault); without a hook it never fails.
   template <class T>
   [[nodiscard]] GlobalPtr<T> alloc(int owner, std::size_t count) {
+    static_assert(alignof(T) <= alignof(std::max_align_t),
+                  "over-aligned types would make offset_of host-dependent");
     maybe_inject_failure(owner, count * sizeof(T));
     auto* p = static_cast<T*>(segment(owner).allocate(
         count * sizeof(T), alignof(T) < 8 ? 8 : alignof(T)));

@@ -42,9 +42,9 @@ KvStore::KvStore(gas::Runtime& rt, async::RpcDomain& rpc, ShardMap map,
     const int owner = map_.owner_of(s);
     sh.slots = rt.heap().alloc<Slot>(owner, capacity_);
     sh.meta = rt.heap().alloc<std::uint64_t>(owner, 2);
-    for (std::size_t i = 0; i < capacity_; ++i) sh.slots.raw[i] = Slot{};
-    sh.meta.raw[0] = 0;
-    sh.meta.raw[1] = 0;
+    // Fresh shared memory is zero: every slot is Slot{} (kEmpty) and both
+    // meta counts start at 0.
+    static_assert(kEmpty == 0, "zeroed slots must read as empty");
     shards_.push_back(sh);
   }
 }

@@ -34,10 +34,9 @@ class StealStack {
         lock_(rt, owner),
         // The shared portion's size lives at a real shared address so
         // thief probes have a line to cache (shared_probe_cost with an
-        // address); kept in sync host-side on every mutation, free.
-        count_(rt.heap().alloc<std::uint64_t>(owner, 1)) {
-    *count_.raw = 0;
-  }
+        // address); kept in sync host-side on every mutation, free, and
+        // 0 at first because fresh shared memory is zero.
+        count_(rt.heap().alloc<std::uint64_t>(owner, 1)) {}
 
   [[nodiscard]] int owner() const noexcept { return owner_; }
   [[nodiscard]] int chunk() const noexcept { return chunk_; }

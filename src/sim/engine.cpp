@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace hupc::sim {
@@ -14,13 +15,15 @@ void Engine::schedule_at(Time at, std::function<void()> fn) {
     at = fault_->perturb_schedule(now_, at);
     if (at < now_) at = now_;  // a hook can delay events, never reorder past
   }
-  queue_.push(Event{at, next_seq_++, std::move(fn)});
+  queue_.push_back(Event{at, next_seq_++, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
 }
 
 bool Engine::step() {
   if (queue_.empty()) return false;
-  Event ev = queue_.top();  // std::function targets are copyable by contract
-  queue_.pop();
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  Event ev = std::move(queue_.back());
+  queue_.pop_back();
   now_ = ev.at;
   ++executed_;
   // Each dispatch resumes one logical process (a context switch in the
@@ -41,7 +44,7 @@ Time Engine::run() {
 Time Engine::run_until(Time deadline) {
   // If everything finishes early the clock stays where the last event ran;
   // callers that need an exact advance can schedule a no-op at the deadline.
-  while (!queue_.empty() && queue_.top().at <= deadline) {
+  while (!queue_.empty() && queue_.front().at <= deadline) {
     step();
   }
   return now_;

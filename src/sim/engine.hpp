@@ -1,6 +1,6 @@
 // The discrete-event simulation engine.
 //
-// A single Engine owns a priority queue of timestamped events. Events are
+// A single Engine owns a binary heap of timestamped events. Events are
 // plain callbacks; coroutine-based logical processes (sim::Task) schedule
 // their own resumption through it. The entire simulation runs on one OS
 // thread: determinism comes from strict (time, sequence) ordering, and the
@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "fault/hooks.hpp"
@@ -100,7 +99,9 @@ class Engine {
   trace::Counters own_counters_;
   trace::Counters* counters_ = &own_counters_;
   fault::ScheduleHook* fault_ = nullptr;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  /// Binary heap under Later (std::push_heap/pop_heap): the same sequence
+  /// std::priority_queue runs, but step() can move the top event out.
+  std::vector<Event> queue_;
 };
 
 }  // namespace hupc::sim

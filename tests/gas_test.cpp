@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstring>
+#include <fstream>
 #include <numeric>
 #include <vector>
 
@@ -61,17 +66,103 @@ TEST(SharedArray, PartialTailBlock) {
 }
 
 TEST(Segment, AlignmentAndStability) {
+  constexpr std::size_t kAlign = alignof(std::max_align_t);  // the maximum
   gas::Segment seg(1024);
-  void* a = seg.allocate(100, 64);
+  void* a = seg.allocate(100, kAlign);
   void* b = seg.allocate(2000, 8);  // larger than chunk: dedicated chunk
-  void* c = seg.allocate(100, 64);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % 64, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c) % 64, 0u);
+  void* c = seg.allocate(100, kAlign);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % kAlign, 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c) % kAlign, 0u);
   EXPECT_NE(a, b);
   EXPECT_NE(b, c);
   // Previously returned memory still usable after growth.
   *static_cast<int*>(a) = 7;
   EXPECT_EQ(*static_cast<int*>(a), 7);
+}
+
+bool all_zero(const void* p, std::size_t bytes) {
+  const auto* b = static_cast<const unsigned char*>(p);
+  return std::all_of(b, b + bytes, [](unsigned char c) { return c == 0; });
+}
+
+// The zero contract (gas/heap.hpp): every allocation reads all-zero, also
+// when the host recycles chunks an earlier heap scribbled over. Chunks are
+// not zero-filled by the allocator, so this fails if Segment::allocate
+// stops zeroing the bytes it hands out.
+TEST(SharedHeap, FreshMemoryIsZeroEvenInRecycledChunks) {
+  constexpr int kThreads = 4;
+  constexpr int kHeaps = 8;
+  constexpr std::size_t kBig = (3u << 20) / sizeof(std::uint64_t);  // 3 MiB
+  for (int h = 0; h < kHeaps; ++h) {
+    gas::SharedHeap heap(kThreads);
+    std::vector<std::pair<void*, std::size_t>> handed;
+    for (int r = 0; r < kThreads; ++r) {
+      auto small = heap.alloc<std::uint64_t>(r, 1);
+      auto big = heap.alloc<std::uint64_t>(r, kBig);
+      handed.emplace_back(small.raw, sizeof(std::uint64_t));
+      handed.emplace_back(big.raw, kBig * sizeof(std::uint64_t));
+    }
+    // Larger than a chunk: rank 0 gets a dedicated oversized chunk.
+    const std::size_t huge = gas::Segment::kDefaultChunk + 4096;
+    handed.emplace_back(heap.alloc<unsigned char>(0, huge).raw, huge);
+    auto arr = heap.all_alloc<int>(kThreads * 300'000, 1000);
+    for (int r = 0; r < kThreads; ++r) {
+      handed.emplace_back(arr.slice(r), arr.local_size(r) * sizeof(int));
+    }
+    auto tiles = heap.all_alloc_2d<double>(700, 500, 64, 64);
+    for (int r = 0; r < kThreads; ++r) {
+      const std::size_t n = tiles.tiles_of(r) * tiles.tile_elems();
+      handed.emplace_back(tiles.slice(r), n * sizeof(double));
+    }
+    for (const auto& [p, bytes] : handed) {
+      ASSERT_TRUE(all_zero(p, bytes)) << "heap " << h << ", " << bytes << " B";
+    }
+    // Dirty everything so a recycled chunk would carry it into the next heap.
+    for (const auto& [p, bytes] : handed) std::memset(p, 0xFF, bytes);
+  }
+}
+
+// Commit on touch: 1024 ranks that each allocate 8 B own 1024 virtual
+// 8 MiB chunks but must not make them resident.
+TEST(SharedHeap, SmallAllocationsDoNotCommitWholeChunks) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "poisoning each chunk commits its shadow memory";
+#endif
+  auto resident_bytes = []() -> long {
+    std::ifstream statm("/proc/self/statm");
+    long size = 0;
+    long resident = -1;
+    statm >> size >> resident;
+    return resident < 0 ? -1 : resident * sysconf(_SC_PAGESIZE);
+  };
+  const long before = resident_bytes();
+  if (before < 0) GTEST_SKIP() << "/proc/self/statm is not readable";
+  gas::SharedHeap heap(1024);
+  for (int r = 0; r < heap.threads(); ++r) {
+    auto p = heap.alloc<std::uint64_t>(r, 1);
+    ASSERT_EQ(*p.raw, 0u);
+  }
+  const long grown = resident_bytes() - before;
+  EXPECT_LT(grown, 64L << 20) << "resident growth " << (grown >> 20)
+                              << " MiB for 8 KiB of shared data";
+}
+
+// Bytes of a chunk not yet handed out are poisoned under AddressSanitizer:
+// writing past an allocation, into the alignment padding after it or into
+// the chunk's unallocated tail, is reported instead of silently succeeding.
+TEST(SharedHeapDeathTest, OverrunPastAllocationIsReportedUnderAsan) {
+#if defined(__SANITIZE_ADDRESS__)
+  gas::SharedHeap heap(1);
+  auto* a = heap.alloc<std::uint64_t>(0, 1).raw;  // [0, 8)
+  auto* b = heap.alloc<std::max_align_t>(0, 1).raw;  // [16, 32): 8 B padding
+  auto* past_b = reinterpret_cast<std::uint64_t*>(b + 1);  // the tail
+  EXPECT_DEATH(*static_cast<volatile std::uint64_t*>(a + 1) = 1,
+               "use-after-poison");
+  EXPECT_DEATH(*static_cast<volatile std::uint64_t*>(past_b) = 1,
+               "use-after-poison");
+#else
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#endif
 }
 
 TEST(Runtime, SpmdRanksSeeIdentity) {
