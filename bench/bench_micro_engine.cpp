@@ -11,8 +11,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
+#include "async/future.hpp"
 #include "fft/kernel.hpp"
 #include "gas/heap.hpp"
 #include "perf/runner.hpp"
@@ -59,6 +61,50 @@ PERF_BENCHMARK("micro.engine.coroutine_spawn_join", .warmup = 1) {
   e.run();
   const std::chrono::duration<double> dt = Clock::now() - t0;
   report_ns_per_op(ctx, dt.count(), static_cast<std::uint64_t>(n));
+}
+
+// Zero-delay coroutine wakeups, the bulk of a simulation's events: each
+// round a driver broadcasts a sim::Event to `n` workers, collects one
+// sim::Semaphore permit from each, resolves a future all of them wait on
+// and collects a permit again (so every worker is parked before the next
+// broadcast). Reported per dispatched engine event.
+PERF_BENCHMARK("micro.engine.wakeup_storm", .warmup = 1) {
+  const int n = 64;
+  const int rounds = ctx.smoke() ? 200 : 1000;
+  const auto t0 = Clock::now();
+  sim::Engine e;
+  sim::Semaphore done(e, 0);
+  std::vector<std::unique_ptr<sim::Event>> go;
+  std::vector<async::promise<>> ack;
+  for (int r = 0; r < rounds; ++r) {
+    go.push_back(std::make_unique<sim::Event>(e));
+    ack.emplace_back(e);
+  }
+  for (int i = 0; i < n; ++i) {
+    sim::spawn(e, [](std::vector<std::unique_ptr<sim::Event>>& go_,
+                     std::vector<async::promise<>>& ack_,
+                     sim::Semaphore& done_) -> sim::Task<void> {
+      for (std::size_t r = 0; r < go_.size(); ++r) {
+        co_await go_[r]->wait();
+        done_.release();
+        co_await ack_[r].get_future().wait();
+        done_.release();
+      }
+    }(go, ack, done));
+  }
+  sim::spawn(e, [](std::vector<std::unique_ptr<sim::Event>>& go_,
+                   std::vector<async::promise<>>& ack_, sim::Semaphore& done_,
+                   int workers) -> sim::Task<void> {
+    for (std::size_t r = 0; r < go_.size(); ++r) {
+      go_[r]->trigger();
+      for (int i = 0; i < workers; ++i) co_await done_.acquire();
+      ack_[r].set_value();
+      for (int i = 0; i < workers; ++i) co_await done_.acquire();
+    }
+  }(go, ack, done, n));
+  e.run();
+  const std::chrono::duration<double> dt = Clock::now() - t0;
+  report_ns_per_op(ctx, dt.count(), e.events_executed());
 }
 
 PERF_BENCHMARK("micro.sim.fluid_link_contention", .warmup = 1) {

@@ -64,12 +64,20 @@ struct StateValue {
 template <>
 struct StateValue<void> {};
 
+/// One queued completion callback: a suspended coroutine to resume (a
+/// future::wait() waiter — an engine handle event, no std::function) or,
+/// when `waiter` is null, a function (then/finally/forward_into).
+struct Callback {
+  std::coroutine_handle<> waiter{};
+  std::function<void()> fn;
+};
+
 template <class T>
 struct State : StateValue<T> {
   sim::Engine* engine = nullptr;  // null => inline callback execution
   bool ready = false;
   std::exception_ptr exception{};
-  std::vector<std::function<void()>> callbacks;  // FIFO while pending
+  std::vector<Callback> callbacks;  // FIFO while pending
 
   State() { ++live_state_count(); }
   State(const State&) = delete;
@@ -77,24 +85,25 @@ struct State : StateValue<T> {
   ~State() { --live_state_count(); }
 
   /// Run `cb` exactly once, per the completion-ordering rule above.
-  void dispatch(std::function<void()> cb) {
+  void dispatch(Callback cb) {
     if (engine != nullptr) {
-      engine->schedule_in(0, std::move(cb));
+      if (cb.waiter) {
+        engine->schedule_in(0, cb.waiter);
+      } else {
+        engine->schedule_in(0, std::move(cb.fn));
+      }
+    } else if (cb.waiter) {
+      cb.waiter.resume();
     } else {
-      cb();
+      cb.fn();
     }
   }
 
   /// Attach a continuation: queued while pending, dispatched once ready.
   /// Late attachments still honour FIFO — with an engine they land behind
   /// the callbacks the fulfilment already scheduled at the same instant.
-  void attach(std::function<void()> cb) {
-    if (ready) {
-      dispatch(std::move(cb));
-    } else {
-      callbacks.push_back(std::move(cb));
-    }
-  }
+  void attach(std::function<void()> fn) { enqueue({{}, std::move(fn)}); }
+  void attach(std::coroutine_handle<> waiter) { enqueue({waiter, {}}); }
 
   /// Flip to ready and dispatch every queued callback in attach order.
   /// Each callback leaves the queue before it can run, so no callback can
@@ -102,9 +111,18 @@ struct State : StateValue<T> {
   void resolve() {
     assert(!ready && "async::promise: double fulfilment");
     ready = true;
-    std::vector<std::function<void()>> cbs = std::move(callbacks);
+    std::vector<Callback> cbs = std::move(callbacks);
     callbacks.clear();
     for (auto& cb : cbs) dispatch(std::move(cb));
+  }
+
+ private:
+  void enqueue(Callback cb) {
+    if (ready) {
+      dispatch(std::move(cb));
+    } else {
+      callbacks.push_back(std::move(cb));
+    }
   }
 };
 
@@ -234,7 +252,7 @@ class future {
       std::shared_ptr<detail::State<T>> state;
       bool await_ready() const noexcept { return !state || state->ready; }
       void await_suspend(std::coroutine_handle<> h) {
-        state->attach([h] { h.resume(); });
+        state->attach(h);
       }
       T await_resume() const {
         if (state && state->exception) std::rethrow_exception(state->exception);
@@ -342,7 +360,7 @@ struct Gather {
     for (auto& f : inputs) {
       if (f.failed()) {
         try {
-          f.get();
+          (void)f.get();
         } catch (...) {
           result.set_exception(std::current_exception());
           return;

@@ -747,6 +747,7 @@ CaseResult run_vis(const CaseSpec& spec, const PlanParams& plan_params) {
         op.indexed ? op.ispec.regions.back().offset + op.ispec.regions.back().len
                    : (op.sspec.extents[1] - 1) * op.sspec.strides[1] +
                          op.sspec.extents[0];
+    (void)span;
     (void)budget;
     assert(span <= budget);
   };

@@ -84,14 +84,11 @@ class Collectives {
   Collectives(Runtime& rt, std::vector<int> members,
               CollectiveSelector selector = {})
       : rt_(&rt),
-        members_(std::move(members)),
+        members_(nonempty(std::move(members))),
         selector_(selector),
         seq_(members_.size()),
         barrier_(std::make_unique<sim::Barrier>(
             rt.engine(), static_cast<int>(members_.size()))) {
-    if (members_.empty()) {
-      throw std::invalid_argument("Collectives: empty member set");
-    }
     // Node groups in ascending node order; each group's members keep their
     // member-index order and the first one is the group's leader.
     std::map<int, std::vector<int>> by_node;
@@ -317,6 +314,14 @@ class Collectives {
     std::vector<int> ranks(static_cast<std::size_t>(rt.threads()));
     for (int r = 0; r < rt.threads(); ++r) ranks[static_cast<std::size_t>(r)] = r;
     return ranks;
+  }
+
+  /// Checked before the barrier is built: a Barrier needs a party.
+  static std::vector<int> nonempty(std::vector<int> members) {
+    if (members.empty()) {
+      throw std::invalid_argument("Collectives: empty member set");
+    }
+    return members;
   }
 
   [[nodiscard]] int require_member(const Thread& self) const {

@@ -1,12 +1,23 @@
 // The discrete-event simulation engine.
 //
-// A single Engine owns a binary heap of timestamped events. Events are
-// plain callbacks; coroutine-based logical processes (sim::Task) schedule
-// their own resumption through it. The entire simulation runs on one OS
-// thread: determinism comes from strict (time, sequence) ordering, and the
-// design is data-race-free by construction (C++ Core Guidelines CP.2).
+// A single Engine owns the timestamped events of one simulation; the whole
+// simulation runs on one OS thread, so determinism comes from strict
+// (time, sequence) ordering and the design is data-race-free by
+// construction (C++ Core Guidelines CP.2).
+//
+// An event is 24 trivially copyable bytes: its time, its sequence number
+// and one word saying what to run. Most events resume a coroutine
+// (sim::Task wakeups: delays, joins, semaphore and barrier releases, future
+// waits), and the word is then the coroutine handle's address. Any other
+// event is a callback: the word is a tagged index into a free-listed slot
+// table of std::function, so moving events never moves a std::function.
+// Future events sit in a binary heap; an event for the current instant
+// skips the heap and goes to a FIFO lane, and step() runs whichever of the
+// lane's front and the heap's top has the smaller (time, sequence), so the
+// lane changes cost, never order (DESIGN.md §17).
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -30,9 +41,24 @@ class Engine {
   /// Events scheduled for the same instant run in scheduling order.
   void schedule_at(Time at, std::function<void()> fn);
 
+  /// Schedule resumption of the suspended coroutine `h` at `at` (clamped
+  /// to now()); ordered exactly like a callback scheduled at that point.
+  /// (A template, so a typed handle picks this overload over the
+  /// std::function one, which would also accept it.)
+  template <class Promise>
+  void schedule_at(Time at, std::coroutine_handle<Promise> h) {
+    schedule_frame(at, h.address());
+  }
+
   /// Schedule `fn` to run `delay` from now.
   void schedule_in(Time delay, std::function<void()> fn) {
     schedule_at(now_ + (delay < 0 ? 0 : delay), std::move(fn));
+  }
+
+  /// Resume `h` `delay` from now.
+  template <class Promise>
+  void schedule_in(Time delay, std::coroutine_handle<Promise> h) {
+    schedule_frame(now_ + (delay < 0 ? 0 : delay), h.address());
   }
 
   /// Run until the event queue is empty. Returns the final virtual time.
@@ -45,8 +71,13 @@ class Engine {
   /// Execute a single event. Returns false if the queue was empty.
   bool step();
 
-  [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
-  [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
+  [[nodiscard]] bool empty() const noexcept {
+    return heap_.empty() && lane_head_ == lane_.size();
+  }
+  /// Events scheduled and not yet run (heap and same-instant lane).
+  [[nodiscard]] std::size_t pending() const noexcept {
+    return heap_.size() + (lane_.size() - lane_head_);
+  }
 
   /// Total events executed so far (useful for tests and perf counters).
   [[nodiscard]] std::uint64_t events_executed() const noexcept {
@@ -80,10 +111,12 @@ class Engine {
   [[nodiscard]] fault::ScheduleHook* fault() const noexcept { return fault_; }
 
  private:
+  /// `what` is a coroutine frame address (frames are at least 2-aligned,
+  /// so bit 0 is clear) or `slot << 1 | 1` for the callback in slots_[slot].
   struct Event {
     Time at;
     std::uint64_t seq;
-    std::function<void()> fn;
+    std::uintptr_t what;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const noexcept {
@@ -92,6 +125,10 @@ class Engine {
     }
   };
 
+  void schedule_frame(Time at, void* frame);
+  void push(Time at, std::uintptr_t what);
+  Event pop();
+
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
@@ -99,9 +136,14 @@ class Engine {
   trace::Counters own_counters_;
   trace::Counters* counters_ = &own_counters_;
   fault::ScheduleHook* fault_ = nullptr;
-  /// Binary heap under Later (std::push_heap/pop_heap): the same sequence
-  /// std::priority_queue runs, but step() can move the top event out.
-  std::vector<Event> queue_;
+  /// Events scheduled for a later instant: a binary heap under Later.
+  std::vector<Event> heap_;
+  /// Events at now(), in seq order; lane_[lane_head_] is the front.
+  std::vector<Event> lane_;
+  std::size_t lane_head_ = 0;
+  /// Callback storage; free_slots_ lists the indices not in use.
+  std::vector<std::function<void()>> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace hupc::sim

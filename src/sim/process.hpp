@@ -27,7 +27,7 @@ struct DelayAwaiter {
   Time duration;
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) const {
-    engine.schedule_in(duration, [h] { h.resume(); });
+    engine.schedule_in(duration, h);
   }
   void await_resume() const noexcept {}
 };
@@ -49,7 +49,7 @@ struct ProcState {
 /// frame. The engine must be run to completion before destruction, otherwise
 /// in-flight frames are unreachable.
 struct RootTask {
-  struct promise_type {
+  struct promise_type : PooledFrame {
     RootTask get_return_object() noexcept {
       return RootTask{std::coroutine_handle<promise_type>::from_promise(*this)};
     }
@@ -72,9 +72,7 @@ inline RootTask run_root(Engine& engine, std::shared_ptr<ProcState> state,
   state->done = true;
   // Wake joiners as same-instant events: keeps the resume stack flat and the
   // ordering deterministic.
-  for (auto h : state->joiners) {
-    engine.schedule_in(0, [h] { h.resume(); });
-  }
+  for (auto h : state->joiners) engine.schedule_in(0, h);
   state->joiners.clear();
 }
 
@@ -122,7 +120,7 @@ inline Process spawn(Engine& engine, Task<void> body) {
   detail::RootTask root = detail::run_root(engine, state, std::move(body));
   // run_root is suspended at initial_suspend; kick it off as an engine event
   // so processes begin in spawn order once the engine runs.
-  engine.schedule_in(0, [h = root.handle] { h.resume(); });
+  engine.schedule_in(0, root.handle);
   return Process(state);
 }
 

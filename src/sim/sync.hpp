@@ -30,9 +30,7 @@ class Event {
   void trigger() {
     if (triggered_) return;
     triggered_ = true;
-    for (auto h : waiters_) {
-      engine_->schedule_in(0, [h] { h.resume(); });
-    }
+    for (auto h : waiters_) engine_->schedule_in(0, h);
     waiters_.clear();
   }
 
@@ -86,7 +84,7 @@ class Semaphore {
         auto h = waiters_.front();
         waiters_.pop_front();
         // The permit is handed directly to the waiter; count_ unchanged.
-        engine_->schedule_in(0, [h] { h.resume(); });
+        engine_->schedule_in(0, h);
       } else {
         ++count_;
       }
@@ -196,16 +194,14 @@ class Barrier {
   void complete_phase() {
     arrived_ = 0;
     ++phase_;
-    for (auto h : waiters_) {
-      engine_->schedule_in(0, [h] { h.resume(); });
-    }
+    for (auto h : waiters_) engine_->schedule_in(0, h);
     waiters_.clear();
     // Release split-phase waiters whose phase has now completed.
     std::vector<std::pair<std::uint64_t, std::coroutine_handle<>>> keep;
     keep.reserve(phase_waiters_.size());
     for (auto& [ph, h] : phase_waiters_) {
       if (phase_ > ph) {
-        engine_->schedule_in(0, [h2 = h] { h2.resume(); });
+        engine_->schedule_in(0, h);
       } else {
         keep.emplace_back(ph, h);
       }

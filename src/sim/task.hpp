@@ -9,11 +9,16 @@
 // synchronization (C++ Core Guidelines CP.1 caveat: this library is
 // explicitly single-threaded by design; the *simulated* concurrency is in
 // virtual time).
+//
+// Coroutine frames come from a size-class pool (detail::FramePool) rather
+// than from malloc: a simulation creates and frees millions of them.
 #pragma once
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <exception>
+#include <new>
 #include <utility>
 
 namespace hupc::sim {
@@ -23,7 +28,73 @@ class Task;
 
 namespace detail {
 
-class PromiseBase {
+/// Free lists of coroutine frames in 64-byte size classes, carved from
+/// 64 KiB slabs. Frames are freed to their class and reused; slabs are never
+/// returned, so the pool holds the peak number of live frames. The pool is
+/// trivially destructible and never torn down, because frames can still be
+/// freed during static destruction.
+class FramePool {
+ public:
+  static void* allocate(std::size_t n) {
+    const std::size_t c = (n + kGranule - 1) / kGranule;
+    if (c > kClasses) return ::operator new(n);
+    void*& head = pool_.free_[c - 1];
+    if (head == nullptr) return pool_.carve(c * kGranule);
+    void* p = head;
+    head = *static_cast<void**>(p);
+    return p;
+  }
+
+  static void deallocate(void* p, std::size_t n) noexcept {
+    const std::size_t c = (n + kGranule - 1) / kGranule;
+    if (c > kClasses) {
+      ::operator delete(p, n);
+      return;
+    }
+    void*& head = pool_.free_[c - 1];
+    *static_cast<void**>(p) = head;
+    head = p;
+  }
+
+ private:
+  static constexpr std::size_t kGranule = 64;
+  static constexpr std::size_t kClasses = 32;  // frames up to 2 KiB
+  static constexpr std::size_t kSlab = 64 * 1024;
+
+  void* carve(std::size_t bytes) {
+    if (static_cast<std::size_t>(end_ - bump_) < bytes) {
+      bump_ = static_cast<std::byte*>(::operator new(kSlab));
+      end_ = bump_ + kSlab;
+    }
+    void* p = bump_;
+    bump_ += bytes;
+    return p;
+  }
+
+  void* free_[kClasses] = {};
+  std::byte* bump_ = nullptr;
+  std::byte* end_ = nullptr;
+  static constinit FramePool pool_;
+};
+
+inline constinit FramePool FramePool::pool_{};
+
+/// Base of every simulation coroutine promise: its frame comes from the
+/// pool. Under AddressSanitizer frames keep the global allocator, so ASan
+/// still reports a use of a freed frame, as gas::Segment keeps its
+/// poisoning (DESIGN.md §12, §17).
+#if defined(__SANITIZE_ADDRESS__)
+struct PooledFrame {};
+#else
+struct PooledFrame {
+  static void* operator new(std::size_t n) { return FramePool::allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    FramePool::deallocate(p, n);
+  }
+};
+#endif
+
+class PromiseBase : public PooledFrame {
  public:
   std::coroutine_handle<> continuation{};
   std::exception_ptr exception{};

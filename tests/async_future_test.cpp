@@ -131,7 +131,7 @@ TEST(AsyncFuture, ExceptionSkipsContinuationAndPropagates) {
   e.run();
   EXPECT_FALSE(invoked);
   ASSERT_TRUE(f.failed());
-  EXPECT_THROW(f.get(), std::runtime_error);
+  EXPECT_THROW((void)f.get(), std::runtime_error);
 }
 
 TEST(AsyncFuture, WhenAllValuesInInputOrderUnderShuffledCompletion) {

@@ -340,7 +340,9 @@ TEST(Runtime, AsyncMemputOverlapsWithCompute) {
 TEST(Runtime, SharedLoopPaysTranslationUnlessPrivatized) {
   auto timed = [](bool privatized) {
     sim::Engine e;
-    Runtime rt(e, small_config(2));
+    // One node: shared_loop models intra-node loops (the partner's block
+    // must live on this node).
+    Runtime rt(e, small_config(2, Backend::processes, true, 1));
     rt.spmd([privatized](Thread& t) -> sim::Task<void> {
       co_await t.shared_loop(t.rank() ^ 1, 1'000'000, 24.0, privatized);
     });

@@ -173,7 +173,9 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> mirror_battery(
         case kv::KvOp::get: {
           const kv::KvHit h = co_await store.get(t, op.key, path);
           EXPECT_EQ(h.found != 0, op.want_found) << "get key " << op.key;
-          if (op.want_found) EXPECT_EQ(h.value, op.want);
+          if (op.want_found) {
+            EXPECT_EQ(h.value, op.want);
+          }
           break;
         }
         case kv::KvOp::put:
@@ -186,7 +188,9 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> mirror_battery(
           const kv::KvHit h = co_await store.update(t, op.key, op.value,
                                                     path);
           EXPECT_EQ(h.found != 0, op.want_found) << "update key " << op.key;
-          if (op.want_found) EXPECT_EQ(h.value, op.want);
+          if (op.want_found) {
+            EXPECT_EQ(h.value, op.want);
+          }
           break;
         }
       }

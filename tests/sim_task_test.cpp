@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <coroutine>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -140,6 +142,54 @@ TEST(Task, MoveSemantics) {
   Task<int> u = std::move(t);
   EXPECT_FALSE(t.valid());  // NOLINT(bugprone-use-after-move): testing it
   EXPECT_TRUE(u.valid());
+}
+
+TEST(Task, FreedFramesAreReusedBySameSizeFrames) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "frames bypass the pool under AddressSanitizer";
+#else
+  void* first = nullptr;
+  {
+    Task<int> t = value_task(1);
+    auto h = t.release();
+    first = h.address();
+    h.destroy();
+  }
+  Task<int> again = value_task(2);
+  auto h = again.release();
+  EXPECT_EQ(h.address(), first);  // LIFO free list of the frame's class
+  h.destroy();
+#endif
+}
+
+// The frame pool stays out of ASan builds, so a freed coroutine frame is
+// still reported when resumed or touched.
+TEST(TaskDeathTest, DestroyedFrameUseIsReportedUnderAsan) {
+#if defined(__SANITIZE_ADDRESS__)
+  auto destroyed = [] {
+    Task<int> t = value_task(3);
+    auto h = t.release();
+    h.destroy();
+    return std::coroutine_handle<>(h);
+  };
+  EXPECT_DEATH(destroyed().resume(), "heap-use-after-free");
+  EXPECT_DEATH(*static_cast<volatile char*>(destroyed().address()) = 1,
+               "heap-use-after-free");
+  // A root process frame frees itself when its body ends.
+  auto finished_root = [] {
+    Engine e;
+    auto root = hupc::sim::detail::run_root(
+        e, std::make_shared<hupc::sim::detail::ProcState>(),
+        []() -> Task<void> { co_return; }());
+    const std::coroutine_handle<> h = root.handle;
+    e.schedule_in(0, h);
+    e.run();
+    return h;
+  };
+  EXPECT_DEATH(finished_root().resume(), "heap-use-after-free");
+#else
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#endif
 }
 
 }  // namespace
