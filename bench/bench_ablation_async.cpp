@@ -15,14 +15,11 @@
 // (Bell et al.'s observation that overlap buys the most on high-latency
 // networks). The report gates async-vs-blocking step time at >= 2x.
 #include <cstdio>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "async/future.hpp"
 #include "bench_common.hpp"
-#include "perf/runner.hpp"
-#include "sim/sim.hpp"
 #include "trace/counters.hpp"
 
 namespace {
@@ -154,14 +151,11 @@ int report(std::ostream& os, const std::vector<perf::Result>& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const perf::Runner runner("bench_ablation_async", argc, argv);
-  bench::banner(
-      runner.human_out(),
+  return bench::run_main(
+      "bench_ablation_async", argc, argv,
       "Ablation — async completion layer on a latency-bound halo exchange",
       "futures + when_all overlap what blocking waitsync serializes: eight "
       "in-flight ghost puts share the wire latency the blocking loop pays "
-      "eight times (thesis §4.2)");
-  return runner.main([&](const std::vector<perf::Result>& results) {
-    return report(runner.human_out(), results);
-  });
+      "eight times (thesis §4.2)",
+      report);
 }

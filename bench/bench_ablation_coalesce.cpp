@@ -11,12 +11,9 @@
 // counters that explain it (messages on the wire, aggregated ops); the
 // paper-style table below is a formatter over the same samples.
 #include <cstdio>
-#include <iostream>
 #include <string>
 
 #include "bench_common.hpp"
-#include "perf/runner.hpp"
-#include "sim/sim.hpp"
 #include "stream/random_access.hpp"
 #include "trace/counters.hpp"
 
@@ -117,13 +114,10 @@ int report(std::ostream& os, const std::vector<perf::Result>& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const perf::Runner runner("bench_ablation_coalesce", argc, argv);
-  bench::banner(
-      runner.human_out(),
+  return bench::run_main(
+      "bench_ablation_coalesce", argc, argv,
       "Ablation — software message coalescing on RandomAccess (GUPS)",
       "aggregating fine-grained remote updates per destination node "
-      "amortizes the per-message API cost (thesis §4.3 aggregation)");
-  return runner.main([&](const std::vector<perf::Result>& results) {
-    return report(runner.human_out(), results);
-  });
+      "amortizes the per-message API cost (thesis §4.3 aggregation)",
+      report);
 }

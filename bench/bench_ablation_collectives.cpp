@@ -18,16 +18,11 @@
 // the algorithm the tuned variant runs (unknown or unsupported values exit
 // 2 — a typo must not silently measure the wrong schedule).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "gas/collectives.hpp"
-#include "perf/runner.hpp"
-#include "sim/sim.hpp"
 #include "trace/counters.hpp"
 
 namespace {
@@ -169,40 +164,21 @@ int report(std::ostream& os, const std::vector<perf::Result>& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --coll-algo is ours, not the harness's: validate and strip it before
-  // perf::Runner sees the argument list.
-  std::vector<const char*> args;
-  args.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--coll-algo", 11) != 0) {
-      args.push_back(arg);
-      continue;
-    }
-    const char* value = arg[11] == '=' ? arg + 12 : nullptr;
-    const auto algo = value != nullptr
-                          ? gas::parse_coll_algo(value)
-                          : std::optional<gas::CollAlgo>{};
-    if (!algo ||
-        !gas::coll_algo_supported(gas::CollOp::alltoall, *algo)) {
-      std::fprintf(stderr,
-                   "bench_ablation_collectives: error: unknown --coll-algo "
-                   "value '%s' (expected auto|flat|hier)\n",
-                   value != nullptr ? value : "");
-      return 2;
-    }
-    g_tuned_algo = *algo;
-  }
-
-  const perf::Runner runner("bench_ablation_collectives",
-                            static_cast<int>(args.size()), args.data());
-  bench::banner(
-      runner.human_out(),
+  return bench::run_main(
+      "bench_ablation_collectives", argc, argv,
+      {{"--coll-algo",
+        [](const std::string& v) {
+          const auto algo = gas::parse_coll_algo(v);
+          if (!algo ||
+              !gas::coll_algo_supported(gas::CollOp::alltoall, *algo)) {
+            throw std::invalid_argument("error: unknown --coll-algo value '" +
+                                        v + "' (expected auto|flat|hier)");
+          }
+          g_tuned_algo = *algo;
+        }}},
       "Ablation — flat vs hierarchical all-to-all at 256-1024 ranks",
       "node-local gather + one aggregated message per leader pair + local "
       "scatter turns n^2 wire messages into G^2 (thesis ch. 4 supernode "
-      "discipline applied to the collective layer)");
-  return runner.main([&](const std::vector<perf::Result>& results) {
-    return report(runner.human_out(), results);
-  });
+      "discipline applied to the collective layer)",
+      report);
 }

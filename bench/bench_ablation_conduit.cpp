@@ -3,80 +3,79 @@
 // Ethernet-class latency while holding bandwidth fixed, isolating the
 // term the local-first policy actually removes (remote lock RTTs and
 // steal transfers).
-#include <cstdio>
-#include <iostream>
+//
+// Harnessed under src/perf: `uts.conduit.lat<ns>ns.<baseline|diffusion>`
+// per point, the whole latency sweep in the full tier and 1, 10 and 90 us
+// in smoke, on bench::ablation_shape's workload.
+#include <string>
+#include <vector>
 
 #include "uts_driver.hpp"
-#include "util/cli.hpp"
 
 namespace {
 
 using namespace hupc;  // NOLINT
 
-bench::UtsRun run_with_latency(const uts::TreeParams& tree, int threads,
-                               int nodes, double latency_us,
-                               bench::UtsVariant variant) {
-  sim::Engine engine;
-  gas::Config config;
-  config.machine = topo::pyramid(nodes);
-  config.threads = threads;
-  config.conduit = net::ib_ddr();
-  config.conduit.latency_s = latency_us * 1e-6;
-  gas::Runtime rt(engine, config);
+constexpr double kLatenciesUs[] = {1.0, 2.5, 5.0, 10.0, 20.0, 45.0, 90.0};
 
-  sched::StealParams params;
-  params.policy = variant == bench::UtsVariant::baseline
-                      ? sched::VictimPolicy::random
-                      : sched::VictimPolicy::local_first;
-  params.rapid_diffusion = variant == bench::UtsVariant::local_steal_diffusion;
+std::string cell_id(double latency_us, bench::UtsVariant variant) {
+  return "uts.conduit.lat" +
+         std::to_string(static_cast<int>(latency_us * 1e3)) + "ns." +
+         bench::tag(variant);
+}
 
-  sched::WorkStealing<uts::Node> ws(
-      rt, params, [&tree](const uts::Node& n, std::vector<uts::Node>& out) {
-        uts::expand(tree, n, out);
-      });
-  ws.seed_work(0, {uts::root_node(tree)});
-  rt.spmd([&ws](gas::Thread& t) -> sim::Task<void> { co_await ws.run(t); });
-  rt.run_to_completion();
+void register_cells() {
+  for (const double latency : kLatenciesUs) {
+    for (const auto variant : {bench::UtsVariant::baseline,
+                               bench::UtsVariant::local_steal_diffusion}) {
+      perf::Registry::instance().add(
+          {.id = cell_id(latency, variant),
+           .fn = [latency, variant](perf::Context& ctx) {
+             const bench::UtsShape shape = bench::ablation_shape(ctx);
+             // Granularity 8 is the StealParams default (granularity =
+             // chunk = 8).
+             bench::run_uts(ctx, shape.tree, shape.threads, shape.nodes,
+                            "ib-ddr", variant, 8, latency * 1e-6);
+             ctx.set_config("latency_us", util::Table::num(latency, 1));
+           },
+           .in_smoke = latency == 1.0 || latency == 10.0 ||
+                       latency == 90.0});
+    }
+  }
+}
 
-  bench::UtsRun result;
-  result.seconds = sim::to_seconds(engine.now());
-  result.nodes = ws.total_processed();
-  result.mnodes_per_s = static_cast<double>(result.nodes) / result.seconds / 1e6;
-  result.local_steal_ratio = ws.local_steal_ratio();
-  return result;
+int report(std::ostream& os, const std::vector<perf::Result>& results) {
+  util::Table table({"Latency (us)", "Baseline (Mn/s)", "Optimized (Mn/s)",
+                     "Gain", "Local steal % (opt)"});
+  const perf::Result* shape = nullptr;
+  for (const double latency : kLatenciesUs) {
+    const auto* base = bench::find_result(
+        results, cell_id(latency, bench::UtsVariant::baseline));
+    const auto* opt = bench::find_result(
+        results, cell_id(latency, bench::UtsVariant::local_steal_diffusion));
+    if (base == nullptr || opt == nullptr) continue;
+    shape = base;
+    const double b = base->median("mnodes_per_s");
+    const double o = opt->median("mnodes_per_s");
+    table.add_row({util::Table::num(latency, 1), util::Table::num(b, 1),
+                   util::Table::num(o, 1), util::Table::num(o / b, 2) + "x",
+                   util::Table::pct(opt->median("local_steal_ratio"), 1)});
+  }
+  if (shape == nullptr) return 0;
+  table.print(os);
+  os << "\n(" << bench::config(*shape, "threads") << " threads over "
+     << bench::config(*shape, "nodes")
+     << " nodes; DDR InfiniBand bandwidths, latency swept)\n";
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  uts::TreeParams tree = uts::paper_tree();
-  if (cli.get_bool("quick", false)) tree.root_seed = 42;
-  const int threads = static_cast<int>(cli.get_int("threads", 64));
-  const int nodes = static_cast<int>(cli.get_int("nodes", 16));
-  cli.reject_unread(argv[0]);
-
-  bench::banner("Ablation — UTS locality gain vs network latency",
-                "the local-first gain should grow monotonically with the "
-                "cost of going remote");
-
-  util::Table table({"Latency (us)", "Baseline (Mn/s)", "Optimized (Mn/s)",
-                     "Gain", "Local steal % (opt)"});
-  for (double latency : {1.0, 2.5, 5.0, 10.0, 20.0, 45.0, 90.0}) {
-    const auto base = run_with_latency(tree, threads, nodes, latency,
-                                       bench::UtsVariant::baseline);
-    const auto opt = run_with_latency(
-        tree, threads, nodes, latency,
-        bench::UtsVariant::local_steal_diffusion);
-    table.add_row({util::Table::num(latency, 1),
-                   util::Table::num(base.mnodes_per_s, 1),
-                   util::Table::num(opt.mnodes_per_s, 1),
-                   util::Table::num(opt.mnodes_per_s / base.mnodes_per_s, 2) + "x",
-                   util::Table::pct(opt.local_steal_ratio, 1)});
-  }
-  table.print(std::cout);
-  std::printf("\n(%d threads over %d nodes; DDR InfiniBand bandwidths, "
-              "latency swept)\n",
-              threads, nodes);
-  return 0;
+  register_cells();
+  return bench::run_main("bench_ablation_conduit", argc, argv,
+                         "Ablation — UTS locality gain vs network latency",
+                         "the local-first gain should grow monotonically with "
+                         "the cost of going remote",
+                         report);
 }

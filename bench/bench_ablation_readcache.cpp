@@ -19,14 +19,11 @@
 // Baseline-gated CI runs pass none of these, so the per-id geometries
 // below are what the checked-in baselines describe.
 #include <cstdio>
-#include <iostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "perf/runner.hpp"
-#include "sim/sim.hpp"
 #include "stream/random_access.hpp"
 #include "trace/counters.hpp"
 
@@ -139,74 +136,36 @@ int report(std::ostream& os, const std::vector<perf::Result>& results) {
   return best / off_mreads >= 5.0 ? 0 : 1;
 }
 
-/// Consume the cache debug flags before perf::Runner (which hard-errors on
-/// anything it does not know) parses the rest. Accepts --flag=value and
-/// --flag value forms, mirroring util::Cli.
-std::vector<const char*> strip_cache_flags(int argc, char** argv) {
-  std::vector<const char*> kept;
-  kept.reserve(static_cast<std::size_t>(argc));
-  auto parse_size = [](const std::string& flag,
-                       const std::string& v) -> std::size_t {
-    const long long n = std::stoll(v);
-    if (n <= 0) throw std::invalid_argument(flag + ": expected > 0");
-    return static_cast<std::size_t>(n);
-  };
-  for (int i = 0; i < argc; ++i) {
-    std::string arg = argv[i];
-    std::string value;
-    bool inline_value = false;
-    if (const auto eq = arg.find('='); eq != std::string::npos) {
-      value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
-      inline_value = true;
-    }
-    if (arg != "--read-cache" && arg != "--cache-lines" &&
-        arg != "--cache-line-bytes") {
-      kept.push_back(argv[i]);
-      continue;
-    }
-    if (!inline_value) {
-      if (i + 1 >= argc) {
-        throw std::invalid_argument(arg + ": missing value");
-      }
-      value = argv[++i];
-    }
-    if (arg == "--read-cache") {
-      if (value == "on") {
-        g_overrides.enabled = true;
-      } else if (value == "off") {
-        g_overrides.enabled = false;
-      } else {
-        throw std::invalid_argument("--read-cache: expected on|off, got '" +
-                                    value + "'");
-      }
-    } else if (arg == "--cache-lines") {
-      g_overrides.lines = parse_size(arg, value);
-    } else {
-      g_overrides.line_bytes = parse_size(arg, value);
-    }
-  }
-  return kept;
+/// --cache-lines / --cache-line-bytes: a positive count.
+std::size_t parse_size(const char* flag, const std::string& v) {
+  const long long n = std::stoll(v);
+  if (n <= 0) throw std::invalid_argument(std::string(flag) + ": expected > 0");
+  return static_cast<std::size_t>(n);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<const char*> args;
-  try {
-    args = strip_cache_flags(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "bench_ablation_readcache: " << e.what() << '\n';
-    return 2;
-  }
-  const perf::Runner runner("bench_ablation_readcache",
-                            static_cast<int>(args.size()), args.data());
-  bench::banner(
-      runner.human_out(),
+  return bench::run_main(
+      "bench_ablation_readcache", argc, argv,
+      {{"--read-cache",
+        [](const std::string& v) {
+          if (v != "on" && v != "off") {
+            throw std::invalid_argument("--read-cache: expected on|off, got '" +
+                                        v + "'");
+          }
+          g_overrides.enabled = v == "on";
+        }},
+       {"--cache-lines",
+        [](const std::string& v) {
+          g_overrides.lines = parse_size("--cache-lines", v);
+        }},
+       {"--cache-line-bytes",
+        [](const std::string& v) {
+          g_overrides.line_bytes = parse_size("--cache-line-bytes", v);
+        }}},
       "Ablation — software read cache on the gather (burst-read) workload",
       "caching remote get lines amortizes fine-grained read latency the "
-      "same way privatization does for local data (thesis §4.3)");
-  return runner.main([&](const std::vector<perf::Result>& results) {
-    return report(runner.human_out(), results);
-  });
+      "same way privatization does for local data (thesis §4.3)",
+      report);
 }

@@ -5,18 +5,12 @@
 // (steal-half) is claimed to mitigate local starvation under local-first
 // stealing. This bench quantifies both on our model.
 //
-// Harnessed under src/perf: one benchmark per (conduit, granularity,
-// variant) point — `uts.steal.<conduit>.k<K>.<fixed|diffusion>` — with the
-// full k sweep in the full tier and {1, 8, 32} in smoke. The smoke tier
-// also drops to the ~0.5M-node quick tree on 32 threads / 8 nodes so the
-// CI gate stays fast; the paper configuration (4.5M-node tree, 64 threads,
-// 16 nodes) runs in the full tier.
-#include <cstdio>
-#include <iostream>
+// Harnessed under src/perf: `uts.steal.<conduit>.k<K>.<fixed|diffusion>`
+// per point, the full k sweep in the full tier and {1, 8, 32} in smoke, on
+// bench::ablation_shape's workload.
 #include <string>
 #include <vector>
 
-#include "perf/runner.hpp"
 #include "uts_driver.hpp"
 
 namespace {
@@ -24,41 +18,13 @@ namespace {
 using namespace hupc;  // NOLINT
 
 constexpr int kGranularities[] = {1, 2, 4, 8, 16, 32, 64};
-constexpr int kSmokeGranularities[] = {1, 8, 32};
 const char* const kConduits[] = {"ib-ddr", "gige"};
-
-bool in_smoke_sweep(int k) {
-  for (const int s : kSmokeGranularities) {
-    if (s == k) return true;
-  }
-  return false;
-}
 
 void run_point(perf::Context& ctx, const std::string& conduit, int k,
                bench::UtsVariant variant) {
-  uts::TreeParams tree = uts::paper_tree();
-  int threads = 64;
-  int nodes = 16;
-  if (ctx.smoke()) {
-    tree.root_seed = 42;  // ~0.5M-node tree
-    threads = 32;
-    nodes = 8;
-  }
-  const auto r = bench::run_uts(tree, threads, nodes, conduit, variant, k);
-
-  ctx.set_config("machine", "pyramid");
-  ctx.set_config("conduit", conduit);
-  ctx.set_config("backend", "processes");
-  ctx.set_config("threads", std::to_string(threads));
-  ctx.set_config("nodes", std::to_string(nodes));
-  ctx.set_config("granularity", std::to_string(k));
-  ctx.set_config("tree_seed", std::to_string(tree.root_seed));
-  ctx.set_config("variant", to_string(variant));
-  ctx.report("mnodes_per_s", r.mnodes_per_s, "Mnodes/s");
-  ctx.report("local_steal_ratio", r.local_steal_ratio, "fraction");
-  ctx.report_counter("tree_nodes", r.nodes);
-  ctx.report_counter("local_steals", r.local_steals);
-  ctx.report_counter("remote_steals", r.remote_steals);
+  const bench::UtsShape shape = bench::ablation_shape(ctx);
+  const auto r = bench::run_uts(ctx, shape.tree, shape.threads, shape.nodes,
+                                conduit, variant, k);
   ctx.report_counter("failed_probes", r.failed_probes);
   ctx.report_trace_counters(r.counters, {"net.msg", "net.bytes"});
 }
@@ -72,16 +38,15 @@ void register_benchmarks() {
   for (const char* const conduit : kConduits) {
     for (const int k : kGranularities) {
       for (const bool diffusion : {false, true}) {
-        perf::Benchmark b;
-        b.id = point_id(conduit, k, diffusion);
-        b.in_smoke = in_smoke_sweep(k);
-        b.fn = [conduit = std::string(conduit), k, diffusion](
-                   perf::Context& ctx) {
-          run_point(ctx, conduit, k,
-                    diffusion ? bench::UtsVariant::local_steal_diffusion
-                              : bench::UtsVariant::local_steal);
-        };
-        perf::Registry::instance().add(std::move(b));
+        perf::Registry::instance().add(
+            {.id = point_id(conduit, k, diffusion),
+             .fn = [conduit = std::string(conduit), k,
+                    diffusion](perf::Context& ctx) {
+               run_point(ctx, conduit, k,
+                         diffusion ? bench::UtsVariant::local_steal_diffusion
+                                   : bench::UtsVariant::local_steal);
+             },
+             .in_smoke = k == 1 || k == 8 || k == 32});
       }
     }
   }
@@ -113,12 +78,9 @@ int report(std::ostream& os, const std::vector<perf::Result>& results) {
 
 int main(int argc, char** argv) {
   register_benchmarks();
-  const perf::Runner runner("bench_ablation_steal", argc, argv);
-  bench::banner(runner.human_out(),
-                "Ablation — UTS steal granularity and rapid diffusion",
-                "thesis picks k=8 (IB) / k=20 (Ethernet); steal-half "
-                "mitigates starvation under local-first stealing");
-  return runner.main([&](const std::vector<perf::Result>& results) {
-    return report(runner.human_out(), results);
-  });
+  return bench::run_main("bench_ablation_steal", argc, argv,
+                         "Ablation — UTS steal granularity and rapid diffusion",
+                         "thesis picks k=8 (IB) / k=20 (Ethernet); steal-half "
+                         "mitigates starvation under local-first stealing",
+                         report);
 }

@@ -21,7 +21,6 @@
 //   --vis=on|off    off forces the vis cells to run the loop exchange
 //                   (transparency probe; the gate is skipped)
 #include <cstdio>
-#include <iostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -29,8 +28,6 @@
 #include "bench_common.hpp"
 #include "fft/kernel.hpp"
 #include "gas/gas.hpp"
-#include "perf/runner.hpp"
-#include "sim/sim.hpp"
 #include "trace/counters.hpp"
 
 namespace {
@@ -177,59 +174,22 @@ int report(std::ostream& os, const std::vector<perf::Result>& results) {
   return vis_rate / loop_rate >= 3.0 ? 0 : 1;
 }
 
-/// Consume the --vis debug flag before perf::Runner (which hard-errors on
-/// anything it does not know) parses the rest.
-std::vector<const char*> strip_vis_flags(int argc, char** argv) {
-  std::vector<const char*> kept;
-  kept.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    std::string arg = argv[i];
-    std::string value;
-    bool inline_value = false;
-    if (const auto eq = arg.find('='); eq != std::string::npos) {
-      value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
-      inline_value = true;
-    }
-    if (arg != "--vis") {
-      kept.push_back(argv[i]);
-      continue;
-    }
-    if (!inline_value) {
-      if (i + 1 >= argc) throw std::invalid_argument(arg + ": missing value");
-      value = argv[++i];
-    }
-    if (value == "on") {
-      g_vis_enabled = true;
-    } else if (value == "off") {
-      g_vis_enabled = false;
-    } else {
-      throw std::invalid_argument("unknown --vis value '" + value +
-                                  "' (expected on|off)");
-    }
-  }
-  return kept;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<const char*> args;
-  try {
-    args = strip_vis_flags(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "bench_ablation_vis: " << e.what() << '\n';
-    return 2;
-  }
-  const perf::Runner runner("bench_ablation_vis",
-                            static_cast<int>(args.size()), args.data());
-  bench::banner(
-      runner.human_out(),
+  return bench::run_main(
+      "bench_ablation_vis", argc, argv,
+      {{"--vis",
+        [](const std::string& v) {
+          if (v != "on" && v != "off") {
+            throw std::invalid_argument("unknown --vis value '" + v +
+                                        "' (expected on|off)");
+          }
+          g_vis_enabled = v == "on";
+        }}},
       "Ablation — VIS strided descriptors on the FT transpose exchange",
       "packing a strided footprint into one message amortizes per-message "
       "injection overhead the coalescer pays per fine-grained op (GASNet "
-      "VIS; thesis §4.3.1)");
-  return runner.main([&](const std::vector<perf::Result>& results) {
-    return report(runner.human_out(), results);
-  });
+      "VIS; thesis §4.3.1)",
+      report);
 }

@@ -12,41 +12,47 @@
 // (automatic optimization is as good as hand optimization); with PSHM or
 // pthreads the async calls complete locally and time shifts from the wait
 // into the issue phase.
-#include <cstdio>
-#include <iostream>
+//
+// Harnessed under src/perf: one cell per (mode, threads, runtime config),
+// `alltoall.fig3_4.<blocking|async>.t<T>.<config>`, reporting the modeled
+// exchange seconds (async: issue and wait). Every tier runs the whole
+// figure.
+#include <span>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "fft/ft_model.hpp"
-#include "gas/gas.hpp"
-#include "sim/sim.hpp"
-#include "util/cli.hpp"
 
 namespace {
 
 using namespace hupc;  // NOLINT
 
+constexpr int kThreads[] = {4, 8, 16, 32, 64};
+
 struct Variant {
+  const char* tag;
   const char* name;
   gas::Backend backend;
   bool pshm;
   bool cast;  // manual memcpy replacement: cheaper per-call overhead
 };
 
-constexpr Variant kBase{"base", gas::Backend::processes, false, false};
+// (a): the plain process baseline first, then the four optimizations.
 constexpr Variant kVariantsA[] = {
-    {"PSHM", gas::Backend::processes, true, false},
-    {"PSHM + cast", gas::Backend::processes, true, true},
-    {"pthreads", gas::Backend::pthreads, true, false},
-    {"pthreads + cast", gas::Backend::pthreads, true, true},
+    {"proc", "base", gas::Backend::processes, false, false},
+    {"pshm", "PSHM", gas::Backend::processes, true, false},
+    {"pshm_cast", "PSHM + cast", gas::Backend::processes, true, true},
+    {"pthr_pshm", "pthreads", gas::Backend::pthreads, true, false},
+    {"pthr_pshm_cast", "pthreads + cast", gas::Backend::pthreads, true, true},
 };
 constexpr Variant kVariantsB[] = {
-    {"PSHM", gas::Backend::processes, true, false},
-    {"PSHM+cast", gas::Backend::processes, true, true},
-    {"base", gas::Backend::processes, false, false},
-    {"pthr+PSHM", gas::Backend::pthreads, true, false},
-    {"pthr+PSHM+cast", gas::Backend::pthreads, true, true},
-    {"pthreads", gas::Backend::pthreads, false, false},
+    {"pshm", "PSHM", gas::Backend::processes, true, false},
+    {"pshm_cast", "PSHM+cast", gas::Backend::processes, true, true},
+    {"proc", "base", gas::Backend::processes, false, false},
+    {"pthr_pshm", "pthr+PSHM", gas::Backend::pthreads, true, false},
+    {"pthr_pshm_cast", "pthr+PSHM+cast", gas::Backend::pthreads, true, true},
+    {"pthr", "pthreads", gas::Backend::pthreads, false, false},
 };
 
 struct ExchangeTimes {
@@ -81,14 +87,9 @@ ExchangeTimes run_exchange(const Variant& v, int threads, bool async) {
       co_await t.barrier();
       if (t.rank() == 0) times.total = sim::to_seconds(eng.now() - start);
     } else {
-      std::vector<async::future<>> pending;
-      for (int step = 1; step < t.threads(); ++step) {
-        const int peer = (t.rank() + step) % t.threads();
-        pending.push_back(t.launch_async(t.copy_raw(
-            peer, nullptr, nullptr, static_cast<std::size_t>(chunk))));
-      }
-      const sim::Time issued = eng.now();
-      for (auto& f : pending) co_await f.wait();
+      sim::Time issued = 0;
+      co_await bench::exchange_async(t, static_cast<std::size_t>(chunk),
+                                     &issued);
       co_await t.barrier();
       if (t.rank() == 0) {
         times.issue = sim::to_seconds(issued - start);
@@ -100,42 +101,80 @@ ExchangeTimes run_exchange(const Variant& v, int threads, bool async) {
   return times;
 }
 
-}  // namespace
+std::string cell_id(bool async, int threads, const Variant& v) {
+  return std::string("alltoall.fig3_4.") + (async ? "async.t" : "blocking.t") +
+         std::to_string(threads) + "." + v.tag;
+}
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  cli.reject_unread(argv[0]);
+void register_cells() {
+  for (const bool async : {false, true}) {
+    for (const int threads : kThreads) {
+      for (const Variant& v : async ? std::span<const Variant>(kVariantsB)
+                                    : std::span<const Variant>(kVariantsA)) {
+        perf::Registry::instance().add(
+            {.id = cell_id(async, threads, v),
+             .fn = [async, threads, &v](perf::Context& ctx) {
+               const ExchangeTimes t = run_exchange(v, threads, async);
+               ctx.set_config("threads", std::to_string(threads));
+               ctx.set_config("config", v.name);
+               constexpr auto kLower = perf::Direction::lower_is_better;
+               if (async) {
+                 ctx.report("issue_s", t.issue, "s", kLower);
+                 ctx.report("wait_s", t.wait, "s", kLower);
+               } else {
+                 ctx.report("seconds", t.total, "s", kLower);
+               }
+             }});
+      }
+    }
+  }
+}
 
-  bench::banner("Fig 3.4 — FT class B all-to-all on 4 Lehman nodes",
-                "(a) PSHM/pthreads beat non-shared baseline by ~20-120%, "
-                "manual cast == runtime optimization; (b) async time split");
-
-  std::printf("\n(a) Blocking memput: improvement over process baseline\n");
+int report(std::ostream& os, const std::vector<perf::Result>& results) {
+  os << "\n(a) Blocking memput: improvement over process baseline\n";
   util::Table a({"Threads", "PSHM", "PSHM + cast", "pthreads",
                  "pthreads + cast"});
-  for (int threads : {4, 8, 16, 32, 64}) {
-    const double base = run_exchange(kBase, threads, false).total;
+  for (const int threads : kThreads) {
     std::vector<std::string> row{std::to_string(threads)};
+    std::vector<double> seconds;
     for (const Variant& v : kVariantsA) {
-      const double t = run_exchange(v, threads, false).total;
-      row.push_back(util::Table::pct(base / t - 1.0, 1));
+      const auto* r = bench::find_result(results, cell_id(false, threads, v));
+      if (r == nullptr) break;
+      seconds.push_back(r->median("seconds"));
+    }
+    if (seconds.size() != std::size(kVariantsA)) continue;
+    for (std::size_t i = 1; i < seconds.size(); ++i) {
+      row.push_back(util::Table::pct(seconds[0] / seconds[i] - 1.0, 1));
     }
     a.add_row(std::move(row));
   }
-  a.print(std::cout);
+  a.print(os);
 
-  std::printf(
-      "\n(b) Non-blocking memput: seconds in issue (async calls) and wait "
-      "(upc_waitsync)\n");
+  os << "\n(b) Non-blocking memput: seconds in issue (async calls) and wait "
+        "(upc_waitsync)\n";
   util::Table b({"Config", "Threads", "Issue (s)", "Wait (s)", "Total (s)"});
-  for (int threads : {4, 8, 16, 32, 64}) {
+  for (const int threads : kThreads) {
     for (const Variant& v : kVariantsB) {
-      const auto t = run_exchange(v, threads, true);
-      b.add_row({v.name, std::to_string(threads),
-                 util::Table::num(t.issue, 3), util::Table::num(t.wait, 3),
-                 util::Table::num(t.issue + t.wait, 3)});
+      const auto* r = bench::find_result(results, cell_id(true, threads, v));
+      if (r == nullptr) continue;
+      const double issue = r->median("issue_s");
+      const double wait = r->median("wait_s");
+      b.add_row({v.name, std::to_string(threads), util::Table::num(issue, 3),
+                 util::Table::num(wait, 3), util::Table::num(issue + wait, 3)});
     }
   }
-  b.print(std::cout);
+  b.print(os);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  register_cells();
+  return bench::run_main("bench_fig_3_4_ft_alltoall", argc, argv,
+                         "Fig 3.4 — FT class B all-to-all on 4 Lehman nodes",
+                         "(a) PSHM/pthreads beat non-shared baseline by "
+                         "~20-120%, manual cast == runtime optimization; (b) "
+                         "async time split",
+                         report);
 }

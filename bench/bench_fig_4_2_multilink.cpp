@@ -9,14 +9,17 @@
 // are bandwidth-bound; pthread links serialize injection (higher latency,
 // slightly lower small/mid-size throughput) because they share one
 // connection per node.
-#include <cstdio>
-#include <iostream>
+//
+// Harnessed under src/perf: one cell per table column,
+// `multilink.<proc|pthr>.l<links>`, reporting one modeled metric per table
+// and message size ("latency.<bytes>B", "flood.<bytes>B"); every tier runs
+// the whole figure.
+#include <span>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "net/network.hpp"
-#include "sim/sim.hpp"
-#include "util/cli.hpp"
 
 namespace {
 
@@ -73,56 +76,88 @@ double flood_mbs(net::ConnectionMode mode, int links, double bytes,
   return total_bytes / sim::to_seconds(engine.now()) / 1e6;
 }
 
+constexpr int kRoundTrips = 20;
+constexpr double kLatencySizes[] = {1.0,    8.0,    64.0,    512.0,
+                                    1024.0, 4096.0, 16384.0, 32768.0};
+constexpr double kFloodSizes[] = {64.0,     512.0,    4096.0,   32768.0,
+                                  131072.0, 524288.0, 2097152.0};
+
+/// One table column: `links` concurrent link-pairs of one endpoint kind.
+struct Column {
+  net::ConnectionMode mode;
+  int links;
+};
+constexpr auto kProc = net::ConnectionMode::per_process;
+constexpr auto kPthr = net::ConnectionMode::per_node;
+constexpr Column kColumns[] = {{kProc, 1}, {kProc, 2}, {kProc, 4}, {kProc, 8},
+                               {kPthr, 2}, {kPthr, 4}, {kPthr, 8}};
+
+std::string cell_id(const Column& c) {
+  return std::string("multilink.") + (c.mode == kProc ? "proc.l" : "pthr.l") +
+         std::to_string(c.links);
+}
+
+std::string size_metric(const char* kind, double size) {
+  return std::string(kind) + "." + util::Table::num(size, 0) + "B";
+}
+
+void register_cells() {
+  for (const Column& c : kColumns) {
+    perf::Registry::instance().add(
+        {.id = cell_id(c), .fn = [c](perf::Context& ctx) {
+           ctx.set_config("round_trips", std::to_string(kRoundTrips));
+           for (const double size : kLatencySizes) {
+             ctx.report(size_metric("latency", size),
+                        latency_us(c.mode, c.links, size, kRoundTrips), "us",
+                        perf::Direction::lower_is_better);
+           }
+           for (const double size : kFloodSizes) {
+             const int messages = size >= 131072.0 ? 20 : 100;
+             ctx.report(size_metric("flood", size),
+                        flood_mbs(c.mode, c.links, size, messages), "MB/s");
+           }
+         }});
+  }
+}
+
+void print_table(std::ostream& os, const std::vector<perf::Result>& results,
+                 const char* kind, std::span<const double> sizes,
+                 int precision) {
+  std::vector<const perf::Result*> cells;
+  for (const Column& c : kColumns) {
+    cells.push_back(bench::find_result(results, cell_id(c)));
+    if (cells.back() == nullptr) return;
+  }
+  util::Table table({"Size (B)", "1 link", "2 proc", "4 proc", "8 proc",
+                     "2 pthr", "4 pthr", "8 pthr"});
+  for (const double size : sizes) {
+    std::vector<std::string> row{util::Table::num(size, 0)};
+    for (const perf::Result* r : cells) {
+      row.push_back(
+          util::Table::num(r->median(size_metric(kind, size)), precision));
+    }
+    table.add_row(std::move(row));
+  }
+  table.print(os);
+}
+
+int report(std::ostream& os, const std::vector<perf::Result>& results) {
+  os << "\n(a) Latency (us; ping-pong round trip / 2, the usual "
+        "convention)\n";
+  print_table(os, results, "latency", kLatencySizes, 1);
+  os << "\n(b) Unidirectional flood bandwidth (MB/s)\n";
+  print_table(os, results, "flood", kFloodSizes, 0);
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  const int reps = static_cast<int>(cli.get_int("reps", 20));
-  cli.reject_unread(argv[0]);
-
-  bench::banner("Fig 4.2 — multi-link latency and flood bandwidth (QDR IB)",
-                "1 link ~1.5 GB/s; multi-link ~2.4 GB/s; pthread links "
-                "serialize injection");
-
-  std::printf("\n(a) Latency (us; ping-pong round trip / 2, the usual "
-              "convention)\n");
-  util::Table lat({"Size (B)", "1 link", "2 proc", "4 proc", "8 proc",
-                   "2 pthr", "4 pthr", "8 pthr"});
-  for (double size : {1.0, 8.0, 64.0, 512.0, 1024.0, 4096.0, 16384.0, 32768.0}) {
-    std::vector<std::string> row{util::Table::num(size, 0)};
-    row.push_back(util::Table::num(
-        latency_us(net::ConnectionMode::per_process, 1, size, reps), 1));
-    for (int links : {2, 4, 8}) {
-      row.push_back(util::Table::num(
-          latency_us(net::ConnectionMode::per_process, links, size, reps), 1));
-    }
-    for (int links : {2, 4, 8}) {
-      row.push_back(util::Table::num(
-          latency_us(net::ConnectionMode::per_node, links, size, reps), 1));
-    }
-    lat.add_row(std::move(row));
-  }
-  lat.print(std::cout);
-
-  std::printf("\n(b) Unidirectional flood bandwidth (MB/s)\n");
-  util::Table bw({"Size (B)", "1 link", "2 proc", "4 proc", "8 proc",
-                  "2 pthr", "4 pthr", "8 pthr"});
-  for (double size : {64.0, 512.0, 4096.0, 32768.0, 131072.0, 524288.0,
-                      2097152.0}) {
-    const int messages = size >= 131072.0 ? 20 : 100;
-    std::vector<std::string> row{util::Table::num(size, 0)};
-    row.push_back(util::Table::num(
-        flood_mbs(net::ConnectionMode::per_process, 1, size, messages), 0));
-    for (int links : {2, 4, 8}) {
-      row.push_back(util::Table::num(
-          flood_mbs(net::ConnectionMode::per_process, links, size, messages), 0));
-    }
-    for (int links : {2, 4, 8}) {
-      row.push_back(util::Table::num(
-          flood_mbs(net::ConnectionMode::per_node, links, size, messages), 0));
-    }
-    bw.add_row(std::move(row));
-  }
-  bw.print(std::cout);
-  return 0;
+  register_cells();
+  return bench::run_main(
+      "bench_fig_4_2_multilink", argc, argv,
+      "Fig 4.2 — multi-link latency and flood bandwidth (QDR IB)",
+      "1 link ~1.5 GB/s; multi-link ~2.4 GB/s; pthread links serialize "
+      "injection",
+      report);
 }

@@ -7,14 +7,11 @@
 // Harnessed under src/perf: `gups.groups.<conduit>.t<T>n<N>.<variant>`
 // per point; the two largest scales (64/8, 128/16) are full-tier only.
 #include <cstdio>
-#include <iostream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "perf/runner.hpp"
-#include "sim/sim.hpp"
 #include "stream/random_access.hpp"
 #include "trace/counters.hpp"
 
@@ -60,16 +57,15 @@ void register_benchmarks() {
   for (const char* const conduit : kConduits) {
     for (const auto& [threads, nodes] : kScales) {
       for (const bool grouped : {false, true}) {
-        perf::Benchmark b;
-        b.id = point_id(conduit, threads, nodes, grouped);
-        b.in_smoke = threads <= 32;
-        b.fn = [conduit = std::string(conduit), threads = threads,
-                nodes = nodes, grouped](perf::Context& ctx) {
-          run_point(ctx, conduit, threads, nodes,
-                    grouped ? stream::GupsVariant::grouped
-                            : stream::GupsVariant::naive);
-        };
-        perf::Registry::instance().add(std::move(b));
+        perf::Registry::instance().add(
+            {.id = point_id(conduit, threads, nodes, grouped),
+             .fn = [conduit = std::string(conduit), threads = threads,
+                    nodes = nodes, grouped](perf::Context& ctx) {
+               run_point(ctx, conduit, threads, nodes,
+                         grouped ? stream::GupsVariant::grouped
+                                 : stream::GupsVariant::naive);
+             },
+             .in_smoke = threads <= 32});
       }
     }
   }
@@ -105,12 +101,10 @@ int report(std::ostream& os, const std::vector<perf::Result>& results) {
 
 int main(int argc, char** argv) {
   register_benchmarks();
-  const perf::Runner runner("bench_gups_groups", argc, argv);
-  bench::banner(runner.human_out(),
-                "RandomAccess (GUPS) with thread groups",
-                "thesis §4.4 names Random Access as a thread-group "
-                "application; bucketed supernode updates vs naive AMOs");
-  return runner.main([&](const std::vector<perf::Result>& results) {
-    return report(runner.human_out(), results);
-  });
+  return bench::run_main("bench_gups_groups", argc, argv,
+                         "RandomAccess (GUPS) with thread groups",
+                         "thesis §4.4 names Random Access as a thread-group "
+                         "application; bucketed supernode updates vs naive "
+                         "AMOs",
+                         report);
 }

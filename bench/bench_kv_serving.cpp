@@ -19,7 +19,6 @@
 // Baseline-gated CI runs pass none of these.
 #include <algorithm>
 #include <cstdio>
-#include <iostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -29,8 +28,6 @@
 #include "kv/shard_map.hpp"
 #include "kv/store.hpp"
 #include "kv/workload.hpp"
-#include "perf/runner.hpp"
-#include "sim/sim.hpp"
 #include "trace/counters.hpp"
 
 namespace {
@@ -172,55 +169,22 @@ int report(std::ostream& os, const std::vector<perf::Result>& results) {
   return rc;
 }
 
-/// Consume --kv-path before perf::Runner (which hard-errors on anything it
-/// does not know) parses the rest. Accepts --flag=value and --flag value.
-std::vector<const char*> strip_kv_flags(int argc, char** argv) {
-  std::vector<const char*> kept;
-  kept.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    std::string arg = argv[i];
-    std::string value;
-    bool inline_value = false;
-    if (const auto eq = arg.find('='); eq != std::string::npos) {
-      value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
-      inline_value = true;
-    }
-    if (arg != "--kv-path") {
-      kept.push_back(argv[i]);
-      continue;
-    }
-    if (!inline_value) {
-      if (i + 1 >= argc) throw std::invalid_argument("--kv-path: missing value");
-      value = argv[++i];
-    }
-    const auto parsed = kv::parse_kv_path(value);
-    if (!parsed) {
-      throw std::invalid_argument("unknown --kv-path value '" + value +
-                                  "' (expected auto|amo|rpc)");
-    }
-    g_path_override = *parsed;
-  }
-  return kept;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<const char*> args;
-  try {
-    args = strip_kv_flags(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "bench_kv_serving: " << e.what() << '\n';
-    return 2;
-  }
-  const perf::Runner runner("bench_kv_serving", static_cast<int>(args.size()),
-                            args.data());
-  bench::banner(runner.human_out(),
-                "KV serving — latency percentiles under open-loop load",
-                "fine-grained AMO vs RPC-to-owner access paths over the "
-                "hierarchical machine (thesis §4 communication trade-offs)");
-  return runner.main([&](const std::vector<perf::Result>& results) {
-    return report(runner.human_out(), results);
-  });
+  return bench::run_main(
+      "bench_kv_serving", argc, argv,
+      {{"--kv-path",
+        [](const std::string& v) {
+          const auto parsed = kv::parse_kv_path(v);
+          if (!parsed) {
+            throw std::invalid_argument("unknown --kv-path value '" + v +
+                                        "' (expected auto|amo|rpc)");
+          }
+          g_path_override = *parsed;
+        }}},
+      "KV serving — latency percentiles under open-loop load",
+      "fine-grained AMO vs RPC-to-owner access paths over the "
+      "hierarchical machine (thesis §4 communication trade-offs)",
+      report);
 }

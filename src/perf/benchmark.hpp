@@ -113,10 +113,6 @@ class Context {
 struct Benchmark {
   std::string id;
   std::function<void(Context&)> fn;
-  /// Repetition override; 0 uses the Runner's --repetitions. Deterministic
-  /// simulation benches register 1 — re-running them only re-derives the
-  /// same modeled numbers.
-  int repetitions = 0;
   /// Warmup override; -1 uses the Runner's --warmup.
   int warmup = -1;
   /// Whether the smoke tier includes this benchmark (full runs everything).
@@ -154,11 +150,10 @@ struct Registrar {
 // Define-and-register a benchmark:
 //
 //   PERF_BENCHMARK("gups.coalesce.naive") { ... use ctx ... }
-//   PERF_BENCHMARK("uts.scaling.gige.t128.baseline",
-//                  .repetitions = 1, .in_smoke = false) { ... }
+//   PERF_BENCHMARK("uts.scaling.gige.t128.baseline", .in_smoke = false) { ... }
 //
 // Optional designated initializers after the id set Benchmark fields
-// (repetitions / warmup / in_smoke).
+// (warmup / in_smoke).
 #define HUPC_PERF_CONCAT_IMPL_(a, b) a##b
 #define HUPC_PERF_CONCAT_(a, b) HUPC_PERF_CONCAT_IMPL_(a, b)
 #define PERF_BENCHMARK(bench_id, ...)                                         \

@@ -63,7 +63,8 @@ Runner::Runner(std::string suite, int argc, const char* const* argv)
   const util::Cli cli(argc, argv);
   options_.list_only = cli.get_bool("list", false);
   options_.filter = cli.get("filter", "");
-  options_.repetitions = static_cast<int>(cli.get_int("repetitions", 3));
+  options_.repetitions =
+      static_cast<int>(cli.get_int("repetitions", options_.repetitions));
   options_.warmup = static_cast<int>(cli.get_int("warmup", 0));
   options_.json_path = cli.get("json", "");
   options_.print_table = !cli.get_bool("no-table", false);
@@ -93,14 +94,13 @@ std::vector<Result> Runner::run(const Registry& registry) const {
   if (options_.list_only) {
     for (const Benchmark* b : selected) {
       std::printf("%-48s tier=%s reps=%d\n", b->id.c_str(),
-                  b->in_smoke ? "smoke+full" : "full",
-                  b->repetitions > 0 ? b->repetitions : options_.repetitions);
+                  b->in_smoke ? "smoke+full" : "full", options_.repetitions);
     }
     return results;
   }
   results.reserve(selected.size());
   for (const Benchmark* b : selected) {
-    const int reps = b->repetitions > 0 ? b->repetitions : options_.repetitions;
+    const int reps = options_.repetitions;
     const int warmup = b->warmup >= 0 ? b->warmup : options_.warmup;
     Context ctx(b->id, options_.tier);
     for (int rep = -warmup; rep < reps; ++rep) {

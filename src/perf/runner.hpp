@@ -3,7 +3,8 @@
 // Flags (unknown flags are a hard error):
 //   --list                 print benchmark ids (with tier/repetition info)
 //   --filter=a,b           run benchmarks whose id contains any substring
-//   --repetitions=N        default sample count per benchmark (default 3)
+//   --repetitions=N        sample count per benchmark (default 1: the
+//                          simulation cells are deterministic)
 //   --warmup=N             discarded repetitions before sampling (default 0)
 //   --tier=smoke|full      workload tier (default full)
 //   --json=FILE            write the artifact ("-" for stdout)
@@ -29,7 +30,7 @@ namespace hupc::perf {
 
 struct RunnerOptions {
   std::string filter;
-  int repetitions = 3;
+  int repetitions = 1;
   int warmup = 0;
   Tier tier = Tier::full;
   std::string json_path;  // empty: no artifact; "-": stdout

@@ -132,23 +132,4 @@ void LogHistogram::print(std::ostream& os,
   }
 }
 
-Histogram::Histogram(int max_log2) : log_(1.0, 0, max_log2) {}
-
-void Histogram::add(double value, std::uint64_t weight) {
-  log_.add(value, weight);
-}
-
-double Histogram::bucket_floor(int index) {
-  if (index <= 0) return 0.0;
-  return std::ldexp(1.0, index - 1);
-}
-
-double Histogram::percentile_ceiling(double p) const {
-  return log_.percentile_ceiling(p);
-}
-
-void Histogram::print(std::ostream& os, const std::string& unit) const {
-  log_.print(os, unit);
-}
-
 }  // namespace hupc::util

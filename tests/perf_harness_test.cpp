@@ -289,20 +289,12 @@ TEST(PerfRunner, WarmupRepetitionsAreDiscarded) {
   EXPECT_EQ(results[0].warmup, 2);
 }
 
-TEST(PerfRunner, PerBenchmarkRepetitionOverride) {
-  perf::Registry reg;
-  reg.add(perf::Benchmark{.id = "test.once",
-                          .fn = [](perf::Context& ctx) {
-                            ctx.report("v", 2.0, "x");
-                          },
-                          .repetitions = 1});
-  perf::RunnerOptions opt = quiet_options();
-  opt.repetitions = 7;  // overridden by the benchmark's own value
-  const perf::Runner runner("perf_harness_test", opt);
-  const std::vector<perf::Result> results = runner.run(reg);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].repetitions, 1);
-  EXPECT_EQ(results[0].metric("v")->samples.size(), 1u);
+TEST(PerfRunner, CliDefaultsToOneRepetition) {
+  // The simulation cells are deterministic: a hand-run bench binary costs
+  // one simulation per cell unless --repetitions asks for more.
+  const char* argv[] = {"perf_harness_test"};
+  const perf::Runner runner("perf_harness_test", 1, argv);
+  EXPECT_EQ(runner.options().repetitions, 1);
 }
 
 TEST(PerfRunner, TraceCounterCapture) {

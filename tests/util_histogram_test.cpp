@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 
@@ -8,17 +10,24 @@
 namespace {
 
 namespace util = hupc::util;
-using hupc::util::Histogram;
+
+// The Histogram cases pin LogHistogram's unit geometry (unit 1, no
+// sub-buckets): the classic [0,1), [1,2), [2,4), ... doubling layout.
 
 TEST(Histogram, BucketBoundariesArePowersOfTwo) {
-  EXPECT_DOUBLE_EQ(Histogram::bucket_floor(0), 0.0);
-  EXPECT_DOUBLE_EQ(Histogram::bucket_floor(1), 1.0);
-  EXPECT_DOUBLE_EQ(Histogram::bucket_floor(2), 2.0);
-  EXPECT_DOUBLE_EQ(Histogram::bucket_floor(5), 16.0);
+  const util::LogHistogram h(1.0, 0, 8);
+  EXPECT_DOUBLE_EQ(h.bucket_floor(0), 0.0);
+  EXPECT_DOUBLE_EQ(h.bucket_floor(1), 1.0);
+  EXPECT_DOUBLE_EQ(h.bucket_floor(2), 2.0);
+  EXPECT_DOUBLE_EQ(h.bucket_floor(5), 16.0);
+  ASSERT_EQ(h.buckets(), 9);
+  for (int i = 1; i < h.buckets(); ++i) {
+    EXPECT_DOUBLE_EQ(h.bucket_floor(i), std::ldexp(1.0, i - 1)) << i;
+  }
 }
 
 TEST(Histogram, ValuesLandInCorrectBuckets) {
-  Histogram h(10);
+  util::LogHistogram h(1.0, 0, 10);
   h.add(0.5);    // [0,1)
   h.add(1.0);    // [1,2)
   h.add(3.9);    // [2,4)
@@ -33,13 +42,13 @@ TEST(Histogram, ValuesLandInCorrectBuckets) {
 }
 
 TEST(Histogram, OverflowClampsToTopBucket) {
-  Histogram h(4);  // top bucket index 4: [8, 16)
+  util::LogHistogram h(1.0, 0, 4);  // top bucket index 4: [8, 16)
   h.add(1e12);
   EXPECT_EQ(h.bucket(4), 1u);
 }
 
 TEST(Histogram, WeightsAccumulate) {
-  Histogram h(8);
+  util::LogHistogram h(1.0, 0, 8);
   h.add(2.0, 10);
   h.add(2.5, 5);
   EXPECT_EQ(h.bucket(2), 15u);
@@ -47,13 +56,14 @@ TEST(Histogram, WeightsAccumulate) {
 }
 
 TEST(Histogram, PercentileCeiling) {
-  Histogram h(8);
+  util::LogHistogram h(1.0, 0, 8);
   for (int i = 0; i < 90; ++i) h.add(1.5);   // bucket [1,2)
   for (int i = 0; i < 10; ++i) h.add(100.0); // bucket [64,128)
   EXPECT_DOUBLE_EQ(h.percentile_ceiling(0.5), 2.0);
   EXPECT_DOUBLE_EQ(h.percentile_ceiling(0.9), 2.0);
   EXPECT_DOUBLE_EQ(h.percentile_ceiling(0.99), 128.0);
-  EXPECT_DOUBLE_EQ(Histogram(4).percentile_ceiling(0.5), 0.0);
+  const util::LogHistogram empty(1.0, 0, 4);
+  EXPECT_DOUBLE_EQ(empty.percentile_ceiling(0.5), 0.0);
 }
 
 TEST(LogHistogram, SubBucketsRefineOctaves) {
@@ -108,32 +118,31 @@ TEST(LogHistogram, MergeFoldsCountsAndExtrema) {
 }
 
 TEST(LogHistogram, MatchesLegacyHistogramLayoutAtUnitGeometry) {
-  // Histogram is now a wrapper over LogHistogram(1.0, 0, n): the layouts
-  // must agree bucket for bucket.
+  // LogHistogram(1.0, 0, n) keeps the layout of the deleted fixed-doubling
+  // Histogram(n): bucket 0 is [0,1), bucket i >= 1 is [2^(i-1), 2^i), and
+  // values past the top bucket clamp into it.
   util::LogHistogram log(1.0, 0, 8);
-  Histogram legacy(8);
   const double values[] = {0.0, 0.5, 1.0, 2.0, 3.9, 64.0, 1e9};
-  for (double v : values) {
-    log.add(v);
-    legacy.add(v);
-  }
-  ASSERT_EQ(log.buckets(), legacy.buckets());
+  for (double v : values) log.add(v);
+  const std::uint64_t expected[] = {2, 1, 2, 0, 0, 0, 0, 1, 1};
+  ASSERT_EQ(log.buckets(), 9);
   for (int i = 0; i < log.buckets(); ++i) {
-    EXPECT_EQ(log.bucket(i), legacy.bucket(i)) << "bucket " << i;
-    EXPECT_DOUBLE_EQ(log.bucket_floor(i), Histogram::bucket_floor(i));
+    EXPECT_EQ(log.bucket(i), expected[i]) << "bucket " << i;
+    const double floor = i == 0 ? 0.0 : std::ldexp(1.0, i - 1);
+    EXPECT_DOUBLE_EQ(log.bucket_floor(i), floor) << "bucket " << i;
   }
-  EXPECT_DOUBLE_EQ(log.percentile_ceiling(0.5),
-                   legacy.percentile_ceiling(0.5));
+  EXPECT_EQ(log.total(), 7u);
+  EXPECT_DOUBLE_EQ(log.percentile_ceiling(0.5), 4.0);
 }
 
 TEST(Histogram, PrintRendersNonEmptyBuckets) {
-  Histogram h(6);
+  util::LogHistogram h(1.0, 0, 6);
   h.add(3.0, 4);
   std::ostringstream os;
   h.print(os, "B");
   EXPECT_NE(os.str().find("[2, 4) B: 4"), std::string::npos);
   std::ostringstream empty;
-  Histogram(4).print(empty);
+  util::LogHistogram(1.0, 0, 4).print(empty);
   EXPECT_EQ(empty.str(), "(empty)\n");
 }
 

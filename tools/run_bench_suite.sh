@@ -49,34 +49,31 @@ fi
 HUPC_GIT_SHA="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 export HUPC_GIT_SHA
 
-# Simulation suites: modeled metrics are deterministic, so 2 repetitions
-# are enough to prove bit-identical samples (MAD 0). The wall-clock micro
-# suite needs more repetitions plus warmup to tame host noise.
-sim_suites=(
-  bench_ablation_coalesce
-  bench_ablation_readcache
-  bench_ablation_vis
-  bench_ablation_steal
-  bench_ablation_async
-  bench_ablation_collectives
-  bench_gups_groups
-  bench_fig_3_3_uts_scaling
-  bench_kv_serving
-)
+# Every built bench binary is a suite. Simulation suites: modeled metrics
+# are deterministic, so 2 repetitions are enough to prove bit-identical
+# samples (MAD 0). The wall-clock micro suite needs more repetitions plus
+# warmup to tame host noise.
 micro_suite=bench_micro_engine
+sim_suites=()
+for bin in "$build_dir"/bench/bench_*; do
+  [[ -f "$bin" && -x "$bin" ]] || continue
+  suite="$(basename "$bin")"
+  [[ "$suite" == "$micro_suite" ]] || sim_suites+=("$suite")
+done
+if [[ ${#sim_suites[@]} -eq 0 ]]; then
+  echo "run_bench_suite: no bench binaries under $build_dir/bench" \
+       "(run: cmake --build $build_dir -j)" >&2
+  exit 2
+fi
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
 artifacts=()
 for suite in "${sim_suites[@]}"; do
-  bin="$build_dir/bench/$suite"
-  if [[ ! -x "$bin" ]]; then
-    echo "run_bench_suite: missing binary $bin" >&2
-    exit 2
-  fi
   echo "== $suite (tier=$tier) =="
-  "$bin" --tier="$tier" --repetitions=2 --json="$tmpdir/$suite.json" --no-table
+  "$build_dir/bench/$suite" --tier="$tier" --repetitions=2 \
+      --json="$tmpdir/$suite.json" --no-table
   artifacts+=("$tmpdir/$suite.json")
 done
 
