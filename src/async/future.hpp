@@ -21,6 +21,12 @@
 // (make_ready_future, unit tests without a simulation) run callbacks
 // inline at attach/fulfil time instead.
 //
+// Shared states cost no malloc on the hot path: a state is an intrusively
+// ref-counted node from the coroutine frame pool (sim/task.hpp), its first
+// waiter or when_all arrival is stored inline, and when_all counts arrivals
+// instead of scheduling one event per input (DESIGN.md §13). The count is
+// a plain integer: a simulation runs on one thread.
+//
 // This header is deliberately header-only and depends only on sim/engine
 // and sim/task: every layer from sim upward includes it without linking
 // the (gas-dependent) hupc_async RPC library.
@@ -28,10 +34,10 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -57,6 +63,185 @@ namespace detail {
   return count;
 }
 
+/// Owning handle to an intrusively counted node (a shared state): a copy
+/// bumps the node's plain `refs` counter and the last release deletes the
+/// node.
+template <class S>
+class Ref {
+ public:
+  Ref() noexcept = default;
+  /// Adopt a new node, whose count starts at 1.
+  explicit Ref(S* node) noexcept : node_(node) {}
+  Ref(const Ref& other) noexcept : node_(other.node_) {
+    if (node_ != nullptr) ++node_->refs;
+  }
+  Ref(Ref&& other) noexcept : node_(std::exchange(other.node_, nullptr)) {}
+  Ref& operator=(Ref other) noexcept {
+    std::swap(node_, other.node_);
+    return *this;
+  }
+  ~Ref() {
+    if (node_ != nullptr && --node_->refs == 0) delete node_;
+  }
+
+  S* operator->() const noexcept { return node_; }
+  S& operator*() const noexcept { return *node_; }
+  explicit operator bool() const noexcept { return node_ != nullptr; }
+
+ private:
+  S* node_ = nullptr;
+};
+
+/// A when_all node, attached to each of its inputs as a one-word callback.
+/// It settles exactly where a gather with one same-instant arrival event
+/// per engine-backed input (and an inline arrival per engine-less one)
+/// would: those events run in scheduling order, so the last of them is
+/// the one scheduled at the last engine-backed arrival. The node only
+/// counts, schedules that one event, and settles in it or in the last
+/// inline arrival, whichever runs later; the events it leaves out would
+/// only have counted, so no other event moves relative to another
+/// (DESIGN.md §13). Once settled, the node deletes itself.
+class GatherBase : public sim::detail::PooledFrame {
+ public:
+  GatherBase() noexcept = default;
+  GatherBase(const GatherBase&) = delete;
+  GatherBase& operator=(const GatherBase&) = delete;
+  virtual ~GatherBase() = default;
+
+  /// Count one input; every input is counted before any is attached.
+  void expect(bool engine_backed) noexcept {
+    ++(engine_backed ? engine_left_ : inline_left_);
+  }
+
+  /// One input resolved (or was ready when attached). `engine` is that
+  /// input's engine, null for an engine-less input.
+  void arrive(sim::Engine* engine) {
+    if (engine == nullptr) {
+      if (--inline_left_ == 0 && engine_left_ == 0 && !event_pending_) {
+        settle();
+      }
+      return;
+    }
+    if (--engine_left_ > 0) return;
+    event_pending_ = true;
+    engine->schedule_in(0, [this] {
+      event_pending_ = false;
+      if (inline_left_ == 0) settle();
+    });
+  }
+
+ protected:
+  /// Resolve the result from the (all resolved) inputs, then delete this.
+  virtual void settle() = 0;
+
+ private:
+  std::size_t engine_left_ = 0;
+  std::size_t inline_left_ = 0;
+  bool event_pending_ = false;
+};
+
+/// A one-word callback is a suspended coroutine's frame address (a
+/// future::wait() waiter; frames are aligned, so bit 0 is clear) or a
+/// GatherBase address tagged with bit 0. Word 0 means "a function".
+inline constexpr std::uintptr_t kGatherTag = 1;
+
+/// A queued callback after the first: a word, or `fn` when word is 0.
+struct Callback {
+  std::uintptr_t word = 0;
+  std::function<void()> fn;
+};
+
+/// The value-independent part of a shared state. It lives in the frame
+/// pool (PooledFrame) and dies with its last Ref. The first one-word
+/// callback is stored inline; later callbacks, and every function
+/// callback, queue in `overflow_` in attach order, so most states (one
+/// waiter or one when_all) never allocate.
+class StateBase : public sim::detail::PooledFrame {
+ public:
+  std::uint32_t refs = 1;
+  bool ready = false;
+  sim::Engine* engine = nullptr;  // null => inline callback execution
+  std::exception_ptr exception{};
+
+  StateBase() noexcept { ++live_state_count(); }
+  StateBase(const StateBase&) = delete;
+  StateBase& operator=(const StateBase&) = delete;
+  ~StateBase() { --live_state_count(); }
+
+  /// Attach a callback: queued while pending, dispatched once ready. Late
+  /// attachments still honour FIFO: with an engine they land behind the
+  /// callbacks the fulfilment already scheduled at the same instant.
+  void attach(std::coroutine_handle<> waiter) {
+    enqueue(reinterpret_cast<std::uintptr_t>(waiter.address()));
+  }
+  void attach(GatherBase* gather) {
+    enqueue(reinterpret_cast<std::uintptr_t>(gather) | kGatherTag);
+  }
+  void attach(std::function<void()> fn) {
+    if (ready) {
+      dispatch(engine, std::move(fn));
+    } else {
+      overflow_.push_back({0, std::move(fn)});
+    }
+  }
+
+  /// Flip to ready and dispatch every queued callback in attach order.
+  /// The queue is emptied before anything runs, so no callback can fire
+  /// twice, and an inline callback may drop the last Ref to this state.
+  void resolve() {
+    assert(!ready && "async::promise: double fulfilment");
+    ready = true;
+    sim::Engine* const eng = engine;
+    const std::uintptr_t first = std::exchange(first_, 0);
+    std::vector<Callback> rest = std::move(overflow_);
+    if (first != 0) dispatch(eng, first);
+    for (auto& cb : rest) {
+      if (cb.word != 0) {
+        dispatch(eng, cb.word);
+      } else {
+        dispatch(eng, std::move(cb.fn));
+      }
+    }
+  }
+
+ private:
+  void enqueue(std::uintptr_t word) {
+    if (ready) {
+      dispatch(engine, word);
+    } else if (first_ == 0 && overflow_.empty()) {
+      first_ = word;
+    } else {
+      overflow_.push_back({word, {}});
+    }
+  }
+
+  /// Run one callback per the completion-ordering rule. Static: the
+  /// callback may free the state it came from.
+  static void dispatch(sim::Engine* engine, std::uintptr_t word) {
+    if ((word & kGatherTag) != 0) {
+      reinterpret_cast<GatherBase*>(word & ~kGatherTag)->arrive(engine);
+      return;
+    }
+    const auto h =
+        std::coroutine_handle<>::from_address(reinterpret_cast<void*>(word));
+    if (engine != nullptr) {
+      engine->schedule_in(0, h);
+    } else {
+      h.resume();
+    }
+  }
+  static void dispatch(sim::Engine* engine, std::function<void()> fn) {
+    if (engine != nullptr) {
+      engine->schedule_in(0, std::move(fn));
+    } else {
+      fn();
+    }
+  }
+
+  std::uintptr_t first_ = 0;
+  std::vector<Callback> overflow_;
+};
+
 template <class T>
 struct StateValue {
   std::optional<T> value;
@@ -64,65 +249,14 @@ struct StateValue {
 template <>
 struct StateValue<void> {};
 
-/// One queued completion callback: a suspended coroutine to resume (a
-/// future::wait() waiter — an engine handle event, no std::function) or,
-/// when `waiter` is null, a function (then/finally/forward_into).
-struct Callback {
-  std::coroutine_handle<> waiter{};
-  std::function<void()> fn;
-};
-
 template <class T>
-struct State : StateValue<T> {
-  sim::Engine* engine = nullptr;  // null => inline callback execution
-  bool ready = false;
-  std::exception_ptr exception{};
-  std::vector<Callback> callbacks;  // FIFO while pending
+struct State final : StateBase, StateValue<T> {};
 
-  State() { ++live_state_count(); }
-  State(const State&) = delete;
-  State& operator=(const State&) = delete;
-  ~State() { --live_state_count(); }
-
-  /// Run `cb` exactly once, per the completion-ordering rule above.
-  void dispatch(Callback cb) {
-    if (engine != nullptr) {
-      if (cb.waiter) {
-        engine->schedule_in(0, cb.waiter);
-      } else {
-        engine->schedule_in(0, std::move(cb.fn));
-      }
-    } else if (cb.waiter) {
-      cb.waiter.resume();
-    } else {
-      cb.fn();
-    }
-  }
-
-  /// Attach a continuation: queued while pending, dispatched once ready.
-  /// Late attachments still honour FIFO — with an engine they land behind
-  /// the callbacks the fulfilment already scheduled at the same instant.
-  void attach(std::function<void()> fn) { enqueue({{}, std::move(fn)}); }
-  void attach(std::coroutine_handle<> waiter) { enqueue({waiter, {}}); }
-
-  /// Flip to ready and dispatch every queued callback in attach order.
-  /// Each callback leaves the queue before it can run, so no callback can
-  /// ever fire twice (the property async_future_test asserts).
-  void resolve() {
-    assert(!ready && "async::promise: double fulfilment");
-    ready = true;
-    std::vector<Callback> cbs = std::move(callbacks);
-    callbacks.clear();
-    for (auto& cb : cbs) dispatch(std::move(cb));
-  }
-
- private:
-  void enqueue(Callback cb) {
-    if (ready) {
-      dispatch(std::move(cb));
-    } else {
-      callbacks.push_back(std::move(cb));
-    }
+/// when_all's access to an input's shared state.
+struct Access {
+  template <class T>
+  static StateBase& state(const future<T>& f) {
+    return *f.state_;
   }
 };
 
@@ -172,7 +306,9 @@ class future {
 
   future() = default;
 
-  [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
+  [[nodiscard]] bool valid() const noexcept {
+    return static_cast<bool>(state_);
+  }
   [[nodiscard]] bool ready() const noexcept { return state_ && state_->ready; }
   [[nodiscard]] bool failed() const noexcept {
     return state_ && state_->ready && state_->exception != nullptr;
@@ -246,10 +382,11 @@ class future {
   /// Awaitable resolution (the upc_waitsync analogue): suspends the
   /// awaiting coroutine until the future resolves, then yields the value
   /// or rethrows: `co_await fut.wait()`. Each waiter costs one same-instant
-  /// engine event at resolution, in FIFO order.
+  /// engine event at resolution, in FIFO order; the first waiter of a state
+  /// is queued without allocating.
   [[nodiscard]] auto wait() const {
     struct Awaiter {
-      std::shared_ptr<detail::State<T>> state;
+      detail::Ref<detail::State<T>> state;
       bool await_ready() const noexcept { return !state || state->ready; }
       void await_suspend(std::coroutine_handle<> h) {
         state->attach(h);
@@ -294,15 +431,16 @@ class future {
 
  private:
   friend class promise<T>;
-  explicit future(std::shared_ptr<detail::State<T>> s) : state_(std::move(s)) {}
-  std::shared_ptr<detail::State<T>> state_;
+  friend struct detail::Access;
+  explicit future(detail::Ref<detail::State<T>> s) : state_(std::move(s)) {}
+  detail::Ref<detail::State<T>> state_;
 };
 
 template <class T = void>
 class promise {
  public:
   /// Engine-less promise: callbacks run inline (tests, ready futures).
-  promise() : state_(std::make_shared<detail::State<T>>()) {}
+  promise() : state_(new detail::State<T>()) {}
   /// Engine-backed promise: callbacks defer as same-instant events.
   explicit promise(sim::Engine& engine) : promise() {
     state_->engine = &engine;
@@ -327,7 +465,7 @@ class promise {
   }
 
  private:
-  std::shared_ptr<detail::State<T>> state_;
+  detail::Ref<detail::State<T>> state_;
 };
 
 /// An already-resolved future (engine-less: continuations run inline).
@@ -345,18 +483,23 @@ template <class T>
 
 namespace detail {
 
-/// Gather node shared by the when_all overloads: counts arrivals (via
-/// finally, so exceptional inputs count too) and settles the result once
-/// every input resolved. The LOWEST-INDEX exception wins, making the
-/// outcome invariant under completion-order shuffles.
+/// The when_all node for inputs of type T. The LOWEST-INDEX exception
+/// wins, making the outcome invariant under completion-order shuffles.
 template <class T, class Result>
-struct Gather {
-  promise<Result> result;
-  std::vector<future<T>> inputs;
-  std::size_t remaining = 0;
+class Gather final : public GatherBase {
+ public:
+  explicit Gather(std::vector<future<T>> in) : inputs(std::move(in)) {}
 
-  void arrive() {
-    if (--remaining > 0) return;
+  promise<Result> result;  // engine-less: its waiters resume in settle()
+  std::vector<future<T>> inputs;
+
+ private:
+  void settle() override {
+    resolve_result();
+    delete this;
+  }
+
+  void resolve_result() {
     for (auto& f : inputs) {
       if (f.failed()) {
         try {
@@ -378,44 +521,49 @@ struct Gather {
   }
 };
 
+template <class T, class Result>
+[[nodiscard]] future<Result> gather(std::vector<future<T>> inputs) {
+  if (inputs.empty()) {
+    promise<Result> ready;
+    if constexpr (std::is_void_v<Result>) {
+      ready.set_value();
+    } else {
+      ready.set_value(Result{});
+    }
+    return ready.get_future();
+  }
+  auto* g = new Gather<T, Result>(std::move(inputs));
+  future<Result> out = g->result.get_future();
+  for (const auto& f : g->inputs) {
+    g->expect(Access::state(f).engine != nullptr);
+  }
+  // Attach in input order. Only the last attachment can settle, and so
+  // free, g: nothing below reads g after it.
+  const std::size_t n = g->inputs.size();
+  future<T>* in = g->inputs.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    Access::state(in[i]).attach(static_cast<GatherBase*>(g));
+  }
+  return out;
+}
+
 }  // namespace detail
 
 /// Resolve after every input future, collecting values in INPUT order (so
 /// the result is invariant under completion-order shuffles — the property
 /// async_future_test sweeps). Exceptions: the LOWEST-INDEX exceptional
 /// input wins, again independent of completion order. An empty vector
-/// yields an immediately-ready result.
+/// yields an immediately-ready result. However many inputs are pending,
+/// the gather costs at most one engine event (DESIGN.md §13).
 template <class T>
 [[nodiscard]] future<std::vector<T>> when_all(std::vector<future<T>> futures) {
-  auto g = std::make_shared<detail::Gather<T, std::vector<T>>>();
-  g->inputs = std::move(futures);
-  g->remaining = g->inputs.size();
-  future<std::vector<T>> out = g->result.get_future();
-  if (g->inputs.empty()) {
-    g->result.set_value({});
-    return out;
-  }
-  for (auto& f : g->inputs) {
-    f.finally([g] { g->arrive(); });
-  }
-  return out;
+  return detail::gather<T, std::vector<T>>(std::move(futures));
 }
 
 /// when_all over void futures: resolves once all inputs resolved; the
 /// lowest-index exception (if any) propagates.
 [[nodiscard]] inline future<> when_all(std::vector<future<>> futures) {
-  auto g = std::make_shared<detail::Gather<void, void>>();
-  g->inputs = std::move(futures);
-  g->remaining = g->inputs.size();
-  future<> out = g->result.get_future();
-  if (g->inputs.empty()) {
-    g->result.set_value();
-    return out;
-  }
-  for (auto& f : g->inputs) {
-    f.finally([g] { g->arrive(); });
-  }
-  return out;
+  return detail::gather<void, void>(std::move(futures));
 }
 
 }  // namespace hupc::async

@@ -125,6 +125,11 @@ inline Process spawn(Engine& engine, Task<void> body) {
 }
 
 namespace detail {
+
+/// Root of a detached process: no ProcState, since no Process handle
+/// exists to read one. The body must catch its own exceptions.
+inline RootTask run_detached(Task<void> body) { co_await std::move(body); }
+
 inline Task<void> complete_into(Task<void> body, async::promise<> promise) {
   try {
     co_await std::move(body);
@@ -133,7 +138,15 @@ inline Task<void> complete_into(Task<void> body, async::promise<> promise) {
     promise.set_exception(std::current_exception());
   }
 }
+
 }  // namespace detail
+
+/// Start `body` as a root process, exactly as spawn() does, for a caller
+/// that would discard the Process handle: `body` reports its own outcome
+/// (through a promise) and must not throw.
+inline void spawn_detached(Engine& engine, Task<void> body) {
+  engine.schedule_in(0, detail::run_detached(std::move(body)).handle);
+}
 
 /// Start `body` as a root process and return a future that resolves (or
 /// carries the exception) when it completes. This is the bridge from
@@ -142,7 +155,8 @@ inline Task<void> complete_into(Task<void> body, async::promise<> promise) {
 inline async::future<> start(Engine& engine, Task<void> body) {
   async::promise<> promise(engine);
   async::future<> future = promise.get_future();
-  spawn(engine, detail::complete_into(std::move(body), std::move(promise)));
+  spawn_detached(engine,
+                 detail::complete_into(std::move(body), std::move(promise)));
   return future;
 }
 

@@ -55,15 +55,14 @@ void FluidLink::assign_rates() {
   // Water-filling with per-transfer caps: repeatedly give every uncapped
   // transfer an equal share of the leftover capacity; transfers whose cap is
   // below the share get exactly their cap and are removed from the pool.
-  std::vector<Xfer*> pool;
-  pool.reserve(transfers_.size());
-  for (auto& t : transfers_) pool.push_back(&t);
-  std::sort(pool.begin(), pool.end(),
+  pool_.clear();
+  for (auto& t : transfers_) pool_.push_back(&t);
+  std::sort(pool_.begin(), pool_.end(),
             [](const Xfer* a, const Xfer* b) { return a->cap < b->cap; });
 
   double remaining_cap = capacity_;
-  std::size_t remaining_n = pool.size();
-  for (Xfer* t : pool) {
+  std::size_t remaining_n = pool_.size();
+  for (Xfer* t : pool_) {
     const double fair = remaining_cap / static_cast<double>(remaining_n);
     t->rate = std::min(t->cap, fair);
     remaining_cap -= t->rate;
@@ -92,16 +91,18 @@ void FluidLink::schedule_next_completion() {
 void FluidLink::on_completion_event(std::uint64_t generation) {
   if (generation != generation_) return;  // superseded by a newer state
   advance_progress();
-  bool removed = false;
-  for (auto it = transfers_.begin(); it != transfers_.end();) {
-    if (it->remaining <= kEpsilonBytes) {
-      it->done.set_value();
-      it = transfers_.erase(it);
-      removed = true;
-    } else {
-      ++it;
-    }
+  // Resolve finished transfers in start order (their callbacks are
+  // same-instant events, so none runs here), then close the gaps.
+  const auto finished = [](const Xfer& t) {
+    return t.remaining <= kEpsilonBytes;
+  };
+  for (auto& t : transfers_) {
+    if (finished(t)) t.done.set_value();
   }
+  const auto kept = std::remove_if(transfers_.begin(), transfers_.end(),
+                                   finished);
+  const bool removed = kept != transfers_.end();
+  transfers_.erase(kept, transfers_.end());
   if (removed) assign_rates();
   schedule_next_completion();
 }

@@ -15,8 +15,7 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <list>
-#include <memory>
+#include <vector>
 
 #include "async/future.hpp"
 #include "sim/engine.hpp"
@@ -94,7 +93,8 @@ class FluidLink {
   double total_bytes_ = 0.0;
   Time last_update_ = 0;
   std::uint64_t generation_ = 0;  // invalidates stale completion events
-  std::list<Xfer> transfers_;
+  std::vector<Xfer> transfers_;    // in start order
+  std::vector<Xfer*> pool_;        // assign_rates' scratch, kept to reuse
 };
 
 }  // namespace hupc::sim

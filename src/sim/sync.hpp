@@ -10,7 +10,7 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -80,9 +80,19 @@ class Semaphore {
 
   void release(std::int64_t n = 1) {
     for (std::int64_t i = 0; i < n; ++i) {
-      if (!waiters_.empty()) {
-        auto h = waiters_.front();
-        waiters_.pop_front();
+      if (head_ != waiters_.size()) {
+        const auto h = waiters_[head_++];
+        if (head_ == waiters_.size()) {
+          // Drained: rewind and keep the capacity, so a queue that fills
+          // and drains again allocates nothing.
+          waiters_.clear();
+          head_ = 0;
+        } else if (head_ >= 64 && 2 * head_ >= waiters_.size()) {
+          // A queue that never drains: drop the served prefix (amortised).
+          waiters_.erase(waiters_.begin(),
+                         waiters_.begin() + static_cast<std::ptrdiff_t>(head_));
+          head_ = 0;
+        }
         // The permit is handed directly to the waiter; count_ unchanged.
         engine_->schedule_in(0, h);
       } else {
@@ -94,7 +104,9 @@ class Semaphore {
  private:
   Engine* engine_;
   std::int64_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  /// FIFO of suspended acquirers; waiters_[head_] is the front.
+  std::vector<std::coroutine_handle<>> waiters_;
+  std::size_t head_ = 0;
 };
 
 /// FIFO mutex. Use ScopedLock for RAII-style sections (CP.20).

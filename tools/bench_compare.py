@@ -12,6 +12,14 @@ Options:
                     where sigma = 1.4826 * max(baseline MAD, current MAD)
                     (default 3.0)
   --report-only     print everything but always exit 0
+  --exact           require every modeled median and every counter to equal
+                    the baseline bit for bit (a refactor that must not move
+                    the model); measured metrics stay report-only, and a
+                    benchmark, modeled metric or counter missing from the
+                    current run fails
+  --ignore-counter=NAME
+                    with --exact, skip counter NAME (repeatable), e.g.
+                    engine.dispatch for a change that only removes events
 
 Policy (DESIGN.md §11):
   * modeled metrics (deterministic simulation output) hard-fail when they
@@ -24,7 +32,8 @@ Policy (DESIGN.md §11):
     smaller drifts are annotated; counters missing from the current run
     (e.g. an HUPC_TRACE=0 build) only warn;
   * benchmarks present in the baseline but absent from the current run
-    warn — a silently vanished benchmark must not pass the gate quietly.
+    warn — a silently vanished benchmark must not pass the gate quietly;
+  * --exact replaces the modeled and counter tolerances with equality.
 
 Exit codes: 0 ok / annotations only, 1 hard regression, 2 usage or schema
 error.
@@ -59,9 +68,11 @@ def regression(direction, base, cur):
     return (base - cur) / abs(base)
 
 
-def compare(current, baseline, max_regress=0.30, noise_mult=3.0):
+def compare(current, baseline, max_regress=0.30, noise_mult=3.0,
+            exact=False, ignore_counters=()):
     """Return (failures, warnings, notes) — lists of report lines."""
     failures, warnings, notes = [], [], []
+    missing = failures if exact else warnings
 
     fp_cur = current.get("fingerprint", {})
     fp_base = baseline.get("fingerprint", {})
@@ -77,22 +88,29 @@ def compare(current, baseline, max_regress=0.30, noise_mult=3.0):
         bid = base_bench["id"]
         cur_bench = by_id.get(bid)
         if cur_bench is None:
-            warnings.append(f"{bid}: in baseline but missing from current run")
+            missing.append(f"{bid}: in baseline but missing from current run")
             continue
 
         for name, base_m in base_bench.get("metrics", {}).items():
+            kind = base_m.get("kind", "modeled")
             cur_m = cur_bench.get("metrics", {}).get(name)
             if cur_m is None:
-                warnings.append(f"{bid} {name}: metric missing from current run")
+                (missing if kind == "modeled" else warnings).append(
+                    f"{bid} {name}: metric missing from current run")
                 continue
             base_med, cur_med = base_m["median"], cur_m["median"]
+            if exact and kind == "modeled":
+                if cur_med != base_med:
+                    failures.append(
+                        f"{bid} {name}: {base_med!r} -> {cur_med!r} "
+                        "(modeled, --exact)")
+                continue
             if base_med == 0:
                 if cur_med != 0:
                     warnings.append(
                         f"{bid} {name}: baseline median is 0, current {cur_med:g}"
                     )
                 continue
-            kind = base_m.get("kind", "modeled")
             direction = base_m.get("direction", "higher_is_better")
             rel = regression(direction, base_med, cur_med)
             sigma = MAD_TO_SIGMA * max(base_m.get("mad", 0.0), cur_m.get("mad", 0.0))
@@ -110,14 +128,21 @@ def compare(current, baseline, max_regress=0.30, noise_mult=3.0):
                 notes.append(line + " — improvement; consider refreshing the baseline")
 
         for name, base_v in base_bench.get("counters", {}).items():
+            if name in ignore_counters:
+                continue
             cur_counters = cur_bench.get("counters", {})
             if name not in cur_counters:
-                warnings.append(
+                missing.append(
                     f"{bid} counter {name}: missing from current run "
                     "(trace-disabled build?)"
                 )
                 continue
             cur_v = cur_counters[name]
+            if exact:
+                if cur_v != base_v:
+                    failures.append(
+                        f"{bid} counter {name}: {base_v} -> {cur_v} (--exact)")
+                continue
             if base_v == 0:
                 if cur_v != 0:
                     warnings.append(f"{bid} counter {name}: 0 -> {cur_v}")
@@ -141,8 +166,13 @@ def compare(current, baseline, max_regress=0.30, noise_mult=3.0):
 
 def run_compare(argv):
     paths, max_regress, noise_mult, report_only = [], 0.30, 3.0, False
+    exact, ignore_counters = False, []
     for arg in argv:
-        if arg.startswith("--max-regress="):
+        if arg == "--exact":
+            exact = True
+        elif arg.startswith("--ignore-counter="):
+            ignore_counters.append(arg.split("=", 1)[1])
+        elif arg.startswith("--max-regress="):
             max_regress = float(arg.split("=", 1)[1])
         elif arg.startswith("--noise-mult="):
             noise_mult = float(arg.split("=", 1)[1])
@@ -154,9 +184,12 @@ def run_compare(argv):
             paths.append(arg)
     if len(paths) != 2:
         fail_usage("expected CURRENT.json BASELINE.json")
+    if ignore_counters and not exact:
+        fail_usage("--ignore-counter needs --exact")
 
     current, baseline = load(paths[0]), load(paths[1])
-    failures, warnings, notes = compare(current, baseline, max_regress, noise_mult)
+    failures, warnings, notes = compare(current, baseline, max_regress,
+                                        noise_mult, exact, ignore_counters)
 
     for line in failures:
         print(f"[FAIL] {line}")
@@ -255,6 +288,31 @@ def self_test():
     # 9. improvement does not fail (direction-aware)
     fast = _doc([_bench("b.gups", {"gups": (0.90, 0.0, hi, "modeled")}, {"net.msg": 1000})])
     check("3x improvement passes", fast, base, want_fail=False)
+
+    # --exact: equality instead of tolerances
+    check("exact: identical re-run passes", base, base, want_fail=False,
+          exact=True)
+    ulp = _doc([_bench("b.gups", {"gups": (0.30000000000000004, 0.0, hi, "modeled")},
+                       {"net.msg": 1000})])
+    check("exact: one-ulp modeled drift fails", ulp, base, want_fail=True,
+          exact=True)
+    check("one-ulp modeled drift passes without --exact", ulp, base,
+          want_fail=False)
+    one_more = _doc([_bench("b.gups", {"gups": (0.30, 0.0, hi, "modeled")},
+                            {"net.msg": 1001})])
+    check("exact: counter off by one fails", one_more, base, want_fail=True,
+          exact=True)
+    check("exact: --ignore-counter skips that counter", one_more, base,
+          want_fail=False, exact=True, ignore_counters=("net.msg",))
+    check("exact: measured drift stays report-only", mslow, mbase,
+          want_fail=False, exact=True)
+    check("exact: missing counter fails", untraced, base, want_fail=True,
+          exact=True)
+    gone = _doc([])
+    check("exact: missing benchmark fails", gone, base, want_fail=True,
+          exact=True)
+    check("missing benchmark only warns without --exact", gone, base,
+          want_fail=False)
 
     bad = [name for name, ok, _ in checks if not ok]
     if bad:
