@@ -112,9 +112,10 @@ class RpcDomain {
 
     promise<R> done(rt_->engine());
     future<R> fut = done.get_future();
-    sim::spawn_detached(rt_->engine(),
-                        deliver<Fn, R, std::decay_t<Args>...>(
-                            std::move(msg), std::move(fn), std::move(done)));
+    sim::spawn(rt_->engine(),
+               deliver<Fn, R, std::decay_t<Args>...>(std::move(msg),
+                                                     std::move(fn),
+                                                     std::move(done)));
     return fut;
   }
 
@@ -131,10 +132,9 @@ class RpcDomain {
     personas_[static_cast<std::size_t>(target)]->post(
         [this, msg = std::move(msg), fn = std::move(fn),
          done = std::move(done)]() mutable {
-          sim::spawn_detached(rt_->engine(),
-                              execute<Fn, R, As...>(std::move(msg),
-                                                    std::move(fn),
-                                                    std::move(done)));
+          sim::spawn(rt_->engine(),
+                     execute<Fn, R, As...>(std::move(msg), std::move(fn),
+                                           std::move(done)));
         });
   }
 

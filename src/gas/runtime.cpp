@@ -374,8 +374,7 @@ async::future<> Thread::launch_async(sim::Task<void> op) {
   rt_->counters().add(kCopyIssued, rank_);
   async::promise<> done(rt_->engine());
   async::future<> fut = done.get_future();
-  sim::spawn_detached(rt_->engine(),
-                      complete_async(std::move(op), std::move(done)));
+  sim::spawn(rt_->engine(), complete_async(std::move(op), std::move(done)));
   return fut;
 }
 

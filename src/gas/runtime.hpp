@@ -516,7 +516,7 @@ class Thread {
   [[nodiscard]] async::future<> launch_async(sim::Task<void> op);
 
  private:
-  /// launch_async's driver coroutine (spawned as a detached root process).
+  /// launch_async's driver coroutine (spawned as a root process).
   [[nodiscard]] sim::Task<void> complete_async(sim::Task<void> op,
                                                async::promise<> done);
   [[nodiscard]] sim::Task<void> element_access(int owner, std::size_t bytes);

@@ -7,8 +7,8 @@
 #pragma once
 
 #include <coroutine>
+#include <cstdint>
 #include <exception>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -38,7 +38,12 @@ struct DelayAwaiter {
 
 namespace detail {
 
-struct ProcState {
+/// A process's completion status, shared by its root frame and every
+/// Process handle. Like a future's state it comes from the frame pool and
+/// carries a plain (non-atomic) count held by async::detail::Ref, so a
+/// spawn allocates nothing in steady state.
+struct ProcState : PooledFrame {
+  std::uint32_t refs = 1;
   bool done = false;
   std::exception_ptr exception{};
   std::vector<std::coroutine_handle<>> joiners;
@@ -62,8 +67,9 @@ struct RootTask {
   std::coroutine_handle<promise_type> handle;
 };
 
-inline RootTask run_root(Engine& engine, std::shared_ptr<ProcState> state,
-                         Task<void> body) {
+using ProcRef = async::detail::Ref<ProcState>;
+
+inline RootTask run_root(Engine& engine, ProcRef state, Task<void> body) {
   try {
     co_await std::move(body);
   } catch (...) {
@@ -96,7 +102,7 @@ class Process {
   /// Awaitable join for use inside other coroutines. Propagates exceptions.
   [[nodiscard]] auto join() {
     struct Awaiter {
-      std::shared_ptr<detail::ProcState> state;
+      detail::ProcRef state;
       bool await_ready() const noexcept { return !state || state->done; }
       void await_suspend(std::coroutine_handle<> h) const {
         state->joiners.push_back(h);
@@ -110,13 +116,13 @@ class Process {
 
  private:
   friend Process spawn(Engine&, Task<void>);
-  explicit Process(std::shared_ptr<detail::ProcState> s) : state_(std::move(s)) {}
-  std::shared_ptr<detail::ProcState> state_;
+  explicit Process(detail::ProcRef s) : state_(std::move(s)) {}
+  detail::ProcRef state_;
 };
 
 /// Start `body` as a root process at the current virtual time.
 inline Process spawn(Engine& engine, Task<void> body) {
-  auto state = std::make_shared<detail::ProcState>();
+  detail::ProcRef state(new detail::ProcState);
   detail::RootTask root = detail::run_root(engine, state, std::move(body));
   // run_root is suspended at initial_suspend; kick it off as an engine event
   // so processes begin in spawn order once the engine runs.
@@ -125,11 +131,6 @@ inline Process spawn(Engine& engine, Task<void> body) {
 }
 
 namespace detail {
-
-/// Root of a detached process: no ProcState, since no Process handle
-/// exists to read one. The body must catch its own exceptions.
-inline RootTask run_detached(Task<void> body) { co_await std::move(body); }
-
 inline Task<void> complete_into(Task<void> body, async::promise<> promise) {
   try {
     co_await std::move(body);
@@ -138,15 +139,7 @@ inline Task<void> complete_into(Task<void> body, async::promise<> promise) {
     promise.set_exception(std::current_exception());
   }
 }
-
 }  // namespace detail
-
-/// Start `body` as a root process, exactly as spawn() does, for a caller
-/// that would discard the Process handle: `body` reports its own outcome
-/// (through a promise) and must not throw.
-inline void spawn_detached(Engine& engine, Task<void> body) {
-  engine.schedule_in(0, detail::run_detached(std::move(body)).handle);
-}
 
 /// Start `body` as a root process and return a future that resolves (or
 /// carries the exception) when it completes. This is the bridge from
@@ -155,8 +148,7 @@ inline void spawn_detached(Engine& engine, Task<void> body) {
 inline async::future<> start(Engine& engine, Task<void> body) {
   async::promise<> promise(engine);
   async::future<> future = promise.get_future();
-  spawn_detached(engine,
-                 detail::complete_into(std::move(body), std::move(promise)));
+  spawn(engine, detail::complete_into(std::move(body), std::move(promise)));
   return future;
 }
 

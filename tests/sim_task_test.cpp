@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <coroutine>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -179,7 +178,7 @@ TEST(TaskDeathTest, DestroyedFrameUseIsReportedUnderAsan) {
   auto finished_root = [] {
     Engine e;
     auto root = hupc::sim::detail::run_root(
-        e, std::make_shared<hupc::sim::detail::ProcState>(),
+        e, hupc::sim::detail::ProcRef(new hupc::sim::detail::ProcState),
         []() -> Task<void> { co_return; }());
     const std::coroutine_handle<> h = root.handle;
     e.schedule_in(0, h);

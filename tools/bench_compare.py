@@ -17,9 +17,6 @@ Options:
                     the model); measured metrics stay report-only, and a
                     benchmark, modeled metric or counter missing from the
                     current run fails
-  --ignore-counter=NAME
-                    with --exact, skip counter NAME (repeatable), e.g.
-                    engine.dispatch for a change that only removes events
 
 Policy (DESIGN.md §11):
   * modeled metrics (deterministic simulation output) hard-fail when they
@@ -68,8 +65,7 @@ def regression(direction, base, cur):
     return (base - cur) / abs(base)
 
 
-def compare(current, baseline, max_regress=0.30, noise_mult=3.0,
-            exact=False, ignore_counters=()):
+def compare(current, baseline, max_regress=0.30, noise_mult=3.0, exact=False):
     """Return (failures, warnings, notes) — lists of report lines."""
     failures, warnings, notes = [], [], []
     missing = failures if exact else warnings
@@ -128,8 +124,6 @@ def compare(current, baseline, max_regress=0.30, noise_mult=3.0,
                 notes.append(line + " — improvement; consider refreshing the baseline")
 
         for name, base_v in base_bench.get("counters", {}).items():
-            if name in ignore_counters:
-                continue
             cur_counters = cur_bench.get("counters", {})
             if name not in cur_counters:
                 missing.append(
@@ -166,12 +160,10 @@ def compare(current, baseline, max_regress=0.30, noise_mult=3.0,
 
 def run_compare(argv):
     paths, max_regress, noise_mult, report_only = [], 0.30, 3.0, False
-    exact, ignore_counters = False, []
+    exact = False
     for arg in argv:
         if arg == "--exact":
             exact = True
-        elif arg.startswith("--ignore-counter="):
-            ignore_counters.append(arg.split("=", 1)[1])
         elif arg.startswith("--max-regress="):
             max_regress = float(arg.split("=", 1)[1])
         elif arg.startswith("--noise-mult="):
@@ -184,12 +176,10 @@ def run_compare(argv):
             paths.append(arg)
     if len(paths) != 2:
         fail_usage("expected CURRENT.json BASELINE.json")
-    if ignore_counters and not exact:
-        fail_usage("--ignore-counter needs --exact")
 
     current, baseline = load(paths[0]), load(paths[1])
     failures, warnings, notes = compare(current, baseline, max_regress,
-                                        noise_mult, exact, ignore_counters)
+                                        noise_mult, exact)
 
     for line in failures:
         print(f"[FAIL] {line}")
@@ -302,8 +292,6 @@ def self_test():
                             {"net.msg": 1001})])
     check("exact: counter off by one fails", one_more, base, want_fail=True,
           exact=True)
-    check("exact: --ignore-counter skips that counter", one_more, base,
-          want_fail=False, exact=True, ignore_counters=("net.msg",))
     check("exact: measured drift stays report-only", mslow, mbase,
           want_fail=False, exact=True)
     check("exact: missing counter fails", untraced, base, want_fail=True,
