@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "async/future.hpp"
@@ -64,39 +63,39 @@ PERF_BENCHMARK("micro.engine.coroutine_spawn_join", .warmup = 1) {
 }
 
 // Zero-delay coroutine wakeups, the bulk of a simulation's events: each
-// round a driver broadcasts a sim::Event to `n` workers, collects one
-// sim::Semaphore permit from each, resolves a future all of them wait on
-// and collects a permit again (so every worker is parked before the next
-// broadcast). Reported per dispatched engine event.
+// round a driver fulfils a promise all `n` workers wait on, collects one
+// sim::Semaphore permit from each, fulfils a second promise they all wait
+// on and collects a permit again (so every worker is parked before the
+// next broadcast). Reported per dispatched engine event.
 PERF_BENCHMARK("micro.engine.wakeup_storm", .warmup = 1) {
   const int n = 64;
   const int rounds = ctx.smoke() ? 200 : 1000;
   const auto t0 = Clock::now();
   sim::Engine e;
   sim::Semaphore done(e, 0);
-  std::vector<std::unique_ptr<sim::Event>> go;
+  std::vector<async::promise<>> go;
   std::vector<async::promise<>> ack;
   for (int r = 0; r < rounds; ++r) {
-    go.push_back(std::make_unique<sim::Event>(e));
+    go.emplace_back(e);
     ack.emplace_back(e);
   }
   for (int i = 0; i < n; ++i) {
-    sim::spawn(e, [](std::vector<std::unique_ptr<sim::Event>>& go_,
+    sim::spawn(e, [](std::vector<async::promise<>>& go_,
                      std::vector<async::promise<>>& ack_,
                      sim::Semaphore& done_) -> sim::Task<void> {
       for (std::size_t r = 0; r < go_.size(); ++r) {
-        co_await go_[r]->wait();
+        co_await go_[r].get_future();
         done_.release();
-        co_await ack_[r].get_future().wait();
+        co_await ack_[r].get_future();
         done_.release();
       }
     }(go, ack, done));
   }
-  sim::spawn(e, [](std::vector<std::unique_ptr<sim::Event>>& go_,
+  sim::spawn(e, [](std::vector<async::promise<>>& go_,
                    std::vector<async::promise<>>& ack_, sim::Semaphore& done_,
                    int workers) -> sim::Task<void> {
     for (std::size_t r = 0; r < go_.size(); ++r) {
-      go_[r]->trigger();
+      go_[r].set_value();
       for (int i = 0; i < workers; ++i) co_await done_.acquire();
       ack_[r].set_value();
       for (int i = 0; i < workers; ++i) co_await done_.acquire();

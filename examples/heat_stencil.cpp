@@ -34,6 +34,7 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -67,7 +68,7 @@ std::vector<double> serial_reference(std::size_t cells, int steps) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const int threads = static_cast<int>(cli.get_int("threads", 8));
   const int nodes = static_cast<int>(cli.get_int("nodes", 2));
@@ -86,9 +87,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (async_opt != "on" && async_opt != "off") {
-    std::printf("unknown --async value '%s' (expected on|off)\n",
-                async_opt.c_str());
-    return 1;
+    std::fprintf(stderr,
+                 "heat_stencil: error: unknown --async value '%s' "
+                 "(expected on|off)\n",
+                 async_opt.c_str());
+    return 2;
   }
   const auto coll_algo = gas::parse_coll_algo(coll_algo_opt);
   if (!coll_algo) {
@@ -106,11 +109,14 @@ int main(int argc, char** argv) {
     return 2;
   }
   const bool run_async = async_opt == "on";
-  const std::size_t per = cells / static_cast<std::size_t>(threads);
-  if (per * static_cast<std::size_t>(threads) != cells) {
-    std::printf("cells must divide by threads\n");
-    return 1;
+  if (threads < 1 || cells % static_cast<std::size_t>(threads) != 0) {
+    std::fprintf(stderr,
+                 "heat_stencil: error: --cells %zu must divide by --threads "
+                 "%d\n",
+                 cells, threads);
+    return 2;
   }
+  const std::size_t per = cells / static_cast<std::size_t>(threads);
 
   const auto reference = serial_reference(cells, steps);
 
@@ -477,4 +483,8 @@ int main(int argc, char** argv) {
     if (!identical) return 1;
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A config that fails validation (bad --threads/--nodes) is a usage error.
+  std::fprintf(stderr, "heat_stencil: error: %s\n", e.what());
+  return 2;
 }

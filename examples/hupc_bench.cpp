@@ -349,8 +349,7 @@ int run_summa(const util::Cli& cli) {
   const int p = static_cast<int>(
       std::lround(std::sqrt(static_cast<double>(config.threads))));
   if (p * p != config.threads) {
-    std::printf("summa: --threads must be a perfect square\n");
-    return 1;
+    throw std::invalid_argument("summa: --threads must be a perfect square");
   }
   gas::Runtime rt(engine, config);
   const auto plan = make_fault_plan(cli, rt);
@@ -393,16 +392,23 @@ int main(int argc, char** argv) try {
   if (workload == "gups") return run_gups(cli);
   if (workload == "summa") return run_summa(cli);
   if (workload == "fuzz") return run_fuzz(cli);
-  std::printf("usage: hupc_bench --workload uts|ft|stream|gups|summa|fuzz "
-              "[--machine lehman|pyramid] [--nodes N] [--threads T]\n"
-              "                  [--backend processes|pthreads] "
-              "[--conduit ib-qdr|ib-ddr|gige] [--variant ...]\n"
-              "                  [--fault-plan=NAME --fault-seed=S] | "
-              "--workload fuzz [--budget N] [--fuzz-seed S]\n");
-  return workload.empty() ? 0 : 1;
+  if (!workload.empty()) {
+    std::fprintf(stderr, "error: unknown --workload '%s'\n", workload.c_str());
+  }
+  std::fprintf(workload.empty() ? stdout : stderr,
+               "usage: hupc_bench --workload uts|ft|stream|gups|summa|fuzz "
+               "[--machine lehman|pyramid] [--nodes N] [--threads T]\n"
+               "                  [--backend processes|pthreads] "
+               "[--conduit ib-qdr|ib-ddr|gige] [--variant ...]\n"
+               "                  [--fault-plan=NAME --fault-seed=S] | "
+               "--workload fuzz [--budget N] [--fuzz-seed S]\n");
+  return workload.empty() ? 0 : 2;
+} catch (const std::invalid_argument& e) {
+  // Bad input (an unknown name, or a config that fails validation) is a
+  // usage error: exit 2, as unknown flags do.
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 } catch (const std::exception& e) {
-  // Config validation (bad --threads/--nodes/...) throws std::invalid_argument;
-  // surface it as a clean CLI error instead of std::terminate.
   std::fprintf(stderr, "error: %s\n", e.what());
   return 1;
 }

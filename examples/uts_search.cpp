@@ -183,9 +183,12 @@ int main(int argc, char** argv) try {
     }
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  // Bad input (an unknown name, or a config that fails validation) is a
+  // usage error: exit 2, as unknown flags do.
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 } catch (const std::exception& e) {
-  // Config validation (bad --threads/--nodes/...) throws std::invalid_argument;
-  // surface it as a clean CLI error instead of std::terminate.
   std::fprintf(stderr, "error: %s\n", e.what());
   return 1;
 }

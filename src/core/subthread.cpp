@@ -97,7 +97,7 @@ sim::Task<void> SubPool::parallel_for(std::size_t n, Schedule schedule,
   // Shared trip counter for dynamic/guided scheduling.
   auto next = std::make_shared<std::size_t>(0);
 
-  std::vector<sim::Process> workers;
+  std::vector<async::future<>> workers;
   workers.reserve(width);
   for (std::size_t w = 0; w < width; ++w) {
     SubContext& ctx = *contexts_[w];
@@ -147,7 +147,7 @@ sim::Task<void> SubPool::parallel_for(std::size_t n, Schedule schedule,
       }
     }
   }
-  for (auto& w : workers) co_await w.join();
+  for (const auto& w : workers) co_await w;
 }
 
 sim::Task<void> SubPool::spawn_all(std::vector<TaskFn> tasks) {
@@ -165,7 +165,7 @@ sim::Task<void> SubPool::spawn_all(std::vector<TaskFn> tasks) {
   const auto width = static_cast<std::size_t>(this->width());
   auto next = std::make_shared<std::size_t>(0);
 
-  std::vector<sim::Process> workers;
+  std::vector<async::future<>> workers;
   workers.reserve(width);
   for (std::size_t w = 0; w < width && w < fns.size(); ++w) {
     workers.push_back(sim::spawn(
@@ -181,7 +181,7 @@ sim::Task<void> SubPool::spawn_all(std::vector<TaskFn> tasks) {
           }
         }(*contexts_[w], fns, next, params_.task_overhead_s)));
   }
-  for (auto& w : workers) co_await w.join();
+  for (const auto& w : workers) co_await w;
 }
 
 gas::Thread& SubContext::master() noexcept { return pool_->master(); }

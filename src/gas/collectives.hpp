@@ -67,7 +67,7 @@ inline const trace::CounterId kCollAlltoall =
     trace::intern("gas.coll.alltoall");
 
 struct CollState {
-  std::vector<std::unique_ptr<sim::Event>> ready;
+  std::vector<async::promise<>> ready;
   int arrived = 0;
 };
 
@@ -256,12 +256,12 @@ class Collectives {
           bufs[static_cast<std::size_t>(root)] +
               static_cast<std::ptrdiff_t>(static_cast<std::size_t>(rel) * count),
           bufs[static_cast<std::size_t>(me)].raw, count);
-      state->ready[static_cast<std::size_t>(me)]->trigger();
+      state->ready[static_cast<std::size_t>(me)].set_value();
       co_return;
     }
     for (int m = 0; m < n; ++m) {
       if (m == root) continue;
-      co_await state->ready[static_cast<std::size_t>(m)]->wait();
+      co_await state->ready[static_cast<std::size_t>(m)].get_future();
     }
     co_return;
   }
@@ -369,7 +369,7 @@ class Collectives {
       slot = std::make_shared<detail::CollState>();
       slot->ready.reserve(slots);
       for (std::size_t i = 0; i < slots; ++i) {
-        slot->ready.push_back(std::make_unique<sim::Event>(rt_->engine()));
+        slot->ready.emplace_back(rt_->engine());
       }
     }
     auto state = slot;
@@ -451,12 +451,12 @@ class Collectives {
     for (int i = 0; i < A; ++i) {
       if (grp[static_cast<std::size_t>(i)] == me) li = i;
     }
-    // Event layout: [0, n) gather arrivals, [n, n+G) per-group local-ready,
+    // Slot layout: [0, n) gather arrivals, [n, n+G) per-group local-ready,
     // [n+G, n+G+G*G) leader-pair arrivals (from*G + to).
     auto state = enter(CollOp::alltoall, me,
                        static_cast<std::size_t>(n + G + G * G));
-    const auto ev = [&state](int i) {
-      return state->ready[static_cast<std::size_t>(i)].get();
+    const auto ev = [&state](int i) -> async::promise<>& {
+      return state->ready[static_cast<std::size_t>(i)];
     };
     const auto nelems = static_cast<std::size_t>(n) * count;
 
@@ -492,11 +492,11 @@ class Collectives {
     co_await self.copy(
         GlobalPtr<T>{leader_rank, gstage + static_cast<std::size_t>(li) * nelems},
         send, nelems);
-    ev(me)->trigger();
+    ev(me).set_value();
 
     if (me == leader) {
-      for (int m : grp) co_await ev(m)->wait();
-      ev(n + g)->trigger();  // local members may now pull intra-node blocks
+      for (int m : grp) co_await ev(m).get_future();
+      ev(n + g).set_value();  // local members may now pull intra-node blocks
       // Phase 2 — leader exchange, staggered by group: pack the blocks
       // destined to group h contiguously, ship them as ONE message.
       for (int s = 1; s < G; ++s) {
@@ -530,10 +530,10 @@ class Collectives {
             GlobalPtr<T>{dst_leader_rank, rstage + scatter_off(h, g)},
             pack, static_cast<std::size_t>(A) *
                       static_cast<std::size_t>(B) * count);
-        ev(n + G + g * G + h)->trigger();
+        ev(n + G + g * G + h).set_value();
       }
     } else {
-      co_await ev(n + g)->wait();
+      co_await ev(n + g).get_future();
     }
 
     // Phase 3 — scatter: every member pulls its own inbound blocks.
@@ -555,7 +555,7 @@ class Collectives {
       T* rstage = stage<T>(StageKind::scatter, leader, scatter_elems_of(g));
       for (int from = 0; from < G; ++from) {
         if (from == g) continue;
-        co_await ev(n + G + from * G + g)->wait();
+        co_await ev(n + G + from * G + g).get_future();
         const auto& src_grp = groups_[static_cast<std::size_t>(from)];
         const T* region = rstage + scatter_off(g, from);
         for (std::size_t si = 0; si < src_grp.size(); ++si) {
@@ -591,7 +591,7 @@ class Collectives {
     int mask = 1;
     while (mask < n && (rel & mask) == 0) mask <<= 1;
     if (rel != 0) {
-      co_await state->ready[static_cast<std::size_t>(me)]->wait();
+      co_await state->ready[static_cast<std::size_t>(me)].get_future();
     }
     // Push down the subtree: children at rel + mask/2, mask/4, ..., 1.
     for (mask >>= 1; mask > 0; mask >>= 1) {
@@ -600,7 +600,7 @@ class Collectives {
         const int child = (child_rel + root) % n;
         co_await self.copy(bufs[static_cast<std::size_t>(child)],
                              bufs[static_cast<std::size_t>(me)].raw, count);
-        state->ready[static_cast<std::size_t>(child)]->trigger();
+        state->ready[static_cast<std::size_t>(child)].set_value();
       }
     }
     co_return;
@@ -626,7 +626,7 @@ class Collectives {
     auto state = enter(CollOp::broadcast, me, static_cast<std::size_t>(n));
 
     if (me != root) {
-      co_await state->ready[static_cast<std::size_t>(me)]->wait();
+      co_await state->ready[static_cast<std::size_t>(me)].get_future();
     }
     if (me == my_leader) {
       // Cross-node phase: binomial over groups, rooted at the root's group.
@@ -639,7 +639,7 @@ class Collectives {
           const int child = leader_of((child_rel + rg) % G);
           co_await self.copy(bufs[static_cast<std::size_t>(child)],
                              bufs[static_cast<std::size_t>(me)].raw, count);
-          state->ready[static_cast<std::size_t>(child)]->trigger();
+          state->ready[static_cast<std::size_t>(child)].set_value();
         }
       }
       // Intra-node phase: flat push to my group's other members.
@@ -647,7 +647,7 @@ class Collectives {
         if (member == my_leader) continue;
         co_await self.copy(bufs[static_cast<std::size_t>(member)],
                            bufs[static_cast<std::size_t>(me)].raw, count);
-        state->ready[static_cast<std::size_t>(member)]->trigger();
+        state->ready[static_cast<std::size_t>(member)].set_value();
       }
     }
     co_return;
@@ -669,7 +669,7 @@ class Collectives {
           bufs[static_cast<std::size_t>(root)] +
               static_cast<std::ptrdiff_t>(static_cast<std::size_t>(rel) * count),
           bufs[static_cast<std::size_t>(me)].raw, count);
-      state->ready[static_cast<std::size_t>(me)]->trigger();
+      state->ready[static_cast<std::size_t>(me)].set_value();
       co_return;
     }
     // Combine in ascending MEMBER order (the same order every algorithm
@@ -678,7 +678,7 @@ class Collectives {
     for (int m = 0; m < n; ++m) {
       if (m == root) continue;
       const int child_rel = (m - root + n) % n;
-      co_await state->ready[static_cast<std::size_t>(m)]->wait();
+      co_await state->ready[static_cast<std::size_t>(m)].get_future();
       const T* staged = mine + static_cast<std::size_t>(child_rel) * count;
       for (std::size_t i = 0; i < count; ++i) mine[i] = op(mine[i], staged[i]);
       co_await self.compute(static_cast<double>(count) * 2e-9);
@@ -695,7 +695,7 @@ class Collectives {
   /// REUSED across calls — so a remote-group contributor must not return
   /// (and thus must not be able to enter a later reduce that overwrites its
   /// slot) until its leader has both folded the slot and shipped the
-  /// partial. Event slots [n, 2n) carry that release.
+  /// partial. Ready slots [n, 2n) carry that release.
   template <class T, class Op>
   [[nodiscard]] sim::Task<void> reduce_hier(
       Thread& self, const std::vector<GlobalPtr<T>>& bufs, std::size_t count,
@@ -723,8 +723,8 @@ class Collectives {
             GlobalPtr<T>{leader_rank,
                          pstage + static_cast<std::size_t>(li) * count},
             bufs[static_cast<std::size_t>(me)].raw, count);
-        state->ready[static_cast<std::size_t>(me)]->trigger();
-        co_await state->ready[static_cast<std::size_t>(n + me)]->wait();
+        state->ready[static_cast<std::size_t>(me)].set_value();
+        co_await state->ready[static_cast<std::size_t>(n + me)].get_future();
         co_return;
       }
       // Leader: slot 0 starts as my own contribution, then fold the
@@ -733,7 +733,7 @@ class Collectives {
                          bufs[static_cast<std::size_t>(me)].raw, count);
       for (int i = 1; i < A; ++i) {
         const int member = grp[static_cast<std::size_t>(i)];
-        co_await state->ready[static_cast<std::size_t>(member)]->wait();
+        co_await state->ready[static_cast<std::size_t>(member)].get_future();
         const T* staged = pstage + static_cast<std::size_t>(i) * count;
         for (std::size_t k = 0; k < count; ++k) {
           pstage[k] = op(pstage[k], staged[k]);
@@ -745,13 +745,13 @@ class Collectives {
           bufs[static_cast<std::size_t>(root)] +
               static_cast<std::ptrdiff_t>(static_cast<std::size_t>(rel) * count),
           pstage, count);
-      state->ready[static_cast<std::size_t>(me)]->trigger();
+      state->ready[static_cast<std::size_t>(me)].set_value();
       // pstage is done for this call (folded AND shipped) — only now may
       // the locals start a reduce that overwrites their slots.
       for (int i = 1; i < A; ++i) {
         state->ready[static_cast<std::size_t>(
                          n + grp[static_cast<std::size_t>(i)])]
-            ->trigger();
+            .set_value();
       }
       co_return;
     }
@@ -761,7 +761,7 @@ class Collectives {
           bufs[static_cast<std::size_t>(root)] +
               static_cast<std::ptrdiff_t>(static_cast<std::size_t>(rel) * count),
           bufs[static_cast<std::size_t>(me)].raw, count);
-      state->ready[static_cast<std::size_t>(me)]->trigger();
+      state->ready[static_cast<std::size_t>(me)].set_value();
       co_return;
     }
     // Root: fold my group's members, then remote-group leader partials —
@@ -770,7 +770,7 @@ class Collectives {
     T* mine = bufs[static_cast<std::size_t>(me)].raw;
     const auto fold_member = [&](int m) -> sim::Task<void> {
       const int child_rel = (m - root + n) % n;
-      co_await state->ready[static_cast<std::size_t>(m)]->wait();
+      co_await state->ready[static_cast<std::size_t>(m)].get_future();
       const T* staged = mine + static_cast<std::size_t>(child_rel) * count;
       for (std::size_t i = 0; i < count; ++i) mine[i] = op(mine[i], staged[i]);
       co_await self.compute(static_cast<double>(count) * 2e-9);
@@ -825,8 +825,9 @@ class Collectives {
           bufs[static_cast<std::size_t>(me)].raw +
               static_cast<std::size_t>(blk) * count,
           count);
-      state->ready[static_cast<std::size_t>(step * n + dst)]->trigger();
-      co_await state->ready[static_cast<std::size_t>(step * n + me)]->wait();
+      state->ready[static_cast<std::size_t>(step * n + dst)].set_value();
+      co_await state->ready[static_cast<std::size_t>(step * n + me)]
+          .get_future();
     }
     co_await barrier(self);
   }
@@ -858,8 +859,9 @@ class Collectives {
                 static_cast<std::size_t>(blk) * count,
             count);
       }
-      state->ready[static_cast<std::size_t>(step * n + dst)]->trigger();
-      co_await state->ready[static_cast<std::size_t>(step * n + me)]->wait();
+      state->ready[static_cast<std::size_t>(step * n + dst)].set_value();
+      co_await state->ready[static_cast<std::size_t>(step * n + me)]
+          .get_future();
       have += cnt;
       ++step;
     }

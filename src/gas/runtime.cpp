@@ -191,11 +191,11 @@ void Runtime::run_to_completion() {
   engine_->run();
   // A rank that died with an exception strands its peers at barriers —
   // surface the root cause, not the symptom.
-  for (auto& p : procs_) {
-    if (p.failed()) p.rethrow();
+  for (const auto& p : procs_) {
+    if (p.failed()) p.get();
   }
-  for (auto& p : procs_) {
-    if (!p.done()) {
+  for (const auto& p : procs_) {
+    if (!p.ready()) {
       throw std::logic_error(
           "Runtime: a rank did not finish (deadlocked barrier or lock?)");
     }
@@ -372,20 +372,15 @@ bool Thread::castable(int owner) const { return rt_->same_supernode(rank_, owner
 
 async::future<> Thread::launch_async(sim::Task<void> op) {
   rt_->counters().add(kCopyIssued, rank_);
-  async::promise<> done(rt_->engine());
-  async::future<> fut = done.get_future();
-  sim::spawn(rt_->engine(), complete_async(std::move(op), std::move(done)));
-  return fut;
+  return sim::spawn(rt_->engine(), complete_async(std::move(op)));
 }
 
-sim::Task<void> Thread::complete_async(sim::Task<void> op,
-                                       async::promise<> done) {
+sim::Task<void> Thread::complete_async(sim::Task<void> op) {
   try {
     co_await std::move(op);
   } catch (...) {
     rt_->counters().add(kCopyFailed, rank_);
-    done.set_exception(std::current_exception());
-    co_return;
+    throw;
   }
   // The operation's work (data movement, invalidation, cost charges) is
   // fully done; only the COMPLETION may now be held back, so a fault plan
@@ -395,7 +390,6 @@ sim::Task<void> Thread::complete_async(sim::Task<void> op,
     if (extra > 0) co_await sim::delay(rt_->engine(), extra);
   }
   rt_->counters().add(kCopyCompleted, rank_);
-  done.set_value();
 }
 
 sim::Task<void> Thread::element_access(int owner, std::size_t bytes) {

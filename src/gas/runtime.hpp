@@ -516,9 +516,9 @@ class Thread {
   [[nodiscard]] async::future<> launch_async(sim::Task<void> op);
 
  private:
-  /// launch_async's driver coroutine (spawned as a root process).
-  [[nodiscard]] sim::Task<void> complete_async(sim::Task<void> op,
-                                               async::promise<> done);
+  /// launch_async's root body: `op`, the completion hook's delay and the
+  /// completion counters; op's exception propagates to the future.
+  [[nodiscard]] sim::Task<void> complete_async(sim::Task<void> op);
   [[nodiscard]] sim::Task<void> element_access(int owner, std::size_t bytes);
   /// Read-class fine-grained access (get / metadata probe): serves from
   /// the read cache inside a cached epoch (consulting the coalescer's
@@ -713,7 +713,7 @@ class Runtime {
   SharedHeap heap_;
   sim::Barrier barrier_;
   std::vector<std::unique_ptr<Thread>> threads_;
-  std::vector<sim::Process> procs_;
+  std::vector<async::future<>> procs_;  // one per rank, from sim::spawn
   Kernel kernel_;  // owns the closure the rank coroutines execute in
   fault::Hooks fault_hooks_;
   bool launched_ = false;

@@ -145,7 +145,7 @@ sim::Task<void> Mpi::pairwise_alltoall(gas::Thread& self, const void* sendbuf,
   for (int step = 1; step < nthreads; ++step) {
     const int to = (me + step) % nthreads;
     const int from = (me - step + nthreads) % nthreads;
-    auto send_done = sim::start(
+    auto send_done = sim::spawn(
         rt_->engine(),
         send_impl(self, to, kTag + step,
                   modeled ? nullptr
@@ -238,14 +238,14 @@ sim::Task<void> Mpi::alltoall(gas::Thread& self, const void* sendbuf,
     for (int step = 1; step < nodes; ++step) {
       const int to_node = (my_node + step) % nodes;
       const int from_node = (my_node - step + nodes) % nodes;
-      inflight.push_back(sim::start(
+      inflight.push_back(sim::spawn(
           rt_->engine(),
           send_impl(self, leader_of_node(to_node), kTag + step,
                     modeled ? nullptr
                             : stage.gather.data() +
                                   static_cast<std::size_t>(to_node) * node_chunk,
                     node_chunk, kCollectiveApiScale)));
-      inflight.push_back(sim::start(
+      inflight.push_back(sim::spawn(
           rt_->engine(),
           recv_impl(self, leader_of_node(from_node), kTag + step,
                     modeled ? nullptr

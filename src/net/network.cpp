@@ -197,7 +197,7 @@ sim::Task<void> Network::loopback(Transfer t, double loopback_bw) {
 }
 
 async::future<> Network::rma_async(Transfer t) {
-  return sim::start(*engine_, rma(t));
+  return sim::spawn(*engine_, rma(t));
 }
 
 std::uint64_t Network::total_messages() const noexcept {

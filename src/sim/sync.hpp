@@ -4,7 +4,8 @@
 // suspends on a primitive and is resumed by the event that satisfies it.
 // Wakeups are posted as same-instant engine events, which keeps resume
 // stacks flat and ordering deterministic (FIFO per primitive). Completion
-// handles for non-blocking operations are async::future (async/future.hpp).
+// of anything, a barrier phase included, is an async::future
+// (async/future.hpp).
 #pragma once
 
 #include <cassert>
@@ -14,41 +15,11 @@
 #include <utility>
 #include <vector>
 
+#include "async/future.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
 
 namespace hupc::sim {
-
-/// One-shot broadcast event. Once triggered, all current and future waiters
-/// proceed immediately.
-class Event {
- public:
-  explicit Event(Engine& engine) : engine_(&engine) {}
-
-  [[nodiscard]] bool triggered() const noexcept { return triggered_; }
-
-  void trigger() {
-    if (triggered_) return;
-    triggered_ = true;
-    for (auto h : waiters_) engine_->schedule_in(0, h);
-    waiters_.clear();
-  }
-
-  [[nodiscard]] auto wait() {
-    struct Awaiter {
-      Event& ev;
-      bool await_ready() const noexcept { return ev.triggered_; }
-      void await_suspend(std::coroutine_handle<> h) { ev.waiters_.push_back(h); }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
-  }
-
- private:
-  Engine* engine_;
-  bool triggered_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
-};
 
 /// Counting semaphore in virtual time; FIFO wakeup order.
 class Semaphore {
@@ -150,83 +121,49 @@ class ScopedLock {
 };
 
 /// Reusable cyclic barrier for N participants. Models the UPC barrier
-/// semantics including the split-phase notify/wait pair.
+/// semantics including the split-phase notify/wait pair. Each phase is one
+/// engine-backed promise, fulfilled when the phase completes, so the
+/// phase's waiters resume in the order they parked, whichever form they
+/// used.
 class Barrier {
  public:
   Barrier(Engine& engine, int parties)
-      : engine_(&engine), parties_(parties), arrived_(0), phase_(0) {
+      : engine_(&engine), parties_(parties), done_(engine) {
     assert(parties >= 1);
   }
 
   [[nodiscard]] int parties() const noexcept { return parties_; }
   [[nodiscard]] std::uint64_t phase() const noexcept { return phase_; }
 
-  /// Full barrier: notify + wait.
-  [[nodiscard]] auto arrive_and_wait() {
-    struct Awaiter {
-      Barrier& bar;
-      bool await_ready() {
-        if (bar.arrived_ + 1 == bar.parties_) {
-          bar.complete_phase();
-          return true;  // last arriver does not suspend
-        }
-        return false;
-      }
-      void await_suspend(std::coroutine_handle<> h) {
-        ++bar.arrived_;
-        bar.waiters_.push_back(h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
-  }
-
   /// Split-phase: notify() records arrival without blocking...
   void notify() {
-    ++arrived_;
-    if (arrived_ == parties_) complete_phase();
+    if (++arrived_ < parties_) return;
+    arrived_ = 0;
+    ++phase_;
+    std::exchange(done_, async::promise<>(*engine_)).set_value();
   }
 
-  /// ...and wait(phase) blocks until the phase that `notify` contributed to
-  /// has completed. Callers capture `phase()` before notify().
-  [[nodiscard]] auto wait_phase(std::uint64_t phase) {
-    struct Awaiter {
-      Barrier& bar;
-      std::uint64_t phase;
-      bool await_ready() const noexcept { return bar.phase_ > phase; }
-      void await_suspend(std::coroutine_handle<> h) {
-        bar.phase_waiters_.emplace_back(phase, h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this, phase};
+  /// ...and wait_phase(phase) blocks until the phase that `notify`
+  /// contributed to has completed. Callers capture `phase()` before
+  /// notify().
+  [[nodiscard]] auto wait_phase(std::uint64_t ph) const {
+    assert(ph <= phase_ && "Barrier::wait_phase: token from a future phase");
+    return (ph < phase_ ? async::future<>() : done_.get_future()).wait();
+  }
+
+  /// Full barrier: notify + wait. The last arriver does not suspend.
+  [[nodiscard]] auto arrive_and_wait() {
+    const std::uint64_t ph = phase_;
+    notify();
+    return wait_phase(ph);
   }
 
  private:
-  void complete_phase() {
-    arrived_ = 0;
-    ++phase_;
-    for (auto h : waiters_) engine_->schedule_in(0, h);
-    waiters_.clear();
-    // Release split-phase waiters whose phase has now completed.
-    std::vector<std::pair<std::uint64_t, std::coroutine_handle<>>> keep;
-    keep.reserve(phase_waiters_.size());
-    for (auto& [ph, h] : phase_waiters_) {
-      if (phase_ > ph) {
-        engine_->schedule_in(0, h);
-      } else {
-        keep.emplace_back(ph, h);
-      }
-    }
-    phase_waiters_ = std::move(keep);
-  }
-
   Engine* engine_;
   int parties_;
-  int arrived_;
-  std::uint64_t phase_;
-  std::vector<std::coroutine_handle<>> waiters_;
-  std::vector<std::pair<std::uint64_t, std::coroutine_handle<>>> phase_waiters_;
+  int arrived_ = 0;
+  std::uint64_t phase_ = 0;
+  async::promise<> done_;  // the current phase's completion
 };
 
 }  // namespace hupc::sim

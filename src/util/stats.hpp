@@ -1,24 +1,20 @@
-// Small descriptive-statistics helpers for benchmark harnesses: the paper
-// reports medians of repeated microbenchmark trials and means of application
-// timings, so both are provided along with spread measures.
+// The suite's one scalar percentile. perf::summarize builds its medians and
+// bootstrap intervals on it (perf/stats.hpp).
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace hupc::util {
 
 /// THE percentile definition for the whole suite: linear interpolation
 /// between closest ranks (rank = p * (n-1)) over an ALREADY SORTED span,
-/// `p01` in [0, 1]. util::Stats and perf::summarize (median, MAD,
-/// bootstrap CI) call this directly; util::LogHistogram::percentile
-/// approximates it from bucket counts with a midpoint-rank convention
-/// (rank k of a c-count bucket sits at (k - 0.5)/c of the bucket span),
-/// so histogram estimates are centered on this definition rather than
-/// upper-edge bounds of it.
+/// `p01` in [0, 1]. perf::summarize (median, MAD, bootstrap CI) calls
+/// this directly; util::LogHistogram::percentile approximates it from
+/// bucket counts with a midpoint-rank convention (rank k of a c-count
+/// bucket sits at (k - 0.5)/c of the bucket span), so histogram estimates
+/// are centered on this definition rather than upper-edge bounds of it.
 [[nodiscard]] inline double percentile_sorted(std::span<const double> sorted,
                                               double p01) noexcept {
   if (sorted.empty()) return 0.0;
@@ -30,56 +26,5 @@ namespace hupc::util {
   const double frac = rank - static_cast<double>(lo);
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
-
-/// Accumulates samples; queries are O(n log n) at most (sorting for
-/// percentiles) and do not mutate the stored samples.
-class Stats {
- public:
-  void add(double x) { samples_.push_back(x); }
-
-  [[nodiscard]] std::size_t count() const noexcept { return samples_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return samples_.empty(); }
-
-  [[nodiscard]] double sum() const noexcept {
-    double s = 0;
-    for (double x : samples_) s += x;
-    return s;
-  }
-
-  [[nodiscard]] double mean() const noexcept {
-    return samples_.empty() ? 0.0 : sum() / static_cast<double>(samples_.size());
-  }
-
-  [[nodiscard]] double min() const noexcept {
-    return samples_.empty() ? 0.0 : *std::min_element(samples_.begin(), samples_.end());
-  }
-
-  [[nodiscard]] double max() const noexcept {
-    return samples_.empty() ? 0.0 : *std::max_element(samples_.begin(), samples_.end());
-  }
-
-  /// Sample standard deviation (n-1 denominator); 0 for fewer than 2 samples.
-  [[nodiscard]] double stddev() const noexcept {
-    if (samples_.size() < 2) return 0.0;
-    const double m = mean();
-    double acc = 0;
-    for (double x : samples_) acc += (x - m) * (x - m);
-    return std::sqrt(acc / static_cast<double>(samples_.size() - 1));
-  }
-
-  /// Percentile via linear interpolation between closest ranks; p in [0,100].
-  [[nodiscard]] double percentile(double p) const {
-    std::vector<double> sorted(samples_);
-    std::sort(sorted.begin(), sorted.end());
-    return percentile_sorted(sorted, p / 100.0);
-  }
-
-  [[nodiscard]] double median() const { return percentile(50.0); }
-
-  [[nodiscard]] std::span<const double> samples() const noexcept { return samples_; }
-
- private:
-  std::vector<double> samples_;
-};
 
 }  // namespace hupc::util

@@ -249,7 +249,7 @@ TEST(AsyncFuture, CoAwaitIntegratesWithSimTasks) {
     co_return;
   }(p, p.get_future(), got, e));
   e.run();
-  EXPECT_TRUE(proc.done());
+  EXPECT_TRUE(proc.ready());
   EXPECT_EQ(got, 99);
 }
 

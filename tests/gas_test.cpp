@@ -6,6 +6,8 @@
 #include <cstring>
 #include <fstream>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "gas/gas.hpp"
@@ -176,6 +178,46 @@ TEST(Runtime, SpmdRanksSeeIdentity) {
   });
   rt.run_to_completion();
   for (int r = 0; r < 8; ++r) EXPECT_EQ(seen[static_cast<std::size_t>(r)], r);
+}
+
+// A rank that dies with an exception, with no peer waiting on it, makes
+// run_to_completion rethrow that exception.
+TEST(Runtime, FailedRankSurfacesItsException) {
+  sim::Engine e;
+  Runtime rt(e, small_config(4));
+  rt.spmd([](Thread& t) -> sim::Task<void> {
+    if (t.rank() == 2) throw std::runtime_error("rank 2 failed");
+    co_return;
+  });
+  try {
+    rt.run_to_completion();
+    FAIL() << "run_to_completion returned";
+  } catch (const std::runtime_error& err) {
+    EXPECT_STREQ(err.what(), "rank 2 failed");
+  }
+}
+
+// A rank left waiting at a barrier no peer reaches is reported as a rank
+// that did not finish.
+TEST(Runtime, StrandedRankIsReportedAsUnfinished) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "the stranded rank's suspended frames are never destroyed, "
+                  "so LeakSanitizer reports them";
+#else
+  sim::Engine e;
+  Runtime rt(e, small_config(4));
+  rt.spmd([](Thread& t) -> sim::Task<void> {
+    if (t.rank() == 0) co_await t.barrier();
+  });
+  try {
+    rt.run_to_completion();
+    FAIL() << "run_to_completion returned";
+  } catch (const std::logic_error& err) {
+    EXPECT_NE(std::string(err.what()).find("did not finish"),
+              std::string::npos)
+        << err.what();
+  }
+#endif
 }
 
 TEST(Runtime, PlacementSpreadsOverNodes) {

@@ -11,39 +11,6 @@ namespace {
 
 using namespace hupc::sim;  // NOLINT: test-local convenience
 
-TEST(Event, BroadcastWakesAllWaiters) {
-  Engine e;
-  Event ev(e);
-  int woken = 0;
-  for (int i = 0; i < 3; ++i) {
-    spawn(e, [](Event& event, int& w) -> Task<void> {
-      co_await event.wait();
-      ++w;
-    }(ev, woken));
-  }
-  spawn(e, [](Engine& eng, Event& event) -> Task<void> {
-    co_await delay(eng, 10);
-    event.trigger();
-  }(e, ev));
-  e.run();
-  EXPECT_EQ(woken, 3);
-  EXPECT_EQ(e.now(), 10);
-}
-
-TEST(Event, WaitAfterTriggerIsImmediate) {
-  Engine e;
-  Event ev(e);
-  ev.trigger();
-  bool done = false;
-  spawn(e, [](Event& event, bool& d) -> Task<void> {
-    co_await event.wait();
-    d = true;
-  }(ev, done));
-  e.run();
-  EXPECT_TRUE(done);
-  EXPECT_EQ(e.now(), 0);
-}
-
 TEST(Semaphore, LimitsConcurrency) {
   Engine e;
   Semaphore sem(e, 2);
@@ -168,6 +135,42 @@ TEST(Barrier, SplitPhaseNotifyWaitOverlapsWork) {
   ASSERT_EQ(log.size(), 3u);
   EXPECT_EQ(log[0], 0);
   EXPECT_EQ(e.now(), 20);
+}
+
+// A phase's waiters share one FIFO, whether they parked through
+// wait_phase or arrive_and_wait: they resume in the order they parked.
+TEST(Barrier, MixedWaitersResumeInParkOrder) {
+  Engine e;
+  Barrier bar(e, 3);
+  std::vector<int> log;
+  spawn(e, [](Engine& eng, Barrier& b, std::vector<int>& lg) -> Task<void> {
+    const auto ph = b.phase();
+    b.notify();
+    co_await delay(eng, 1);
+    co_await b.wait_phase(ph);  // parks first
+    lg.push_back(1);
+  }(e, bar, log));
+  spawn(e, [](Engine& eng, Barrier& b, std::vector<int>& lg) -> Task<void> {
+    co_await delay(eng, 2);
+    co_await b.arrive_and_wait();  // parks second
+    lg.push_back(2);
+  }(e, bar, log));
+  spawn(e, [](Engine& eng, Barrier& b, std::vector<int>& lg) -> Task<void> {
+    co_await delay(eng, 3);
+    co_await b.arrive_and_wait();  // last arriver: does not park
+    lg.push_back(3);
+  }(e, bar, log));
+  e.run();
+  EXPECT_EQ(log, (std::vector<int>{3, 1, 2}));
+  EXPECT_EQ(bar.phase(), 1u);
+  EXPECT_EQ(e.now(), 3);
+}
+
+// A token names a phase that notify() has already reached.
+TEST(BarrierDeathTest, WaitPhaseRejectsAFuturePhaseToken) {
+  Engine e;
+  Barrier bar(e, 2);
+  EXPECT_DEBUG_DEATH((void)bar.wait_phase(bar.phase() + 1), "future phase");
 }
 
 }  // namespace

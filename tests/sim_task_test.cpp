@@ -4,15 +4,16 @@
 #include <stdexcept>
 #include <vector>
 
+#include "async/future.hpp"
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
 #include "sim/task.hpp"
 
 namespace {
 
+using hupc::async::future;
 using hupc::sim::delay;
 using hupc::sim::Engine;
-using hupc::sim::Process;
 using hupc::sim::spawn;
 using hupc::sim::Task;
 using hupc::sim::Time;
@@ -31,9 +32,9 @@ Task<void> driver(Engine& e, int& out) { out = co_await adds(e); }
 TEST(Task, NestedAwaitsPropagateValuesAndTime) {
   Engine e;
   int out = 0;
-  Process p = spawn(e, driver(e, out));
+  future<> p = spawn(e, driver(e, out));
   e.run();
-  EXPECT_TRUE(p.done());
+  EXPECT_TRUE(p.ready());
   EXPECT_EQ(out, 42);
   EXPECT_EQ(e.now(), 5);
 }
@@ -60,38 +61,38 @@ TEST(Task, ExceptionsPropagateThroughAwaitChain) {
     co_return;  // unreachable but required to make this a coroutine
   };
   auto middle = [&]() -> Task<void> { co_await thrower(); };
-  Process p = spawn(e, middle());
+  future<> p = spawn(e, middle());
   e.run();
-  EXPECT_TRUE(p.done());
+  EXPECT_TRUE(p.ready());
   EXPECT_TRUE(p.failed());
-  EXPECT_THROW(p.rethrow(), std::runtime_error);
+  EXPECT_THROW(p.get(), std::runtime_error);
 }
 
 TEST(Process, JoinFromAnotherCoroutine) {
   Engine e;
   std::vector<int> order;
-  Process worker = spawn(e, [](Engine& eng, std::vector<int>& ord) -> Task<void> {
+  future<> worker = spawn(e, [](Engine& eng, std::vector<int>& ord) -> Task<void> {
     co_await delay(eng, 100);
     ord.push_back(1);
   }(e, order));
-  Process watcher =
-      spawn(e, [](Process w, std::vector<int>& ord) -> Task<void> {
-        co_await w.join();
+  future<> watcher =
+      spawn(e, [](future<> w, std::vector<int>& ord) -> Task<void> {
+        co_await w;
         ord.push_back(2);
       }(worker, order));
   e.run();
-  EXPECT_TRUE(watcher.done());
+  EXPECT_TRUE(watcher.ready());
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 TEST(Process, JoinAfterDoneIsImmediate) {
   Engine e;
-  Process quick = spawn(e, []() -> Task<void> { co_return; }());
+  future<> quick = spawn(e, []() -> Task<void> { co_return; }());
   e.run();
-  ASSERT_TRUE(quick.done());
+  ASSERT_TRUE(quick.ready());
   bool joined = false;
-  spawn(e, [](Process q, bool& j) -> Task<void> {
-    co_await q.join();
+  spawn(e, [](future<> q, bool& j) -> Task<void> {
+    co_await q;
     j = true;
   }(quick, joined));
   e.run();
@@ -100,14 +101,14 @@ TEST(Process, JoinAfterDoneIsImmediate) {
 
 TEST(Process, JoinPropagatesChildException) {
   Engine e;
-  Process bad = spawn(e, []() -> Task<void> {
+  future<> bad = spawn(e, []() -> Task<void> {
     throw std::logic_error("bad");
     co_return;
   }());
   bool caught = false;
-  spawn(e, [](Process b, bool& c) -> Task<void> {
+  spawn(e, [](future<> b, bool& c) -> Task<void> {
     try {
-      co_await b.join();
+      co_await b;
     } catch (const std::logic_error&) {
       c = true;
     }
@@ -178,8 +179,7 @@ TEST(TaskDeathTest, DestroyedFrameUseIsReportedUnderAsan) {
   auto finished_root = [] {
     Engine e;
     auto root = hupc::sim::detail::run_root(
-        e, hupc::sim::detail::ProcRef(new hupc::sim::detail::ProcState),
-        []() -> Task<void> { co_return; }());
+        []() -> Task<void> { co_return; }(), hupc::async::promise<>(e));
     const std::coroutine_handle<> h = root.handle;
     e.schedule_in(0, h);
     e.run();

@@ -2,6 +2,7 @@
 
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -11,8 +12,8 @@
 namespace {
 
 using hupc::util::Cli;
+using hupc::util::percentile_sorted;
 using hupc::util::SplitMix64;
-using hupc::util::Stats;
 using hupc::util::Table;
 using hupc::util::Xoshiro256ss;
 
@@ -59,31 +60,13 @@ TEST(Xoshiro, BelowBoundOneAlwaysZero) {
   EXPECT_EQ(rng.below(0), 0u);
 }
 
-TEST(Stats, BasicMoments) {
-  Stats s;
-  for (double x : {1.0, 2.0, 3.0, 4.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_DOUBLE_EQ(s.median(), 2.5);
-  EXPECT_NEAR(s.stddev(), 1.2909944, 1e-6);
-}
-
-TEST(Stats, EmptyIsSafe) {
-  Stats s;
-  EXPECT_TRUE(s.empty());
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.median(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
 TEST(Stats, PercentileInterpolates) {
-  Stats s;
-  for (double x : {10.0, 20.0, 30.0, 40.0, 50.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.percentile(0), 10.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 50.0);
-  EXPECT_DOUBLE_EQ(s.percentile(25), 20.0);
-  EXPECT_DOUBLE_EQ(s.percentile(50), 30.0);
+  const std::vector<double> sorted{10.0, 20.0, 30.0, 40.0, 50.0};
+  EXPECT_DOUBLE_EQ(percentile_sorted(sorted, 0.0), 10.0);
+  EXPECT_DOUBLE_EQ(percentile_sorted(sorted, 1.0), 50.0);
+  EXPECT_DOUBLE_EQ(percentile_sorted(sorted, 0.25), 20.0);
+  EXPECT_DOUBLE_EQ(percentile_sorted(sorted, 0.5), 30.0);
+  EXPECT_DOUBLE_EQ(percentile_sorted(sorted, 0.125), 15.0);
 }
 
 TEST(Table, PrintsAlignedAndCsv) {
