@@ -32,7 +32,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -304,19 +303,12 @@ int main(int argc, char** argv) try {
 
     std::vector<int> everyone(static_cast<std::size_t>(threads));
     std::iota(everyone.begin(), everyone.end(), 0);
-    core::Team world(rt, everyone);
     gas::CollectiveSelector sel;
     sel.override_algo = *coll_algo;
-    auto world_coll = world.make_collectives(sel);
+    core::Team world(rt, std::move(everyone), sel);
     std::vector<core::Team> subteams;
     if (team_split == "node") subteams = world.split_by_node();
     if (team_split == "socket") subteams = world.split_by_socket();
-    std::vector<std::unique_ptr<gas::Collectives>> sub_colls;
-    sub_colls.reserve(subteams.size());
-    for (const auto& st : subteams) {
-      sub_colls.push_back(
-          std::make_unique<gas::Collectives>(st.make_collectives(sel)));
-    }
 
     std::vector<double> global_sum(static_cast<std::size_t>(threads), 0.0);
     std::vector<double> team_sum(static_cast<std::size_t>(threads), 0.0);
@@ -329,13 +321,13 @@ int main(int argc, char** argv) try {
       }
       co_await t.barrier();
       global_sum[static_cast<std::size_t>(t.rank())] =
-          co_await gas::reduce_gather(t, world_coll, rod, 0.0, plus);
+          co_await gas::reduce_gather(t, world, rod, 0.0, plus);
       for (std::size_t k = 0; k < subteams.size(); ++k) {
         if (!subteams[k].contains(t.rank())) continue;
         double local = 0.0;
         for (std::size_t i = 0; i < per; ++i) local += mine[i];
         team_sum[static_cast<std::size_t>(t.rank())] =
-            co_await sub_colls[k]->allreduce_value(t, local, plus);
+            co_await subteams[k].allreduce_value(t, local, plus);
       }
       co_return;
     });
@@ -350,12 +342,12 @@ int main(int argc, char** argv) try {
     }
     for (const auto& st : subteams) {
       double host = 0.0;
-      for (int r : st.ranks()) {
+      for (int r : st.members()) {
         for (std::size_t i = 0; i < per; ++i) {
           host += static_cast<std::size_t>(r) * per + i < cells / 2 ? 1.0 : 0.0;
         }
       }
-      for (int r : st.ranks()) {
+      for (int r : st.members()) {
         max_err = std::max(
             max_err, std::abs(team_sum[static_cast<std::size_t>(r)] - host));
       }

@@ -69,14 +69,14 @@ int main(int argc, char** argv) {
   std::printf("\nnode teams:\n");
   for (const auto& team : core::Team::all_node_teams(rt)) {
     std::printf("  node team:");
-    for (int r : team.ranks()) std::printf(" %d", r);
+    for (int r : team.members()) std::printf(" %d", r);
     std::printf("\n");
   }
   std::printf("socket teams on node 0:\n");
   for (int s = 0; s < machine.sockets_per_node; ++s) {
     const auto team = core::Team::socket_team(rt, 0, s);
     std::printf("  socket %d:", s);
-    for (int r : team.ranks()) std::printf(" %d", r);
+    for (int r : team.members()) std::printf(" %d", r);
     std::printf("\n");
   }
 

@@ -1,45 +1,11 @@
 #include "core/team.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cassert>
 #include <map>
 #include <stdexcept>
 #include <utility>
 
 namespace hupc::core {
-
-namespace {
-int ceil_log2(int n) {
-  if (n <= 1) return 0;
-  return std::bit_width(static_cast<unsigned>(n - 1));
-}
-}  // namespace
-
-Team::Team(gas::Runtime& rt, std::vector<int> ranks)
-    : rt_(&rt), ranks_(std::move(ranks)) {
-  if (ranks_.empty()) throw std::invalid_argument("Team: empty rank set");
-  for (int r : ranks_) {
-    if (r < 0 || r >= rt.threads()) {
-      throw std::invalid_argument("Team: rank out of range");
-    }
-  }
-  // Any order is allowed (split() emits key-ordered teams); only
-  // duplicates are rejected.
-  std::vector<int> sorted = ranks_;
-  std::sort(sorted.begin(), sorted.end());
-  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
-    throw std::invalid_argument("Team: ranks must be unique");
-  }
-  barrier_ = std::make_unique<sim::Barrier>(rt.engine(), size());
-  spans_nodes_ = false;
-  for (int r : ranks_) {
-    if (rt.node_of(r) != rt.node_of(ranks_.front())) {
-      spans_nodes_ = true;
-      break;
-    }
-  }
-}
 
 Team Team::node_team(gas::Runtime& rt, int node) {
   std::vector<int> members;
@@ -67,58 +33,51 @@ std::vector<Team> Team::all_node_teams(gas::Runtime& rt) {
   return teams;
 }
 
-int Team::team_rank(int global) const {
-  // Linear scan: member order is arbitrary (key-ordered after split), and
-  // teams are hardware-domain sized.
-  const auto it = std::find(ranks_.begin(), ranks_.end(), global);
-  if (it == ranks_.end()) return -1;
-  return static_cast<int>(it - ranks_.begin());
-}
-
 std::vector<Team> Team::split(const std::vector<int>& colors,
                               const std::vector<int>& keys) const {
-  if (colors.size() != ranks_.size()) {
+  const auto n = static_cast<std::size_t>(size());
+  if (colors.size() != n) {
     throw std::invalid_argument("Team::split: one color per member required");
   }
-  if (!keys.empty() && keys.size() != ranks_.size()) {
+  if (!keys.empty() && keys.size() != n) {
     throw std::invalid_argument(
         "Team::split: keys must be empty or one per member");
   }
-  // color -> [(key, parent team rank)], std::map for ascending color order.
+  // color -> [(key, parent member index)], std::map for ascending color.
   std::map<int, std::vector<std::pair<int, int>>> buckets;
-  for (std::size_t i = 0; i < ranks_.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     if (colors[i] < 0) continue;  // negative color: joins no subteam
     buckets[colors[i]].emplace_back(keys.empty() ? 0 : keys[i],
                                     static_cast<int>(i));
   }
   std::vector<Team> teams;
   teams.reserve(buckets.size());
-  for (auto& [color, members] : buckets) {
+  for (auto& [color, keyed] : buckets) {
     (void)color;
-    std::sort(members.begin(), members.end());  // (key, parent team rank)
-    std::vector<int> sub;
-    sub.reserve(members.size());
-    for (const auto& [key, tr] : members) {
+    std::sort(keyed.begin(), keyed.end());  // (key, parent member index)
+    std::vector<int> idxs;
+    idxs.reserve(keyed.size());
+    for (const auto& [key, idx] : keyed) {
       (void)key;
-      sub.push_back(ranks_[static_cast<std::size_t>(tr)]);
+      idxs.push_back(idx);
     }
-    teams.emplace_back(Team(*rt_, std::move(sub)));
+    teams.push_back(subteam(idxs));
   }
   return teams;
 }
 
 std::vector<Team> Team::split_by_node() const {
-  std::vector<int> colors;
-  colors.reserve(ranks_.size());
-  for (int r : ranks_) colors.push_back(rt_->node_of(r));
-  return split(colors);
+  std::vector<Team> teams;
+  teams.reserve(groups().size());
+  for (const auto& idxs : groups()) teams.push_back(subteam(idxs));
+  return teams;
 }
 
 std::vector<Team> Team::split_by_socket() const {
   // Color = dense index of the (node, socket) pair, ascending.
   std::map<std::pair<int, int>, int> domain_color;
-  for (int r : ranks_) {
-    const auto loc = rt_->loc_of(r);
+  for (int r : members()) {
+    const auto loc = runtime().loc_of(r);
     domain_color.emplace(std::make_pair(loc.node, loc.socket), 0);
   }
   int next = 0;
@@ -127,43 +86,26 @@ std::vector<Team> Team::split_by_socket() const {
     color = next++;
   }
   std::vector<int> colors;
-  colors.reserve(ranks_.size());
-  for (int r : ranks_) {
-    const auto loc = rt_->loc_of(r);
+  colors.reserve(members().size());
+  for (int r : members()) {
+    const auto loc = runtime().loc_of(r);
     colors.push_back(domain_color.at({loc.node, loc.socket}));
   }
   return split(colors);
 }
 
 Team Team::leader_team() const {
-  std::map<int, int> first_on_node;  // node -> global rank of first member
-  for (int r : ranks_) {
-    first_on_node.emplace(rt_->node_of(r), r);
-  }
   std::vector<int> leaders;
-  leaders.reserve(first_on_node.size());
-  for (const auto& [node, rank] : first_on_node) {
-    (void)node;
-    leaders.push_back(rank);
-  }
-  return Team(*rt_, std::move(leaders));
+  leaders.reserve(groups().size());
+  for (const auto& idxs : groups()) leaders.push_back(idxs.front());
+  return subteam(leaders);
 }
 
-sim::Time Team::barrier_cost() const {
-  const auto& costs = rt_->config().costs;
-  double seconds = costs.barrier_hop_s * ceil_log2(size());
-  if (spans_nodes_) {
-    const auto& c = rt_->config().conduit;
-    seconds += (c.send_overhead_s + c.latency_s + c.recv_overhead_s) *
-               ceil_log2(rt_->nodes_used());
-  }
-  return sim::from_seconds(seconds);
-}
-
-sim::Task<void> Team::barrier([[maybe_unused]] gas::Thread& self) {
-  assert(contains(self.rank()) && "barrier by non-member");
-  co_await barrier_->arrive_and_wait();
-  co_await sim::delay(rt_->engine(), barrier_cost());
+Team Team::subteam(const std::vector<int>& idxs) const {
+  std::vector<int> ranks;
+  ranks.reserve(idxs.size());
+  for (int i : idxs) ranks.push_back(members()[static_cast<std::size_t>(i)]);
+  return Team(runtime(), std::move(ranks), selector());
 }
 
 }  // namespace hupc::core

@@ -3,29 +3,32 @@
 // A Team is an ordered set of UPC ranks — typically all ranks sharing a
 // hardware domain (node, socket), but arbitrary and *overlapping* groups
 // are allowed (§3.2.1 argues for concurrent exploitation of multiple
-// hierarchies). Teams carry their own barrier and translate between team
-// ranks and global ranks.
+// hierarchies). A Team IS the member set's gas::Collectives (the
+// GASNet-teams facility of §3.2.1): members, member indices, the barrier
+// and broadcast/reduce/exchange scoped to the members, with buffers
+// indexed by member index. Team adds the topology factories and splits.
 //
 // Teams are plain shared objects: construct them (host-side or on one
 // rank) before use and share by reference, the way the thesis programs
 // hand-code thread groups from topology queries at startup.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "gas/collectives.hpp"
 #include "gas/gas.hpp"
-#include "sim/sim.hpp"
 
 namespace hupc::core {
 
-class Team {
+class Team : public gas::Collectives {
  public:
-  /// `ranks` must be non-empty, unique and in range. Any ORDER is allowed —
-  /// member index is the position in `ranks` (split() emits key-ordered
-  /// teams, so sortedness is not a Team invariant).
-  Team(gas::Runtime& rt, std::vector<int> ranks);
+  /// Team(rt) is the whole runtime; Team(rt, ranks, selector) takes
+  /// non-empty, unique, in-range ranks in ANY order — member index is the
+  /// position in `ranks` (split() emits key-ordered teams, so sortedness
+  /// is not a Team invariant). The optional selector pins or tunes the
+  /// per-operation algorithm choice (gas/coll_algo.hpp); subteams made by
+  /// split* and leader_team() inherit it.
+  using gas::Collectives::Collectives;
 
   // --- hardware-driven factories (the topology queries of §3.2.1) -------
   [[nodiscard]] static Team node_team(gas::Runtime& rt, int node);
@@ -35,54 +38,28 @@ class Team {
 
   // --- splitting (the MPI_Comm_split-shaped teams API of §3.2.1) --------
 
-  /// Partition this team by color: member i (team rank) joins the subteam
-  /// of every other member with `colors[i]`; a negative color joins no
-  /// team. Within a subteam, members are ordered by ascending
-  /// (`keys[i]`, parent team rank) — so subteam rank 0 is the smallest
-  /// key, NOT necessarily the smallest global rank. Returns the subteams
-  /// in ascending color order. `colors` (and `keys`, when non-empty) must
-  /// have exactly size() entries; omitted keys default to 0 (order by
-  /// parent team rank).
+  /// Partition this team by color: member i joins the subteam of every
+  /// other member with `colors[i]`; a negative color joins no team. Within
+  /// a subteam, members are ordered by ascending (`keys[i]`, parent member
+  /// index) — so subteam member 0 is the smallest key, NOT necessarily the
+  /// smallest global rank. Returns the subteams in ascending color order.
+  /// `colors` (and `keys`, when non-empty) must have exactly size()
+  /// entries; omitted keys default to 0 (order by parent member index).
   [[nodiscard]] std::vector<Team> split(const std::vector<int>& colors,
                                         const std::vector<int>& keys = {}) const;
 
-  /// split() with color = the node hosting each member: one subteam per
-  /// node this team touches, in ascending node order.
+  /// One subteam per node this team touches, in ascending node order;
+  /// members keep their parent order.
   [[nodiscard]] std::vector<Team> split_by_node() const;
 
   /// split() with color = (node, socket) of each member, ascending.
   [[nodiscard]] std::vector<Team> split_by_socket() const;
 
-  /// Cross-node leaders subteam: the first member (lowest team rank) on
+  /// Cross-node leaders subteam: the first member (lowest member index) on
   /// each node this team touches, in ascending node order — the "one
   /// representative per supernode" team the two-level collective
   /// algorithms route through.
   [[nodiscard]] Team leader_team() const;
-
-  [[nodiscard]] int size() const noexcept {
-    return static_cast<int>(ranks_.size());
-  }
-  [[nodiscard]] const std::vector<int>& ranks() const noexcept { return ranks_; }
-  [[nodiscard]] int global_rank(int team_rank) const {
-    return ranks_[static_cast<std::size_t>(team_rank)];
-  }
-  /// Team rank of a global rank, or -1 if not a member.
-  [[nodiscard]] int team_rank(int global) const;
-  [[nodiscard]] bool contains(int global) const { return team_rank(global) >= 0; }
-
-  /// Barrier across team members only; costs scale with the team's span
-  /// (intra-node teams pay no network rounds).
-  [[nodiscard]] sim::Task<void> barrier(gas::Thread& self);
-
-  /// Team-scoped collectives (the GASNet-teams facility of §3.2.1):
-  /// broadcast/reduce/exchange restricted to this team's members, with
-  /// buffers indexed by team rank. Create once, share among members. The
-  /// optional selector pins or tunes the per-operation algorithm choice
-  /// (gas/coll_algo.hpp).
-  [[nodiscard]] gas::Collectives make_collectives(
-      gas::CollectiveSelector selector = {}) const {
-    return gas::Collectives(*rt_, ranks_, selector);
-  }
 
   /// Pre-cast pointer table (§3.3): raw base pointers of each member's
   /// slice of `arr`, nullptr where not castable from `self`. Building it
@@ -91,20 +68,16 @@ class Team {
   [[nodiscard]] std::vector<T*> pointer_table(const gas::Thread& self,
                                               const gas::SharedArray<T>& arr) const {
     std::vector<T*> table;
-    table.reserve(ranks_.size());
-    for (int r : ranks_) {
+    table.reserve(members().size());
+    for (int r : members()) {
       table.push_back(self.castable(r) ? arr.slice(r) : nullptr);
     }
     return table;
   }
 
  private:
-  [[nodiscard]] sim::Time barrier_cost() const;
-
-  gas::Runtime* rt_;
-  std::vector<int> ranks_;
-  std::unique_ptr<sim::Barrier> barrier_;
-  bool spans_nodes_;
+  /// The subteam of the given member indices, in that order.
+  [[nodiscard]] Team subteam(const std::vector<int>& idxs) const;
 };
 
 }  // namespace hupc::core

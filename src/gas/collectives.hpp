@@ -37,6 +37,7 @@
 // by key); it is NOT required to be sorted.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -79,12 +80,12 @@ class Collectives {
   /// Whole-runtime scope: members are all ranks, member index == rank.
   explicit Collectives(Runtime& rt) : Collectives(rt, all_ranks(rt)) {}
 
-  /// Team scope: `members` must be unique, valid ranks; any order (member
-  /// index == position in `members`).
+  /// Team scope: `members` must be non-empty, unique, valid ranks; any
+  /// order (member index == position in `members`).
   Collectives(Runtime& rt, std::vector<int> members,
               CollectiveSelector selector = {})
       : rt_(&rt),
-        members_(nonempty(std::move(members))),
+        members_(validated(rt, std::move(members))),
         selector_(selector),
         seq_(members_.size()),
         barrier_(std::make_unique<sim::Barrier>(
@@ -93,11 +94,7 @@ class Collectives {
     // member-index order and the first one is the group's leader.
     std::map<int, std::vector<int>> by_node;
     for (std::size_t i = 0; i < members_.size(); ++i) {
-      const int r = members_[i];
-      if (r < 0 || r >= rt.threads()) {
-        throw std::invalid_argument("Collectives: rank out of range");
-      }
-      by_node[rt.node_of(r)].push_back(static_cast<int>(i));
+      by_node[rt.node_of(members_[i])].push_back(static_cast<int>(i));
     }
     group_of_.resize(members_.size(), 0);
     for (auto& [node, idxs] : by_node) {
@@ -109,11 +106,6 @@ class Collectives {
       groups_.push_back(std::move(idxs));
     }
     spans_nodes_ = groups_.size() > 1;
-    std::size_t seen = 0;
-    for (const auto& g : groups_) seen += g.size();
-    if (seen != members_.size()) {
-      throw std::invalid_argument("Collectives: duplicate member rank");
-    }
   }
 
   [[nodiscard]] int size() const noexcept {
@@ -138,6 +130,7 @@ class Collectives {
     }
     return -1;
   }
+  [[nodiscard]] bool contains(int rank) const { return index_of(rank) >= 0; }
 
   /// The algorithm a call with this operation and payload would run under
   /// (resolving `automatic` through the selector; exposed for benches,
@@ -156,9 +149,10 @@ class Collectives {
     return algo;
   }
 
-  /// Barrier across the member set (cost scales with its hardware span).
+  /// Barrier across the member set (cost scales with its hardware span:
+  /// an intra-node group pays no network rounds).
   [[nodiscard]] sim::Task<void> barrier(Thread& self) {
-    (void)self;
+    (void)require_member(self);
     co_await barrier_->arrive_and_wait();
     co_await sim::delay(rt_->engine(), barrier_cost());
   }
@@ -301,6 +295,14 @@ class Collectives {
     co_return bufs[static_cast<std::size_t>(me)].raw[0];
   }
 
+ protected:
+  [[nodiscard]] Runtime& runtime() const noexcept { return *rt_; }
+  /// Member indices per node, ascending node order; each group keeps
+  /// member-index order, so front() is the node's leader.
+  [[nodiscard]] const std::vector<std::vector<int>>& groups() const noexcept {
+    return groups_;
+  }
+
  private:
   enum class StageKind : std::uint8_t {
     value = 0,    // allreduce_value per-member staging
@@ -317,9 +319,20 @@ class Collectives {
   }
 
   /// Checked before the barrier is built: a Barrier needs a party.
-  static std::vector<int> nonempty(std::vector<int> members) {
+  static std::vector<int> validated(const Runtime& rt,
+                                    std::vector<int> members) {
     if (members.empty()) {
       throw std::invalid_argument("Collectives: empty member set");
+    }
+    for (int r : members) {
+      if (r < 0 || r >= rt.threads()) {
+        throw std::invalid_argument("Collectives: rank out of range");
+      }
+    }
+    std::vector<int> sorted = members;
+    std::sort(sorted.begin(), sorted.end());
+    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+      throw std::invalid_argument("Collectives: duplicate member rank");
     }
     return members;
   }
@@ -336,19 +349,17 @@ class Collectives {
     rt_->counters().add(counter, self.rank());
   }
 
+  static int ceil_log2(int n) {
+    return n <= 1 ? 0 : std::bit_width(static_cast<unsigned>(n - 1));
+  }
+
   [[nodiscard]] sim::Time barrier_cost() const {
     const auto& costs = rt_->config().costs;
-    const int n = size();
-    const int rounds =
-        n <= 1 ? 0 : std::bit_width(static_cast<unsigned>(n - 1));
-    double seconds = costs.barrier_hop_s * rounds;
+    double seconds = costs.barrier_hop_s * ceil_log2(size());
     if (spans_nodes_) {
       const auto& c = rt_->config().conduit;
       seconds += (c.send_overhead_s + c.latency_s + c.recv_overhead_s) *
-                 (rt_->nodes_used() <= 1
-                      ? 0
-                      : std::bit_width(
-                            static_cast<unsigned>(rt_->nodes_used() - 1)));
+                 ceil_log2(rt_->nodes_used());
     }
     return sim::from_seconds(seconds);
   }

@@ -62,7 +62,7 @@ class ShardMap {
   /// A team owns the shards: members in team-rank order, so splitting the
   /// same parent differently re-deals ownership deterministically.
   [[nodiscard]] static ShardMap over(const core::Team& team, int shards = 0) {
-    return ShardMap(team.ranks(), shards);
+    return ShardMap(team.members(), shards);
   }
 
   [[nodiscard]] int shards() const noexcept { return shards_; }

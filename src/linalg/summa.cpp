@@ -35,16 +35,12 @@ Summa::Summa(gas::Runtime& rt, ProcessGrid grid, std::size_t m, std::size_t n,
   for (int i = 0; i < grid.pr; ++i) {
     std::vector<int> members;
     for (int j = 0; j < grid.pc; ++j) members.push_back(grid.rank_of(i, j));
-    row_teams_.emplace_back(rt, members);
-    row_colls_.push_back(
-        std::make_unique<gas::Collectives>(rt, std::move(members)));
+    row_teams_.emplace_back(rt, std::move(members));
   }
   for (int j = 0; j < grid.pc; ++j) {
     std::vector<int> members;
     for (int i = 0; i < grid.pr; ++i) members.push_back(grid.rank_of(i, j));
-    col_teams_.emplace_back(rt, members);
-    col_colls_.push_back(
-        std::make_unique<gas::Collectives>(rt, std::move(members)));
+    col_teams_.emplace_back(rt, std::move(members));
   }
 
   panel_a_.reserve(static_cast<std::size_t>(rt.threads()));
@@ -157,9 +153,9 @@ sim::Task<void> Summa::run(gas::Thread& self) {
             static_cast<double>(tk_ * tn_ * sizeof(double)) * 2.0);
       }
       // Row-wise broadcast of the A panel, column-wise of the B panel.
-      co_await row_colls_[static_cast<std::size_t>(mi)]->broadcast(
+      co_await row_teams_[static_cast<std::size_t>(mi)].broadcast(
           self, row_bufs, tm_ * tk_, /*team root=*/s);
-      co_await col_colls_[static_cast<std::size_t>(mj)]->broadcast(
+      co_await col_teams_[static_cast<std::size_t>(mj)].broadcast(
           self, col_bufs, tk_ * tn_, /*team root=*/s);
     }
 

@@ -68,8 +68,9 @@ class Summa {
   std::size_t m_, n_, k_;
   std::size_t tm_, tn_, tk_;  // tile dims: m/pr, n/pc, k is tiled both ways
   gas::SharedArray2D<double> a_, b_, c_;
+  // Filled by the constructor and never resized: running broadcasts hold
+  // references into them.
   std::vector<core::Team> row_teams_, col_teams_;
-  std::vector<std::unique_ptr<gas::Collectives>> row_colls_, col_colls_;
   // Per-rank receive buffers for the broadcast panels.
   std::vector<gas::GlobalPtr<double>> panel_a_, panel_b_;
 };

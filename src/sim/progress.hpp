@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cassert>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <utility>
@@ -30,12 +29,9 @@ class ProgressQueue {
   /// the caller's stack unwinds first (flat stacks, deterministic order).
   void post(std::function<void()> fn) {
     queue_.push_back(std::move(fn));
-    ++posted_;
     engine_->schedule_in(0, [this] { drain_one(); });
   }
 
-  [[nodiscard]] std::uint64_t posted() const noexcept { return posted_; }
-  [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
   /// Thunks posted but not yet run (inbox depth).
   [[nodiscard]] std::size_t depth() const noexcept { return queue_.size(); }
 
@@ -44,14 +40,11 @@ class ProgressQueue {
     assert(!queue_.empty() && "ProgressQueue: tick without a queued thunk");
     std::function<void()> fn = std::move(queue_.front());
     queue_.pop_front();
-    ++executed_;
     fn();
   }
 
   Engine* engine_;
   std::deque<std::function<void()>> queue_;
-  std::uint64_t posted_ = 0;
-  std::uint64_t executed_ = 0;
 };
 
 }  // namespace hupc::sim

@@ -35,20 +35,12 @@ class FifoServer {
   Task<void> serve(Time service) {
     co_await mutex_.lock();
     ScopedLock guard(mutex_);
-    busy_ += service;
-    ++served_;
     co_await delay(*engine_, service);
   }
-
-  /// Total busy time and request count (utilization diagnostics).
-  [[nodiscard]] Time busy_time() const noexcept { return busy_; }
-  [[nodiscard]] std::uint64_t served() const noexcept { return served_; }
 
  private:
   Engine* engine_;
   Mutex mutex_;
-  Time busy_ = 0;
-  std::uint64_t served_ = 0;
 };
 
 /// Processor-sharing link with capacity in bytes/second.

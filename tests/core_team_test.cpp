@@ -25,12 +25,12 @@ TEST(Team, NodeTeamsPartitionRanks) {
   Runtime rt(e, cfg(8, 2));
   auto teams = Team::all_node_teams(rt);
   ASSERT_EQ(teams.size(), 2u);
-  EXPECT_EQ(teams[0].ranks(), (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(teams[1].ranks(), (std::vector<int>{4, 5, 6, 7}));
-  EXPECT_EQ(teams[0].team_rank(2), 2);
-  EXPECT_EQ(teams[1].team_rank(2), -1);
-  EXPECT_EQ(teams[1].team_rank(6), 2);
-  EXPECT_EQ(teams[1].global_rank(0), 4);
+  EXPECT_EQ(teams[0].members(), (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(teams[1].members(), (std::vector<int>{4, 5, 6, 7}));
+  EXPECT_EQ(teams[0].index_of(2), 2);
+  EXPECT_EQ(teams[1].index_of(2), -1);
+  EXPECT_EQ(teams[1].index_of(6), 2);
+  EXPECT_EQ(teams[1].members()[0], 4);
 }
 
 TEST(Team, SocketTeamsFollowPlacement) {
@@ -38,8 +38,8 @@ TEST(Team, SocketTeamsFollowPlacement) {
   Runtime rt(e, cfg(8, 1));  // 8 on one node, cyclic over 2 sockets
   Team s0 = Team::socket_team(rt, 0, 0);
   Team s1 = Team::socket_team(rt, 0, 1);
-  EXPECT_EQ(s0.ranks(), (std::vector<int>{0, 2, 4, 6}));
-  EXPECT_EQ(s1.ranks(), (std::vector<int>{1, 3, 5, 7}));
+  EXPECT_EQ(s0.members(), (std::vector<int>{0, 2, 4, 6}));
+  EXPECT_EQ(s1.members(), (std::vector<int>{1, 3, 5, 7}));
 }
 
 TEST(Team, OverlappingTeamsCoexist) {
@@ -62,10 +62,10 @@ TEST(Team, RejectsBadRankSets) {
   // Unsorted is allowed (split() emits key-ordered teams): member index is
   // the position in the rank list, whatever the order.
   Team t(rt, {2, 0, 3});
-  EXPECT_EQ(t.global_rank(0), 2);
-  EXPECT_EQ(t.team_rank(2), 0);
-  EXPECT_EQ(t.team_rank(3), 2);
-  EXPECT_EQ(t.team_rank(1), -1);
+  EXPECT_EQ(t.members()[0], 2);
+  EXPECT_EQ(t.index_of(2), 0);
+  EXPECT_EQ(t.index_of(3), 2);
+  EXPECT_EQ(t.index_of(1), -1);
 }
 
 TEST(Team, SplitPartitionsByColorOrderedByKey) {
@@ -77,10 +77,10 @@ TEST(Team, SplitPartitionsByColorOrderedByKey) {
   const std::vector<int> keys = {0, 7, 0, 5, 0, 3, 0, 1};
   auto subs = everyone.split(colors, keys);
   ASSERT_EQ(subs.size(), 2u);
-  EXPECT_EQ(subs[0].ranks(), (std::vector<int>{0, 2, 4, 6}));
-  EXPECT_EQ(subs[1].ranks(), (std::vector<int>{7, 5, 3, 1}));  // key order
-  EXPECT_EQ(subs[1].team_rank(7), 0);
-  EXPECT_EQ(subs[1].team_rank(1), 3);
+  EXPECT_EQ(subs[0].members(), (std::vector<int>{0, 2, 4, 6}));
+  EXPECT_EQ(subs[1].members(), (std::vector<int>{7, 5, 3, 1}));  // key order
+  EXPECT_EQ(subs[1].index_of(7), 0);
+  EXPECT_EQ(subs[1].index_of(1), 3);
 }
 
 TEST(Team, SplitNegativeColorJoinsNoTeam) {
@@ -89,7 +89,7 @@ TEST(Team, SplitNegativeColorJoinsNoTeam) {
   Team everyone(rt, {0, 1, 2, 3});
   auto subs = everyone.split({0, -1, 0, -1});
   ASSERT_EQ(subs.size(), 1u);
-  EXPECT_EQ(subs[0].ranks(), (std::vector<int>{0, 2}));
+  EXPECT_EQ(subs[0].members(), (std::vector<int>{0, 2}));
   EXPECT_THROW(everyone.split({0, 1}), std::invalid_argument);
   EXPECT_THROW(everyone.split({0, 0, 0, 0}, {1, 2}), std::invalid_argument);
 }
@@ -100,14 +100,14 @@ TEST(Team, SplitByNodeMatchesNodeTeams) {
   Team everyone(rt, {0, 1, 2, 3, 4, 5, 6, 7});
   auto subs = everyone.split_by_node();
   ASSERT_EQ(subs.size(), 2u);
-  EXPECT_EQ(subs[0].ranks(), Team::node_team(rt, 0).ranks());
-  EXPECT_EQ(subs[1].ranks(), Team::node_team(rt, 1).ranks());
+  EXPECT_EQ(subs[0].members(), Team::node_team(rt, 0).members());
+  EXPECT_EQ(subs[1].members(), Team::node_team(rt, 1).members());
   // A partial, unsorted parent splits into node groups in member order.
   Team ragged(rt, {5, 1, 0, 6});
   auto rsubs = ragged.split_by_node();
   ASSERT_EQ(rsubs.size(), 2u);
-  EXPECT_EQ(rsubs[0].ranks(), (std::vector<int>{1, 0}));  // node 0, key order
-  EXPECT_EQ(rsubs[1].ranks(), (std::vector<int>{5, 6}));  // node 1
+  EXPECT_EQ(rsubs[0].members(), (std::vector<int>{1, 0}));  // node 0, key order
+  EXPECT_EQ(rsubs[1].members(), (std::vector<int>{5, 6}));  // node 1
 }
 
 TEST(Team, SplitBySocketCoversEveryMemberOnce) {
@@ -116,17 +116,35 @@ TEST(Team, SplitBySocketCoversEveryMemberOnce) {
   Team everyone(rt, {0, 1, 2, 3, 4, 5, 6, 7});
   auto subs = everyone.split_by_socket();
   ASSERT_EQ(subs.size(), 2u);
-  EXPECT_EQ(subs[0].ranks(), Team::socket_team(rt, 0, 0).ranks());
-  EXPECT_EQ(subs[1].ranks(), Team::socket_team(rt, 0, 1).ranks());
+  EXPECT_EQ(subs[0].members(), Team::socket_team(rt, 0, 0).members());
+  EXPECT_EQ(subs[1].members(), Team::socket_team(rt, 0, 1).members());
 }
 
 TEST(Team, LeaderTeamPicksFirstMemberPerNode) {
   sim::Engine e;
   Runtime rt(e, cfg(8, 2));
   Team everyone(rt, {0, 1, 2, 3, 4, 5, 6, 7});
-  EXPECT_EQ(everyone.leader_team().ranks(), (std::vector<int>{0, 4}));
+  EXPECT_EQ(everyone.leader_team().members(), (std::vector<int>{0, 4}));
   Team ragged(rt, {6, 2, 1, 5});  // first member on node 1 is 6, node 0 is 2
-  EXPECT_EQ(ragged.leader_team().ranks(), (std::vector<int>{2, 6}));
+  EXPECT_EQ(ragged.leader_team().members(), (std::vector<int>{2, 6}));
+}
+
+TEST(Team, SubteamsInheritTheSelector) {
+  sim::Engine e;
+  Runtime rt(e, cfg(8, 2));
+  gas::CollectiveSelector sel;
+  sel.override_algo = gas::CollAlgo::hier;
+  sel.hier_min_members = 2;
+  Team everyone(rt, {0, 1, 2, 3, 4, 5, 6, 7}, sel);
+  std::vector<Team> subs = everyone.split({0, 1, 0, 1, 0, 1, 0, 1});
+  for (auto& by_node : everyone.split_by_node()) subs.push_back(std::move(by_node));
+  for (auto& by_socket : everyone.split_by_socket()) subs.push_back(std::move(by_socket));
+  subs.push_back(everyone.leader_team());
+  for (const auto& sub : subs) {
+    EXPECT_EQ(sub.selector().override_algo, gas::CollAlgo::hier);
+    EXPECT_EQ(sub.selector().hier_min_members, 2);
+  }
+  EXPECT_EQ(Team(rt, {0, 1}).selector().override_algo, gas::CollAlgo::automatic);
 }
 
 TEST(Team, BarrierGatesOnlyMembers) {

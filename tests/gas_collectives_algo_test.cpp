@@ -491,22 +491,15 @@ TEST(CollTeamIntegration, SplitSubteamsRunHierCollectives) {
   cfg.machine = topo::lehman(4);
   cfg.threads = kThreads;
   Runtime rt(e, cfg);
-  std::vector<int> everyone(static_cast<std::size_t>(kThreads));
-  for (int r = 0; r < kThreads; ++r) everyone[static_cast<std::size_t>(r)] = r;
-  core::Team world(rt, everyone);
+  core::Team world(rt);
   auto subteams = world.split_by_node();
   ASSERT_EQ(subteams.size(), 4u);
   core::Team leaders = world.leader_team();
   ASSERT_EQ(leaders.size(), 4);
-  std::vector<std::unique_ptr<Collectives>> sub_colls;
-  for (const auto& st : subteams) {
-    sub_colls.push_back(std::make_unique<Collectives>(st.make_collectives()));
-  }
-  auto leader_coll = leaders.make_collectives();
   std::vector<std::int64_t> node_total(4, -1);
   rt.spmd([&](Thread& t) -> sim::Task<void> {
     const int node = t.runtime().node_of(t.rank());
-    auto& sub = *sub_colls[static_cast<std::size_t>(node)];
+    auto& sub = subteams[static_cast<std::size_t>(node)];
     // Subteam allreduce of each member's rank, then leaders sum the
     // per-node totals across nodes.
     const auto mine = static_cast<std::int64_t>(t.rank());
@@ -514,7 +507,7 @@ TEST(CollTeamIntegration, SplitSubteamsRunHierCollectives) {
         t, mine, [](std::int64_t a, std::int64_t b) { return a + b; });
     if (leaders.contains(t.rank())) {
       node_total[static_cast<std::size_t>(node)] =
-          co_await leader_coll.allreduce_value(
+          co_await leaders.allreduce_value(
               t, sub_total,
               [](std::int64_t a, std::int64_t b) { return a + b; });
     }

@@ -24,8 +24,6 @@ TEST(FifoServer, ServesInOrderWithBackToBackTiming) {
   }
   e.run();
   EXPECT_EQ(finish, (std::vector<Time>{10, 20, 30}));
-  EXPECT_EQ(srv.busy_time(), 30);
-  EXPECT_EQ(srv.served(), 3u);
 }
 
 TEST(FluidLink, SingleTransferTakesBytesOverCapacity) {
