@@ -4,9 +4,9 @@
 // 512 x 16 x 64 complex grid and must deposit px = 8 destination rows of
 // ny = 16 complex values into every peer's x-slab, strided by nz*ny.
 //
-//   loop  — the pre-VIS exchange: one contiguous copy_async per
+//   loop  — the pre-VIS exchange: one launched contiguous copy per
 //           destination row, 8 x 64 B small messages per peer;
-//   vis   — one gas::copy_strided_async per peer: the same 8 rows move as
+//   vis   — one launched copy_strided per peer: the same 8 rows move as
 //           ONE packed 512 B message (plus per-region headers);
 //   vis+epochs — the vis exchange inside coalescing + read-cache epochs:
 //           remote packed puts defer into the per-node epoch buffers and
@@ -84,13 +84,14 @@ void run_variant(perf::Context& ctx, Variant variant) {
           slab + static_cast<std::size_t>(p) * px * kNy;
       if (use_vis) {
         gas::GlobalPtr<fft::Complex> dst{p, dst_base + z * kNy};
-        pending.push_back(t.copy_strided_async(
-            dst, gas::StridedSpec::rows(kNy, px, kNz * kNy), src_rows));
+        pending.push_back(t.launch_async(t.copy_strided(
+            dst, gas::StridedSpec::rows(kNy, px, kNz * kNy), src_rows)));
       } else {
         for (std::size_t xl = 0; xl < px; ++xl) {
           gas::GlobalPtr<fft::Complex> dst{
               p, dst_base + (xl * kNz + z) * kNy};
-          pending.push_back(t.copy_async(dst, src_rows + xl * kNy, kNy));
+          pending.push_back(
+              t.launch_async(t.copy(dst, src_rows + xl * kNy, kNy)));
         }
       }
     }

@@ -60,13 +60,13 @@ double flood_mbs(net::ConnectionMode mode, int links, double bytes,
   const auto machine = topo::lehman(2);
   net::Network nw(engine, machine, net::ib_qdr(), mode, 8);
   for (int link = 0; link < links; ++link) {
-    sim::spawn(engine, []([[maybe_unused]] sim::Engine& eng, net::Network& n,
-                          int ep, double b, int count) -> sim::Task<void> {
+    sim::spawn(engine, [](sim::Engine& eng, net::Network& n, int ep, double b,
+                          int count) -> sim::Task<void> {
       std::vector<async::future<>> inflight;
       inflight.reserve(static_cast<std::size_t>(count));
       for (int i = 0; i < count; ++i) {
-        inflight.push_back(
-            n.rma_async({.src_node = 0, .src_ep = ep, .dst_node = 1, .bytes = b}));
+        inflight.push_back(sim::spawn(eng, n.rma({.src_node = 0, .src_ep = ep,
+                                                  .dst_node = 1, .bytes = b})));
       }
       for (auto& f : inflight) co_await f.wait();
     }(engine, nw, link, bytes, messages));

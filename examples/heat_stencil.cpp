@@ -8,8 +8,8 @@
 // serial reference to machine precision, and the privatized variant is
 // faster in virtual time.
 //
-// With --async=on a third variant runs: halos are PUSHED with copy_async
-// into neighbour mailboxes and the interior update overlaps the transfers
+// With --async=on a third variant runs: halos are PUSHED with launched
+// copies into neighbour mailboxes and the interior update overlaps the transfers
 // (split-phase producer-push, thesis §4.2's overlap idiom on the new
 // completion layer). It must match the same serial reference.
 //
@@ -202,7 +202,7 @@ int main(int argc, char** argv) try {
 
   if (run_async) {
     // Producer-push variant on the completion layer: each rank PUSHES its
-    // edge cells into neighbour mailboxes with copy_async, updates its
+    // edge cells into neighbour mailboxes with launch_async(copy), updates its
     // interior while the puts are in flight, then settles the futures with
     // when_all before touching the boundary cells.
     sim::Engine engine;
@@ -238,10 +238,12 @@ int main(int argc, char** argv) try {
         const double right_edge = cur[per - 1];
         std::vector<async::future<>> puts;
         if (t.rank() > 0) {
-          puts.push_back(t.copy_async(rbox.at(t.rank() - 1), &left_edge, 1));
+          puts.push_back(
+              t.launch_async(t.copy(rbox.at(t.rank() - 1), &left_edge, 1)));
         }
         if (t.rank() + 1 < t.threads()) {
-          puts.push_back(t.copy_async(lbox.at(t.rank() + 1), &right_edge, 1));
+          puts.push_back(
+              t.launch_async(t.copy(lbox.at(t.rank() + 1), &right_edge, 1)));
         }
         // Interior update overlaps the in-flight halo puts.
         for (std::size_t i = 1; i + 1 < per; ++i) {

@@ -83,10 +83,6 @@ class RpcDomain {
   RpcDomain& operator=(const RpcDomain&) = delete;
 
   [[nodiscard]] Stats stats() const;
-  /// Invocations delivered to `rank`'s persona but not yet started.
-  [[nodiscard]] std::size_t inbox_depth(int rank) const {
-    return personas_[static_cast<std::size_t>(rank)]->depth();
-  }
 
   /// Ship `fn(target_thread, args...)` to `target`; returns the future of
   /// its result. `fn` may return R, void, or sim::Task<R>. `from` is the

@@ -104,9 +104,6 @@ class Coalescer {
   /// until the next call).
   [[nodiscard]] const Stats& stats() const;
   [[nodiscard]] bool empty() const noexcept { return buffered_ops_ == 0; }
-  [[nodiscard]] std::uint64_t buffered_ops() const noexcept {
-    return buffered_ops_;
-  }
 
   /// Append a deferred fine-grained put: `bytes` of `value` will be
   /// written to `dst` when the destination buffer flushes. May flush

@@ -186,26 +186,24 @@ sim::Task<void> SubPool::spawn_all(std::vector<TaskFn> tasks) {
 
 gas::Thread& SubContext::master() noexcept { return pool_->master(); }
 
-sim::Task<void> SubContext::compute(double single_thread_seconds) {
+sim::DelayAwaiter SubContext::compute(double single_thread_seconds) {
   auto& rt = master().runtime();
-  co_await rt.memory().compute(
+  return rt.memory().compute(
       rt.slots(), loc_, single_thread_seconds * pool_->params().compute_inflation);
 }
 
-sim::Task<void> SubContext::compute_flops(double flops, double efficiency) {
+sim::DelayAwaiter SubContext::compute_flops(double flops, double efficiency) {
   auto& rt = master().runtime();
-  co_await rt.memory().compute_flops(
+  return rt.memory().compute_flops(
       rt.slots(), loc_, flops * pool_->params().compute_inflation, efficiency);
 }
 
-sim::Task<void> SubContext::stream_master_data(double bytes) {
-  auto& rt = master().runtime();
-  co_await rt.memory().stream(loc_, master().loc(), bytes);
+async::future<> SubContext::stream_master_data(double bytes) {
+  return master().runtime().memory().stream(loc_, master().loc(), bytes);
 }
 
-sim::Task<void> SubContext::stream_local(double bytes) {
-  auto& rt = master().runtime();
-  co_await rt.memory().stream(loc_, loc_, bytes);
+async::future<> SubContext::stream_local(double bytes) {
+  return master().runtime().memory().stream(loc_, loc_, bytes);
 }
 
 sim::Task<void> SubContext::gas_gate() {

@@ -56,13 +56,14 @@ class SubContext {
   [[nodiscard]] gas::Thread& master() noexcept;
 
   // --- local work at this sub-thread's location -------------------------
-  [[nodiscard]] sim::Task<void> compute(double single_thread_seconds);
-  [[nodiscard]] sim::Task<void> compute_flops(double flops, double efficiency);
+  [[nodiscard]] sim::DelayAwaiter compute(double single_thread_seconds);
+  [[nodiscard]] sim::DelayAwaiter compute_flops(double flops,
+                                                double efficiency);
   /// Memory traffic against the master's home socket (shared arrays are
   /// first-touched by the master — §4.3.2's placement lesson).
-  [[nodiscard]] sim::Task<void> stream_master_data(double bytes);
+  [[nodiscard]] async::future<> stream_master_data(double bytes);
   /// Memory traffic homed wherever this sub-thread sits.
-  [[nodiscard]] sim::Task<void> stream_local(double bytes);
+  [[nodiscard]] async::future<> stream_local(double bytes);
 
   // --- GAS access from a sub-thread (safety-gated) ----------------------
   // The blocking put/get shapes of gas::Thread::copy, charged at this

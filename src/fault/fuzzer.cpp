@@ -255,12 +255,12 @@ CaseResult run_gather(const CaseSpec& spec, const PlanParams& plan_params) {
   return res;
 }
 
-// Async-completion workload: every rank overlaps copy_asyncs into its ring
+// Async-completion workload: every rank overlaps launched copies into its ring
 // neighbour's slot with RPC traffic, recording (issue, resolve) times and a
 // firing count for every copy. check_async_ordering then asserts each
 // future resolved exactly once and never before its issue — the property a
 // completion-storm plan (which HOLDS completions) must preserve — and a
-// chained RPC probe asserts read-your-writes: once a copy_async's future
+// chained RPC probe asserts read-your-writes: once a launched copy's future
 // resolves, the destination rank observes the payload.
 CaseResult run_async(const CaseSpec& spec, const PlanParams& plan_params) {
   CaseResult res;
@@ -301,7 +301,7 @@ CaseResult run_async(const CaseSpec& spec, const PlanParams& plan_params) {
       const std::size_t idx = mine.size();
       mine.push_back(AsyncOpRecord{engine.now(), -1, 0});
       auto copied =
-          t.copy_async(slot[next], payload.data(), kAsyncWords)
+          t.launch_async(t.copy(slot[next], payload.data(), kAsyncWords))
               .then([&records, &engine, rank, idx] {
                 AsyncOpRecord& op =
                     records[static_cast<std::size_t>(rank)][idx];
@@ -350,7 +350,7 @@ CaseResult run_async(const CaseSpec& spec, const PlanParams& plan_params) {
   if (stale_reads > 0) {
     res.violations.push_back(
         "async read-your-writes: " + std::to_string(stale_reads) +
-        " RPC probe(s) observed stale data after copy_async resolution");
+        " RPC probe(s) observed stale data after launched copy resolution");
   }
   check_byte_conservation(rt, res.violations);
   check_network_counters(rt, res.violations);

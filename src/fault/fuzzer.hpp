@@ -15,7 +15,7 @@
 //             phase-timing coherence);
 //   barrier — a barrier storm with skewed arrivals (linearizability);
 //   gather  — read-cached gather vs. an uncached oracle (transparency);
-//   async   — overlapped copy_async + RPC ring (completion ordering,
+//   async   — overlapped launched copies + RPC ring (completion ordering,
 //             read-your-writes after future resolution);
 //   teams   — overlapping collective teams running seeded (op, algorithm)
 //             sequences vs. a host-side oracle (team agreement, per-(team,

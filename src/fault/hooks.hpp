@@ -73,7 +73,7 @@ struct CacheHook {
 /// Asynchronous-completion delay (completion storms): the returned value
 /// (nanoseconds, >= 0) is extra virtual time injected between an async
 /// operation finishing its work and its completion firing on `rank` — a
-/// copy_async future resolving, or an RPC reply being delivered. Data
+/// launch_async future resolving, or an RPC reply being delivered. Data
 /// movement and invalidation have already happened when the seam is
 /// consulted, so a hook can reorder COMPLETIONS against unrelated work
 /// but never values: exactly the window the check_async_ordering

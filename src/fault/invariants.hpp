@@ -73,7 +73,7 @@ void check_cache_transparency(std::uint64_t cached_result,
                               std::uint64_t uncached_result,
                               const comm::CacheStats* stats, Violations& out);
 
-/// One tracked asynchronous operation (copy_async / RPC) from an async
+/// One tracked asynchronous operation (launched copy / RPC) from an async
 /// workload run: when it was issued, when its future resolved, and how many
 /// times the completion continuation fired.
 struct AsyncOpRecord {

@@ -69,7 +69,7 @@ struct PlanParams {
   double cache_invalidate_p = 0.0;
 
   // Completion storm: with probability `p`, hold an asynchronous
-  // completion (copy_async future resolution, RPC reply) for uniform(0,
+  // completion (launch_async future resolution, RPC reply) for uniform(0,
   // max] after its work finished. Reorders when completions are OBSERVED
   // against unrelated progress — never data movement, which has already
   // happened when the seam fires (check_async_ordering's contract).

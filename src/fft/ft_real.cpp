@@ -74,16 +74,17 @@ sim::Task<void> FtReal::run(gas::Thread& self) {
         // VIS exchange: the peer's px_ destination rows (strided by nz*ny
         // per x) move as ONE packed strided message per peer per plane.
         gas::GlobalPtr<Complex> dst{p, dst_base + z * ny};
-        pending.push_back(self.copy_strided_async(
+        pending.push_back(self.launch_async(self.copy_strided(
             dst, gas::StridedSpec::rows(ny, static_cast<std::size_t>(px_), nz * ny),
-            src_rows));
+            src_rows)));
         continue;
       }
       // Destination rows are strided by nz*ny per x; one copy per x-row.
       for (int xl = 0; xl < px_; ++xl) {
         gas::GlobalPtr<Complex> dst{
             p, dst_base + (static_cast<std::size_t>(xl) * nz + z) * ny};
-        pending.push_back(self.copy_async(dst, src_rows + xl * ny, ny));
+        pending.push_back(
+            self.launch_async(self.copy(dst, src_rows + xl * ny, ny)));
       }
     }
   };

@@ -423,10 +423,10 @@ class Collectives {
       pending.reserve(static_cast<std::size_t>(n));
       for (int step = 0; step < n; ++step) {
         const int peer = (me + step + 1) % n;
-        pending.push_back(self.copy_async(
+        pending.push_back(self.launch_async(self.copy(
             recv_bases[static_cast<std::size_t>(peer)] +
                 static_cast<std::ptrdiff_t>(static_cast<std::size_t>(me) * count),
-            send + static_cast<std::size_t>(peer) * count, count));
+            send + static_cast<std::size_t>(peer) * count, count)));
       }
       for (auto& f : pending) co_await f.wait();
     } else {

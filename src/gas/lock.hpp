@@ -56,22 +56,17 @@ class GlobalLock {
   }
 
  private:
-  [[nodiscard]] sim::Task<void> access_cost(Thread& self) {
-    if (rt_->same_supernode(self.rank(), home_)) {
-      co_await sim::delay(rt_->engine(),
-                          sim::from_seconds(rt_->config().costs.lock_local_s));
-    } else if (rt_->node_of(self.rank()) == rt_->node_of(home_)) {
-      co_await sim::delay(
-          rt_->engine(),
-          sim::from_seconds(rt_->config().costs.loopback_overhead_s));
-    } else {
-      // Remote atomic: request + acknowledgement round trip.
-      const auto& c = rt_->config().conduit;
-      co_await sim::delay(
-          rt_->engine(),
-          sim::from_seconds(2.0 * (c.send_overhead_s + c.latency_s +
-                                   c.recv_overhead_s)));
-    }
+  [[nodiscard]] sim::DelayAwaiter access_cost(Thread& self) {
+    const auto& costs = rt_->config().costs;
+    const auto& c = rt_->config().conduit;
+    // Supernode-local: an atomic op. Same node, not cross-mapped: the
+    // loopback channel. Remote: a request + acknowledgement round trip.
+    const double seconds =
+        rt_->same_supernode(self.rank(), home_) ? costs.lock_local_s
+        : rt_->node_of(self.rank()) == rt_->node_of(home_)
+            ? costs.loopback_overhead_s
+            : 2.0 * (c.send_overhead_s + c.latency_s + c.recv_overhead_s);
+    return sim::delay(rt_->engine(), sim::from_seconds(seconds));
   }
 
   Runtime* rt_;

@@ -323,29 +323,16 @@ sim::Task<void> Thread::wait(std::uint64_t token) {
   co_await sim::delay(rt_->engine(), rt_->barrier_cost());
 }
 
-sim::Task<void> Thread::compute(double single_thread_seconds) {
-  co_await rt_->memory().compute(rt_->slots(), loc_, single_thread_seconds);
+sim::DelayAwaiter Thread::compute(double single_thread_seconds) {
+  return rt_->memory().compute(rt_->slots(), loc_, single_thread_seconds);
 }
 
-sim::Task<void> Thread::compute_flops(double flops, double efficiency) {
-  co_await rt_->memory().compute_flops(rt_->slots(), loc_, flops, efficiency);
+sim::DelayAwaiter Thread::compute_flops(double flops, double efficiency) {
+  return rt_->memory().compute_flops(rt_->slots(), loc_, flops, efficiency);
 }
 
-sim::Task<void> Thread::stream_local(double bytes) {
-  co_await rt_->memory().stream(loc_, loc_, bytes);
-}
-
-sim::Task<void> Thread::stream_from(int home_rank, double bytes) {
-  const topo::HwLoc home = rt_->loc_of(home_rank);
-  if (home.node == loc_.node) {
-    co_await rt_->memory().stream(loc_, home, bytes);
-  } else {
-    // Cross-node bulk pull: the data leg flows home -> here.
-    co_await rt_->network().rma({.src_node = home.node,
-                                 .src_ep = rt_->endpoint_of(home_rank),
-                                 .dst_node = loc_.node,
-                                 .bytes = bytes});
-  }
+async::future<> Thread::stream_local(double bytes) {
+  return rt_->memory().stream(loc_, loc_, bytes);
 }
 
 sim::Task<void> Thread::shared_loop(int home_rank, std::uint64_t count,
@@ -467,7 +454,7 @@ sim::Task<void> Thread::rmw_access(int owner, const void* addr,
   // serves from the cache, and it drops the covered line so a later get
   // re-fetches.
   if (caching_) note_shared_store(owner, addr, bytes);
-  co_await uncached_read_access(owner, addr, bytes);
+  return uncached_read_access(owner, addr, bytes);
 }
 
 sim::Task<void> Thread::coalesced_put(int owner, void* dst, const void* value,
@@ -514,8 +501,8 @@ sim::Task<void> Thread::lower_transfer(topo::HwLoc at, int peer,
     rt_->counters().add(kCopyShm, rank_);
     co_await sim::delay(rt_->engine(),
                         sim::from_seconds(costs.shm_copy_overhead_s));
-    auto read_leg = rt_->memory().stream_async(at, at, b);
-    auto write_leg = rt_->memory().stream_async(at, peer_loc, b);
+    auto read_leg = rt_->memory().stream(at, at, b);
+    auto write_leg = rt_->memory().stream(at, peer_loc, b);
     co_await read_leg.wait();
     co_await write_leg.wait();
   } else if (peer_loc.node == at.node) {
@@ -526,8 +513,8 @@ sim::Task<void> Thread::lower_transfer(topo::HwLoc at, int peer,
     rt_->counters().add(kCopyLoopback, rank_);
     co_await sim::delay(rt_->engine(),
                         sim::from_seconds(costs.loopback_overhead_s));
-    auto src_mem = rt_->memory().stream_async(at, at, 2.0 * b);
-    auto dst_mem = rt_->memory().stream_async(at, peer_loc, 2.0 * b);
+    auto src_mem = rt_->memory().stream(at, at, 2.0 * b);
+    auto dst_mem = rt_->memory().stream(at, peer_loc, 2.0 * b);
     co_await rt_->network().loopback({.src_node = at.node,
                                       .src_ep = rt_->endpoint_of(rank_),
                                       .dst_node = at.node,

@@ -14,9 +14,9 @@
 // reproducing the castability extension of thesis §3.2/§3.3.1.
 //
 // Data movement funnels through two unified entry points:
-//   Thread::copy / copy_async  — bulk transfers over every shape
-//     (private<->shared, shared<->shared); the upc_mem{put,get,cpy} names
-//     survive as thin wrappers; copy_strided / copy_irregular take VIS
+//   Thread::copy  — bulk transfers over every shape (private<->shared,
+//     shared<->shared), blocking when awaited and non-blocking through
+//     launch_async; copy_strided / copy_irregular take VIS
 //     descriptors (gas::StridedSpec / gas::IndexedSpec) and move a whole
 //     non-contiguous footprint as ONE packed message (DESIGN.md §15);
 //   fine-grained get/put/AMOs  — one shared-API round trip each, UNLESS a
@@ -128,8 +128,8 @@ struct Config {
 class Runtime;
 
 /// Per-rank SPMD context handed to kernels: MYTHREAD-style identity plus
-/// the UPC operation set. All operations are coroutines charging virtual
-/// time; `co_await` each one.
+/// the UPC operation set. Every operation returns an awaitable charging
+/// virtual time; `co_await` each one.
 class Thread {
  public:
   Thread(Runtime& rt, int rank, topo::HwLoc loc)
@@ -161,12 +161,11 @@ class Thread {
   [[nodiscard]] sim::Task<void> wait(std::uint64_t token);
 
   // --- local compute / memory charges ----------------------------------
-  [[nodiscard]] sim::Task<void> compute(double single_thread_seconds);
-  [[nodiscard]] sim::Task<void> compute_flops(double flops, double efficiency);
+  [[nodiscard]] sim::DelayAwaiter compute(double single_thread_seconds);
+  [[nodiscard]] sim::DelayAwaiter compute_flops(double flops,
+                                                double efficiency);
   /// Bulk memory traffic against this thread's own socket.
-  [[nodiscard]] sim::Task<void> stream_local(double bytes);
-  /// Bulk memory traffic against the socket that homes `home_rank`'s data.
-  [[nodiscard]] sim::Task<void> stream_from(int home_rank, double bytes);
+  [[nodiscard]] async::future<> stream_local(double bytes);
 
   /// Analytic model of a fine-grained loop making `count` shared accesses
   /// of `bytes_each` homed at `home_rank`: pays the pointer-translation
@@ -284,59 +283,38 @@ class Thread {
   /// GlobalPtr<T> and GlobalPtr<const T> take the same route — and every
   /// shape bottoms out in the one lower_transfer() lowering into
   /// net::Transfer that the VIS descriptors below also use.
+  ///
+  /// Each form returns the lazily started Task of the transfer: `co_await`
+  /// it to block (upc_memput), or pass it to launch_async to overlap it
+  /// (upc_memput_async / upc_waitsync). Issue-time coherence (the ordering
+  /// hazard DESIGN.md §13 documents): a shared DESTINATION is this rank's
+  /// own put in program order from the moment of issue, so inside a
+  /// read-cache epoch the covered lines drop HERE, in the call,
+  /// synchronously — not when the launched transfer happens to start. A
+  /// cached get between issue and completion therefore re-fetches instead
+  /// of being served across an in-flight put.
   /// Private -> shared (upc_memput).
   template <class T>
   [[nodiscard]] sim::Task<void> copy(GlobalPtr<T> dst, const T* src,
                                      std::size_t count) {
-    co_await copy_raw(dst.owner, dst.raw, src, count * sizeof(T));
+    if (caching_) note_shared_store(dst.owner, dst.raw, count * sizeof(T));
+    return copy_raw(dst.owner, dst.raw, src, count * sizeof(T));
   }
   /// Shared -> private (upc_memget).
   template <class T, class U>
     requires SourceElement<U, T>
   [[nodiscard]] sim::Task<void> copy(T* dst, GlobalPtr<U> src,
                                      std::size_t count) {
-    co_await copy_raw(src.owner, dst, src.raw, count * sizeof(T));
+    return copy_raw(src.owner, dst, src.raw, count * sizeof(T));
   }
   /// Shared -> shared (upc_memcpy): charged against the remote party.
   template <class T, class U>
     requires SourceElement<U, T>
   [[nodiscard]] sim::Task<void> copy(GlobalPtr<T> dst, GlobalPtr<U> src,
                                      std::size_t count) {
+    if (caching_) note_shared_store(dst.owner, dst.raw, count * sizeof(T));
     const int peer = dst.owner == rank_ ? src.owner : dst.owner;
-    co_await copy_raw(peer, dst.raw, src.raw, count * sizeof(T));
-  }
-
-  // Non-blocking forms returning chainable futures (upc_mem*_async /
-  // waitsync; `co_await fut.wait()`, `fut.then(...)`, async::when_all).
-  // Completion is promise-based: the future resolves when the transfer's
-  // modeled work is done, after any installed completion-fault delay
-  // (fault::CompletionHook) — so fault plans can storm completions without
-  // ever reordering data movement against it.
-  //
-  // Issue-time coherence (the ordering hazard DESIGN.md §13 documents):
-  // a shared DESTINATION is this rank's own put in program order from the
-  // moment of issue, so inside a read-cache epoch the covered lines drop
-  // HERE, synchronously — not when the spawned copy coroutine happens to
-  // run. A cached get between issue and completion therefore re-fetches
-  // instead of being served across an in-flight async put.
-  template <class T>
-  [[nodiscard]] async::future<> copy_async(GlobalPtr<T> dst, const T* src,
-                                           std::size_t count) {
-    if (caching_) note_shared_store(dst.owner, dst.raw, count * sizeof(T));
-    return launch_async(copy(dst, src, count));
-  }
-  template <class T, class U>
-    requires SourceElement<U, T>
-  [[nodiscard]] async::future<> copy_async(T* dst, GlobalPtr<U> src,
-                                           std::size_t count) {
-    return launch_async(copy(dst, src, count));
-  }
-  template <class T, class U>
-    requires SourceElement<U, T>
-  [[nodiscard]] async::future<> copy_async(GlobalPtr<T> dst, GlobalPtr<U> src,
-                                           std::size_t count) {
-    if (caching_) note_shared_store(dst.owner, dst.raw, count * sizeof(T));
-    return launch_async(copy(dst, src, count));
+    return copy_raw(peer, dst.raw, src.raw, count * sizeof(T));
   }
 
   // --- non-contiguous data movement (VIS: upc_mem*_strided / _ilist
@@ -344,16 +322,18 @@ class Thread {
   /// Every form lowers its descriptors EAGERLY at the call site into a
   /// packed region list (validation — overlapping destination regions,
   /// element-count mismatch, bad dims — throws std::invalid_argument here,
-  /// not inside a spawned coroutine) and funnels through one non-template
+  /// not inside a launched transfer) and funnels through one non-template
   /// route (copy_vis): the regions move as ONE message whose footprint
   /// (region count, payload vs gross bytes) the network accounts and the
   /// trace exposes. Inside a coalescing epoch a remote strided/indexed PUT
   /// packs region-by-region into the destination's epoch buffer instead;
   /// inside a read-cache epoch a remote GET prefetches every line its
   /// footprint touches with one packed fill, and a packed PUT invalidates
-  /// exactly the lines its regions cover. A descriptor lowering to a
-  /// single region (1-D, or stride == extent) is bit-identical to the
-  /// contiguous copy() of the same bytes.
+  /// exactly the lines its regions cover — in the call, like copy(), so a
+  /// launched put keeps issue-time coherence region by region while the
+  /// gaps a stride skips stay cached. A descriptor lowering to a single
+  /// region (1-D, or stride == extent) is bit-identical to the contiguous
+  /// copy() of the same bytes.
   /// Strided put, contiguous private source (upc_memput_fstrided).
   template <class T>
   [[nodiscard]] sim::Task<void> copy_strided(GlobalPtr<T> dst,
@@ -368,8 +348,9 @@ class Thread {
                                              const StridedSpec& dspec,
                                              const T* src,
                                              const StridedSpec& sspec) {
-    return copy_vis(dst.owner, dst.raw, -1, src,
-                    vis::lower(dspec, sspec, sizeof(T)));
+    auto regions = vis::lower(dspec, sspec, sizeof(T));
+    if (caching_) note_vis_store(dst.owner, dst.raw, regions);
+    return copy_vis(dst.owner, dst.raw, -1, src, std::move(regions));
   }
   /// Strided get into a contiguous private buffer (upc_memget_fstrided).
   template <class T, class U>
@@ -395,8 +376,10 @@ class Thread {
                                              const StridedSpec& dspec,
                                              GlobalPtr<U> src,
                                              const StridedSpec& sspec) {
+    auto regions = vis::lower(dspec, sspec, sizeof(T));
+    if (caching_) note_vis_store(dst.owner, dst.raw, regions);
     return copy_vis(dst.owner, dst.raw, src.owner, src.raw,
-                    vis::lower(dspec, sspec, sizeof(T)));
+                    std::move(regions));
   }
   /// Indexed scatter: contiguous private source -> shared region list
   /// (upc_memput_ilist). Overlapping destination regions are rejected.
@@ -404,9 +387,10 @@ class Thread {
   [[nodiscard]] sim::Task<void> copy_irregular(GlobalPtr<T> dst,
                                                const IndexedSpec& dspec,
                                                const T* src) {
-    return copy_vis(
-        dst.owner, dst.raw, -1, src,
-        vis::lower(dspec, StridedSpec::contiguous(dspec.elems()), sizeof(T)));
+    auto regions =
+        vis::lower(dspec, StridedSpec::contiguous(dspec.elems()), sizeof(T));
+    if (caching_) note_vis_store(dst.owner, dst.raw, regions);
+    return copy_vis(dst.owner, dst.raw, -1, src, std::move(regions));
   }
   /// Indexed gather: shared region list -> contiguous private buffer
   /// (upc_memget_ilist).
@@ -417,65 +401,6 @@ class Thread {
     return copy_vis(
         -1, dst, src.owner, src.raw,
         vis::lower(StridedSpec::contiguous(sspec.elems()), sspec, sizeof(T)));
-  }
-
-  // Non-blocking VIS forms. Same eager lowering (validation throws at
-  // issue time); a shared DESTINATION drops its covered cache lines at
-  // issue, region by region — the copy_async issue-time coherence
-  // contract extended to packed footprints.
-  template <class T>
-  [[nodiscard]] async::future<> copy_strided_async(GlobalPtr<T> dst,
-                                                   const StridedSpec& dspec,
-                                                   const T* src) {
-    return copy_strided_async(dst, dspec, src,
-                              StridedSpec::contiguous(dspec.elems()));
-  }
-  template <class T>
-  [[nodiscard]] async::future<> copy_strided_async(GlobalPtr<T> dst,
-                                                   const StridedSpec& dspec,
-                                                   const T* src,
-                                                   const StridedSpec& sspec) {
-    auto regions = vis::lower(dspec, sspec, sizeof(T));
-    if (caching_) note_vis_store(dst.owner, dst.raw, regions);
-    return launch_async(
-        copy_vis(dst.owner, dst.raw, -1, src, std::move(regions)));
-  }
-  template <class T, class U>
-    requires SourceElement<U, T>
-  [[nodiscard]] async::future<> copy_strided_async(T* dst, GlobalPtr<U> src,
-                                                   const StridedSpec& sspec) {
-    return launch_async(copy_vis(
-        -1, dst, src.owner, src.raw,
-        vis::lower(StridedSpec::contiguous(sspec.elems()), sspec, sizeof(T))));
-  }
-  template <class T, class U>
-    requires SourceElement<U, T>
-  [[nodiscard]] async::future<> copy_strided_async(GlobalPtr<T> dst,
-                                                   const StridedSpec& dspec,
-                                                   GlobalPtr<U> src,
-                                                   const StridedSpec& sspec) {
-    auto regions = vis::lower(dspec, sspec, sizeof(T));
-    if (caching_) note_vis_store(dst.owner, dst.raw, regions);
-    return launch_async(
-        copy_vis(dst.owner, dst.raw, src.owner, src.raw, std::move(regions)));
-  }
-  template <class T>
-  [[nodiscard]] async::future<> copy_irregular_async(GlobalPtr<T> dst,
-                                                     const IndexedSpec& dspec,
-                                                     const T* src) {
-    auto regions =
-        vis::lower(dspec, StridedSpec::contiguous(dspec.elems()), sizeof(T));
-    if (caching_) note_vis_store(dst.owner, dst.raw, regions);
-    return launch_async(
-        copy_vis(dst.owner, dst.raw, -1, src, std::move(regions)));
-  }
-  template <class T, class U>
-    requires SourceElement<U, T>
-  [[nodiscard]] async::future<> copy_irregular_async(T* dst, GlobalPtr<U> src,
-                                                     const IndexedSpec& sspec) {
-    return launch_async(copy_vis(
-        -1, dst, src.owner, src.raw,
-        vis::lower(StridedSpec::contiguous(sspec.elems()), sspec, sizeof(T))));
   }
 
   // --- privatization (bupc_cast / castability extension) ---------------
@@ -509,10 +434,17 @@ class Thread {
   [[nodiscard]] sim::Task<void> copy_raw_from(topo::HwLoc at, int peer,
                                               void* dst, const void* src,
                                               std::size_t bytes);
-  /// Run `op` as an engine process behind a chainable future: resolves
-  /// (or carries op's exception) at completion, after any installed
-  /// fault::CompletionHook delay. Counters: async.copy.issued at launch,
-  /// async.copy.completed at resolution.
+  /// The one non-blocking form of every operation (upc_mem*_async /
+  /// upc_waitsync): run `op` as an engine process behind a chainable future
+  /// (`co_await fut`, `fut.then(...)`, async::when_all), e.g.
+  /// `launch_async(t.copy(dst, src, n))`. A copy form has already dropped
+  /// its shared destination's cache lines when it returned `op`, so
+  /// coherence holds from issue. Completion is promise-based: the future
+  /// resolves (or carries op's exception) when op's modeled work is done,
+  /// after any installed fault::CompletionHook delay — so fault plans can
+  /// storm completions without ever reordering data movement against them.
+  /// Counters: async.copy.issued at launch, async.copy.completed at
+  /// resolution.
   [[nodiscard]] async::future<> launch_async(sim::Task<void> op);
 
  private:

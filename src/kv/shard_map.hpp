@@ -81,10 +81,6 @@ class ShardMap {
     return owners_[static_cast<std::size_t>(shard) % owners_.size()];
   }
 
-  [[nodiscard]] int owner_of_key(std::uint64_t key) const noexcept {
-    return owner_of(shard_of(key));
-  }
-
  private:
   std::vector<int> owners_;
   int shards_ = 0;

@@ -121,9 +121,9 @@ sim::Task<void> Summa::run(gas::Thread& self) {
       for (std::size_t c0 = 0; c0 < tk_; c0 += nb_a) {
         const std::size_t w = std::min(nb_a, tk_ - c0);
         const auto spec = gas::StridedSpec::rows(w, tm_, tk_);
-        pulls.push_back(self.copy_strided_async(
+        pulls.push_back(self.launch_async(self.copy_strided(
             gas::GlobalPtr<double>{pa_dst.owner, pa_dst.raw + c0}, spec,
-            gas::GlobalPtr<double>{a_src.owner, a_src.raw + c0}, spec));
+            gas::GlobalPtr<double>{a_src.owner, a_src.raw + c0}, spec)));
       }
       const gas::GlobalPtr<double> pb_dst =
           panel_b_[static_cast<std::size_t>(me)];
@@ -133,9 +133,9 @@ sim::Task<void> Summa::run(gas::Thread& self) {
       for (std::size_t c0 = 0; c0 < tn_; c0 += nb_b) {
         const std::size_t w = std::min(nb_b, tn_ - c0);
         const auto spec = gas::StridedSpec::rows(w, tk_, tn_);
-        pulls.push_back(self.copy_strided_async(
+        pulls.push_back(self.launch_async(self.copy_strided(
             gas::GlobalPtr<double>{pb_dst.owner, pb_dst.raw + c0}, spec,
-            gas::GlobalPtr<double>{b_src.owner, b_src.raw + c0}, spec));
+            gas::GlobalPtr<double>{b_src.owner, b_src.raw + c0}, spec)));
       }
       for (auto& f : pulls) co_await f.wait();
     } else {

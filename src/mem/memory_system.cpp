@@ -34,8 +34,8 @@ sim::FluidLink& MemorySystem::interconnect(int node, int from_socket) {
   return *interconnects_[idx];
 }
 
-async::future<> MemorySystem::stream_async(topo::HwLoc at, topo::HwLoc home,
-                                           double bytes) {
+async::future<> MemorySystem::stream(topo::HwLoc at, topo::HwLoc home,
+                                     double bytes) {
   assert(at.node == home.node && "cross-node traffic belongs to hupc::net");
   // The home socket's memory controller always carries the bytes. A
   // cross-socket stream also occupies the node interconnect; the transfer
@@ -43,18 +43,13 @@ async::future<> MemorySystem::stream_async(topo::HwLoc at, topo::HwLoc home,
   // interconnect occupancy creates back-pressure for concurrent users by
   // capping the memory-pool rate at the interconnect's fair share.
   if (at.socket == home.socket) {
-    return socket_pool(home.node, home.socket).transfer_async(bytes);
+    return socket_pool(home.node, home.socket).transfer(bytes);
   }
   // Start the interconnect leg fire-and-forget (its completion coincides
   // with the memory leg under equal rates; awaiting the memory leg is the
   // binding constraint for calibration purposes).
-  (void)interconnect(home.node, home.socket).transfer_async(bytes);
-  return socket_pool(home.node, home.socket).transfer_async(bytes);
-}
-
-sim::Task<void> MemorySystem::stream(topo::HwLoc at, topo::HwLoc home,
-                                     double bytes) {
-  co_await stream_async(at, home, bytes).wait();
+  (void)interconnect(home.node, home.socket).transfer(bytes);
+  return socket_pool(home.node, home.socket).transfer(bytes);
 }
 
 sim::Task<void> MemorySystem::access(topo::HwLoc at, topo::HwLoc home,
@@ -69,21 +64,21 @@ sim::Task<void> MemorySystem::access(topo::HwLoc at, topo::HwLoc home,
   co_await stream(at, home, static_cast<double>(count) * bytes_each);
 }
 
-sim::Task<void> MemorySystem::compute(const topo::SlotAllocator& slots,
-                                      topo::HwLoc at,
-                                      double single_thread_seconds) {
+sim::DelayAwaiter MemorySystem::compute(const topo::SlotAllocator& slots,
+                                        topo::HwLoc at,
+                                        double single_thread_seconds) {
   const double factor = slots.speed_factor(at);
   assert(factor > 0.0);
-  co_await sim::delay(*engine_,
-                      sim::from_seconds(single_thread_seconds / factor));
+  return sim::delay(*engine_,
+                    sim::from_seconds(single_thread_seconds / factor));
 }
 
-sim::Task<void> MemorySystem::compute_flops(const topo::SlotAllocator& slots,
-                                            topo::HwLoc at, double flops,
-                                            double efficiency) {
+sim::DelayAwaiter MemorySystem::compute_flops(const topo::SlotAllocator& slots,
+                                              topo::HwLoc at, double flops,
+                                              double efficiency) {
   assert(efficiency > 0.0 && efficiency <= 1.0);
   const double seconds = flops / (machine_.core_flops() * efficiency);
-  co_await compute(slots, at, seconds);
+  return compute(slots, at, seconds);
 }
 
 }  // namespace hupc::mem

@@ -17,6 +17,7 @@
 
 #include "async/future.hpp"
 #include "sim/engine.hpp"
+#include "sim/process.hpp"
 #include "sim/resource.hpp"
 #include "sim/task.hpp"
 #include "topo/machine.hpp"
@@ -28,15 +29,12 @@ class MemorySystem {
  public:
   MemorySystem(sim::Engine& engine, const topo::MachineSpec& machine);
 
-  /// Stream `bytes` between the memory of socket `home` and a context at
-  /// `at` (same node required). Returns when the slowest involved resource
-  /// has carried the bytes.
-  [[nodiscard]] sim::Task<void> stream(topo::HwLoc at, topo::HwLoc home,
+  /// Start streaming `bytes` between the memory of socket `home` and a
+  /// context at `at` (same node required). The future resolves when the
+  /// home socket's memory pool has carried the bytes; hold several to
+  /// overlap bulk copies.
+  [[nodiscard]] async::future<> stream(topo::HwLoc at, topo::HwLoc home,
                                        double bytes);
-
-  /// Start a stream without waiting (overlapped bulk copies).
-  [[nodiscard]] async::future<> stream_async(topo::HwLoc at, topo::HwLoc home,
-                                             double bytes);
 
   /// Fine-grained access latency for `count` dependent accesses of
   /// `bytes_each` with affinity at `home`: per-access DRAM latency scaled by
@@ -46,15 +44,15 @@ class MemorySystem {
 
   /// Charge `single_thread_seconds` of computation to a context bound at
   /// `at`, slowed by the current SMT/oversubscription speed factor.
-  [[nodiscard]] sim::Task<void> compute(const topo::SlotAllocator& slots,
-                                        topo::HwLoc at,
-                                        double single_thread_seconds);
+  [[nodiscard]] sim::DelayAwaiter compute(const topo::SlotAllocator& slots,
+                                          topo::HwLoc at,
+                                          double single_thread_seconds);
 
   /// Charge a floating-point workload at a given efficiency (fraction of
   /// the core's peak FLOP rate actually achieved by the kernel).
-  [[nodiscard]] sim::Task<void> compute_flops(const topo::SlotAllocator& slots,
-                                              topo::HwLoc at, double flops,
-                                              double efficiency);
+  [[nodiscard]] sim::DelayAwaiter compute_flops(
+      const topo::SlotAllocator& slots, topo::HwLoc at, double flops,
+      double efficiency);
 
   [[nodiscard]] const topo::MachineSpec& machine() const noexcept {
     return machine_;

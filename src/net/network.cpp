@@ -141,8 +141,8 @@ sim::Task<void> Network::rma(Transfer t) {
       sim::ScopedLock guard(conn);
       co_await sim::delay(*engine_,
                           sim::from_seconds(conduit_.send_overhead_s));
-      src_leg = nic(t.src_node).transfer_async(t.bytes, wire_cap);
-      dst_leg = nic(t.dst_node).transfer_async(t.bytes, wire_cap);
+      src_leg = nic(t.src_node).transfer(t.bytes, wire_cap);
+      dst_leg = nic(t.dst_node).transfer(t.bytes, wire_cap);
       co_await sim::delay(*engine_,
                           sim::from_seconds(t.bytes / conduit_.stage_bw));
     }
@@ -194,10 +194,6 @@ sim::Task<void> Network::loopback(Transfer t, double loopback_bw) {
   }
   co_await sim::delay(*engine_, sim::from_seconds(t.bytes / loopback_bw +
                                                   conduit_.recv_overhead_s));
-}
-
-async::future<> Network::rma_async(Transfer t) {
-  return sim::spawn(*engine_, rma(t));
 }
 
 std::uint64_t Network::total_messages() const noexcept {

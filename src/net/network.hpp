@@ -3,7 +3,7 @@
 // Owns one NIC fluid link per node plus one injection FIFO per connection
 // (connection granularity chosen by ConnectionMode). rma() performs a
 // one-sided bulk transfer and completes when the payload is remotely
-// delivered; rma_async() is its non-blocking form.
+// delivered; sim::spawn(engine, rma(t)) is its non-blocking form.
 //
 // Every transfer is described by a net::Transfer descriptor instead of a
 // growing positional-parameter list; aggregated (coalesced) messages carry
@@ -20,7 +20,6 @@
 #include <memory>
 #include <vector>
 
-#include "async/future.hpp"
 #include "fault/hooks.hpp"
 #include "net/conduit.hpp"
 #include "sim/engine.hpp"
@@ -43,9 +42,9 @@ struct Region {
   std::size_t bytes = 0;
 };
 
-/// One-sided transfer descriptor (the argument to rma / rma_async /
-/// loopback). `src_ep` is the node-local endpoint index of the issuing
-/// rank; `api_scale` scales the per-message shared-API service cost —
+/// One-sided transfer descriptor (the argument to rma / loopback).
+/// `src_ep` is the node-local endpoint index of the issuing rank;
+/// `api_scale` scales the per-message shared-API service cost —
 /// tuned collective engines batch doorbells/completions and pay a fraction
 /// of the per-message cost independent endpoints do. `coalesced_count > 1`
 /// marks an aggregated message carrying that many fine-grained operations
@@ -74,8 +73,6 @@ class Network {
   /// One-sided transfer of `t.bytes` from endpoint `t.src_ep` (node-local
   /// index) on `t.src_node` to `t.dst_node`. Completes at remote delivery.
   [[nodiscard]] sim::Task<void> rma(Transfer t);
-
-  [[nodiscard]] async::future<> rma_async(Transfer t);
 
   /// Intra-node transfer through the network stack (the no-PSHM loopback
   /// path): pays API, injection and endpoint-pipeline costs like a real

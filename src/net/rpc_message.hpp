@@ -8,8 +8,9 @@
 // this buffer (encoded at the caller, decoded at the target), keeping the
 // modeled wire size honest and catching accidental reliance on shared
 // memory. The message's network cost is charged as an ordinary
-// net::Transfer of wire_bytes() (see as_transfer), flowing through the
-// same injection FIFOs, fault seams and counters as every other message.
+// net::Transfer of wire_bytes() (async::RpcDomain's transport), flowing
+// through the same injection FIFOs, fault seams and counters as every other
+// message.
 //
 // Encoding is in-memory little-endian host order (the simulation never
 // crosses a real wire); only trivially-copyable argument types are
@@ -23,8 +24,6 @@
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
-
-#include "net/network.hpp"
 
 namespace hupc::net {
 
@@ -77,17 +76,6 @@ class RpcMessage {
   /// Modeled on-wire size: header + serialized arguments.
   [[nodiscard]] std::size_t wire_bytes() const noexcept {
     return kRpcHeaderBytes + payload_.size();
-  }
-
-  /// The network-cost descriptor for shipping this message. RPCs ride the
-  /// standard one-sided machinery (GASNet AM-over-RDMA style), so no
-  /// api_scale discount applies.
-  [[nodiscard]] Transfer as_transfer(int src_node, int src_ep,
-                                     int dst_node) const noexcept {
-    return Transfer{.src_node = src_node,
-                    .src_ep = src_ep,
-                    .dst_node = dst_node,
-                    .bytes = static_cast<double>(wire_bytes())};
   }
 
  private:

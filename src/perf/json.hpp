@@ -44,7 +44,6 @@ class Json {
   [[nodiscard]] Type type() const noexcept { return type_; }
   [[nodiscard]] bool is_null() const noexcept { return type_ == Type::null; }
   [[nodiscard]] bool is_object() const noexcept { return type_ == Type::object; }
-  [[nodiscard]] bool is_array() const noexcept { return type_ == Type::array; }
 
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;

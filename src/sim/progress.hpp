@@ -32,9 +32,6 @@ class ProgressQueue {
     engine_->schedule_in(0, [this] { drain_one(); });
   }
 
-  /// Thunks posted but not yet run (inbox depth).
-  [[nodiscard]] std::size_t depth() const noexcept { return queue_.size(); }
-
  private:
   void drain_one() {
     assert(!queue_.empty() && "ProgressQueue: tick without a queued thunk");

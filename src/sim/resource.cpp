@@ -19,7 +19,7 @@ FluidLink::FluidLink(Engine& engine, double capacity_bytes_per_sec)
   assert(capacity_ > 0.0);
 }
 
-async::future<> FluidLink::transfer_async(double bytes, double max_rate) {
+async::future<> FluidLink::transfer(double bytes, double max_rate) {
   total_bytes_ += bytes;
   async::promise<> done(*engine_);
   async::future<> fut = done.get_future();
@@ -35,10 +35,6 @@ async::future<> FluidLink::transfer_async(double bytes, double max_rate) {
   assign_rates();
   schedule_next_completion();
   return fut;
-}
-
-Task<void> FluidLink::transfer(double bytes, double max_rate) {
-  co_await transfer_async(bytes, max_rate).wait();
 }
 
 void FluidLink::advance_progress() {

@@ -50,16 +50,12 @@ class FluidLink {
   FluidLink(const FluidLink&) = delete;
   FluidLink& operator=(const FluidLink&) = delete;
 
-  /// Move `bytes` through the link; completes when the transfer's share of
-  /// the capacity has carried all bytes. `max_rate` (bytes/sec) caps this
-  /// transfer's share; <=0 means uncapped.
-  [[nodiscard]] Task<void> transfer(double bytes, double max_rate = 0.0);
-
-  /// Start a transfer immediately and return a future that resolves on
-  /// completion — lets a caller drive several links in parallel and await
+  /// Start moving `bytes` through the link now; the future resolves when
+  /// the transfer's share of the capacity has carried all bytes. `max_rate`
+  /// (bytes/sec) caps this transfer's share; <=0 means uncapped. Await it
+  /// at once to block, or hold several to drive links in parallel and await
   /// the slowest (e.g. a cross-socket stream occupying memory bus + QPI).
-  [[nodiscard]] async::future<> transfer_async(double bytes,
-                                               double max_rate = 0.0);
+  [[nodiscard]] async::future<> transfer(double bytes, double max_rate = 0.0);
 
   [[nodiscard]] double capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t active_transfers() const noexcept {

@@ -155,7 +155,7 @@ GupsResult RandomAccess::run(GupsVariant variant,
           auto dst = inbox[static_cast<std::size_t>(owner)] +
                      static_cast<std::ptrdiff_t>(
                          static_cast<std::uint64_t>(t.rank()) * slot_cap);
-          pending.push_back(t.copy_async(dst, b.data(), b.size()));
+          pending.push_back(t.launch_async(t.copy(dst, b.data(), b.size())));
         }
         for (auto& f : pending) co_await f.wait();
         co_await t.barrier();

@@ -45,8 +45,8 @@ TriadResult twisted_triad(gas::Runtime& rt, std::size_t elements_per_thread,
       case TriadVariant::openmp: {
         // Plain loads/stores: reads stream from the partner's socket,
         // writes to the local one, overlapped (hardware prefetch).
-        auto reads = mem.stream_async(t.loc(), rt.loc_of(partner), 16.0 * n);
-        auto writes = mem.stream_async(t.loc(), t.loc(), 8.0 * n);
+        auto reads = mem.stream(t.loc(), rt.loc_of(partner), 16.0 * n);
+        auto writes = mem.stream(t.loc(), t.loc(), 8.0 * n);
         co_await reads.wait();
         co_await writes.wait();
         break;

@@ -45,24 +45,17 @@ struct MachineSpec {
   [[nodiscard]] int cores_per_node() const noexcept {
     return sockets_per_node * cores_per_socket;
   }
-  [[nodiscard]] int hwthreads_per_core() const noexcept { return smt_per_core; }
   [[nodiscard]] int hwthreads_per_socket() const noexcept {
     return cores_per_socket * smt_per_core;
   }
   [[nodiscard]] int hwthreads_per_node() const noexcept {
     return sockets_per_node * hwthreads_per_socket();
   }
-  [[nodiscard]] int total_cores() const noexcept {
-    return nodes * cores_per_node();
-  }
   [[nodiscard]] int total_hwthreads() const noexcept {
     return nodes * hwthreads_per_node();
   }
   [[nodiscard]] double core_flops() const noexcept {
     return clock_ghz * 1e9 * flops_per_cycle;
-  }
-  [[nodiscard]] double node_mem_bw() const noexcept {
-    return socket_mem_bw * sockets_per_node;
   }
 };
 
@@ -74,16 +67,6 @@ struct HwLoc {
   int smt = 0;
 
   friend bool operator==(const HwLoc&, const HwLoc&) = default;
-
-  [[nodiscard]] bool same_node(const HwLoc& o) const noexcept {
-    return node == o.node;
-  }
-  [[nodiscard]] bool same_socket(const HwLoc& o) const noexcept {
-    return same_node(o) && socket == o.socket;
-  }
-  [[nodiscard]] bool same_core(const HwLoc& o) const noexcept {
-    return same_socket(o) && core == o.core;
-  }
 };
 
 /// Hierarchy levels, ordered from innermost sharing domain outwards.

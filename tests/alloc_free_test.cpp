@@ -84,10 +84,10 @@ sim::Task<void> round(gas::Thread& t, sim::FluidLink& link,
     // Four concurrent messages from four endpoints contend for the node's
     // API queue and the NICs; the link carries four overlapping flows.
     batch.push_back(t.launch_async(remote_put(nw, i, 256.0 * (i + 1))));
-    batch.push_back(link.transfer_async(1024.0 * (i + 1)));
+    batch.push_back(link.transfer(1024.0 * (i + 1)));
   }
   batch.push_back(async::make_ready_future());
-  const async::future<> lone = link.transfer_async(512);
+  const async::future<> lone = link.transfer(512);
   co_await lone.wait();
   co_await async::when_all(std::move(batch)).wait();
 }

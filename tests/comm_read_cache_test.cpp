@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "comm/read_cache.hpp"
 #include "fault/invariants.hpp"
@@ -191,12 +192,12 @@ TEST(ReadCache, ReadYourWritesThroughCoalescerComposition) {
   EXPECT_EQ(rt.thread(0).read_cache_stats()->misses, 2u);  // refetched
 }
 
-// Regression: copy_async's read-cache invalidation happens at ISSUE time,
-// not when the spawned copy coroutine eventually runs. A cached get between
-// issue and completion must re-fetch (miss) instead of being served a stale
-// hit across the in-flight put — and once the returned future resolves, a
-// get must observe the payload (read-your-writes).
-TEST(ReadCache, CopyAsyncInvalidatesAtIssueAndReadsYourWrites) {
+// Regression: a launched copy's read-cache invalidation happens at ISSUE
+// time, in the copy() call, not when the launched transfer eventually runs.
+// A cached get between issue and completion must re-fetch (miss) instead of
+// being served a stale hit across the in-flight put — and once the returned
+// future resolves, a get must observe the payload (read-your-writes).
+TEST(ReadCache, LaunchedCopyInvalidatesAtIssueAndReadsYourWrites) {
   sim::Engine e;
   Runtime rt(e, cfg(2, 2));
   auto cells = rt.heap().all_alloc<std::uint64_t>(2, 1);
@@ -210,7 +211,7 @@ TEST(ReadCache, CopyAsyncInvalidatesAtIssueAndReadsYourWrites) {
       gas::CachedEpoch epoch(t);
       (void)co_await t.get(cells.at(1));  // miss: line cached (value 7)
       const std::uint64_t payload = 42;
-      auto fut = t.copy_async(cells.at(1), &payload, 1);
+      auto fut = t.launch_async(t.copy(cells.at(1), &payload, 1));
       // Issuing the async put must already have dropped the covered line.
       EXPECT_GE(t.read_cache_stats()->invalidations, 1u);
       const std::uint64_t hits_before = t.read_cache_stats()->hits;
@@ -225,6 +226,58 @@ TEST(ReadCache, CopyAsyncInvalidatesAtIssueAndReadsYourWrites) {
   rt.run_to_completion();
   EXPECT_EQ(in_flight_hits, 0u);
   EXPECT_EQ(resolved_value, 42u);
+}
+
+// The same issue-time contract for a packed put: launching a strided copy
+// drops exactly the lines its regions cover before the call returns, and
+// the line in its stride gap stays cached. While the put is in flight the
+// gap line still hits and the covered line misses.
+TEST(ReadCache, LaunchedStridedPutInvalidatesCoveredLinesAtIssue) {
+  sim::Engine e;
+  Runtime rt(e, cfg(2, 2));
+  auto cells = rt.heap().alloc<std::uint64_t>(1, 64);
+  for (int i = 0; i < 64; ++i) cells.raw[i] = static_cast<std::uint64_t>(i);
+  std::size_t a0 = 0;
+  while (rt.heap().offset_of(1, cells.raw + a0) % 64 != 0) ++a0;
+  // 8 words = one 64 B line: rows(8, 2, 16) covers lines 0 and 2 and skips
+  // line 1.
+  auto line = [&](std::size_t l) {
+    return cells + static_cast<std::ptrdiff_t>(a0 + 8 * l);
+  };
+  const auto spec = gas::StridedSpec::rows(8, 2, 16);
+  const std::vector<std::uint64_t> src(spec.elems(), 99);
+  std::uint64_t issue_invalidations = 0, gap_hits = 0, covered_misses = 0;
+  bool in_flight = false;
+  std::uint64_t covered_value = 0, gap_value = 0;
+  rt.spmd([&](Thread& t) -> sim::Task<void> {
+    co_await t.barrier();
+    if (t.rank() == 0) {
+      gas::CachedEpoch epoch(t);
+      (void)co_await t.get(line(0));  // miss: covered line cached
+      (void)co_await t.get(line(1));  // miss: gap line cached
+      const comm::CacheStats before = *t.read_cache_stats();
+      auto fut = t.launch_async(t.copy_strided(line(0), spec, src.data()));
+      issue_invalidations =
+          t.read_cache_stats()->invalidations - before.invalidations;
+      (void)co_await t.get(line(1));  // gap: still a hit
+      gap_hits = t.read_cache_stats()->hits - before.hits;
+      in_flight = !fut.ready();
+      (void)co_await t.get(line(0));  // covered: re-fetched
+      covered_misses = t.read_cache_stats()->misses - before.misses;
+      co_await fut.wait();
+      covered_value = co_await t.get(line(0));
+      gap_value = co_await t.get(line(1));
+      epoch.end();
+    }
+    co_await t.barrier();
+  });
+  rt.run_to_completion();
+  EXPECT_EQ(issue_invalidations, 1u);  // line 0 only; line 2 was never cached
+  EXPECT_EQ(gap_hits, 1u);
+  EXPECT_TRUE(in_flight);
+  EXPECT_EQ(covered_misses, 1u);
+  EXPECT_EQ(covered_value, 99u);
+  EXPECT_EQ(gap_value, a0 + 8);
 }
 
 // AMOs and barriers are coherence points: both drop cached lines so the

@@ -368,7 +368,7 @@ TEST(Runtime, AsyncMemputOverlapsWithCompute) {
   sim::Time elapsed = 0;
   rt.spmd([&](Thread& t) -> sim::Task<void> {
     if (t.rank() != 0) co_return;
-    auto put = t.copy_async(dst, src.data(), src.size());
+    auto put = t.launch_async(t.copy(dst, src.data(), src.size()));
     co_await t.compute(500e-6);  // overlap ~= transfer time
     co_await put.wait();
     elapsed = t.runtime().engine().now();

@@ -247,7 +247,7 @@ TEST(GasVis, AsyncStridedResolvesAndApplies) {
   bool resolved = false;
   rt.spmd([&](Thread& t) -> sim::Task<void> {
     if (t.rank() != 0) co_return;
-    auto f = t.copy_strided_async(slab, spec, src.data());
+    auto f = t.launch_async(t.copy_strided(slab, spec, src.data()));
     co_await f.wait();
     resolved = true;
   });

@@ -190,7 +190,7 @@ TEST(Mpi, HierarchicalBeatsFlatForSmallMessages) {
 }
 
 TEST(Mpi, LowerLayerSharedStatesBalanceWhenRuntimeDies) {
-  // Leak census below the GAS layer: one-sided rma_async legs (net), a
+  // Leak census below the GAS layer: spawned one-sided rma legs (net), a
   // cross-socket stream whose interconnect leg nobody awaits (mem), and a
   // hierarchical alltoall whose leader exchange rides on rendezvous
   // promises (mpl). Every shared state must die with the runtime.
@@ -212,10 +212,11 @@ TEST(Mpi, LowerLayerSharedStatesBalanceWhenRuntimeDies) {
     rt.spmd([&](Thread& t) -> sim::Task<void> {
       if (t.rank() == 0) {
         auto& nw = t.runtime().network();
-        auto a = nw.rma_async(
-            {.src_node = 0, .src_ep = 0, .dst_node = 1, .bytes = 64e3});
-        auto b = nw.rma_async(
-            {.src_node = 0, .src_ep = 1, .dst_node = 1, .bytes = 64e3});
+        auto& eng = t.runtime().engine();
+        auto a = sim::spawn(eng, nw.rma({.src_node = 0, .src_ep = 0,
+                                         .dst_node = 1, .bytes = 64e3}));
+        auto b = sim::spawn(eng, nw.rma({.src_node = 0, .src_ep = 1,
+                                         .dst_node = 1, .bytes = 64e3}));
         in_flight = async::debug_live_states();
         co_await a.wait();
         co_await b.wait();

@@ -106,8 +106,10 @@ TEST(Network, AsyncRmaOverlaps) {
   sim::Time done = 0;
   sim::spawn(e, [](sim::Engine& eng, Network& n, sim::Time& d) -> sim::Task<void> {
     // Two async transfers from different endpoints overlap on the wire.
-    auto f1 = n.rma_async({.src_node = 0, .src_ep = 0, .dst_node = 1, .bytes = 155e6});
-    auto f2 = n.rma_async({.src_node = 0, .src_ep = 1, .dst_node = 1, .bytes = 155e6});
+    auto f1 = sim::spawn(eng, n.rma({.src_node = 0, .src_ep = 0,
+                                     .dst_node = 1, .bytes = 155e6}));
+    auto f2 = sim::spawn(eng, n.rma({.src_node = 0, .src_ep = 1,
+                                     .dst_node = 1, .bytes = 155e6}));
     co_await f1.wait();
     co_await f2.wait();
     d = eng.now();

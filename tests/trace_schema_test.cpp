@@ -1,11 +1,10 @@
-// Chrome-trace exporter schema conformance, validated with a tiny in-test
-// recursive-descent JSON parser (no external dependency): the exported
-// document must parse, every timestamp must be non-negative, pid/tid must
+// Chrome-trace exporter schema conformance, validated with the perf
+// subsystem's JSON parser (perf::Json::parse): the exported document must
+// parse, every timestamp must be non-negative, pid/tid must
 // map to node/rank, and B/E events must balance per thread lane — also
 // after the ring has wrapped and dropped a prefix of the stream.
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <map>
 #include <sstream>
 #include <string>
@@ -13,6 +12,7 @@
 #include <vector>
 
 #include "gas/gas.hpp"
+#include "perf/json.hpp"
 #include "sched/work_stealing.hpp"
 #include "sim/sim.hpp"
 #include "trace/trace.hpp"
@@ -22,194 +22,7 @@ namespace {
 
 using namespace hupc;  // NOLINT: test-local convenience
 
-// --- minimal JSON ---------------------------------------------------------
-
-struct Json {
-  enum class Type { null, boolean, number, string, array, object };
-  Type type = Type::null;
-  bool b = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<Json> arr;
-  std::map<std::string, Json> obj;
-
-  [[nodiscard]] bool has(const std::string& key) const {
-    return type == Type::object && obj.count(key) != 0;
-  }
-  [[nodiscard]] const Json& at(const std::string& key) const {
-    return obj.at(key);
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string text) : text_(std::move(text)) {}
-
-  Json parse() {
-    Json v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing garbage");
-    return v;
-  }
-
-  [[nodiscard]] const std::string& error() const { return error_; }
-  [[nodiscard]] bool ok() const { return error_.empty(); }
-
- private:
-  [[noreturn]] void fail(const std::string& what) {
-    error_ = what + " at offset " + std::to_string(pos_);
-    throw std::runtime_error(error_);
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-  bool consume(const std::string& word) {
-    if (text_.compare(pos_, word.size(), word) == 0) {
-      pos_ += word.size();
-      return true;
-    }
-    return false;
-  }
-
-  Json value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') return string_value();
-    if (c == 't' || c == 'f') return boolean();
-    if (c == 'n') {
-      if (!consume("null")) fail("bad literal");
-      return Json{};
-    }
-    return number();
-  }
-
-  Json object() {
-    Json v;
-    v.type = Json::Type::object;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      skip_ws();
-      Json key = string_value();
-      skip_ws();
-      expect(':');
-      v.obj.emplace(key.str, value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  Json array() {
-    Json v;
-    v.type = Json::Type::array;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      v.arr.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  Json string_value() {
-    Json v;
-    v.type = Json::Type::string;
-    expect('"');
-    for (;;) {
-      const char c = peek();
-      ++pos_;
-      if (c == '"') return v;
-      if (c == '\\') {
-        const char esc = peek();
-        ++pos_;
-        switch (esc) {
-          case '"': v.str += '"'; break;
-          case '\\': v.str += '\\'; break;
-          case '/': v.str += '/'; break;
-          case 'b': v.str += '\b'; break;
-          case 'f': v.str += '\f'; break;
-          case 'n': v.str += '\n'; break;
-          case 'r': v.str += '\r'; break;
-          case 't': v.str += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-            v.str += static_cast<char>(
-                std::stoi(text_.substr(pos_, 4), nullptr, 16));
-            pos_ += 4;
-            break;
-          }
-          default: fail("bad escape");
-        }
-      } else {
-        v.str += c;
-      }
-    }
-  }
-
-  Json boolean() {
-    Json v;
-    v.type = Json::Type::boolean;
-    if (consume("true")) {
-      v.b = true;
-    } else if (consume("false")) {
-      v.b = false;
-    } else {
-      fail("bad literal");
-    }
-    return v;
-  }
-
-  Json number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("bad number");
-    Json v;
-    v.type = Json::Type::number;
-    v.num = std::stod(text_.substr(start, pos_ - start));
-    return v;
-  }
-
-  std::string text_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
+using perf::Json;
 
 // --- workload that populates a tracer -------------------------------------
 
@@ -239,37 +52,36 @@ std::uint64_t run_uts(trace::Tracer* tracer) {
 void check_schema(const trace::Tracer& tracer) {
   std::ostringstream os;
   tracer.export_chrome(os);
-  JsonParser parser(os.str());
   Json doc;
-  ASSERT_NO_THROW(doc = parser.parse()) << parser.error();
+  ASSERT_NO_THROW(doc = Json::parse(os.str()));
 
-  ASSERT_EQ(doc.type, Json::Type::object);
-  ASSERT_TRUE(doc.has("traceEvents"));
-  ASSERT_EQ(doc.at("traceEvents").type, Json::Type::array);
-  ASSERT_TRUE(doc.has("displayTimeUnit"));
-  EXPECT_EQ(doc.at("displayTimeUnit").str, "ns");
+  ASSERT_EQ(doc.type(), Json::Type::object);
+  ASSERT_TRUE(doc.contains("traceEvents"));
+  ASSERT_EQ(doc.at("traceEvents").type(), Json::Type::array);
+  ASSERT_TRUE(doc.contains("displayTimeUnit"));
+  EXPECT_EQ(doc.at("displayTimeUnit").as_string(), "ns");
 
   const int ranks = tracer.ranks();
   // Open B/E nesting depth per (pid, tid) lane.
   std::map<std::pair<int, int>, int> depth;
-  const auto& events = doc.at("traceEvents").arr;
+  const auto& events = doc.at("traceEvents").items();
   if (trace::kEnabled) {
     EXPECT_FALSE(events.empty());
   }
   for (const auto& ev : events) {
-    ASSERT_EQ(ev.type, Json::Type::object);
+    ASSERT_EQ(ev.type(), Json::Type::object);
     for (const char* key : {"name", "cat", "ph"}) {
-      ASSERT_TRUE(ev.has(key)) << "missing " << key;
-      EXPECT_EQ(ev.at(key).type, Json::Type::string);
+      ASSERT_TRUE(ev.contains(key)) << "missing " << key;
+      EXPECT_EQ(ev.at(key).type(), Json::Type::string);
     }
     for (const char* key : {"ts", "pid", "tid"}) {
-      ASSERT_TRUE(ev.has(key)) << "missing " << key;
-      ASSERT_EQ(ev.at(key).type, Json::Type::number);
+      ASSERT_TRUE(ev.contains(key)) << "missing " << key;
+      ASSERT_EQ(ev.at(key).type(), Json::Type::number);
     }
-    EXPECT_GE(ev.at("ts").num, 0.0);
+    EXPECT_GE(ev.at("ts").as_number(), 0.0);
 
-    const int tid = static_cast<int>(ev.at("tid").num);
-    const int pid = static_cast<int>(ev.at("pid").num);
+    const int tid = static_cast<int>(ev.at("tid").as_number());
+    const int pid = static_cast<int>(ev.at("pid").as_number());
     ASSERT_GE(tid, 0);
     ASSERT_LE(tid, ranks);  // ranks() is the engine lane
     if (tid < ranks) {
@@ -278,7 +90,7 @@ void check_schema(const trace::Tracer& tracer) {
       EXPECT_EQ(pid, 0) << "engine lane lives on pid 0";
     }
 
-    const std::string& ph = ev.at("ph").str;
+    const std::string& ph = ev.at("ph").as_string();
     ASSERT_TRUE(ph == "B" || ph == "E" || ph == "i") << ph;
     if (ph == "B") {
       ++depth[{pid, tid}];
@@ -288,12 +100,12 @@ void check_schema(const trace::Tracer& tracer) {
       --depth[{pid, tid}];
     }
     if (ph == "i") {
-      ASSERT_TRUE(ev.has("s"));
-      EXPECT_EQ(ev.at("s").str, "t");
+      ASSERT_TRUE(ev.contains("s"));
+      EXPECT_EQ(ev.at("s").as_string(), "t");
     }
     if (ph != "E") {
-      ASSERT_TRUE(ev.has("args"));
-      EXPECT_EQ(ev.at("args").type, Json::Type::object);
+      ASSERT_TRUE(ev.contains("args"));
+      EXPECT_EQ(ev.at("args").type(), Json::Type::object);
     }
   }
   for (const auto& [lane, open] : depth) {
@@ -325,22 +137,20 @@ TEST(TraceSchema, EscapesSpecialCharactersInNames) {
   tracer.instant(trace::Category::user, "quote\"back\\slash\tctrl", 0);
   std::ostringstream os;
   tracer.export_chrome(os);
-  JsonParser parser(os.str());
   Json doc;
-  ASSERT_NO_THROW(doc = parser.parse()) << parser.error();
-  const auto& events = doc.at("traceEvents").arr;
+  ASSERT_NO_THROW(doc = Json::parse(os.str()));
+  const auto& events = doc.at("traceEvents").items();
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].at("name").str, "quote\"back\\slash\tctrl");
+  EXPECT_EQ(events[0].at("name").as_string(), "quote\"back\\slash\tctrl");
 }
 
 TEST(TraceSchema, EmptyTracerExportsValidDocument) {
   trace::Tracer tracer;
   std::ostringstream os;
   tracer.export_chrome(os);
-  JsonParser parser(os.str());
   Json doc;
-  ASSERT_NO_THROW(doc = parser.parse()) << parser.error();
-  EXPECT_TRUE(doc.at("traceEvents").arr.empty());
+  ASSERT_NO_THROW(doc = Json::parse(os.str()));
+  EXPECT_TRUE(doc.at("traceEvents").items().empty());
 }
 
 TEST(TraceSchema, SummaryExportIsMachineReadable) {
