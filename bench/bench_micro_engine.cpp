@@ -48,6 +48,41 @@ PERF_BENCHMARK("micro.engine.schedule_run", .warmup = 1) {
   report_ns_per_op(ctx, dt.count(), static_cast<std::uint64_t>(n));
 }
 
+// Push/pop pairs on a deep heap: about 16 k events stay pending, and each
+// dispatched event queues itself again at a random future time, so every
+// pop sifts down and every push sifts up through a heap many 4-child
+// groups deep (schedule_run's monotone times never sift). Reported per
+// dispatched event.
+PERF_BENCHMARK("micro.engine.deep_heap", .warmup = 1) {
+  struct Churn : sim::EventNode {
+    sim::Engine* engine;
+    util::Xoshiro256ss rng{7};
+    std::uint64_t left;
+    Churn(sim::Engine& e, std::uint64_t n)
+        : EventNode{&fire}, engine(&e), left(n) {}
+    static void fire(EventNode* self, std::uint64_t /*seq*/) {
+      auto& c = *static_cast<Churn*>(self);
+      if (c.left == 0) return;
+      --c.left;
+      c.engine->schedule_node(
+          c.engine->now() + 1 + static_cast<sim::Time>(c.rng.below(1 << 20)),
+          &c);
+    }
+  };
+  constexpr int kPending = 16 * 1024;
+  const std::uint64_t n = ctx.smoke() ? 200'000 : 2'000'000;
+  sim::Engine e;
+  Churn churn(e, n);
+  for (int i = 0; i < kPending; ++i) {
+    e.schedule_node(1 + static_cast<sim::Time>(churn.rng.below(1 << 20)),
+                    &churn);
+  }
+  const auto t0 = Clock::now();
+  e.run();
+  const std::chrono::duration<double> dt = Clock::now() - t0;
+  report_ns_per_op(ctx, dt.count(), e.events_executed());
+}
+
 PERF_BENCHMARK("micro.engine.coroutine_spawn_join", .warmup = 1) {
   const int n = ctx.smoke() ? 5000 : 20000;
   const auto t0 = Clock::now();

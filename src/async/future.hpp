@@ -101,9 +101,9 @@ class Ref {
 /// inline arrival, whichever runs later; the events it leaves out would
 /// only have counted, so no other event moves relative to another
 /// (DESIGN.md §13). Once settled, the node deletes itself.
-class GatherBase : public sim::detail::PooledFrame {
+class GatherBase : public sim::detail::PooledFrame, private sim::EventNode {
  public:
-  GatherBase() noexcept = default;
+  GatherBase() noexcept : sim::EventNode{&settle_event} {}
   GatherBase(const GatherBase&) = delete;
   GatherBase& operator=(const GatherBase&) = delete;
   virtual ~GatherBase() = default;
@@ -124,10 +124,7 @@ class GatherBase : public sim::detail::PooledFrame {
     }
     if (--engine_left_ > 0) return;
     event_pending_ = true;
-    engine->schedule_in(0, [this] {
-      event_pending_ = false;
-      if (inline_left_ == 0) settle();
-    });
+    engine->schedule_node(engine->now(), this);
   }
 
  protected:
@@ -135,6 +132,13 @@ class GatherBase : public sim::detail::PooledFrame {
   virtual void settle() = 0;
 
  private:
+  /// The one settle event, scheduled by the last engine-backed arrival.
+  static void settle_event(sim::EventNode* self, std::uint64_t /*seq*/) {
+    auto* gather = static_cast<GatherBase*>(self);
+    gather->event_pending_ = false;
+    if (gather->inline_left_ == 0) gather->settle();
+  }
+
   std::size_t engine_left_ = 0;
   std::size_t inline_left_ = 0;
   bool event_pending_ = false;

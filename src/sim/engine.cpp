@@ -1,36 +1,52 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
+
+#include "sim/task.hpp"
 
 namespace hupc::sim {
 
 namespace {
 const trace::CounterId kDispatch = trace::intern("engine.dispatch");
-constexpr std::uintptr_t kSlotTag = 1;
+constexpr std::uintptr_t kNodeTag = 1;
+constexpr std::size_t kArity = 4;
+
+/// A std::function callback as an event node, from the frame pool. It
+/// moves the function out and frees itself before calling it: the
+/// callback may schedule more events, and its captures die after the call.
+struct FunctionNode final : EventNode, detail::PooledFrame {
+  explicit FunctionNode(std::function<void()> f)
+      : EventNode{&run}, fn(std::move(f)) {}
+
+  static void run(EventNode* self, std::uint64_t /*seq*/) {
+    auto* node = static_cast<FunctionNode*>(self);
+    std::function<void()> f = std::move(node->fn);
+    delete node;
+    f();
+  }
+
+  std::function<void()> fn;
+};
 }  // namespace
 
 void Engine::schedule_at(Time at, std::function<void()> fn) {
-  std::uint32_t slot;
-  if (free_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.push_back(std::move(fn));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[slot] = std::move(fn);
-  }
-  push(at, (static_cast<std::uintptr_t>(slot) << 1) | kSlotTag);
+  schedule_node(at, new FunctionNode(std::move(fn)));
+}
+
+std::uint64_t Engine::schedule_node(Time at, EventNode* node) {
+  const auto what = reinterpret_cast<std::uintptr_t>(node);
+  assert((what & kNodeTag) == 0 && "event node address must be even");
+  return push(at, what | kNodeTag);
 }
 
 void Engine::schedule_frame(Time at, void* frame) {
   const auto what = reinterpret_cast<std::uintptr_t>(frame);
-  assert((what & kSlotTag) == 0 && "coroutine frame address must be even");
+  assert((what & kNodeTag) == 0 && "coroutine frame address must be even");
   push(at, what);
 }
 
-void Engine::push(Time at, std::uintptr_t what) {
+std::uint64_t Engine::push(Time at, std::uintptr_t what) {
   if (at < now_) at = now_;
   if (fault_ != nullptr) {
     at = fault_->perturb_schedule(now_, at);
@@ -42,16 +58,67 @@ void Engine::push(Time at, std::uintptr_t what) {
     // and the lane drains before time advances: appending keeps it sorted.
     lane_.push_back(ev);
   } else {
-    heap_.push_back(ev);
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    heap_push(ev);
   }
+  return ev.seq;
+}
+
+void Engine::heap_push(const Event& ev) {
+  // Sift a hole up from the new leaf: each step moves one parent down, and
+  // `ev` is written once, where the hole stops.
+  std::size_t hole = heap_.size();
+  heap_.push_back(ev);
+  Event* const h = heap_.data();
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / kArity;
+    if (!before(ev, h[parent])) break;
+    h[hole] = h[parent];
+    hole = parent;
+  }
+  h[hole] = ev;
+}
+
+Engine::Event Engine::heap_pop() {
+  // Take the top, then sift the hole it leaves down along the smallest
+  // children until the old last element fits there.
+  const Event top = heap_.front();
+  const Event last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return top;
+  Event* const h = heap_.data();
+  std::size_t hole = 0;
+  for (;;) {
+    const std::size_t first = kArity * hole + 1;
+    if (first >= n) break;
+    std::size_t best;
+    if (first + kArity <= n) {
+      // A full group: the smallest child by a two-round tournament whose
+      // picks are arithmetic, not branches (which child wins is a coin
+      // toss, so a branch on it would mispredict half the time).
+      const std::size_t a = first + std::size_t{before(h[first + 1], h[first])};
+      const std::size_t b =
+          first + 2 + std::size_t{before(h[first + 3], h[first + 2])};
+      best = a + (b - a) * std::size_t{before(h[b], h[a])};
+    } else {
+      best = first;
+      for (std::size_t c = first + 1; c < n; ++c) {
+        if (before(h[c], h[best])) best = c;
+      }
+    }
+    if (!before(h[best], last)) break;
+    h[hole] = h[best];
+    hole = best;
+  }
+  h[hole] = last;
+  return top;
 }
 
 Engine::Event Engine::pop() {
   // The lane front runs first unless a heap event was scheduled for this
   // instant earlier (smaller seq): exactly the (at, seq) order of one heap.
   if (lane_head_ != lane_.size() &&
-      (heap_.empty() || Later{}(heap_.front(), lane_[lane_head_]))) {
+      (heap_.empty() || before(lane_[lane_head_], heap_.front()))) {
     const Event ev = lane_[lane_head_++];
     if (lane_head_ == lane_.size()) {
       lane_.clear();
@@ -64,10 +131,7 @@ Engine::Event Engine::pop() {
     }
     return ev;
   }
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Event ev = heap_.back();
-  heap_.pop_back();
-  return ev;
+  return heap_pop();
 }
 
 bool Engine::step() {
@@ -80,17 +144,13 @@ bool Engine::step() {
   HUPC_TRACE_INSTANT(tracer_, trace::Category::engine, "dispatch",
                      trace::kEngineRank, ev.seq, pending());
   counters_->add(kDispatch, trace::kEngineRank);
-  if ((ev.what & kSlotTag) == 0) {
+  if ((ev.what & kNodeTag) == 0) {
     std::coroutine_handle<>::from_address(reinterpret_cast<void*>(ev.what))
         .resume();
-    return true;
+  } else {
+    auto* node = reinterpret_cast<EventNode*>(ev.what & ~kNodeTag);
+    node->fire(node, ev.seq);
   }
-  // Move the callback out first: it may schedule (and grow slots_) while
-  // it runs, and its captures die after the call, as they always have.
-  const auto slot = static_cast<std::uint32_t>(ev.what >> 1);
-  std::function<void()> fn = std::move(slots_[slot]);
-  free_slots_.push_back(slot);
-  fn();
   return true;
 }
 

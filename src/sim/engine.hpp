@@ -6,15 +6,18 @@
 // construction (C++ Core Guidelines CP.2).
 //
 // An event is 24 trivially copyable bytes: its time, its sequence number
-// and one word saying what to run. Most events resume a coroutine
-// (sim::Task wakeups: delays, joins, semaphore and barrier releases, future
-// waits), and the word is then the coroutine handle's address. Any other
-// event is a callback: the word is a tagged index into a free-listed slot
-// table of std::function, so moving events never moves a std::function.
-// Future events sit in a binary heap; an event for the current instant
-// skips the heap and goes to a FIFO lane, and step() runs whichever of the
-// lane's front and the heap's top has the smaller (time, sequence), so the
-// lane changes cost, never order (DESIGN.md §17).
+// and one word saying what to run. There are two kinds. Most events resume
+// a coroutine (sim::Task wakeups: delays, joins, semaphore and barrier
+// releases, future waits), and the word is the coroutine frame's address.
+// Every other event is an intrusive EventNode, and the word is the node's
+// address tagged with bit 0: FluidLink completions, ProgressQueue drains
+// and when_all settles are nodes themselves, and a std::function callback
+// is wrapped in a pooled node that frees itself before it calls it.
+// Future events sit in a 4-ary heap with hole-based sifts; an event for
+// the current instant skips the heap and goes to a FIFO lane, and step()
+// runs whichever of the lane's front and the heap's top has the smaller
+// (time, sequence), so neither the heap's arity nor the lane changes the
+// order, only the cost (DESIGN.md §17).
 #pragma once
 
 #include <coroutine>
@@ -28,6 +31,15 @@
 
 namespace hupc::sim {
 
+/// An event that is not a coroutine resumption. An object embeds the node
+/// and queues it with Engine::schedule_node; dispatch calls `fire(node,
+/// seq)` with the seq that schedule_node returned, so a node queued several
+/// times at once can tell its events apart (FluidLink ignores all but its
+/// latest). The node must outlive every event it has queued.
+struct EventNode {
+  void (*fire)(EventNode* self, std::uint64_t seq);
+};
+
 class Engine {
  public:
   Engine() = default;
@@ -40,6 +52,11 @@ class Engine {
   /// Schedule `fn` to run at absolute virtual time `at` (clamped to now()).
   /// Events scheduled for the same instant run in scheduling order.
   void schedule_at(Time at, std::function<void()> fn);
+
+  /// Schedule `node` to fire at `at` (clamped to now()); ordered exactly
+  /// like a callback scheduled at that point. Returns the event's seq, the
+  /// one `node->fire` will be called with.
+  std::uint64_t schedule_node(Time at, EventNode* node);
 
   /// Schedule resumption of the suspended coroutine `h` at `at` (clamped
   /// to now()); ordered exactly like a callback scheduled at that point.
@@ -111,23 +128,29 @@ class Engine {
   [[nodiscard]] fault::ScheduleHook* fault() const noexcept { return fault_; }
 
  private:
-  /// `what` is a coroutine frame address (frames are at least 2-aligned,
-  /// so bit 0 is clear) or `slot << 1 | 1` for the callback in slots_[slot].
+  /// `what` is a coroutine frame address or an EventNode address with
+  /// bit 0 set (both are at least 2-aligned, so bit 0 is free).
   struct Event {
     Time at;
     std::uint64_t seq;
     std::uintptr_t what;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
+  /// The strict (at, seq) order every event runs in. `at` is never
+  /// negative, so (at, seq) compares as one unsigned 128-bit key: a
+  /// subtract with borrow, and no branch to mispredict on equal times.
+  static bool before(const Event& a, const Event& b) noexcept {
+    __extension__ using Key = unsigned __int128;
+    const auto key = [](const Event& e) {
+      return Key{static_cast<std::uint64_t>(e.at)} << 64 | e.seq;
+    };
+    return key(a) < key(b);
+  }
 
   void schedule_frame(Time at, void* frame);
-  void push(Time at, std::uintptr_t what);
+  std::uint64_t push(Time at, std::uintptr_t what);
   Event pop();
+  void heap_push(const Event& ev);
+  Event heap_pop();
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -136,14 +159,12 @@ class Engine {
   trace::Counters own_counters_;
   trace::Counters* counters_ = &own_counters_;
   fault::ScheduleHook* fault_ = nullptr;
-  /// Events scheduled for a later instant: a binary heap under Later.
+  /// Events scheduled for a later instant: a 4-ary min-heap under
+  /// before(); the children of heap_[i] are heap_[4i+1 .. 4i+4].
   std::vector<Event> heap_;
   /// Events at now(), in seq order; lane_[lane_head_] is the front.
   std::vector<Event> lane_;
   std::size_t lane_head_ = 0;
-  /// Callback storage; free_slots_ lists the indices not in use.
-  std::vector<std::function<void()>> slots_;
-  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace hupc::sim

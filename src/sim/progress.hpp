@@ -6,10 +6,12 @@
 // strict FIFO *post* order. FIFO holds even under fault-injection schedule
 // jitter — a perturbed drain tick may run late, but every tick pops the
 // queue's front, so post order is execution order by construction (the
-// engine event only decides WHEN the next front runs, never WHICH).
+// engine event only decides WHEN the next front runs, never WHICH). The
+// queue is its own drain event node: one event per posted thunk.
 #pragma once
 
 #include <cassert>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <utility>
@@ -18,9 +20,10 @@
 
 namespace hupc::sim {
 
-class ProgressQueue {
+class ProgressQueue : private EventNode {
  public:
-  explicit ProgressQueue(Engine& engine) : engine_(&engine) {}
+  explicit ProgressQueue(Engine& engine)
+      : EventNode{&drain_one}, engine_(&engine) {}
 
   ProgressQueue(const ProgressQueue&) = delete;
   ProgressQueue& operator=(const ProgressQueue&) = delete;
@@ -29,14 +32,15 @@ class ProgressQueue {
   /// the caller's stack unwinds first (flat stacks, deterministic order).
   void post(std::function<void()> fn) {
     queue_.push_back(std::move(fn));
-    engine_->schedule_in(0, [this] { drain_one(); });
+    engine_->schedule_node(engine_->now(), this);
   }
 
  private:
-  void drain_one() {
-    assert(!queue_.empty() && "ProgressQueue: tick without a queued thunk");
-    std::function<void()> fn = std::move(queue_.front());
-    queue_.pop_front();
+  static void drain_one(EventNode* self, std::uint64_t /*seq*/) {
+    auto& queue = static_cast<ProgressQueue*>(self)->queue_;
+    assert(!queue.empty() && "ProgressQueue: tick without a queued thunk");
+    std::function<void()> fn = std::move(queue.front());
+    queue.pop_front();
     fn();
   }
 

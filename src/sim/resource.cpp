@@ -15,7 +15,9 @@ constexpr double kEpsilonBytes = 1e-6;
 }  // namespace
 
 FluidLink::FluidLink(Engine& engine, double capacity_bytes_per_sec)
-    : engine_(&engine), capacity_(capacity_bytes_per_sec) {
+    : EventNode{&on_completion_event},
+      engine_(&engine),
+      capacity_(capacity_bytes_per_sec) {
   assert(capacity_ > 0.0);
 }
 
@@ -67,7 +69,7 @@ void FluidLink::assign_rates() {
 }
 
 void FluidLink::schedule_next_completion() {
-  ++generation_;
+  live_seq_ = kNoEvent;
   if (transfers_.empty()) return;
 
   double min_finish = std::numeric_limits<double>::infinity();
@@ -80,12 +82,16 @@ void FluidLink::schedule_next_completion() {
   // Round up to the next nanosecond so remaining provably reaches ~0.
   const Time dt = std::max<Time>(1, from_seconds(min_finish) +
                                         (min_finish > 0.0 ? 1 : 0));
-  const std::uint64_t gen = generation_;
-  engine_->schedule_in(dt, [this, gen] { on_completion_event(gen); });
+  live_seq_ = engine_->schedule_node(engine_->now() + dt, this);
 }
 
-void FluidLink::on_completion_event(std::uint64_t generation) {
-  if (generation != generation_) return;  // superseded by a newer state
+void FluidLink::on_completion_event(EventNode* self, std::uint64_t seq) {
+  auto& link = *static_cast<FluidLink*>(self);
+  if (seq != link.live_seq_) return;  // superseded by a newer state
+  link.complete_finished();
+}
+
+void FluidLink::complete_finished() {
   advance_progress();
   // Resolve finished transfers in start order (their callbacks are
   // same-instant events, so none runs here), then close the gaps.

@@ -43,8 +43,11 @@ class FifoServer {
   Mutex mutex_;
 };
 
-/// Processor-sharing link with capacity in bytes/second.
-class FluidLink {
+/// Processor-sharing link with capacity in bytes/second. The link is its
+/// own completion event node: every arrival and departure schedules it at
+/// the next finish time, and a firing whose seq is not the latest one
+/// scheduled is superseded and does nothing.
+class FluidLink : private EventNode {
  public:
   FluidLink(Engine& engine, double capacity_bytes_per_sec);
   FluidLink(const FluidLink&) = delete;
@@ -74,13 +77,17 @@ class FluidLink {
   void advance_progress();
   void assign_rates();
   void schedule_next_completion();
-  void on_completion_event(std::uint64_t generation);
+  static void on_completion_event(EventNode* self, std::uint64_t seq);
+  void complete_finished();
+
+  static constexpr std::uint64_t kNoEvent = ~std::uint64_t{0};
 
   Engine* engine_;
   double capacity_;
   double total_bytes_ = 0.0;
   Time last_update_ = 0;
-  std::uint64_t generation_ = 0;  // invalidates stale completion events
+  /// The seq of the one completion event not superseded (kNoEvent: none).
+  std::uint64_t live_seq_ = kNoEvent;
   std::vector<Xfer> transfers_;    // in start order
   std::vector<Xfer*> pool_;        // assign_rates' scratch, kept to reuse
 };

@@ -27,12 +27,18 @@ LogHistogram::LogHistogram(double unit, int sub_bits, int max_log2)
 int LogHistogram::index_of(double value) const {
   const double scaled = value / unit_;
   if (!(scaled >= 1.0)) return 0;  // also catches NaN
-  int major = static_cast<int>(std::floor(std::log2(scaled)));
-  const int subs = 1 << static_cast<unsigned>(sub_bits_);
+  if (std::isinf(scaled)) return buckets() - 1;
+  // scaled = mant * 2^exp with mant in [0.5, 1), exactly: the octave comes
+  // from the exponent bits, never from a rounded log2 (which files values
+  // just below a power of two into the next octave).
+  int exp = 0;
+  const double mant = std::frexp(scaled, &exp);
+  const int major = exp - 1;
   if (major >= max_log2_) return buckets() - 1;
-  // Linear position within the octave [2^major, 2^(major+1)).
-  const double frac = scaled / std::ldexp(1.0, major) - 1.0;
-  const int sub = std::clamp(static_cast<int>(frac * subs), 0, subs - 1);
+  // Linear position within the octave [2^major, 2^(major+1)): 2*mant - 1
+  // is exact and below 1, so the sub-bucket is below `subs`.
+  const int subs = 1 << static_cast<unsigned>(sub_bits_);
+  const int sub = static_cast<int>((2.0 * mant - 1.0) * subs);
   return 1 + major * subs + sub;
 }
 

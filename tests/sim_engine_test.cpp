@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <random>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -154,29 +156,55 @@ class JitterHook final : public hupc::fault::ScheduleHook {
   std::mt19937_64 rng_;
 };
 
-/// What one dispatched event schedules: a seeded random mix of coroutine
-/// handle and callback events with zero, negative and future delays, given
-/// as schedule_in delays or schedule_at times.
+/// The four ways RealSide schedules an event. The reference model treats
+/// them all alike: an event is an (at, seq) entry whatever runs it.
+enum class Kind {
+  handle,    // a coroutine handle
+  function,  // a std::function callback
+  node,      // an intrusive EventNode of its own
+  link,      // a firing of the one FluidLink-style node (see RealSide)
+};
+
+/// What one dispatched event schedules: a seeded random mix of the four
+/// kinds with zero, negative and future delays, given as schedule_in
+/// delays or schedule_at times.
 struct Child {
-  bool handle;
+  Kind kind;
   bool absolute;
   Time when;  // delay for schedule_in, time for schedule_at
 };
 
+/// How a Program fans out: each event schedules 0 .. max_children - 1
+/// children, `budget` of them in all. A child is far-future (up to `far`
+/// ahead) with weight `far_weight` against 4 for the other delay kinds.
+struct Shape {
+  int max_children;
+  int budget;
+  Time far;
+  int far_weight;
+};
+/// Mixed same-instant and future events around a shallow heap.
+constexpr Shape kMixed{4, 2500, 1000, 1};
+/// Wide fan-out, mostly into the far future: over 10 k events pending at
+/// the peak, so the heap is many 4-child groups deep and its size passes
+/// through every remainder of a group as it fills and drains.
+constexpr Shape kDeep{128, 16000, 1'000'000, 12};
+
 class Program {
  public:
-  explicit Program(std::uint64_t seed) : rng_(seed) {}
+  Program(std::uint64_t seed, Shape shape) : rng_(seed), shape_(shape) {}
 
   std::vector<Child> children(Time now) {
     std::vector<Child> out;
-    if (spawned_ >= kBudget) return out;
-    const int n = static_cast<int>(rng_() % 4);
-    for (int i = 0; i < n && spawned_ < kBudget; ++i, ++spawned_) {
+    if (spawned_ >= shape_.budget) return out;
+    const int n = static_cast<int>(
+        rng_() % static_cast<std::uint64_t>(shape_.max_children));
+    for (int i = 0; i < n && spawned_ < shape_.budget; ++i, ++spawned_) {
       Child c{};
-      c.handle = rng_() % 2 == 0;
+      c.kind = static_cast<Kind>(rng_() % 4);
       c.absolute = rng_() % 3 == 0;
       Time delta = 0;
-      switch (rng_() % 5) {
+      switch (rng_() % static_cast<std::uint64_t>(4 + shape_.far_weight)) {
         case 0:
         case 1:
           delta = 0;  // same instant
@@ -188,7 +216,8 @@ class Program {
           delta = static_cast<Time>(1 + rng_() % 3);
           break;
         default:
-          delta = static_cast<Time>(1 + rng_() % 1000);
+          delta = static_cast<Time>(
+              1 + rng_() % static_cast<std::uint64_t>(shape_.far));
           break;
       }
       c.when = c.absolute ? now + delta : delta;
@@ -198,8 +227,8 @@ class Program {
   }
 
  private:
-  static constexpr int kBudget = 2500;
   std::mt19937_64 rng_;
+  Shape shape_;
   int spawned_ = 0;
 };
 
@@ -225,9 +254,18 @@ struct Once {
 };
 
 /// The engine under test, driven by a Program.
+///
+/// A `node` child is an EventNode of its own that must fire with the seq
+/// schedule_node returned for it. Every `link` child queues the same node
+/// again, as FluidLink queues itself at each arrival and departure: the
+/// latest seq is the live one, and a firing with any other seq is
+/// superseded. A superseded firing still dispatches (the model counts
+/// it, and it runs the event body like any other), but the link ignores
+/// it: only live firings land in `live_links`.
 class RealSide {
  public:
-  RealSide(std::uint64_t seed, JitterHook* hook) : program_(seed) {
+  RealSide(std::uint64_t seed, Shape shape, JitterHook* hook)
+      : program_(seed, shape) {
     engine.set_fault(hook);
   }
   RealSide(const RealSide&) = delete;
@@ -238,25 +276,100 @@ class RealSide {
 
   void schedule(const Child& c) {
     const int id = next_id_++;
-    if (c.handle) {
-      auto h = fire(id).handle;
-      frames_.push_back(h);
-      if (c.absolute) {
-        engine.schedule_at(c.when, h);
-      } else {
-        engine.schedule_in(c.when, h);
+    scheduled_during_.push_back(log.size());
+    const Time at =
+        c.absolute ? c.when : engine.now() + std::max<Time>(c.when, 0);
+    switch (c.kind) {
+      case Kind::handle: {
+        auto h = fire(id).handle;
+        frames_.push_back(h);
+        if (c.absolute) {
+          engine.schedule_at(c.when, h);
+        } else {
+          engine.schedule_in(c.when, h);
+        }
+        break;
       }
-    } else if (c.absolute) {
-      engine.schedule_at(c.when, [this, id] { run_body(id); });
-    } else {
-      engine.schedule_in(c.when, [this, id] { run_body(id); });
+      case Kind::function:
+        if (c.absolute) {
+          engine.schedule_at(c.when, [this, id] { run_body(id); });
+        } else {
+          engine.schedule_in(c.when, [this, id] { run_body(id); });
+        }
+        break;
+      case Kind::node: {
+        Tick& tick = ticks_.emplace_back(this, id);
+        tick.seq = engine.schedule_node(at, &tick);
+        break;
+      }
+      case Kind::link: {
+        link_.live_seq = engine.schedule_node(at, &link_);
+        link_.id_of_seq.emplace(link_.live_seq, id);
+        link_ids.push_back(id);
+        break;
+      }
     }
+  }
+
+  /// The link ids the FluidLink rule must find live: a link event is
+  /// live at its dispatch iff the next link event was not scheduled yet,
+  /// that is, it was scheduled during or after that dispatch.
+  [[nodiscard]] std::vector<int> expected_live_links() const {
+    std::vector<std::size_t> dispatched_at(scheduled_during_.size());
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      dispatched_at[static_cast<std::size_t>(log[i].id)] = i;
+    }
+    std::vector<int> live;
+    for (std::size_t k = 0; k < link_ids.size(); ++k) {
+      const auto id = static_cast<std::size_t>(link_ids[k]);
+      if (k + 1 == link_ids.size() ||
+          scheduled_during_[static_cast<std::size_t>(link_ids[k + 1])] >
+              dispatched_at[id]) {
+        live.push_back(link_ids[k]);
+      }
+    }
+    std::sort(live.begin(), live.end(), [&](int a, int b) {
+      return dispatched_at[static_cast<std::size_t>(a)] <
+             dispatched_at[static_cast<std::size_t>(b)];
+    });
+    return live;
   }
 
   Engine engine;
   std::vector<Dispatch> log;
+  std::vector<int> link_ids;       // every link event, in scheduling order
+  std::vector<int> live_links;     // link firings not superseded, in order
+  std::size_t seq_mismatches = 0;  // node firings with a wrong seq
 
  private:
+  struct Tick : hupc::sim::EventNode {
+    Tick(RealSide* s, int i) : EventNode{&on_fire}, side(s), id(i) {}
+    static void on_fire(EventNode* self, std::uint64_t seq) {
+      auto* tick = static_cast<Tick*>(self);
+      tick->side->seq_mismatches += seq != tick->seq ? 1 : 0;
+      tick->side->run_body(tick->id);
+    }
+    RealSide* side;
+    int id;
+    std::uint64_t seq = 0;
+  };
+  struct Link : hupc::sim::EventNode {
+    explicit Link(RealSide* s) : EventNode{&on_fire}, side(s) {}
+    static void on_fire(EventNode* self, std::uint64_t seq) {
+      auto* link = static_cast<Link*>(self);
+      const auto it = link->id_of_seq.find(seq);
+      if (it == link->id_of_seq.end()) {
+        ++link->side->seq_mismatches;
+        return;
+      }
+      if (seq == link->live_seq) link->side->live_links.push_back(it->second);
+      link->side->run_body(it->second);
+    }
+    RealSide* side;
+    std::uint64_t live_seq = ~std::uint64_t{0};
+    std::unordered_map<std::uint64_t, int> id_of_seq;
+  };
+
   Once fire(int id) {
     run_body(id);
     co_return;
@@ -269,14 +382,16 @@ class RealSide {
   Program program_;
   int next_id_ = 0;
   std::vector<std::coroutine_handle<>> frames_;
+  std::deque<Tick> ticks_;
+  Link link_{this};
+  std::vector<std::size_t> scheduled_during_;  // by id: log.size() then
 };
 
 /// The reference: one (at, seq)-ordered queue, the engine's contract.
 class ModelSide {
  public:
-  ModelSide(std::uint64_t seed, JitterHook* hook)
-      : program_(seed), hook_(hook) {}
-
+  ModelSide(std::uint64_t seed, Shape shape, JitterHook* hook)
+      : program_(seed, shape), hook_(hook) {}
   void schedule(const Child& c) {
     Time at = c.absolute ? c.when : now + std::max<Time>(c.when, 0);
     if (at < now) at = now;
@@ -327,17 +442,27 @@ class ModelSide {
   int next_id_ = 0;
 };
 
-void check_order_equivalence(std::uint64_t seed, bool with_hook) {
+/// How deep the engine's queue got in one run: the peak pending() and a
+/// bit per remainder of pending() % 4 seen while more than 10 k were
+/// pending.
+struct Depth {
+  std::size_t peak = 0;
+  unsigned deep_remainders = 0;
+};
+
+void check_order_equivalence(std::uint64_t seed, bool with_hook,
+                             Shape shape = kMixed, Depth* depth = nullptr) {
   SCOPED_TRACE(testing::Message() << "seed " << seed << " hook " << with_hook);
   JitterHook real_hook(seed * 7919);
   JitterHook model_hook(seed * 7919);
-  RealSide real(seed, with_hook ? &real_hook : nullptr);
-  ModelSide model(seed, with_hook ? &model_hook : nullptr);
+  RealSide real(seed, shape, with_hook ? &real_hook : nullptr);
+  ModelSide model(seed, shape, with_hook ? &model_hook : nullptr);
 
   // Roots scheduled before the engine runs, at and after time 0.
   std::mt19937_64 drive(seed ^ 0x5bd1e995);
   for (int i = 0; i < 16; ++i) {
-    const Child c{i % 2 == 0, i % 3 == 0, static_cast<Time>(drive() % 4)};
+    const Child c{static_cast<Kind>(i % 4), i % 3 == 0,
+                  static_cast<Time>(drive() % 4)};
     real.schedule(c);
     model.schedule(c);
   }
@@ -360,12 +485,23 @@ void check_order_equivalence(std::uint64_t seed, bool with_hook) {
     }
     ASSERT_EQ(real.engine.now(), model.now) << "after step " << steps;
     ASSERT_EQ(real.engine.pending(), model.pending()) << "after step " << steps;
+    if (depth != nullptr) {
+      const std::size_t pending = real.engine.pending();
+      depth->peak = std::max(depth->peak, pending);
+      if (pending > 10'000) depth->deep_remainders |= 1u << (pending % 4);
+    }
     ++steps;
   }
   EXPECT_FALSE(model.step());
   EXPECT_EQ(real.log, model.log);
   EXPECT_EQ(real_hook.calls, model_hook.calls);
   EXPECT_GT(real.log.size(), 1000u);
+  // Every node fired with its own seq, and the FluidLink rule kept
+  // exactly the link firings nothing had superseded.
+  EXPECT_EQ(real.seq_mismatches, 0u);
+  EXPECT_FALSE(real.link_ids.empty());
+  EXPECT_EQ(real.live_links, real.expected_live_links());
+  EXPECT_LT(real.live_links.size(), real.link_ids.size());
 }
 
 TEST(EngineProperty, DispatchOrderMatchesReferenceModel) {
@@ -377,6 +513,17 @@ TEST(EngineProperty, DispatchOrderMatchesReferenceModel) {
 TEST(EngineProperty, DispatchOrderMatchesReferenceModelUnderScheduleHook) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     check_order_equivalence(seed, true);
+  }
+}
+
+TEST(EngineProperty, DeepHeapDispatchOrderMatchesReferenceModel) {
+  // The model scans its whole queue per step, so two runs keep this quick.
+  for (const auto& [seed, with_hook] :
+       {std::pair<std::uint64_t, bool>{1, false}, {2, true}}) {
+    Depth depth;
+    check_order_equivalence(seed, with_hook, kDeep, &depth);
+    EXPECT_GT(depth.peak, 10'000u) << "seed " << seed;
+    EXPECT_EQ(depth.deep_remainders, 0xfu) << "seed " << seed;
   }
 }
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
+#include "fault/hooks.hpp"
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
 #include "sim/resource.hpp"
@@ -148,6 +150,67 @@ TEST(FluidLink, ConservationProperty) {
   EXPECT_EQ(completed, n);
   EXPECT_NEAR(link.total_bytes(), offered, 1.0);
   EXPECT_EQ(link.active_transfers(), 0u);
+}
+
+/// Delays every future event by 10 ns and counts the events it sees.
+class LateFutureEvents final : public hupc::fault::ScheduleHook {
+ public:
+  std::int64_t perturb_schedule(std::int64_t now,
+                                std::int64_t at) noexcept override {
+    ++calls;
+    return at > now ? at + 10 : at;
+  }
+  std::uint64_t calls = 0;
+};
+
+struct StaggeredRun {
+  std::vector<Time> done;  // each transfer's completion time
+  std::uint64_t events;    // engine events dispatched
+};
+
+/// Three 1 MB transfers through one 1 GB/s link, joining at 0, 0.2 and
+/// 0.4 ms.
+StaggeredRun staggered_joins(hupc::fault::ScheduleHook* hook) {
+  Engine e;
+  e.set_fault(hook);
+  FluidLink link(e, 1e9);
+  std::vector<Time> done(3, -1);
+  for (int i = 0; i < 3; ++i) {
+    spawn(e, [](Engine& eng, FluidLink& l, Time start, Time& d) -> Task<void> {
+      if (start > 0) co_await delay(eng, start);
+      co_await l.transfer(1e6);
+      d = eng.now();
+    }(e, link, i * 200'000, done[static_cast<std::size_t>(i)]));
+  }
+  e.run();
+  EXPECT_EQ(link.active_transfers(), 0u);
+  return {done, e.events_executed()};
+}
+
+TEST(FluidLink, StaggeredJoinsSupersedeCompletionsThatStillDispatch) {
+  const StaggeredRun run = staggered_joins(nullptr);
+  // At 1 byte/ns: A runs alone to 0.2 ms (0.8 MB left), shares with B to
+  // 0.4 ms (A 0.7 MB, B 0.9 MB left), then three ways. A finishes after
+  // 3 x 0.7 MB = 2.1 ms more, B after 2 x 0.2 MB = 0.4 ms more, and C
+  // carries its last 0.1 MB alone. Each completion rounds up by 1 ns.
+  EXPECT_EQ(run.done, (std::vector<Time>{2'500'001, 2'900'001, 3'000'002}));
+  // 3 process starts, 2 delays, 3 transfer wakeups and 5 completion
+  // events: the ones scheduled at 0 and 0.2 ms are superseded by the
+  // next join and find nothing to do, but they still dispatch.
+  EXPECT_EQ(run.events, 13u);
+}
+
+TEST(FluidLink, StaggeredJoinsUnderScheduleHook) {
+  LateFutureEvents hook;
+  const StaggeredRun run = staggered_joins(&hook);
+  // B joins at 200,010 ns and C at 400,010 ns, and every completion
+  // fires 10 ns after its computed finish. The link recomputes the rates
+  // from those late times, so the results are not the unhooked ones
+  // shifted. The superseded completions still dispatch, so the event
+  // count does not change.
+  EXPECT_EQ(run.done, (std::vector<Time>{2'499'991, 2'900'015, 3'000'020}));
+  EXPECT_EQ(run.events, 13u);
+  EXPECT_EQ(hook.calls, run.events);  // one perturb per scheduled event
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -79,6 +80,32 @@ TEST(LogHistogram, SubBucketsRefineOctaves) {
   EXPECT_EQ(h.bucket(2), 1u);
   h.add(2.6);
   EXPECT_EQ(h.bucket(6), 1u);
+}
+
+TEST(LogHistogram, ValueJustBelowAPowerOfTwoStaysInItsOctave) {
+  // std::log2(nextafter(16, 0)) rounds to exactly 4.0, which once filed
+  // the value into octave 4 (bucket 17) instead of the top sub-bucket of
+  // octave 3, [14, 16): bucket 16.
+  util::LogHistogram h(1.0, 2, 40);
+  const double below16 = std::nextafter(16.0, 0.0);
+  h.add(below16);
+  EXPECT_EQ(h.bucket(16), 1u);
+  EXPECT_EQ(h.bucket(17), 0u);
+  EXPECT_LE(h.bucket_floor(16), below16);
+  EXPECT_GT(h.bucket_floor(17), below16);
+  h.add(16.0);  // exactly a power of two: the first sub-bucket of octave 4
+  EXPECT_EQ(h.bucket(17), 1u);
+  // The same edge for every octave at the unit geometry.
+  util::LogHistogram unit(1.0, 0, 40);
+  for (int m = 1; m < 40; ++m) {
+    unit.add(std::nextafter(std::ldexp(1.0, m), 0.0));
+    EXPECT_EQ(unit.bucket(m), 1u) << "octave " << m - 1;
+  }
+  // Past the top octave, infinity included, values clamp into the top.
+  util::LogHistogram top(1e-6, 3, 20);
+  top.add(1e300);
+  top.add(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(top.bucket(top.buckets() - 1), 2u);
 }
 
 TEST(LogHistogram, UnitScalesTheFirstBucket) {
