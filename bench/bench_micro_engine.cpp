@@ -41,7 +41,7 @@ PERF_BENCHMARK("micro.engine.schedule_run", .warmup = 1) {
   const auto t0 = Clock::now();
   sim::Engine e;
   for (int i = 0; i < n; ++i) {
-    e.schedule_at(i, [] {});
+    sim::call_at(e, i, [] {});
   }
   e.run();
   const std::chrono::duration<double> dt = Clock::now() - t0;

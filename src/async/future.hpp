@@ -22,9 +22,11 @@
 // inline at attach/fulfil time instead.
 //
 // Shared states cost no malloc on the hot path: a state is an intrusively
-// ref-counted node from the coroutine frame pool (sim/task.hpp), its first
-// waiter or when_all arrival is stored inline, and when_all counts arrivals
-// instead of scheduling one event per input (DESIGN.md §13). The count is
+// ref-counted node from the coroutine frame pool (sim/task.hpp), every
+// callback is one word (a waiting frame, a pooled sim::CallNode holding a
+// then/finally/forward_into continuation, or a when_all node) and the
+// first is stored inline, and when_all counts arrivals instead of
+// scheduling one event per input (DESIGN.md §13). The count is
 // a plain integer: a simulation runs on one thread.
 //
 // This header is deliberately header-only and depends only on sim/engine
@@ -37,7 +39,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -144,22 +145,19 @@ class GatherBase : public sim::detail::PooledFrame, private sim::EventNode {
   bool event_pending_ = false;
 };
 
-/// A one-word callback is a suspended coroutine's frame address (a
-/// future::wait() waiter; frames are aligned, so bit 0 is clear) or a
-/// GatherBase address tagged with bit 0. Word 0 means "a function".
-inline constexpr std::uintptr_t kGatherTag = 1;
-
-/// A queued callback after the first: a word, or `fn` when word is 0.
-struct Callback {
-  std::uintptr_t word = 0;
-  std::function<void()> fn;
-};
+/// A callback is one word: a suspended coroutine's frame address (a
+/// future::wait() waiter), a then/finally/forward_into continuation's
+/// sim::CallNode address tagged kCallTag, or a GatherBase address tagged
+/// kGatherTag. Frames and nodes come from the frame pool or operator new,
+/// so they are at least 16-aligned and the two low bits are free.
+inline constexpr std::uintptr_t kCallTag = 1;
+inline constexpr std::uintptr_t kGatherTag = 2;
+inline constexpr std::uintptr_t kTagMask = 3;
 
 /// The value-independent part of a shared state. It lives in the frame
-/// pool (PooledFrame) and dies with its last Ref. The first one-word
-/// callback is stored inline; later callbacks, and every function
-/// callback, queue in `overflow_` in attach order, so most states (one
-/// waiter or one when_all) never allocate.
+/// pool (PooledFrame) and dies with its last Ref. The first callback is
+/// stored inline; later ones queue in `overflow_` in attach order, so most
+/// states (one waiter, one continuation or one when_all) never allocate.
 class StateBase : public sim::detail::PooledFrame {
  public:
   std::uint32_t refs = 1;
@@ -175,18 +173,14 @@ class StateBase : public sim::detail::PooledFrame {
   /// Attach a callback: queued while pending, dispatched once ready. Late
   /// attachments still honour FIFO: with an engine they land behind the
   /// callbacks the fulfilment already scheduled at the same instant.
-  void attach(std::coroutine_handle<> waiter) {
-    enqueue(reinterpret_cast<std::uintptr_t>(waiter.address()));
-  }
-  void attach(GatherBase* gather) {
-    enqueue(reinterpret_cast<std::uintptr_t>(gather) | kGatherTag);
-  }
-  void attach(std::function<void()> fn) {
-    if (ready) {
-      dispatch(engine, std::move(fn));
-    } else {
-      overflow_.push_back({0, std::move(fn)});
-    }
+  void attach(std::coroutine_handle<> waiter) { enqueue(waiter.address(), 0); }
+  void attach(GatherBase* gather) { enqueue(gather, kGatherTag); }
+  /// Attach `fn` as a pooled sim::CallNode: with an engine it runs as a
+  /// same-instant event, without one it runs inline.
+  template <class F>
+  void attach_call(F fn) {
+    sim::EventNode* node = new sim::CallNode<F>(std::move(fn));
+    enqueue(node, kCallTag);
   }
 
   /// Flip to ready and dispatch every queued callback in attach order.
@@ -197,53 +191,47 @@ class StateBase : public sim::detail::PooledFrame {
     ready = true;
     sim::Engine* const eng = engine;
     const std::uintptr_t first = std::exchange(first_, 0);
-    std::vector<Callback> rest = std::move(overflow_);
+    std::vector<std::uintptr_t> rest = std::move(overflow_);
     if (first != 0) dispatch(eng, first);
-    for (auto& cb : rest) {
-      if (cb.word != 0) {
-        dispatch(eng, cb.word);
-      } else {
-        dispatch(eng, std::move(cb.fn));
-      }
-    }
+    for (const std::uintptr_t word : rest) dispatch(eng, word);
   }
 
  private:
-  void enqueue(std::uintptr_t word) {
+  void enqueue(const void* address, std::uintptr_t tag) {
+    auto word = reinterpret_cast<std::uintptr_t>(address);
+    assert((word & kTagMask) == 0 && "callback address must be 4-aligned");
+    word |= tag;
     if (ready) {
       dispatch(engine, word);
     } else if (first_ == 0 && overflow_.empty()) {
       first_ = word;
     } else {
-      overflow_.push_back({word, {}});
+      overflow_.push_back(word);
     }
   }
 
   /// Run one callback per the completion-ordering rule. Static: the
   /// callback may free the state it came from.
   static void dispatch(sim::Engine* engine, std::uintptr_t word) {
+    void* const address = reinterpret_cast<void*>(word & ~kTagMask);
     if ((word & kGatherTag) != 0) {
-      reinterpret_cast<GatherBase*>(word & ~kGatherTag)->arrive(engine);
-      return;
-    }
-    const auto h =
-        std::coroutine_handle<>::from_address(reinterpret_cast<void*>(word));
-    if (engine != nullptr) {
-      engine->schedule_in(0, h);
+      static_cast<GatherBase*>(address)->arrive(engine);
+    } else if ((word & kCallTag) != 0) {
+      auto* node = static_cast<sim::EventNode*>(address);
+      if (engine != nullptr) {
+        engine->schedule_node(engine->now(), node);
+      } else {
+        node->fire(node, 0);
+      }
+    } else if (engine != nullptr) {
+      engine->schedule_in(0, std::coroutine_handle<>::from_address(address));
     } else {
-      h.resume();
-    }
-  }
-  static void dispatch(sim::Engine* engine, std::function<void()> fn) {
-    if (engine != nullptr) {
-      engine->schedule_in(0, std::move(fn));
-    } else {
-      fn();
+      std::coroutine_handle<>::from_address(address).resume();
     }
   }
 
   std::uintptr_t first_ = 0;
-  std::vector<Callback> overflow_;
+  std::vector<std::uintptr_t> overflow_;
 };
 
 template <class T>
@@ -345,7 +333,7 @@ class future {
     promise<R> next = state_->engine != nullptr ? promise<R>(*state_->engine)
                                                 : promise<R>();
     future<R> result = next.get_future();
-    state_->attach(
+    state_->attach_call(
         [state = state_, f = std::move(f), next = std::move(next)]() mutable {
           if (state->exception) {
             next.set_exception(state->exception);
@@ -415,14 +403,14 @@ class future {
   template <class F>
   void finally(F f) const {
     assert(valid() && "async::future::finally on an invalid future");
-    state_->attach(std::move(f));
+    state_->attach_call(std::move(f));
   }
 
   /// Forward this future's eventual resolution into `p` (chain collapse
   /// for future-returning then() continuations).
   void forward_into(promise<T> p) const {
     assert(valid());
-    state_->attach([state = state_, p = std::move(p)]() mutable {
+    state_->attach_call([state = state_, p = std::move(p)]() mutable {
       if (state->exception) {
         p.set_exception(state->exception);
       } else if constexpr (std::is_void_v<T>) {

@@ -13,7 +13,7 @@
 //     wire_bytes() (header + payload), flowing through the same injection
 //     FIFOs, fault seams and counters as every other message; same-node
 //     targets ride the loopback/shm paths like bulk copies do.
-//   * delivery enqueues the invocation on the TARGET rank's persona — a
+//   * delivery waits for a turn on the TARGET rank's persona — a
 //     sim::ProgressQueue drained by the engine — so handlers start in
 //     strict delivery order per rank, one progress context per rank.
 //     Handlers are coroutines executing in the target's gas::Thread
@@ -116,8 +116,8 @@ class RpcDomain {
   }
 
  private:
-  /// Request leg: charge the transport, then enqueue the invocation on the
-  /// target's persona (FIFO start order per rank).
+  /// Request leg: charge the transport, then wait for a turn on the
+  /// target's persona (FIFO start order per rank) and start the invocation.
   template <class Fn, class R, class... As>
   [[nodiscard]] sim::Task<void> deliver(net::RpcMessage msg, Fn fn,
                                         promise<R> done) {
@@ -125,13 +125,10 @@ class RpcDomain {
     const int target = msg.dst_rank();
     co_await transport(caller, target,
                        static_cast<double>(msg.wire_bytes()));
-    personas_[static_cast<std::size_t>(target)]->post(
-        [this, msg = std::move(msg), fn = std::move(fn),
-         done = std::move(done)]() mutable {
-          sim::spawn(rt_->engine(),
-                     execute<Fn, R, As...>(std::move(msg), std::move(fn),
-                                           std::move(done)));
-        });
+    co_await personas_[static_cast<std::size_t>(target)]->turn();
+    sim::spawn(rt_->engine(),
+               execute<Fn, R, As...>(std::move(msg), std::move(fn),
+                                     std::move(done)));
   }
 
   /// Target-side execution + reply leg. Runs as its own root process so a

@@ -1,9 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <cassert>
-#include <utility>
-
-#include "sim/task.hpp"
 
 namespace hupc::sim {
 
@@ -11,28 +8,7 @@ namespace {
 const trace::CounterId kDispatch = trace::intern("engine.dispatch");
 constexpr std::uintptr_t kNodeTag = 1;
 constexpr std::size_t kArity = 4;
-
-/// A std::function callback as an event node, from the frame pool. It
-/// moves the function out and frees itself before calling it: the
-/// callback may schedule more events, and its captures die after the call.
-struct FunctionNode final : EventNode, detail::PooledFrame {
-  explicit FunctionNode(std::function<void()> f)
-      : EventNode{&run}, fn(std::move(f)) {}
-
-  static void run(EventNode* self, std::uint64_t /*seq*/) {
-    auto* node = static_cast<FunctionNode*>(self);
-    std::function<void()> f = std::move(node->fn);
-    delete node;
-    f();
-  }
-
-  std::function<void()> fn;
-};
 }  // namespace
-
-void Engine::schedule_at(Time at, std::function<void()> fn) {
-  schedule_node(at, new FunctionNode(std::move(fn)));
-}
 
 std::uint64_t Engine::schedule_node(Time at, EventNode* node) {
   const auto what = reinterpret_cast<std::uintptr_t>(node);
@@ -40,8 +16,8 @@ std::uint64_t Engine::schedule_node(Time at, EventNode* node) {
   return push(at, what | kNodeTag);
 }
 
-void Engine::schedule_frame(Time at, void* frame) {
-  const auto what = reinterpret_cast<std::uintptr_t>(frame);
+void Engine::schedule_at(Time at, std::coroutine_handle<> h) {
+  const auto what = reinterpret_cast<std::uintptr_t>(h.address());
   assert((what & kNodeTag) == 0 && "coroutine frame address must be even");
   push(at, what);
 }

@@ -11,8 +11,9 @@
 // releases, future waits), and the word is the coroutine frame's address.
 // Every other event is an intrusive EventNode, and the word is the node's
 // address tagged with bit 0: FluidLink completions, ProgressQueue drains
-// and when_all settles are nodes themselves, and a std::function callback
-// is wrapped in a pooled node that frees itself before it calls it.
+// and when_all settles are nodes themselves, and any other callable (a
+// future's then/finally/forward_into continuation) is a pooled CallNode
+// that frees itself before it calls it. There is no third kind.
 // Future events sit in a 4-ary heap with hole-based sifts; an event for
 // the current instant skips the heap and goes to a FIFO lane, and step()
 // runs whichever of the lane's front and the heap's top has the smaller
@@ -22,10 +23,11 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "fault/hooks.hpp"
+#include "sim/task.hpp"
 #include "sim/time.hpp"
 #include "trace/trace.hpp"
 
@@ -49,34 +51,20 @@ class Engine {
   /// Current virtual time. Monotonically non-decreasing during run().
   [[nodiscard]] Time now() const noexcept { return now_; }
 
-  /// Schedule `fn` to run at absolute virtual time `at` (clamped to now()).
-  /// Events scheduled for the same instant run in scheduling order.
-  void schedule_at(Time at, std::function<void()> fn);
-
-  /// Schedule `node` to fire at `at` (clamped to now()); ordered exactly
-  /// like a callback scheduled at that point. Returns the event's seq, the
-  /// one `node->fire` will be called with.
-  std::uint64_t schedule_node(Time at, EventNode* node);
-
-  /// Schedule resumption of the suspended coroutine `h` at `at` (clamped
-  /// to now()); ordered exactly like a callback scheduled at that point.
-  /// (A template, so a typed handle picks this overload over the
-  /// std::function one, which would also accept it.)
-  template <class Promise>
-  void schedule_at(Time at, std::coroutine_handle<Promise> h) {
-    schedule_frame(at, h.address());
-  }
-
-  /// Schedule `fn` to run `delay` from now.
-  void schedule_in(Time delay, std::function<void()> fn) {
-    schedule_at(now_ + (delay < 0 ? 0 : delay), std::move(fn));
-  }
+  /// Schedule resumption of the suspended coroutine `h` at absolute
+  /// virtual time `at` (clamped to now()). Events scheduled for the same
+  /// instant run in scheduling order, whatever their kind.
+  void schedule_at(Time at, std::coroutine_handle<> h);
 
   /// Resume `h` `delay` from now.
-  template <class Promise>
-  void schedule_in(Time delay, std::coroutine_handle<Promise> h) {
-    schedule_frame(now_ + (delay < 0 ? 0 : delay), h.address());
+  void schedule_in(Time delay, std::coroutine_handle<> h) {
+    schedule_at(now_ + (delay < 0 ? 0 : delay), h);
   }
+
+  /// Schedule `node` to fire at `at` (clamped to now()); ordered exactly
+  /// like a resumption scheduled at that point. Returns the event's seq,
+  /// the one `node->fire` will be called with.
+  std::uint64_t schedule_node(Time at, EventNode* node);
 
   /// Run until the event queue is empty. Returns the final virtual time.
   Time run();
@@ -146,7 +134,6 @@ class Engine {
     return key(a) < key(b);
   }
 
-  void schedule_frame(Time at, void* frame);
   std::uint64_t push(Time at, std::uintptr_t what);
   Event pop();
   void heap_push(const Event& ev);
@@ -166,5 +153,30 @@ class Engine {
   std::vector<Event> lane_;
   std::size_t lane_head_ = 0;
 };
+
+/// A callable as a one-shot event node from the frame pool. Firing moves
+/// the callable out and frees the node before calling it: the callable may
+/// schedule more events, and its captures die after the call.
+template <class F>
+struct CallNode final : EventNode, detail::PooledFrame {
+  explicit CallNode(F f) : EventNode{&run}, fn(std::move(f)) {}
+  CallNode(const CallNode&) = delete;
+  CallNode& operator=(const CallNode&) = delete;
+
+  static void run(EventNode* self, std::uint64_t /*seq*/) {
+    auto* node = static_cast<CallNode*>(self);
+    F f = std::move(node->fn);
+    delete node;
+    f();
+  }
+
+  F fn;
+};
+
+/// Run `fn` at `at` (clamped to now()) as a CallNode event.
+template <class F>
+std::uint64_t call_at(Engine& engine, Time at, F fn) {
+  return engine.schedule_node(at, new CallNode<F>(std::move(fn)));
+}
 
 }  // namespace hupc::sim

@@ -1,9 +1,10 @@
 // The completion path allocates nothing in steady state (DESIGN.md §13):
 // this binary replaces the global operator new/delete with counting
 // versions, warms a simulation up, and then requires a loop of
-// Network::rma, FluidLink::transfer, future::wait, when_all and
-// Thread::launch_async to make no global allocation at all. Shared states
-// and coroutine frames come from the frame pool, which the warm-up fills.
+// Network::rma, FluidLink::transfer, future::wait, when_all,
+// Thread::launch_async and the then/finally continuations to make no
+// global allocation at all. Shared states, coroutine frames and
+// continuation nodes come from the frame pool, which the warm-up fills.
 //
 // Under AddressSanitizer the pool is bypassed on purpose (so ASan still
 // sees use-after-free), and the test is skipped.
@@ -74,9 +75,9 @@ sim::Task<void> remote_put(net::Network& nw, int ep, double bytes) {
 
 /// One round of the completion path. `batch` is caller storage for
 /// when_all's input vector (when_all takes ownership of it), reserved
-/// before counting starts.
+/// before counting starts. Every continuation's result is added to `sum`.
 sim::Task<void> round(gas::Thread& t, sim::FluidLink& link,
-                      std::vector<async::future<>>& batch) {
+                      std::vector<async::future<>>& batch, int& sum) {
   net::Network& nw = t.runtime().network();
   co_await nw.rma({.src_node = 0, .src_ep = 0, .dst_node = 1, .bytes = 64});
   co_await link.transfer(4096);
@@ -88,22 +89,30 @@ sim::Task<void> round(gas::Thread& t, sim::FluidLink& link,
   }
   batch.push_back(async::make_ready_future());
   const async::future<> lone = link.transfer(512);
+  // Continuations on engine-backed futures: then() returning a value,
+  // then() returning a future (chained by forward_into) and finally().
+  link.transfer(128).finally([&sum] { sum += 1; });
+  const async::future<int> mapped = link.transfer(128).then([] { return 10; });
+  const async::future<int> chained = link.transfer(128).then(
+      [&link] { return link.transfer(64).then([] { return 100; }); });
   co_await lone.wait();
   co_await async::when_all(std::move(batch)).wait();
+  sum += co_await mapped.wait();
+  sum += co_await chained.wait();
 }
 
 sim::Task<void> drive(gas::Thread& t, sim::FluidLink& link,
                       std::vector<std::vector<async::future<>>>& batches,
-                      std::uint64_t& steady_allocations) {
+                      std::uint64_t& steady_allocations, int& sum) {
   if (t.rank() != 0) co_return;
   std::size_t next = 0;
   for (int r = 0; r < kWarmupRounds; ++r) {
-    co_await round(t, link, batches[next++]);
+    co_await round(t, link, batches[next++], sum);
   }
   const std::uint64_t before = g_allocations;
   g_counting = true;
   for (int r = 0; r < kSteadyRounds; ++r) {
-    co_await round(t, link, batches[next++]);
+    co_await round(t, link, batches[next++], sum);
   }
   g_counting = false;
   steady_allocations = g_allocations - before;
@@ -113,6 +122,7 @@ TEST(AllocFree, SteadyStateCompletionPathMakesNoGlobalAllocations) {
   const std::int64_t live_before = async::debug_live_states();
   std::uint64_t steady_allocations = ~std::uint64_t{0};
   std::uint64_t messages = 0;
+  int sum = 0;
   {
     sim::Engine engine;
     gas::Config cfg;
@@ -125,7 +135,7 @@ TEST(AllocFree, SteadyStateCompletionPathMakesNoGlobalAllocations) {
                                                       kSteadyRounds);
     for (auto& b : batches) b.reserve(2 * kFanout + 1);
     rt.spmd([&](gas::Thread& t) {
-      return drive(t, link, batches, steady_allocations);
+      return drive(t, link, batches, steady_allocations, sum);
     });
     rt.run_to_completion();
     messages = rt.network().total_messages();
@@ -133,6 +143,8 @@ TEST(AllocFree, SteadyStateCompletionPathMakesNoGlobalAllocations) {
   EXPECT_EQ(messages,
             static_cast<std::uint64_t>(kWarmupRounds + kSteadyRounds) *
                 (1 + kFanout));
+  EXPECT_EQ(sum, (kWarmupRounds + kSteadyRounds) * 111)
+      << "every then, forward_into and finally continuation ran";
   EXPECT_EQ(steady_allocations, 0u)
       << "global allocations in " << kSteadyRounds << " steady-state rounds";
   EXPECT_EQ(async::debug_live_states(), live_before)

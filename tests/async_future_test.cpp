@@ -244,7 +244,7 @@ TEST(AsyncFuture, CoAwaitIntegratesWithSimTasks) {
   auto proc = sim::spawn(e, [](promise<int>& pr, future<int> f, int& out,
                                sim::Engine& eng) -> sim::Task<void> {
     // Resolve after 1us of virtual time from a sibling process.
-    eng.schedule_in(1000, [&pr] { pr.set_value(99); });
+    sim::call_at(eng, eng.now() + 1000, [&pr] { pr.set_value(99); });
     out = co_await f;  // operator co_await
     co_return;
   }(p, p.get_future(), got, e));
@@ -267,7 +267,7 @@ TEST(AsyncFuture, ExceptionRethrowsThroughCoAwaitInSimTask) {
       at = eng.now();
     }
   }(p.get_future(), caught, caught_at, e));
-  e.schedule_in(42, [&p] {
+  sim::call_at(e, e.now() + 42, [&p] {
     p.set_exception(std::make_exception_ptr(std::runtime_error("x")));
   });
   e.run();

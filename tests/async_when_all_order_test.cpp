@@ -327,7 +327,7 @@ Outcome execute(const Plan& plan, bool legacy) {
   for (int k : plan.resolve_order) {
     const InputPlan& in = input_plan(k);
     if (!in.resolve_before_run) {
-      e.schedule_at(in.resolve_at, [&resolve, &log, k] {
+      sim::call_at(e, in.resolve_at, [&resolve, &log, k] {
         log.add("resolve " + std::to_string(k));
         resolve(k);
       });

@@ -122,8 +122,8 @@ TEST(EngineStress, HundredThousandInterleavedEvents) {
   util::Xoshiro256ss rng(99);
   std::uint64_t sum = 0;
   for (int i = 0; i < 100000; ++i) {
-    e.schedule_at(static_cast<sim::Time>(rng.below(1000000)),
-                  [&sum, i] { sum += static_cast<std::uint64_t>(i); });
+    sim::call_at(e, static_cast<sim::Time>(rng.below(1000000)),
+                 [&sum, i] { sum += static_cast<std::uint64_t>(i); });
   }
   e.run();
   EXPECT_EQ(e.events_executed(), 100000u);

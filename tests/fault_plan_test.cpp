@@ -148,7 +148,7 @@ TEST(Seams, EventJitterDelaysButNeverReorders) {
   sim::Time last = -1;
   bool monotone = true;
   for (int i = 0; i < 100; ++i) {
-    engine.schedule_at(static_cast<sim::Time>(i) * 100, [&, i] {
+    sim::call_at(engine, static_cast<sim::Time>(i) * 100, [&, i] {
       if (engine.now() < last) monotone = false;
       last = engine.now();
     });

@@ -181,7 +181,7 @@ void sim_clock_bench(perf::Context& ctx) {
   ctx.set_config("events", "1000");
   sim::Engine engine;
   for (int i = 0; i < 1000; ++i) {
-    engine.schedule_at(static_cast<sim::Time>(i) * 17 + 3, [] {});
+    sim::call_at(engine, static_cast<sim::Time>(i) * 17 + 3, [] {});
   }
   engine.run();
   const double virt_s = static_cast<double>(engine.now()) * 1e-9;

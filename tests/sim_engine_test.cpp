@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
+#include <numeric>
 #include <random>
 #include <unordered_map>
 #include <utility>
@@ -12,9 +13,11 @@
 
 #include "fault/hooks.hpp"
 #include "sim/engine.hpp"
+#include "sim/progress.hpp"
 
 namespace {
 
+using hupc::sim::call_at;
 using hupc::sim::Engine;
 using hupc::sim::kMicrosecond;
 using hupc::sim::kSecond;
@@ -29,9 +32,9 @@ TEST(Engine, StartsAtZero) {
 TEST(Engine, ExecutesInTimeOrder) {
   Engine e;
   std::vector<int> order;
-  e.schedule_at(30, [&] { order.push_back(3); });
-  e.schedule_at(10, [&] { order.push_back(1); });
-  e.schedule_at(20, [&] { order.push_back(2); });
+  call_at(e, 30, [&] { order.push_back(3); });
+  call_at(e, 10, [&] { order.push_back(1); });
+  call_at(e, 20, [&] { order.push_back(2); });
   e.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(e.now(), 30);
@@ -41,7 +44,7 @@ TEST(Engine, TiesBreakInSchedulingOrder) {
   Engine e;
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
-    e.schedule_at(100, [&order, i] { order.push_back(i); });
+    call_at(e, 100, [&order, i] { order.push_back(i); });
   }
   e.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -50,8 +53,8 @@ TEST(Engine, TiesBreakInSchedulingOrder) {
 TEST(Engine, PastTimesClampToNow) {
   Engine e;
   Time seen = -1;
-  e.schedule_at(50, [&] {
-    e.schedule_at(10, [&] { seen = e.now(); });  // in the past
+  call_at(e, 50, [&] {
+    call_at(e, 10, [&] { seen = e.now(); });  // in the past
   });
   e.run();
   EXPECT_EQ(seen, 50);
@@ -60,11 +63,11 @@ TEST(Engine, PastTimesClampToNow) {
 TEST(Engine, NestedSchedulingFromEvents) {
   Engine e;
   int hits = 0;
-  e.schedule_at(1, [&] {
+  call_at(e, 1, [&] {
     ++hits;
-    e.schedule_in(1, [&] {
+    call_at(e, e.now() + 1, [&] {
       ++hits;
-      e.schedule_in(1, [&] { ++hits; });
+      call_at(e, e.now() + 1, [&] { ++hits; });
     });
   });
   e.run();
@@ -75,8 +78,8 @@ TEST(Engine, NestedSchedulingFromEvents) {
 TEST(Engine, RunUntilLeavesLaterEventsQueued) {
   Engine e;
   int hits = 0;
-  e.schedule_at(1 * kMicrosecond, [&] { ++hits; });
-  e.schedule_at(1 * kSecond, [&] { ++hits; });
+  call_at(e, 1 * kMicrosecond, [&] { ++hits; });
+  call_at(e, 1 * kSecond, [&] { ++hits; });
   e.run_until(kMicrosecond);
   EXPECT_EQ(hits, 1);
   EXPECT_EQ(e.pending(), 1u);
@@ -86,7 +89,7 @@ TEST(Engine, RunUntilLeavesLaterEventsQueued) {
 
 TEST(Engine, CountsExecutedEvents) {
   Engine e;
-  for (int i = 0; i < 10; ++i) e.schedule_at(i, [] {});
+  for (int i = 0; i < 10; ++i) call_at(e, i, [] {});
   e.run();
   EXPECT_EQ(e.events_executed(), 10u);
 }
@@ -94,17 +97,9 @@ TEST(Engine, CountsExecutedEvents) {
 TEST(Engine, StepReturnsFalseWhenEmpty) {
   Engine e;
   EXPECT_FALSE(e.step());
-  e.schedule_at(5, [] {});
+  call_at(e, 5, [] {});
   EXPECT_TRUE(e.step());
   EXPECT_FALSE(e.step());
-}
-
-TEST(Engine, NegativeDelayClampsToNow) {
-  Engine e;
-  Time at = -1;
-  e.schedule_at(10, [&] { e.schedule_in(-5, [&] { at = e.now(); }); });
-  e.run();
-  EXPECT_EQ(at, 10);
 }
 
 TEST(Engine, LongSameInstantBurstKeepsFifoOrder) {
@@ -113,15 +108,15 @@ TEST(Engine, LongSameInstantBurstKeepsFifoOrder) {
   Engine e;
   constexpr int kRoots = 6000;
   std::vector<int> order;
-  e.schedule_at(7, [&] {
+  call_at(e, 7, [&] {
     for (int i = 0; i < kRoots; ++i) {
-      e.schedule_in(0, [&, i] {
+      call_at(e, e.now(), [&, i] {
         order.push_back(i);
-        e.schedule_in(0, [&, i] { order.push_back(kRoots + i); });
+        call_at(e, e.now(), [&, i] { order.push_back(kRoots + i); });
       });
     }
   });
-  e.schedule_at(8, [&] { order.push_back(-1); });
+  call_at(e, 8, [&] { order.push_back(-1); });
   e.run();
   ASSERT_EQ(order.size(), 2u * kRoots + 1);
   for (int i = 0; i < 2 * kRoots; ++i) {
@@ -160,7 +155,7 @@ class JitterHook final : public hupc::fault::ScheduleHook {
 /// them all alike: an event is an (at, seq) entry whatever runs it.
 enum class Kind {
   handle,    // a coroutine handle
-  function,  // a std::function callback
+  function,  // a callable in a sim::CallNode (sim::call_at)
   node,      // an intrusive EventNode of its own
   link,      // a firing of the one FluidLink-style node (see RealSide)
 };
@@ -291,11 +286,7 @@ class RealSide {
         break;
       }
       case Kind::function:
-        if (c.absolute) {
-          engine.schedule_at(c.when, [this, id] { run_body(id); });
-        } else {
-          engine.schedule_in(c.when, [this, id] { run_body(id); });
-        }
+        call_at(engine, at, [this, id] { run_body(id); });
         break;
       case Kind::node: {
         Tick& tick = ticks_.emplace_back(this, id);
@@ -524,6 +515,58 @@ TEST(EngineProperty, DeepHeapDispatchOrderMatchesReferenceModel) {
     check_order_equivalence(seed, with_hook, kDeep, &depth);
     EXPECT_GT(depth.peak, 10'000u) << "seed " << seed;
     EXPECT_EQ(depth.deep_remainders, 0xfu) << "seed " << seed;
+  }
+}
+
+Once record_now(Engine& e, Time& at) {
+  at = e.now();
+  co_return;
+}
+
+TEST(Engine, NegativeDelayClampsToNow) {
+  Engine e;
+  Time at = -1;
+  const auto h = record_now(e, at).handle;
+  call_at(e, 10, [&] { e.schedule_in(-5, h); });
+  e.run();
+  EXPECT_EQ(at, 10);
+  h.destroy();
+}
+
+// ---- Personas ----
+
+Once take_turn(hupc::sim::ProgressQueue& queue, std::vector<int>& order,
+               int entry) {
+  co_await queue.turn();
+  order.push_back(entry);
+}
+
+TEST(ProgressQueue, EntryOrderHoldsUnderScheduleJitter) {
+  // Coroutines enter one persona at one instant while the hook delays a
+  // share of the drain ticks. Every tick resumes the queue's front, so
+  // they still resume in entry order, one engine event per entry.
+  constexpr int kEntries = 64;
+  std::vector<int> entry_order(kEntries);
+  std::iota(entry_order.begin(), entry_order.end(), 0);
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Engine e;
+    JitterHook hook(seed);
+    e.set_fault(&hook);
+    hupc::sim::ProgressQueue queue(e);
+    std::vector<int> order;
+    std::vector<std::coroutine_handle<>> frames;
+    for (int i = 0; i < kEntries; ++i) {
+      frames.push_back(take_turn(queue, order, i).handle);
+      frames.back().resume();  // runs up to its turn() at time 0
+    }
+    EXPECT_TRUE(order.empty());
+    e.run();
+    EXPECT_EQ(order, entry_order);
+    EXPECT_EQ(e.events_executed(), static_cast<std::uint64_t>(kEntries));
+    EXPECT_EQ(hook.calls.size(), static_cast<std::size_t>(kEntries));
+    EXPECT_GT(e.now(), 0) << "the hook delayed no tick";
+    for (const auto h : frames) h.destroy();
   }
 }
 
