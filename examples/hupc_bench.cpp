@@ -28,7 +28,7 @@
 // Fuzzing: --workload fuzz [--budget N] [--fuzz-seed S] [--fuzz-test-bug]
 //          [--fuzz-verbose] sweeps N seeded fault-injection cases, shrinks
 //          any failure and prints its one-line replay command; exit status
-//          is the number of failing cases (0 = clean sweep).
+//          is 1 if any case fails, 0 for a clean sweep.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -377,8 +377,7 @@ int run_fuzz(const util::Cli& cli) {
   opt.verbose = cli.get_bool("fuzz-verbose", false);
   cli.reject_unread("hupc_bench");
   fault::Fuzzer fuzzer(opt);
-  const fault::FuzzReport report = fuzzer.run(std::cout);
-  return static_cast<int>(report.failures.size());
+  return fuzzer.run(std::cout).ok() ? 0 : 1;
 }
 
 }  // namespace

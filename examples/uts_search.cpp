@@ -11,19 +11,17 @@
 //               [--trace-summary=FILE]  per-category counts/time + counters
 //               [--fault-plan=NAME --fault-seed=S]  run under a seeded fault
 //                  plan — the parallel count must still match the oracle
-//               [--fuzz=N]           run an N-case fault-injection sweep
-//                  instead of the comparison (see fault/fuzzer.hpp)
+//
+// Fault-injection sweeps run through `hupc_bench --workload fuzz`.
 #include <cstdio>
 #include <exception>
 #include <fstream>
-#include <iostream>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "comm/read_cache.hpp"
-#include "fault/fuzzer.hpp"
 #include "fault/plan.hpp"
 #include "gas/gas.hpp"
 #include "net/conduit.hpp"
@@ -90,16 +88,6 @@ RunResult explore(const uts::TreeParams& tree, int threads, int nodes,
 
 int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
-  if (cli.has("fuzz")) {
-    fault::FuzzOptions opt;
-    opt.budget = static_cast<int>(cli.get_int("fuzz", 32));
-    opt.base_seed = static_cast<std::uint64_t>(cli.get_int("fault-seed", 1));
-    opt.verbose = cli.get_bool("fuzz-verbose", false);
-    cli.reject_unread("uts_search");
-    fault::Fuzzer fuzzer(opt);
-    return static_cast<int>(fuzzer.run(std::cout).failures.size());
-  }
-
   uts::TreeParams tree;
   tree.root_seed = static_cast<std::uint32_t>(cli.get_int("seed", 42));
   const int threads = static_cast<int>(cli.get_int("threads", 32));

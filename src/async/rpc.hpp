@@ -102,7 +102,7 @@ class RpcDomain {
                   "(the reply is serialized onto the wire)");
 
     net::RpcMessage msg(net::RpcKind::request, next_id_++, from.rank(),
-                        target);
+                        target, (sizeof(std::decay_t<Args>) + ... + 0));
     (msg.put(static_cast<std::decay_t<Args>>(args)), ...);
     note_sent(from.rank(), msg.wire_bytes());
 

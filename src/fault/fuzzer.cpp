@@ -1,10 +1,10 @@
 #include "fault/fuzzer.hpp"
 
 #include <cassert>
-#include <functional>
 #include <memory>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -33,43 +33,101 @@ constexpr int kFuzzThreads = 8;
 constexpr int kFuzzNodes = 2;
 constexpr std::size_t kAsyncWords = 16;  // per-slot payload of run_async
 
+// Host-side state with one `init` element per fuzz rank.
+template <class T>
+std::vector<T> per_rank(const T& init = T{}) {
+  return std::vector<T>(static_cast<std::size_t>(kFuzzThreads), init);
+}
+
+// FNV-1a, the checksum the teams and vis oracles fold delivered values into.
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
+constexpr std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t v) {
+  return (h ^ v) * 1099511628211ULL;
+}
+
 gas::Config base_config(const CaseSpec& spec, trace::Tracer* tracer) {
   gas::Config cfg;
   cfg.machine = topo::lehman(kFuzzNodes);
   cfg.threads = kFuzzThreads;
-  cfg.backend = spec.backend == "pthreads" ? gas::Backend::pthreads
-                                           : gas::Backend::processes;
-  if (spec.conduit == "ib-ddr") {
+  if (spec.backend == "processes") {
+    cfg.backend = gas::Backend::processes;
+  } else if (spec.backend == "pthreads") {
+    cfg.backend = gas::Backend::pthreads;
+  } else {
+    throw std::invalid_argument("fuzz: unknown backend '" + spec.backend +
+                                "' (known: processes, pthreads)");
+  }
+  if (spec.conduit == "ib-qdr") {
+    cfg.conduit = net::ib_qdr();
+  } else if (spec.conduit == "ib-ddr") {
     cfg.conduit = net::ib_ddr();
   } else if (spec.conduit == "gige") {
     cfg.conduit = net::gige();
   } else {
-    cfg.conduit = net::ib_qdr();
+    throw std::invalid_argument("fuzz: unknown conduit '" + spec.conduit +
+                                "' (known: ib-qdr, ib-ddr, gige)");
   }
   cfg.tracer = tracer;
   return cfg;
 }
 
-void finish(CaseResult& res, const trace::Tracer& tracer,
-            const sim::Engine& engine, const FaultPlan& plan) {
-  res.virtual_time = engine.now();
-  res.injected = plan.stats().total();
-  std::ostringstream summary;
-  tracer.export_summary(summary);
-  res.summary = summary.str();
-}
+// The frame every fuzz case runs in: a tracer, an engine, the 8-rank runtime
+// of base_config and the case's FaultPlan. The plan is installed before a
+// workload body builds anything on `rt`: the steal seam is read when
+// WorkStealing is constructed, the cache seam when an epoch opens. The body
+// sets its workload up, then hands `run` its run step and its own checks.
+struct Case {
+  Case(const CaseSpec& case_spec, const PlanParams& params)
+      : spec(case_spec), rt(engine, base_config(spec, &tracer)), plan(params) {
+    plan.install(rt);
+  }
 
-CaseResult run_uts(const CaseSpec& spec, const PlanParams& plan_params) {
-  CaseResult res;
-  trace::Tracer tracer(std::size_t{1} << 18);
+  // Runs `step`. If it throws, records "<workload>: exception: <what>" and
+  // skips every check; otherwise runs the workload's `checks`, then the
+  // invariants every workload shares. Either way the result then records the
+  // virtual time, the injection count and the trace summary.
+  template <class Step, class Checks>
+  void run(Step step, Checks checks) {
+    bool clean = true;
+    try {
+      step();
+    } catch (const std::exception& e) {
+      res.violations.push_back(spec.workload + ": exception: " + e.what());
+      clean = false;
+    }
+    if (clean) {
+      checks(res.violations);
+      check_byte_conservation(rt, res.violations);
+      check_network_counters(rt, res.violations);
+      check_virtual_time(engine, res.violations);
+    }
+    res.virtual_time = engine.now();
+    res.injected = plan.stats().total();
+    std::ostringstream summary;
+    tracer.export_summary(summary);
+    res.summary = summary.str();
+  }
+
+  // The common run step: the SPMD program the body started, to completion.
+  template <class Checks>
+  void run(Checks checks) {
+    run([this] { rt.run_to_completion(); }, std::move(checks));
+  }
+
+  const CaseSpec& spec;
+  trace::Tracer tracer{std::size_t{1} << 18};
   sim::Engine engine;
-  gas::Runtime rt(engine, base_config(spec, &tracer));
-  FaultPlan plan(plan_params);
-  plan.install(rt);  // before WorkStealing: the steal seam is read at ctor
+  gas::Runtime rt;
+  FaultPlan plan;
+  CaseResult res;
+};
 
+// UTS workload: a parallel count of a tiny binomial tree by hierarchical work
+// stealing must match the sequential enumeration (steal conservation).
+void run_uts(Case& c) {
   // Tree shape and steal policy derive from the case seed, NOT the plan, so
   // the shrinker replays the identical workload under reduced plans.
-  util::SplitMix64 sm(spec.seed ^ 0x07155EEDULL);
+  util::SplitMix64 sm(c.spec.seed ^ 0x07155EEDULL);
   uts::TreeParams tree;
   tree.b0 = 40 + static_cast<int>(sm.next() % 41);  // ~200-400 node trees
   tree.m = 8;
@@ -84,96 +142,62 @@ CaseResult run_uts(const CaseSpec& spec, const PlanParams& plan_params) {
   sp.granularity = 4;
   sp.chunk = 4;
   sp.batch = 16;
-  sp.seed = spec.seed;
-  sp.test_split_off_by_one = spec.plant_split_bug;
+  sp.seed = c.spec.seed;
+  sp.test_split_off_by_one = c.spec.plant_split_bug;
   sched::WorkStealing<uts::Node> ws(
-      rt, sp, [&tree](const uts::Node& n, std::vector<uts::Node>& out) {
+      c.rt, sp, [&tree](const uts::Node& n, std::vector<uts::Node>& out) {
         uts::expand(tree, n, out);
       });
   ws.seed_work(0, {uts::root_node(tree)});
 
-  rt.spmd([&ws](gas::Thread& t) { return ws.run(t); });
-  try {
-    rt.run_to_completion();
-  } catch (const std::exception& e) {
-    res.violations.push_back(std::string("uts: exception: ") + e.what());
-    finish(res, tracer, engine, plan);
-    return res;
-  }
-
-  check_steal_conservation(ws, rt.threads(), oracle.nodes, res.violations);
-  check_byte_conservation(rt, res.violations);
-  check_network_counters(rt, res.violations);
-  check_virtual_time(engine, res.violations);
-  finish(res, tracer, engine, plan);
-  return res;
+  c.rt.spmd([&ws](gas::Thread& t) { return ws.run(t); });
+  c.run([&](Violations& out) {
+    check_steal_conservation(ws, c.rt.threads(), oracle.nodes, out);
+  });
 }
 
-CaseResult run_ft(const CaseSpec& spec, const PlanParams& plan_params) {
-  CaseResult res;
-  trace::Tracer tracer(std::size_t{1} << 18);
-  sim::Engine engine;
-  gas::Runtime rt(engine, base_config(spec, &tracer));
-  FaultPlan plan(plan_params);
-  plan.install(rt);
-
-  util::SplitMix64 sm(spec.seed ^ 0x0F75EEDFULL);
+// FT workload: NAS FT class S, trimmed to 2 iterations.
+void run_ft(Case& c) {
+  util::SplitMix64 sm(c.spec.seed ^ 0x0F75EEDFULL);
   fft::FtConfig fc;
   fc.grid = fft::FtParams{64, 64, 64, 2, "S"};  // class S, trimmed to 2 iters
   fc.variant = sm.next() % 2 == 0 ? fft::CommVariant::split_phase
                                   : fft::CommVariant::overlap;
   fc.subs = sm.next() % 2 == 0 ? 0 : 2;  // pure UPC vs. hybrid sub-threads
-  fft::FtModel model(rt, fc);
+  fft::FtModel model(c.rt, fc);
 
-  rt.spmd([&model](gas::Thread& t) { return model.run(t); });
-  try {
-    rt.run_to_completion();
-  } catch (const std::exception& e) {
-    res.violations.push_back(std::string("ft: exception: ") + e.what());
-    finish(res, tracer, engine, plan);
-    return res;
-  }
-
+  c.rt.spmd([&model](gas::Thread& t) { return model.run(t); });
   // Phase-timing coherence: every phase non-negative and the disjoint phase
   // measurements can never exceed the rank's wall (virtual) total.
-  for (int r = 0; r < rt.threads(); ++r) {
-    const fft::FtTimings& tm = model.timings(r);
-    const double phases[] = {tm.evolve, tm.fft2d, tm.transpose, tm.comm,
-                             tm.fft1d};
-    double sum = 0.0;
-    for (double p : phases) {
-      sum += p;
-      if (p < 0.0) {
-        res.violations.push_back("ft timings: rank " + std::to_string(r) +
-                                 " has a negative phase time");
-        break;
+  c.run([&](Violations& out) {
+    for (int r = 0; r < c.rt.threads(); ++r) {
+      const fft::FtTimings& tm = model.timings(r);
+      const double phases[] = {tm.evolve, tm.fft2d, tm.transpose, tm.comm,
+                               tm.fft1d};
+      double sum = 0.0;
+      for (double p : phases) {
+        sum += p;
+        if (p < 0.0) {
+          out.push_back("ft timings: rank " + std::to_string(r) +
+                        " has a negative phase time");
+          break;
+        }
+      }
+      if (sum > tm.total * (1.0 + 1e-9) + 1e-12) {
+        out.push_back("ft timings: rank " + std::to_string(r) + " phase sum " +
+                      std::to_string(sum) + " exceeds total " +
+                      std::to_string(tm.total));
       }
     }
-    if (sum > tm.total * (1.0 + 1e-9) + 1e-12) {
-      res.violations.push_back("ft timings: rank " + std::to_string(r) +
-                               " phase sum " + std::to_string(sum) +
-                               " exceeds total " + std::to_string(tm.total));
-    }
-  }
-  check_byte_conservation(rt, res.violations);
-  check_network_counters(rt, res.violations);
-  check_virtual_time(engine, res.violations);
-  finish(res, tracer, engine, plan);
-  return res;
+  });
 }
 
-CaseResult run_barrier(const CaseSpec& spec, const PlanParams& plan_params) {
-  CaseResult res;
-  trace::Tracer tracer(std::size_t{1} << 18);
-  sim::Engine engine;
-  gas::Runtime rt(engine, base_config(spec, &tracer));
-  FaultPlan plan(plan_params);
-  plan.install(rt);
-
-  util::SplitMix64 sm(spec.seed ^ 0xBA221E25ULL);
+// Barrier storm: every rank must pass each phase exactly once.
+void run_barrier(Case& c) {
+  util::SplitMix64 sm(c.spec.seed ^ 0xBA221E25ULL);
   const int phases = 10 + static_cast<int>(sm.next() % 7);
 
-  rt.spmd([phases](gas::Thread& t) -> sim::Task<void> {
+  c.rt.spmd([phases](gas::Thread& t) -> sim::Task<void> {
     for (int i = 0; i < phases; ++i) {
       // Skew the arrivals so a linearizability bug (a rank slipping past a
       // phase) would actually have room to manifest.
@@ -183,19 +207,9 @@ CaseResult run_barrier(const CaseSpec& spec, const PlanParams& plan_params) {
       co_await t.barrier();
     }
   });
-  try {
-    rt.run_to_completion();
-  } catch (const std::exception& e) {
-    res.violations.push_back(std::string("barrier: exception: ") + e.what());
-    finish(res, tracer, engine, plan);
-    return res;
-  }
-
-  check_barrier(rt, static_cast<std::uint64_t>(phases), res.violations);
-  check_byte_conservation(rt, res.violations);
-  check_virtual_time(engine, res.violations);
-  finish(res, tracer, engine, plan);
-  return res;
+  c.run([&](Violations& out) {
+    check_barrier(c.rt, static_cast<std::uint64_t>(phases), out);
+  });
 }
 
 // Cache-pressure workload: the read-dominated gather runs with a read-cache
@@ -203,15 +217,8 @@ CaseResult run_barrier(const CaseSpec& spec, const PlanParams& plan_params) {
 // cache-storm invalidation storms). The oracle is the SAME gather stream
 // uncached and unfaulted in a fresh runtime: the checksums must match
 // bit-for-bit because the cache holds tags, never data.
-CaseResult run_gather(const CaseSpec& spec, const PlanParams& plan_params) {
-  CaseResult res;
-  trace::Tracer tracer(std::size_t{1} << 18);
-  sim::Engine engine;
-  gas::Runtime rt(engine, base_config(spec, &tracer));
-  FaultPlan plan(plan_params);
-  plan.install(rt);  // before spmd: the cache seam is read at epoch open
-
-  util::SplitMix64 sm(spec.seed ^ 0x6A74E255ULL);
+void run_gather(Case& c) {
+  util::SplitMix64 sm(c.spec.seed ^ 0x6A74E255ULL);
   stream::GatherParams gp;
   gp.bursts = 4 + (sm.next() % 5);
   gp.burst_len = 16 + (sm.next() % 17);
@@ -220,39 +227,27 @@ CaseResult run_gather(const CaseSpec& spec, const PlanParams& plan_params) {
   gp.cache.line_bytes = sm.next() % 2 == 0 ? 64 : 256;
   gp.seed = sm.next() | 1;
 
-  stream::RandomAccess ra(rt, 12);
+  stream::RandomAccess ra(c.rt, 12);
   stream::GatherResult cached;
-  try {
-    cached = ra.run_gather(gp);
-  } catch (const std::exception& e) {
-    res.violations.push_back(std::string("gather: exception: ") + e.what());
-    finish(res, tracer, engine, plan);
-    return res;
-  }
+  c.run([&] { cached = ra.run_gather(gp); }, [&](Violations& out) {
+    sim::Engine oracle_engine;
+    gas::Runtime oracle_rt(oracle_engine, base_config(c.spec, nullptr));
+    stream::RandomAccess oracle(oracle_rt, 12);
+    stream::GatherParams up = gp;
+    up.cached = false;
+    const stream::GatherResult uncached = oracle.run_gather(up);
 
-  sim::Engine oracle_engine;
-  gas::Runtime oracle_rt(oracle_engine, base_config(spec, nullptr));
-  stream::RandomAccess oracle(oracle_rt, 12);
-  stream::GatherParams up = gp;
-  up.cached = false;
-  const stream::GatherResult uncached = oracle.run_gather(up);
-
-  comm::CacheStats total;
-  for (int r = 0; r < rt.threads(); ++r) {
-    if (const comm::CacheStats* s = rt.thread(r).read_cache_stats()) {
-      total.hits += s->hits;
-      total.misses += s->misses;
-      total.evictions += s->evictions;
-      total.invalidations += s->invalidations;
+    comm::CacheStats total;
+    for (int r = 0; r < c.rt.threads(); ++r) {
+      if (const comm::CacheStats* s = c.rt.thread(r).read_cache_stats()) {
+        total.hits += s->hits;
+        total.misses += s->misses;
+        total.evictions += s->evictions;
+        total.invalidations += s->invalidations;
+      }
     }
-  }
-  check_cache_transparency(cached.checksum, uncached.checksum, &total,
-                           res.violations);
-  check_byte_conservation(rt, res.violations);
-  check_network_counters(rt, res.violations);
-  check_virtual_time(engine, res.violations);
-  finish(res, tracer, engine, plan);
-  return res;
+    check_cache_transparency(cached.checksum, uncached.checksum, &total, out);
+  });
 }
 
 // Async-completion workload: every rank overlaps launched copies into its ring
@@ -262,28 +257,21 @@ CaseResult run_gather(const CaseSpec& spec, const PlanParams& plan_params) {
 // completion-storm plan (which HOLDS completions) must preserve — and a
 // chained RPC probe asserts read-your-writes: once a launched copy's future
 // resolves, the destination rank observes the payload.
-CaseResult run_async(const CaseSpec& spec, const PlanParams& plan_params) {
-  CaseResult res;
-  trace::Tracer tracer(std::size_t{1} << 18);
-  sim::Engine engine;
-  gas::Runtime rt(engine, base_config(spec, &tracer));
-  FaultPlan plan(plan_params);
-  plan.install(rt);
+void run_async(Case& c) {
+  gas::Runtime& rt = c.rt;
+  sim::Engine& engine = c.engine;
   async::RpcDomain domain(rt);
 
-  util::SplitMix64 sm(spec.seed ^ 0xA57C5EEDULL);
+  util::SplitMix64 sm(c.spec.seed ^ 0xA57C5EEDULL);
   const int rounds = 2 + static_cast<int>(sm.next() % 3);
-  
 
-  std::vector<gas::GlobalPtr<std::uint64_t>> slot(
-      static_cast<std::size_t>(kFuzzThreads));
+  auto slot = per_rank<gas::GlobalPtr<std::uint64_t>>();
   for (int r = 0; r < kFuzzThreads; ++r) {
     slot[static_cast<std::size_t>(r)] = rt.heap().alloc<std::uint64_t>(
         r, kAsyncWords);
   }
 
-  std::vector<std::vector<AsyncOpRecord>> records(
-      static_cast<std::size_t>(kFuzzThreads));
+  auto records = per_rank<std::vector<AsyncOpRecord>>();
   int stale_reads = 0;
 
   rt.spmd([&](gas::Thread& t) -> sim::Task<void> {
@@ -334,29 +322,18 @@ CaseResult run_async(const CaseSpec& spec, const PlanParams& plan_params) {
       co_await t.barrier();  // slots are reused next round
     }
   });
-  try {
-    rt.run_to_completion();
-  } catch (const std::exception& e) {
-    res.violations.push_back(std::string("async: exception: ") + e.what());
-    finish(res, tracer, engine, plan);
-    return res;
-  }
-
-  std::vector<AsyncOpRecord> all;
-  for (const auto& per_rank : records) {
-    all.insert(all.end(), per_rank.begin(), per_rank.end());
-  }
-  check_async_ordering(all, rt.counters(), res.violations);
-  if (stale_reads > 0) {
-    res.violations.push_back(
-        "async read-your-writes: " + std::to_string(stale_reads) +
-        " RPC probe(s) observed stale data after launched copy resolution");
-  }
-  check_byte_conservation(rt, res.violations);
-  check_network_counters(rt, res.violations);
-  check_virtual_time(engine, res.violations);
-  finish(res, tracer, engine, plan);
-  return res;
+  c.run([&](Violations& out) {
+    std::vector<AsyncOpRecord> all;
+    for (const auto& ops : records) {
+      all.insert(all.end(), ops.begin(), ops.end());
+    }
+    check_async_ordering(all, rt.counters(), out);
+    if (stale_reads > 0) {
+      out.push_back(
+          "async read-your-writes: " + std::to_string(stale_reads) +
+          " RPC probe(s) observed stale data after launched copy resolution");
+    }
+  });
 }
 
 // Team-collective workload: three seeded, mutually overlapping teams run a
@@ -367,15 +344,9 @@ CaseResult run_async(const CaseSpec& spec, const PlanParams& plan_params) {
 // checksums into a team digest that every member must agree on, and the
 // digests are compared against a host-side oracle — faults and algorithm
 // choice may reshape the schedule, never the delivered bytes.
-CaseResult run_teams(const CaseSpec& spec, const PlanParams& plan_params) {
-  CaseResult res;
-  trace::Tracer tracer(std::size_t{1} << 18);
-  sim::Engine engine;
-  gas::Runtime rt(engine, base_config(spec, &tracer));
-  FaultPlan plan(plan_params);
-  plan.install(rt);
-
-  util::SplitMix64 sm(spec.seed ^ 0x7EA35EEDULL);
+void run_teams(Case& c) {
+  gas::Runtime& rt = c.rt;
+  util::SplitMix64 sm(c.spec.seed ^ 0x7EA35EEDULL);
 
   // Shapes over the 8 fuzz ranks: the whole runtime, a contiguous window,
   // and a stride-2 comb. Every shape overlaps the others, so the per-(team,
@@ -400,10 +371,6 @@ CaseResult run_teams(const CaseSpec& spec, const PlanParams& plan_params) {
     colls.push_back(std::make_unique<gas::Collectives>(rt, members));
   }
 
-  constexpr std::uint64_t kBasis = 1469598103934665603ULL;  // FNV-1a
-  const auto fold = [](std::uint64_t h, std::int64_t v) {
-    return (h ^ static_cast<std::uint64_t>(v)) * 1099511628211ULL;
-  };
   const auto pat = [](int call, int member, std::size_t i) {
     return static_cast<std::int64_t>(call + 1) * 1000003 +
            static_cast<std::int64_t>(member + 1) * 7919 +
@@ -430,107 +397,86 @@ CaseResult run_teams(const CaseSpec& spec, const PlanParams& plan_params) {
   std::vector<std::vector<std::uint64_t>> want(static_cast<std::size_t>(T));
   for (int t = 0; t < T; ++t) {
     want[static_cast<std::size_t>(t)]
-        .assign(shapes[static_cast<std::size_t>(t)].size(), kBasis);
+        .assign(shapes[static_cast<std::size_t>(t)].size(), kFnvBasis);
   }
   std::uint64_t expected_calls = 0;
   for (int round = 0; round < rounds; ++round) {
     for (int t = 0; t < T; ++t) {
       const auto& members = shapes[static_cast<std::size_t>(t)];
       const int n = static_cast<int>(members.size());
-      Call c;
-      c.team = t;
-      c.op = kOps[sm.next() % 4];
+      Call call;
+      call.team = t;
+      call.op = kOps[sm.next() % 4];
       std::vector<gas::CollAlgo> algos = {gas::CollAlgo::automatic};
       for (gas::CollAlgo a : {gas::CollAlgo::flat, gas::CollAlgo::hier,
                               gas::CollAlgo::ring, gas::CollAlgo::dissem}) {
-        if (gas::coll_algo_supported(c.op, a)) algos.push_back(a);
+        if (gas::coll_algo_supported(call.op, a)) algos.push_back(a);
       }
-      c.algo = algos[sm.next() % algos.size()];
-      c.count = 2 + static_cast<std::size_t>(sm.next() % 7);
-      c.root = static_cast<int>(sm.next() % static_cast<std::uint64_t>(n));
+      call.algo = algos[sm.next() % algos.size()];
+      const std::size_t k = 2 + static_cast<std::size_t>(sm.next() % 7);
+      call.count = k;
+      call.root = static_cast<int>(sm.next() % static_cast<std::uint64_t>(n));
       const int ci = static_cast<int>(schedule.size());
-      const std::size_t full = static_cast<std::size_t>(n) * c.count;
+      const std::size_t full = static_cast<std::size_t>(n) * k;
+      const bool gathers = call.op == gas::CollOp::allgather ||
+                           call.op == gas::CollOp::alltoall;
       for (int m = 0; m < n; ++m) {
-        std::size_t elems = c.count;
-        if (c.op == gas::CollOp::allgather || c.op == gas::CollOp::alltoall) {
-          elems = full;
-        } else if (m == c.root && c.op == gas::CollOp::reduce) {
-          elems = full;  // the flat tree stages per-member slots at the root
-        }
-        auto p = rt.heap().alloc<std::int64_t>(
-            members[static_cast<std::size_t>(m)], elems);  // zeroed
-        switch (c.op) {
+        const auto mm = static_cast<std::size_t>(m);
+        const bool root = m == call.root;
+        // The flat reduce tree stages per-member slots at the root.
+        const bool whole = gathers || (root && call.op == gas::CollOp::reduce);
+        auto p = rt.heap().alloc<std::int64_t>(members[mm],
+                                               whole ? full : k);  // zeroed
+        std::uint64_t& h = want[static_cast<std::size_t>(t)][mm];
+        switch (call.op) {
           case gas::CollOp::broadcast:
-            if (m == c.root) {
-              for (std::size_t i = 0; i < c.count; ++i) {
-                p.raw[i] = pat(ci, m, i);
-              }
+            for (std::size_t i = 0; i < k; ++i) {
+              if (root) p.raw[i] = pat(ci, m, i);
+              h = fnv_fold(h, pat(ci, call.root, i));
             }
             break;
           case gas::CollOp::reduce:
-            for (std::size_t i = 0; i < c.count; ++i) {
+            for (std::size_t i = 0; i < k; ++i) {
               p.raw[i] = pat(ci, m, i);
+              if (!root) continue;
+              std::int64_t s = 0;
+              for (int o = 0; o < n; ++o) s += pat(ci, o, i);
+              h = fnv_fold(h, s);
             }
             break;
           case gas::CollOp::allgather:
-            for (std::size_t i = 0; i < c.count; ++i) {
-              p.raw[static_cast<std::size_t>(m) * c.count + i] = pat(ci, m, i);
+            for (std::size_t i = 0; i < k; ++i) {
+              p.raw[mm * k + i] = pat(ci, m, i);
             }
             break;
           case gas::CollOp::alltoall: {
             std::vector<std::int64_t> s(full);
             for (int dst = 0; dst < n; ++dst) {
-              for (std::size_t i = 0; i < c.count; ++i) {
-                s[static_cast<std::size_t>(dst) * c.count + i] =
+              for (std::size_t i = 0; i < k; ++i) {
+                s[static_cast<std::size_t>(dst) * k + i] =
                     pat(ci, m, i) + dst * 31;
               }
             }
-            c.send.push_back(std::move(s));
+            call.send.push_back(std::move(s));
             break;
           }
           case gas::CollOp::gather:
             break;  // never scheduled
         }
-        c.bufs.push_back(p);
-      }
-      for (int m = 0; m < n; ++m) {
-        std::uint64_t& h = want[static_cast<std::size_t>(t)]
-                               [static_cast<std::size_t>(m)];
-        switch (c.op) {
-          case gas::CollOp::broadcast:
-            for (std::size_t i = 0; i < c.count; ++i) {
-              h = fold(h, pat(ci, c.root, i));
+        // Both deliver a block from every member; all-to-all's is m's slice.
+        if (gathers) {
+          const std::int64_t shift =
+              call.op == gas::CollOp::alltoall ? m * 31 : 0;
+          for (int o = 0; o < n; ++o) {
+            for (std::size_t i = 0; i < k; ++i) {
+              h = fnv_fold(h, pat(ci, o, i) + shift);
             }
-            break;
-          case gas::CollOp::reduce:
-            if (m == c.root) {
-              for (std::size_t i = 0; i < c.count; ++i) {
-                std::int64_t s = 0;
-                for (int mm = 0; mm < n; ++mm) s += pat(ci, mm, i);
-                h = fold(h, s);
-              }
-            }
-            break;
-          case gas::CollOp::allgather:
-            for (int mm = 0; mm < n; ++mm) {
-              for (std::size_t i = 0; i < c.count; ++i) {
-                h = fold(h, pat(ci, mm, i));
-              }
-            }
-            break;
-          case gas::CollOp::alltoall:
-            for (int mm = 0; mm < n; ++mm) {
-              for (std::size_t i = 0; i < c.count; ++i) {
-                h = fold(h, pat(ci, mm, i) + m * 31);
-              }
-            }
-            break;
-          case gas::CollOp::gather:
-            break;
+          }
         }
+        call.bufs.push_back(p);
       }
       expected_calls += static_cast<std::uint64_t>(n);
-      schedule.push_back(std::move(c));
+      schedule.push_back(std::move(call));
     }
   }
 
@@ -551,59 +497,50 @@ CaseResult run_teams(const CaseSpec& spec, const PlanParams& plan_params) {
   std::vector<std::vector<std::uint64_t>> digest(static_cast<std::size_t>(T));
   for (int t = 0; t < T; ++t) {
     const std::size_t n = shapes[static_cast<std::size_t>(t)].size();
-    chk[static_cast<std::size_t>(t)].assign(n, kBasis);
+    chk[static_cast<std::size_t>(t)].assign(n, kFnvBasis);
     ops[static_cast<std::size_t>(t)].assign(n, 0);
     digest[static_cast<std::size_t>(t)].assign(n, 0);
   }
 
   const auto plus = [](std::int64_t a, std::int64_t b) { return a + b; };
   rt.spmd([&](gas::Thread& th) -> sim::Task<void> {
-    for (const Call& c : schedule) {
-      const auto tt = static_cast<std::size_t>(c.team);
+    for (const Call& call : schedule) {
+      const auto tt = static_cast<std::size_t>(call.team);
       const int me = colls[tt]->index_of(th.rank());
       if (me < 0) continue;
       const int n = colls[tt]->size();
-      switch (c.op) {
+      switch (call.op) {
         case gas::CollOp::broadcast:
-          co_await colls[tt]->broadcast(th, c.bufs, c.count, c.root, c.algo);
+          co_await colls[tt]->broadcast(th, call.bufs, call.count, call.root,
+                                        call.algo);
           break;
         case gas::CollOp::reduce:
-          co_await colls[tt]->reduce(th, c.bufs, c.count, c.root, plus,
-                                     c.algo);
+          co_await colls[tt]->reduce(th, call.bufs, call.count, call.root,
+                                     plus, call.algo);
           break;
         case gas::CollOp::allgather:
-          co_await colls[tt]->allgather(th, c.bufs, c.count, c.algo);
+          co_await colls[tt]->allgather(th, call.bufs, call.count, call.algo);
           break;
         case gas::CollOp::alltoall:
           co_await colls[tt]->exchange(
-              th, c.bufs, c.send[static_cast<std::size_t>(me)].data(),
-              c.count, /*overlap=*/false, c.algo);
+              th, call.bufs, call.send[static_cast<std::size_t>(me)].data(),
+              call.count, /*overlap=*/false, call.algo);
           break;
         case gas::CollOp::gather:
           break;
+      }
+      // Fold what this member received: the broadcast block, the reduced
+      // block at the root, or one block from every member.
+      std::size_t got = call.count;
+      if (call.op == gas::CollOp::allgather ||
+          call.op == gas::CollOp::alltoall) {
+        got = static_cast<std::size_t>(n) * call.count;
+      } else if (call.op == gas::CollOp::reduce && me != call.root) {
+        got = 0;
       }
       std::uint64_t& h = chk[tt][static_cast<std::size_t>(me)];
-      const std::int64_t* mine =
-          c.bufs[static_cast<std::size_t>(me)].raw;
-      switch (c.op) {
-        case gas::CollOp::broadcast:
-          for (std::size_t i = 0; i < c.count; ++i) h = fold(h, mine[i]);
-          break;
-        case gas::CollOp::reduce:
-          if (me == c.root) {
-            for (std::size_t i = 0; i < c.count; ++i) h = fold(h, mine[i]);
-          }
-          break;
-        case gas::CollOp::allgather:
-        case gas::CollOp::alltoall:
-          for (std::size_t i = 0;
-               i < static_cast<std::size_t>(n) * c.count; ++i) {
-            h = fold(h, mine[i]);
-          }
-          break;
-        case gas::CollOp::gather:
-          break;
-      }
+      const std::int64_t* mine = call.bufs[static_cast<std::size_t>(me)].raw;
+      for (std::size_t i = 0; i < got; ++i) h = fnv_fold(h, mine[i]);
       ++ops[tt][static_cast<std::size_t>(me)];
     }
     for (int t = 0; t < T; ++t) {
@@ -614,51 +551,71 @@ CaseResult run_teams(const CaseSpec& spec, const PlanParams& plan_params) {
       const auto mm = static_cast<std::size_t>(me);
       dig[tt][mm].raw[me] = static_cast<std::int64_t>(chk[tt][mm]);
       co_await colls[tt]->allgather(th, dig[tt], 1);
-      std::uint64_t h = kBasis;
-      for (int m = 0; m < n; ++m) h = fold(h, dig[tt][mm].raw[m]);
+      std::uint64_t h = kFnvBasis;
+      for (int m = 0; m < n; ++m) h = fnv_fold(h, dig[tt][mm].raw[m]);
       digest[tt][mm] = h;
       ++ops[tt][mm];
     }
   });
-  try {
-    rt.run_to_completion();
-  } catch (const std::exception& e) {
-    res.violations.push_back(std::string("teams: exception: ") + e.what());
-    finish(res, tracer, engine, plan);
-    return res;
-  }
+  c.run([&](Violations& out) {
+    std::vector<TeamOpRecord> records;
+    for (int t = 0; t < T; ++t) {
+      const auto tt = static_cast<std::size_t>(t);
+      for (std::size_t m = 0; m < shapes[tt].size(); ++m) {
+        records.push_back(TeamOpRecord{t, static_cast<int>(m), ops[tt][m],
+                                       digest[tt][m]});
+      }
+    }
+    check_team_agreement(records, expected_calls, rt.counters(), out);
+    for (int t = 0; t < T; ++t) {
+      const auto tt = static_cast<std::size_t>(t);
+      std::uint64_t h = kFnvBasis;
+      for (std::size_t m = 0; m < shapes[tt].size(); ++m) {
+        h = fnv_fold(h, want[tt][m]);
+      }
+      for (std::size_t m = 0; m < shapes[tt].size(); ++m) {
+        if (digest[tt][m] != h) {
+          out.push_back("teams oracle: team " + std::to_string(t) +
+                        " member " + std::to_string(m) + " digest " +
+                        std::to_string(digest[tt][m]) + " != expected " +
+                        std::to_string(h));
+        }
+      }
+    }
+  });
+}
 
-  std::vector<TeamOpRecord> records;
-  for (int t = 0; t < T; ++t) {
-    const auto tt = static_cast<std::size_t>(t);
-    for (std::size_t m = 0; m < shapes[tt].size(); ++m) {
-      records.push_back(TeamOpRecord{t, static_cast<int>(m), ops[tt][m],
-                                     digest[tt][m]});
-    }
+// One strided or indexed op of run_vis, aimed at a peer's slab.
+struct VisOp {
+  int peer = 0;
+  bool indexed = false;
+  std::size_t base = 0;  // element offset into the peer's slab
+  gas::StridedSpec sspec;
+  gas::IndexedSpec ispec;
+  std::vector<std::uint64_t> values;  // puts only: the source payload
+
+  [[nodiscard]] std::size_t regions() const {
+    return indexed ? ispec.regions.size() : sspec.regions();
   }
-  check_team_agreement(records, expected_calls, rt.counters(),
-                       res.violations);
-  for (int t = 0; t < T; ++t) {
-    const auto tt = static_cast<std::size_t>(t);
-    std::uint64_t h = kBasis;
-    for (std::size_t m = 0; m < shapes[tt].size(); ++m) {
-      h = fold(h, static_cast<std::int64_t>(want[tt][m]));
-    }
-    for (std::size_t m = 0; m < shapes[tt].size(); ++m) {
-      if (digest[tt][m] != h) {
-        res.violations.push_back(
-            "teams oracle: team " + std::to_string(t) + " member " +
-            std::to_string(m) + " digest " + std::to_string(digest[tt][m]) +
-            " != expected " + std::to_string(h));
+  [[nodiscard]] std::size_t elems() const {
+    return indexed ? ispec.elems() : sspec.elems();
+  }
+  // Walk the footprint in spec order, calling f(slab_element_index).
+  template <class F>
+  void for_each_elem(F f) const {
+    if (indexed) {
+      for (const gas::IndexedSpec::Region& g : ispec.regions) {
+        for (std::size_t l = 0; l < g.len; ++l) f(base + g.offset + l);
+      }
+    } else {
+      for (std::size_t j = 0; j < sspec.extents[1]; ++j) {
+        for (std::size_t l = 0; l < sspec.extents[0]; ++l) {
+          f(base + j * sspec.strides[1] + l);
+        }
       }
     }
   }
-  check_byte_conservation(rt, res.violations);
-  check_network_counters(rt, res.violations);
-  check_virtual_time(engine, res.violations);
-  finish(res, tracer, engine, plan);
-  return res;
-}
+};
 
 // VIS workload: every rank scatters seeded strided/indexed puts into
 // disjoint slices of its peers' slabs, barriers, then gathers seeded
@@ -673,59 +630,20 @@ CaseResult run_teams(const CaseSpec& spec, const PlanParams& plan_params) {
 // injects. Strides stay strictly wider than run lengths and indexed
 // regions keep one-element gaps, so the lowering never merges runs and
 // the expectation is exact.
-CaseResult run_vis(const CaseSpec& spec, const PlanParams& plan_params) {
-  CaseResult res;
-  trace::Tracer tracer(std::size_t{1} << 18);
-  sim::Engine engine;
-  gas::Runtime rt(engine, base_config(spec, &tracer));
-  FaultPlan plan(plan_params);
-  plan.install(rt);
-
+void run_vis(Case& c) {
+  gas::Runtime& rt = c.rt;
   constexpr std::size_t kSlab = 256;  // u64 words per rank's slab
   constexpr std::size_t kSlice = 32;  // per-source slice of every slab
   constexpr std::size_t kSub = 10;    // per-op sub-slice within the slice
 
-  util::SplitMix64 sm(spec.seed ^ 0x0715DEEDULL);
+  util::SplitMix64 sm(c.spec.seed ^ 0x0715DEEDULL);
 
-  std::vector<gas::GlobalPtr<std::uint64_t>> slab(
-      static_cast<std::size_t>(kFuzzThreads));
-  std::vector<std::vector<std::uint64_t>> mirror(
-      static_cast<std::size_t>(kFuzzThreads),
-      std::vector<std::uint64_t>(kSlab, 0));
+  auto slab = per_rank<gas::GlobalPtr<std::uint64_t>>();
+  auto mirror = per_rank(std::vector<std::uint64_t>(kSlab, 0));
   for (int r = 0; r < kFuzzThreads; ++r) {
     slab[static_cast<std::size_t>(r)] =
         rt.heap().alloc<std::uint64_t>(r, kSlab);  // zeroed, like mirror
   }
-
-  struct VisOp {
-    int peer = 0;
-    bool indexed = false;
-    std::size_t base = 0;  // element offset into the peer's slab
-    gas::StridedSpec sspec;
-    gas::IndexedSpec ispec;
-    std::vector<std::uint64_t> values;  // puts only: the source payload
-
-    [[nodiscard]] std::size_t regions() const {
-      return indexed ? ispec.regions.size() : sspec.regions();
-    }
-    [[nodiscard]] std::size_t elems() const {
-      return indexed ? ispec.elems() : sspec.elems();
-    }
-    // Walk the footprint in spec order, calling f(slab_element_index).
-    void for_each_elem(const std::function<void(std::size_t)>& f) const {
-      if (indexed) {
-        for (const gas::IndexedSpec::Region& g : ispec.regions) {
-          for (std::size_t l = 0; l < g.len; ++l) f(base + g.offset + l);
-        }
-      } else {
-        for (std::size_t j = 0; j < sspec.extents[1]; ++j) {
-          for (std::size_t l = 0; l < sspec.extents[0]; ++l) {
-            f(base + j * sspec.strides[1] + l);
-          }
-        }
-      }
-    }
-  };
 
   const auto draw_shape = [&sm](VisOp& op, std::size_t budget) {
     op.indexed = sm.next() % 2 == 1;
@@ -764,7 +682,7 @@ CaseResult run_vis(const CaseSpec& spec, const PlanParams& plan_params) {
 
   // Phase-1 schedule: per-rank puts into the rank's own slice of each
   // peer's slab, one sub-slice per op so footprints never overlap.
-  std::vector<std::vector<VisOp>> puts(static_cast<std::size_t>(kFuzzThreads));
+  auto puts = per_rank<std::vector<VisOp>>();
   for (int r = 0; r < kFuzzThreads; ++r) {
     const int nops = 2 + static_cast<int>(sm.next() % 2);  // 2..3 ops
     for (int i = 0; i < nops; ++i) {
@@ -788,13 +706,8 @@ CaseResult run_vis(const CaseSpec& spec, const PlanParams& plan_params) {
 
   // Phase-2 schedule: gathers over arbitrary slab windows (the mirror is
   // complete, so expected checksums fold host-side in the same order).
-  constexpr std::uint64_t kBasis = 1469598103934665603ULL;  // FNV-1a
-  const auto fold = [](std::uint64_t h, std::uint64_t v) {
-    return (h ^ v) * 1099511628211ULL;
-  };
-  std::vector<std::vector<VisOp>> gets(static_cast<std::size_t>(kFuzzThreads));
-  std::vector<std::uint64_t> want_chk(static_cast<std::size_t>(kFuzzThreads),
-                                      kBasis);
+  auto gets = per_rank<std::vector<VisOp>>();
+  auto want_chk = per_rank(kFnvBasis);
   for (int r = 0; r < kFuzzThreads; ++r) {
     const int nops = 1 + static_cast<int>(sm.next() % 2);  // 1..2 ops
     for (int i = 0; i < nops; ++i) {
@@ -806,15 +719,14 @@ CaseResult run_vis(const CaseSpec& spec, const PlanParams& plan_params) {
       op.base = sm.next() % (kSlab - kSub);
       op.for_each_elem([&](std::size_t e) {
         auto& h = want_chk[static_cast<std::size_t>(r)];
-        h = fold(h, mirror[static_cast<std::size_t>(op.peer)][e]);
+        h = fnv_fold(h, mirror[static_cast<std::size_t>(op.peer)][e]);
       });
       note_expected(op, r);
       gets[static_cast<std::size_t>(r)].push_back(std::move(op));
     }
   }
 
-  std::vector<std::uint64_t> got_chk(static_cast<std::size_t>(kFuzzThreads),
-                                     kBasis);
+  auto got_chk = per_rank(kFnvBasis);
   rt.spmd([&](gas::Thread& t) -> sim::Task<void> {
     const int r = t.rank();
     for (const VisOp& op : puts[static_cast<std::size_t>(r)]) {
@@ -837,51 +749,36 @@ CaseResult run_vis(const CaseSpec& spec, const PlanParams& plan_params) {
         co_await t.copy_strided(buf.data(), src, op.sspec);
       }
       auto& h = got_chk[static_cast<std::size_t>(r)];
-      for (std::uint64_t v : buf) h = fold(h, v);
+      for (std::uint64_t v : buf) h = fnv_fold(h, v);
     }
     co_await t.barrier();
   });
-  try {
-    rt.run_to_completion();
-  } catch (const std::exception& e) {
-    res.violations.push_back(std::string("vis: exception: ") + e.what());
-    finish(res, tracer, engine, plan);
-    return res;
-  }
-
-  for (int r = 0; r < kFuzzThreads; ++r) {
-    const auto rr = static_cast<std::size_t>(r);
-    for (std::size_t i = 0; i < kSlab; ++i) {
-      if (slab[rr].raw[i] != mirror[rr][i]) {
-        res.violations.push_back(
-            "vis oracle: rank " + std::to_string(r) + " slab[" +
-            std::to_string(i) + "] = " + std::to_string(slab[rr].raw[i]) +
-            " != mirror " + std::to_string(mirror[rr][i]));
-        break;  // one divergence per rank keeps the report readable
+  c.run([&](Violations& out) {
+    for (int r = 0; r < kFuzzThreads; ++r) {
+      const auto rr = static_cast<std::size_t>(r);
+      for (std::size_t i = 0; i < kSlab; ++i) {
+        if (slab[rr].raw[i] != mirror[rr][i]) {
+          out.push_back("vis oracle: rank " + std::to_string(r) + " slab[" +
+                        std::to_string(i) + "] = " +
+                        std::to_string(slab[rr].raw[i]) + " != mirror " +
+                        std::to_string(mirror[rr][i]));
+          break;  // one divergence per rank keeps the report readable
+        }
+      }
+      if (got_chk[rr] != want_chk[rr]) {
+        out.push_back("vis oracle: rank " + std::to_string(r) +
+                      " gather checksum " + std::to_string(got_chk[rr]) +
+                      " != expected " + std::to_string(want_chk[rr]));
       }
     }
-    if (got_chk[rr] != want_chk[rr]) {
-      res.violations.push_back("vis oracle: rank " + std::to_string(r) +
-                               " gather checksum " +
-                               std::to_string(got_chk[rr]) + " != expected " +
-                               std::to_string(want_chk[rr]));
-    }
-  }
-  check_vis_conservation(rt, expect, res.violations);
-  check_byte_conservation(rt, res.violations);
-  check_network_counters(rt, res.violations);
-  check_virtual_time(engine, res.violations);
-  finish(res, tracer, engine, plan);
-  return res;
+    check_vis_conservation(rt, expect, out);
+  });
 }
 
-CaseResult run_kv(const CaseSpec& spec, const PlanParams& plan_params) {
-  CaseResult res;
-  trace::Tracer tracer(std::size_t{1} << 18);
-  sim::Engine engine;
-  gas::Runtime rt(engine, base_config(spec, &tracer));
-  FaultPlan plan(plan_params);
-  plan.install(rt);
+// KV workload: seeded put/get/update/erase sequences over mixed amo, rpc and
+// auto paths, then cross-rank cached reads, against a host-side mirror.
+void run_kv(Case& c) {
+  gas::Runtime& rt = c.rt;
   async::RpcDomain rpc(rt);
 
   // Small shards force probe collisions and tombstone reuse; 64 keys over
@@ -895,7 +792,7 @@ CaseResult run_kv(const CaseSpec& spec, const PlanParams& plan_params) {
   // (key % ranks == rank), so per-rank sequential execution makes the
   // mirror exact whatever the cross-rank interleaving — the one insert
   // race the slot protocol leaves to callers never happens.
-  util::SplitMix64 sm(spec.seed ^ 0x6B765EEDULL);
+  util::SplitMix64 sm(c.spec.seed ^ 0x6B765EEDULL);
   struct KvPlanned {
     kv::KvOp op = kv::KvOp::get;
     kv::KvPath path = kv::KvPath::automatic;
@@ -908,8 +805,7 @@ CaseResult run_kv(const CaseSpec& spec, const PlanParams& plan_params) {
                                       kv::KvPath::rpc};
   std::unordered_map<std::uint64_t, std::uint64_t> mirror;
   KvExpectation expect;
-  std::vector<std::vector<KvPlanned>> phase_a(
-      static_cast<std::size_t>(kFuzzThreads));
+  auto phase_a = per_rank<std::vector<KvPlanned>>();
   for (int r = 0; r < kFuzzThreads; ++r) {
     const int nops = 16 + static_cast<int>(sm.next() % 17);  // 16..32
     auto& seq = phase_a[static_cast<std::size_t>(r)];
@@ -954,8 +850,7 @@ CaseResult run_kv(const CaseSpec& spec, const PlanParams& plan_params) {
 
   // Phase B: cross-rank reads of the (now stable) final state, served
   // through a read-cache epoch — any key, any rank, mixed paths.
-  std::vector<std::vector<KvPlanned>> phase_b(
-      static_cast<std::size_t>(kFuzzThreads));
+  auto phase_b = per_rank<std::vector<KvPlanned>>();
   for (int r = 0; r < kFuzzThreads; ++r) {
     auto& seq = phase_b[static_cast<std::size_t>(r)];
     for (int i = 0; i < 8; ++i) {
@@ -976,10 +871,8 @@ CaseResult run_kv(const CaseSpec& spec, const PlanParams& plan_params) {
     std::uint64_t value = 0;
     bool found = false;
   };
-  std::vector<std::vector<KvObserved>> got_a(
-      static_cast<std::size_t>(kFuzzThreads));
-  std::vector<std::vector<KvObserved>> got_b(
-      static_cast<std::size_t>(kFuzzThreads));
+  auto got_a = per_rank<std::vector<KvObserved>>();
+  auto got_b = per_rank<std::vector<KvObserved>>();
 
   rt.spmd([&](gas::Thread& t) -> sim::Task<void> {
     const auto r = static_cast<std::size_t>(t.rank());
@@ -1016,23 +909,14 @@ CaseResult run_kv(const CaseSpec& spec, const PlanParams& plan_params) {
     }
     co_await t.barrier();
   });
-  try {
-    rt.run_to_completion();
-  } catch (const std::exception& e) {
-    res.violations.push_back(std::string("kv: exception: ") + e.what());
-    finish(res, tracer, engine, plan);
-    return res;
-  }
 
-  const auto check_phase = [&res](const char* phase,
-                                  const std::vector<KvPlanned>& want,
-                                  const std::vector<KvObserved>& got, int r) {
+  const auto check_phase = [](Violations& out, const char* phase,
+                              const std::vector<KvPlanned>& want,
+                              const std::vector<KvObserved>& got, int r) {
     if (got.size() != want.size()) {
-      res.violations.push_back(std::string("kv oracle: rank ") +
-                               std::to_string(r) + " completed " +
-                               std::to_string(got.size()) + "/" +
-                               std::to_string(want.size()) + " " + phase +
-                               " ops");
+      out.push_back(std::string("kv oracle: rank ") + std::to_string(r) +
+                    " completed " + std::to_string(got.size()) + "/" +
+                    std::to_string(want.size()) + " " + phase + " ops");
       return;
     }
     for (std::size_t i = 0; i < want.size(); ++i) {
@@ -1041,7 +925,7 @@ CaseResult run_kv(const CaseSpec& spec, const PlanParams& plan_params) {
           w.want_found && (w.op == kv::KvOp::get || w.op == kv::KvOp::update);
       if (got[i].found != w.want_found ||
           (value_matters && got[i].value != w.want)) {
-        res.violations.push_back(
+        out.push_back(
             std::string("kv oracle: rank ") + std::to_string(r) + " " +
             phase + " op " + std::to_string(i) + " (" +
             kv::kv_op_name(w.op) + " key " + std::to_string(w.key) +
@@ -1053,18 +937,41 @@ CaseResult run_kv(const CaseSpec& spec, const PlanParams& plan_params) {
       }
     }
   };
-  for (int r = 0; r < kFuzzThreads; ++r) {
-    const auto rr = static_cast<std::size_t>(r);
-    check_phase("phase-a", phase_a[rr], got_a[rr], r);
-    check_phase("phase-b", phase_b[rr], got_b[rr], r);
-  }
+  c.run([&](Violations& out) {
+    for (int r = 0; r < kFuzzThreads; ++r) {
+      const auto rr = static_cast<std::size_t>(r);
+      check_phase(out, "phase-a", phase_a[rr], got_a[rr], r);
+      check_phase(out, "phase-b", phase_b[rr], got_b[rr], r);
+    }
+    check_kv_conservation(store, mirror, expect, out);
+  });
+}
 
-  check_kv_conservation(store, mirror, expect, res.violations);
-  check_byte_conservation(rt, res.violations);
-  check_network_counters(rt, res.violations);
-  check_virtual_time(engine, res.violations);
-  finish(res, tracer, engine, plan);
-  return res;
+struct Workload {
+  const char* name;
+  std::uint64_t weight;  // share of derive_case's draws
+  void (*body)(Case&);
+};
+
+// Every fuzz workload, kept small so hundreds of cases fit a smoke budget.
+// uts is weighted 2x: it exercises the most seams (steal, net, engine).
+constexpr Workload kWorkloads[] = {
+    {"uts", 2, run_uts},         {"ft", 1, run_ft},
+    {"barrier", 1, run_barrier}, {"gather", 1, run_gather},
+    {"async", 1, run_async},     {"teams", 1, run_teams},
+    {"vis", 1, run_vis},         {"kv", 1, run_kv},
+};
+
+const Workload& workload_named(const std::string& name) {
+  for (const Workload& w : kWorkloads) {
+    if (name == w.name) return w;
+  }
+  std::string known;
+  for (const Workload& w : kWorkloads) {
+    known += known.empty() ? w.name : std::string(", ") + w.name;
+  }
+  throw std::invalid_argument("fuzz: unknown workload '" + name +
+                              "' (known: " + known + ")");
 }
 
 }  // namespace
@@ -1084,11 +991,16 @@ CaseSpec derive_case(std::uint64_t case_seed,
   util::SplitMix64 sm(case_seed ^ 0xF0225EEDULL);
   CaseSpec spec;
   spec.seed = case_seed;
-  // uts is weighted 2x: it exercises the most seams (steal + net + engine).
-  static const char* const kWorkloads[] = {"uts",    "uts",   "ft",
-                                           "barrier", "gather", "async",
-                                           "teams",  "vis",    "kv"};
-  spec.workload = kWorkloads[sm.next() % 9];
+  std::uint64_t total = 0;
+  for (const Workload& w : kWorkloads) total += w.weight;
+  std::uint64_t pick = sm.next() % total;
+  for (const Workload& w : kWorkloads) {
+    if (pick < w.weight) {
+      spec.workload = w.name;
+      break;
+    }
+    pick -= w.weight;
+  }
   spec.backend = sm.next() % 2 == 0 ? "processes" : "pthreads";
   static const char* const kConduits[] = {"ib-qdr", "ib-ddr", "gige"};
   spec.conduit = kConduits[sm.next() % 3];
@@ -1100,14 +1012,10 @@ CaseSpec derive_case(std::uint64_t case_seed,
 }
 
 CaseResult run_case(const CaseSpec& spec, const PlanParams& plan) {
-  if (spec.workload == "ft") return run_ft(spec, plan);
-  if (spec.workload == "barrier") return run_barrier(spec, plan);
-  if (spec.workload == "gather") return run_gather(spec, plan);
-  if (spec.workload == "async") return run_async(spec, plan);
-  if (spec.workload == "teams") return run_teams(spec, plan);
-  if (spec.workload == "vis") return run_vis(spec, plan);
-  if (spec.workload == "kv") return run_kv(spec, plan);
-  return run_uts(spec, plan);
+  const Workload& w = workload_named(spec.workload);
+  Case c(spec, plan);
+  w.body(c);
+  return std::move(c.res);
 }
 
 CaseResult run_case(const CaseSpec& spec) {
@@ -1122,7 +1030,7 @@ PlanParams Fuzzer::shrink(const CaseSpec& spec, PlanParams failing) {
   // Pass 1: drop whole perturbation groups while the failure persists. The
   // per-seam RNG streams are independent, so removing one group never
   // shifts another group's decisions.
-  using Reduce = std::function<void(PlanParams&)>;
+  using Reduce = void (*)(PlanParams&);
   const Reduce group_off[] = {
       [](PlanParams& p) { p.event_jitter_p = 0.0; },
       [](PlanParams& p) { p.msg_delay_p = 0.0; },
@@ -1134,7 +1042,7 @@ PlanParams Fuzzer::shrink(const CaseSpec& spec, PlanParams failing) {
       [](PlanParams& p) { p.cache_invalidate_p = 0.0; },
       [](PlanParams& p) { p.completion_delay_p = 0.0; },
   };
-  for (const Reduce& off : group_off) {
+  for (Reduce off : group_off) {
     PlanParams candidate = failing;
     off(candidate);
     if (still_fails(candidate)) failing = candidate;
@@ -1158,7 +1066,7 @@ PlanParams Fuzzer::shrink(const CaseSpec& spec, PlanParams failing) {
   };
   for (int round = 0; round < 3; ++round) {
     bool reduced = false;
-    for (const Reduce& h : halve) {
+    for (Reduce h : halve) {
       PlanParams candidate = failing;
       h(candidate);
       if (still_fails(candidate)) {

@@ -8,26 +8,10 @@
 // still fail) and reported with a one-line replay command — replaying the
 // printed seed reproduces the failure bit-identically.
 //
-// Workloads (kept small so hundreds of cases fit in a smoke budget):
-//   uts     — parallel UTS count on a tiny binomial tree vs. the sequential
-//             oracle (steal + byte conservation, counter cross-checks);
-//   ft      — NAS FT class S, 2 iterations (byte conservation, per-rank
-//             phase-timing coherence);
-//   barrier — a barrier storm with skewed arrivals (linearizability);
-//   gather  — read-cached gather vs. an uncached oracle (transparency);
-//   async   — overlapped launched copies + RPC ring (completion ordering,
-//             read-your-writes after future resolution);
-//   teams   — overlapping collective teams running seeded (op, algorithm)
-//             sequences vs. a host-side oracle (team agreement, per-(team,
-//             op) matching, gas.coll.* counter conservation);
-//   vis     — randomized strided/indexed gathers and scatters vs. a
-//             host-side mirror oracle (bit-identical data, packed-message /
-//             region / payload-byte conservation via
-//             check_vis_conservation);
-//   kv      — randomized kv-store op sequences (rank-partitioned writers,
-//             seeded amo/rpc/auto path per op, cross-rank cached reads) vs.
-//             a host-mirror oracle (every acked put readable, shard count
-//             conservation via check_kv_conservation).
+// The workloads and their draw weights are one table, `kWorkloads` in
+// fuzzer.cpp. Every case runs in the same frame (`Case` there): it owns the
+// tracer, engine, runtime and installed plan, runs the workload, then the
+// workload's own checks and the invariants every case shares.
 #pragma once
 
 #include <cstdint>
@@ -63,8 +47,7 @@ struct FuzzOptions {
 /// template, plan magnitudes, tree shape — is a pure function of `seed`.
 struct CaseSpec {
   std::uint64_t seed = 0;
-  std::string workload;  // "uts" | "ft" | "barrier" | "gather" | "async" |
-                         // "teams" | "vis" | "kv"
+  std::string workload;  // a name in fuzzer.cpp's workload table
   std::string backend;   // "processes" | "pthreads"
   std::string conduit;   // "ib-qdr" | "ib-ddr" | "gige"
   std::string plan;      // template name
@@ -89,7 +72,9 @@ struct CaseResult {
                                    bool plant_split_bug);
 
 /// Execute one case end-to-end under an explicit plan. Deterministic: the
-/// same (spec, plan) pair always produces an identical CaseResult.
+/// same (spec, plan) pair always produces an identical CaseResult. Throws
+/// std::invalid_argument, listing the known names, for an unknown workload,
+/// backend or conduit.
 [[nodiscard]] CaseResult run_case(const CaseSpec& spec,
                                   const PlanParams& plan);
 

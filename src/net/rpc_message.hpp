@@ -36,8 +36,13 @@ inline constexpr std::size_t kRpcHeaderBytes = 32;
 class RpcMessage {
  public:
   RpcMessage() = default;
-  RpcMessage(RpcKind kind, std::uint64_t id, int src_rank, int dst_rank)
-      : kind_(kind), id_(id), src_rank_(src_rank), dst_rank_(dst_rank) {}
+  /// `payload_bytes` is the payload's final size when known: it is reserved
+  /// once, so the put() calls that fill it never grow the buffer.
+  RpcMessage(RpcKind kind, std::uint64_t id, int src_rank, int dst_rank,
+             std::size_t payload_bytes = 0)
+      : kind_(kind), id_(id), src_rank_(src_rank), dst_rank_(dst_rank) {
+    payload_.reserve(payload_bytes);
+  }
 
   [[nodiscard]] RpcKind kind() const noexcept { return kind_; }
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }

@@ -3,6 +3,7 @@
 // This is the property the Fuzzer's shrink/replay workflow stands on.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "fault/fuzzer.hpp"
@@ -83,6 +84,42 @@ TEST(GoldenDeterminism, DerivedCasesAreAPureFunctionOfTheSeed) {
     EXPECT_EQ(a.conduit, b.conduit);
     EXPECT_EQ(a.plan, b.plan);
   }
+}
+
+// The error an invalid case throws; empty if it ran.
+std::string rejection_of(const fault::CaseSpec& spec) {
+  try {
+    (void)fault::run_case(spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FuzzCase, UnknownNamesAreRejectedNotRunAsDefaults) {
+  // A misspelt workload used to run UTS, and unknown backend and conduit
+  // names fell back to processes and ib-qdr.
+  const std::string workload = rejection_of(spec_of(1, "kvs", "none"));
+  EXPECT_NE(workload.find("unknown workload 'kvs'"), std::string::npos)
+      << workload;
+  for (const char* known :
+       {"uts", "ft", "barrier", "gather", "async", "teams", "vis", "kv"}) {
+    EXPECT_NE(workload.find(known), std::string::npos) << workload;
+  }
+
+  fault::CaseSpec backend = spec_of(1, "uts", "none");
+  backend.backend = "mpi";
+  EXPECT_NE(rejection_of(backend).find("unknown backend 'mpi' (known: "
+                                       "processes, pthreads)"),
+            std::string::npos);
+
+  fault::CaseSpec conduit = spec_of(1, "barrier", "none");
+  conduit.conduit = "myrinet";
+  EXPECT_NE(rejection_of(conduit).find("unknown conduit 'myrinet' (known: "
+                                       "ib-qdr, ib-ddr, gige)"),
+            std::string::npos);
+
+  EXPECT_EQ(rejection_of(spec_of(1, "kv", "none")), "");
 }
 
 }  // namespace
