@@ -21,7 +21,7 @@ constexpr std::size_t kSizes[] = {64, 512, 4096, 32768, 262144, 1048576};
 
 double run_alltoall(std::size_t bytes_per_pair, bool hierarchical) {
   sim::Engine engine;
-  gas::Runtime rt(engine, bench::make_config("lehman", kNodes, kThreads));
+  gas::Runtime rt(engine, gas::preset_config("lehman", kNodes, kThreads));
   mpl::Mpi mpi(rt);
   rt.spmd([&mpi, bytes_per_pair,
            hierarchical](gas::Thread& t) -> sim::Task<void> {

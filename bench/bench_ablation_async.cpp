@@ -75,9 +75,8 @@ HaloResult run_halo(perf::Context& ctx, bool async) {
   const int steps = ctx.smoke() ? 20 : 50;
 
   sim::Engine engine;
-  auto config = bench::make_config("pyramid", kNodes, kThreads,
-                                   gas::Backend::processes, "gige");
-  gas::Runtime rt(engine, config);
+  gas::Runtime rt(engine, gas::preset_config("pyramid", kNodes, kThreads,
+                                             gas::Backend::processes, "gige"));
 
   rt.spmd([&](gas::Thread& t) -> sim::Task<void> {
     co_await t.barrier();

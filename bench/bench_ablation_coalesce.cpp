@@ -29,9 +29,7 @@ void run_variant(perf::Context& ctx, stream::GupsVariant variant,
                  const comm::Params& coalesce) {
   const std::uint64_t updates = ctx.smoke() ? 1500 : 6000;
   sim::Engine engine;
-  auto config = bench::make_config("lehman", kNodes, kThreads,
-                                   gas::Backend::processes, "ib-qdr");
-  gas::Runtime rt(engine, config);
+  gas::Runtime rt(engine, gas::preset_config("lehman", kNodes, kThreads));
   stream::RandomAccess ra(rt, kLog2Table);
   const auto r = ra.run(variant, updates, /*passes=*/1, coalesce);
 

@@ -14,9 +14,9 @@
 // >= 2x on the smoke tier's 256 ranks (32 nodes x 8); the full tier scales
 // to 1024 ranks (128 nodes).
 //
-// Flags: the perf harness set, plus --coll-algo=auto|flat|hier to override
-// the algorithm the tuned variant runs (unknown or unsupported values exit
-// 2 — a typo must not silently measure the wrong schedule).
+// Flags: the perf harness set, plus --coll-algo=flat|hier to override the
+// algorithm the tuned variant runs (unknown or unsupported values exit 2 —
+// a typo must not silently measure the wrong schedule).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -55,9 +55,8 @@ ExchangeResult run_exchange(perf::Context& ctx, gas::CollAlgo algo) {
   res.nodes = res.threads / kRanksPerNode;
 
   sim::Engine engine;
-  auto config = bench::make_config("pyramid", res.nodes, res.threads,
-                                   gas::Backend::processes, "gige");
-  gas::Runtime rt(engine, config);
+  gas::Runtime rt(engine, gas::preset_config("pyramid", res.nodes, res.threads,
+                                             gas::Backend::processes, "gige"));
   gas::Collectives coll(rt);
   const int n = res.threads;
   const std::size_t full = static_cast<std::size_t>(n) * kCount;
@@ -166,19 +165,12 @@ int report(std::ostream& os, const std::vector<perf::Result>& results) {
 int main(int argc, char** argv) {
   return bench::run_main(
       "bench_ablation_collectives", argc, argv,
-      {{"--coll-algo",
-        [](const std::string& v) {
-          const auto algo = gas::parse_coll_algo(v);
-          if (!algo ||
-              !gas::coll_algo_supported(gas::CollOp::alltoall, *algo)) {
-            throw std::invalid_argument("error: unknown --coll-algo value '" +
-                                        v + "' (expected auto|flat|hier)");
-          }
-          g_tuned_algo = *algo;
-        }}},
       "Ablation — flat vs hierarchical all-to-all at 256-1024 ranks",
       "node-local gather + one aggregated message per leader pair + local "
       "scatter turns n^2 wire messages into G^2 (thesis ch. 4 supernode "
       "discipline applied to the collective layer)",
-      report);
+      report, [](const util::Cli& cli) {
+        g_tuned_algo = *gas::parse_coll_algo(
+            cli.choice("coll-algo", "hier", {"flat", "hier"}));
+      });
 }

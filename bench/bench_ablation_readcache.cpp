@@ -12,7 +12,7 @@
 // evictions/invalidations). The cache-off id runs the IDENTICAL loop with
 // no epoch open and must stay bit-identical to a build without the cache.
 //
-// Debug knobs (consumed before the perf::Runner sees argv):
+// Debug knobs (read with the perf::Runner flags):
 //   --read-cache=on|off      off forces every cached id to run uncached
 //   --cache-lines=N          override the line count of every cached id
 //   --cache-line-bytes=B     override the line size of every cached id
@@ -55,9 +55,7 @@ void run_variant(perf::Context& ctx, bool cached, std::size_t line_bytes,
   }
 
   sim::Engine engine;
-  auto config = bench::make_config("lehman", kNodes, kThreads,
-                                   gas::Backend::processes, "ib-qdr");
-  gas::Runtime rt(engine, config);
+  gas::Runtime rt(engine, gas::preset_config("lehman", kNodes, kThreads));
   stream::RandomAccess ra(rt, kLog2Table);
   const auto r = ra.run_gather(params);
 
@@ -136,11 +134,20 @@ int report(std::ostream& os, const std::vector<perf::Result>& results) {
   return best / off_mreads >= 5.0 ? 0 : 1;
 }
 
-/// --cache-lines / --cache-line-bytes: a positive count.
-std::size_t parse_size(const char* flag, const std::string& v) {
-  const long long n = std::stoll(v);
-  if (n <= 0) throw std::invalid_argument(std::string(flag) + ": expected > 0");
+/// A --cache-lines / --cache-line-bytes override: a positive count, or 0
+/// (keep the per-id geometry) when the flag is absent.
+std::size_t size_override(const util::Cli& cli, const char* name) {
+  const std::int64_t n = cli.get_int(name, 0);
+  if (cli.has(name) && n <= 0) {
+    throw std::invalid_argument(std::string("--") + name + ": expected > 0");
+  }
   return static_cast<std::size_t>(n);
+}
+
+void read_flags(const util::Cli& cli) {
+  g_overrides.enabled = cli.choice("read-cache", "on", {"on", "off"}) == "on";
+  g_overrides.lines = size_override(cli, "cache-lines");
+  g_overrides.line_bytes = size_override(cli, "cache-line-bytes");
 }
 
 }  // namespace
@@ -148,24 +155,8 @@ std::size_t parse_size(const char* flag, const std::string& v) {
 int main(int argc, char** argv) {
   return bench::run_main(
       "bench_ablation_readcache", argc, argv,
-      {{"--read-cache",
-        [](const std::string& v) {
-          if (v != "on" && v != "off") {
-            throw std::invalid_argument("--read-cache: expected on|off, got '" +
-                                        v + "'");
-          }
-          g_overrides.enabled = v == "on";
-        }},
-       {"--cache-lines",
-        [](const std::string& v) {
-          g_overrides.lines = parse_size("--cache-lines", v);
-        }},
-       {"--cache-line-bytes",
-        [](const std::string& v) {
-          g_overrides.line_bytes = parse_size("--cache-line-bytes", v);
-        }}},
       "Ablation — software read cache on the gather (burst-read) workload",
       "caching remote get lines amortizes fine-grained read latency the "
       "same way privatization does for local data (thesis §4.3)",
-      report);
+      report, read_flags);
 }

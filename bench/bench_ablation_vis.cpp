@@ -17,11 +17,10 @@
 // checksum config is the witness); only the modeled message schedule
 // changes. The gate: vis must beat loop by >= 3x modeled exchange rate.
 //
-// Debug knob (consumed before the perf::Runner sees argv):
+// Debug knob (read with the perf::Runner flags):
 //   --vis=on|off    off forces the vis cells to run the loop exchange
 //                   (transparency probe; the gate is skipped)
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -52,9 +51,7 @@ void run_variant(perf::Context& ctx, Variant variant) {
   const std::size_t plane = kNx * kNy;
 
   sim::Engine engine;
-  auto config = bench::make_config("lehman", kNodes, kThreads,
-                                   gas::Backend::processes, "ib-qdr");
-  gas::Runtime rt(engine, config);
+  gas::Runtime rt(engine, gas::preset_config("lehman", kNodes, kThreads));
 
   // in_[r]: rank r's z-plane [x][y]; out_[r]: its x-slab [x_local][z][y].
   std::vector<gas::GlobalPtr<fft::Complex>> in, out;
@@ -180,17 +177,11 @@ int report(std::ostream& os, const std::vector<perf::Result>& results) {
 int main(int argc, char** argv) {
   return bench::run_main(
       "bench_ablation_vis", argc, argv,
-      {{"--vis",
-        [](const std::string& v) {
-          if (v != "on" && v != "off") {
-            throw std::invalid_argument("unknown --vis value '" + v +
-                                        "' (expected on|off)");
-          }
-          g_vis_enabled = v == "on";
-        }}},
       "Ablation — VIS strided descriptors on the FT transpose exchange",
       "packing a strided footprint into one message amortizes per-message "
       "injection overhead the coalescer pays per fine-grained op (GASNet "
       "VIS; thesis §4.3.1)",
-      report);
+      report, [](const util::Cli& cli) {
+        g_vis_enabled = cli.choice("vis", "on", {"on", "off"}) == "on";
+      });
 }

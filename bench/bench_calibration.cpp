@@ -35,7 +35,7 @@ double qdr_flows_gbs(int flows) {
 
 PERF_BENCHMARK("calibration.stream_triad") {
   sim::Engine e;
-  gas::Runtime rt(e, bench::make_config("lehman", 1, 8));
+  gas::Runtime rt(e, gas::preset_config("lehman", 1, 8));
   ctx.report("value",
              stream::hybrid_triad(rt, 4 << 20, 0, core::SubModel::openmp)
                  .gbytes_per_s,
@@ -68,7 +68,7 @@ PERF_BENCHMARK("calibration.translation_slowdown") {
   // privatized baseline the translation overhead is compared against.
   auto run = [](bool privatized) {
     sim::Engine e;
-    gas::Runtime rt(e, bench::make_config("lehman", 1, 8));
+    gas::Runtime rt(e, gas::preset_config("lehman", 1, 8));
     rt.spmd([privatized](gas::Thread& t) -> sim::Task<void> {
       co_await t.shared_loop(t.rank() ^ 1, 1 << 20, 24.0, privatized);
     });

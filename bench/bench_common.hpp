@@ -1,23 +1,20 @@
-// Shared plumbing for the paper-reproduction bench binaries: machine/config
-// construction, result lookup for the paper-table formatters, and the
-// main() that prints each binary's banner, runs its cells and formats them.
+// Shared plumbing for the paper-reproduction bench binaries: result lookup
+// for the paper-table formatters, and the main() that reads each binary's
+// flags through util::Cli, prints its banner, runs its cells and formats
+// them. Cells build their gas::Config with gas::preset_config.
 #pragma once
 
-#include <algorithm>
 #include <functional>
-#include <iostream>
 #include <ostream>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "gas/gas.hpp"
-#include "net/conduit.hpp"
 #include "perf/benchmark.hpp"
 #include "perf/runner.hpp"
 #include "sim/sim.hpp"
-#include "topo/machine.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace hupc::bench {
@@ -56,90 +53,23 @@ inline void banner(std::ostream& os, const char* experiment,
 using Report =
     std::function<int(std::ostream&, const std::vector<perf::Result>&)>;
 
-/// The main() of a paper or ablation binary: parse the perf::Runner flags,
-/// print the banner, run the selected cells once per repetition, then hand
-/// the results to `report`.
+/// The main() of a paper or ablation binary: read the binary's own flags
+/// with `own_flags` (if any), then the perf::Runner flags, from one
+/// util::Cli — the runner rejects whatever neither read — print the banner,
+/// run the selected cells once per repetition, then hand the results to
+/// `report`. A malformed flag value exits 2.
 inline int run_main(const char* suite, int argc, const char* const* argv,
                     const char* experiment, const char* paper_result,
-                    const Report& report) {
-  const perf::Runner runner(suite, argc, argv);
-  banner(runner.human_out(), experiment, paper_result);
-  return runner.main([&](const std::vector<perf::Result>& results) {
-    return report(runner.human_out(), results);
+                    const Report& report,
+                    void (*own_flags)(const util::Cli&) = nullptr) {
+  return util::cli_main(suite, argc, argv, [&](const util::Cli& cli) {
+    if (own_flags != nullptr) own_flags(cli);
+    const perf::Runner runner(suite, cli);
+    banner(runner.human_out(), experiment, paper_result);
+    return runner.main([&](const std::vector<perf::Result>& results) {
+      return report(runner.human_out(), results);
+    });
   });
-}
-
-/// A flag of the binary's own: its name ("--vis") and the setter that
-/// takes its value and throws std::invalid_argument on a bad one.
-struct Flag {
-  const char* name;
-  std::function<void(const std::string&)> set;
-};
-
-/// run_main for a binary with flags of its own: consume `--flag=value` or
-/// `--flag value` for each of `flags` before perf::Runner, which rejects
-/// anything it does not know, parses the rest. A bad value exits 2.
-inline int run_main(const char* suite, int argc, char** argv,
-                    const std::vector<Flag>& flags, const char* experiment,
-                    const char* paper_result, const Report& report) {
-  std::vector<const char*> rest;
-  try {
-    for (int i = 0; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto eq = arg.find('=');
-      const std::string name = arg.substr(0, eq);
-      const auto flag = std::ranges::find(flags, name, &Flag::name);
-      if (flag == flags.end()) {
-        rest.push_back(argv[i]);
-      } else if (eq != std::string::npos) {
-        flag->set(arg.substr(eq + 1));
-      } else if (i + 1 < argc) {
-        flag->set(argv[++i]);
-      } else {
-        throw std::invalid_argument(name + ": missing value");
-      }
-    }
-  } catch (const std::exception& e) {
-    std::cerr << suite << ": " << e.what() << '\n';
-    return 2;
-  }
-  return run_main(suite, static_cast<int>(rest.size()), rest.data(),
-                  experiment, paper_result, report);
-}
-
-/// Build a gas::Config for a named machine preset. `machine` must be
-/// "pyramid" or "lehman"; `conduit` must be "" (the machine's default
-/// network), "gige", "ib-qdr" or "ib-ddr". Anything else throws
-/// std::invalid_argument — a typo must not silently measure the wrong
-/// cluster.
-inline gas::Config make_config(const std::string& machine, int nodes,
-                               int threads,
-                               gas::Backend backend = gas::Backend::processes,
-                               const std::string& conduit = "") {
-  gas::Config cfg;
-  if (machine == "pyramid") {
-    cfg.machine = topo::pyramid(nodes);
-    cfg.conduit = net::ib_ddr();
-  } else if (machine == "lehman") {
-    cfg.machine = topo::lehman(nodes);
-    cfg.conduit = net::ib_qdr();
-  } else {
-    throw std::invalid_argument("unknown machine preset '" + machine +
-                                "' (expected pyramid|lehman)");
-  }
-  if (conduit == "gige") {
-    cfg.conduit = net::gige();
-  } else if (conduit == "ib-qdr") {
-    cfg.conduit = net::ib_qdr();
-  } else if (conduit == "ib-ddr") {
-    cfg.conduit = net::ib_ddr();
-  } else if (!conduit.empty()) {
-    throw std::invalid_argument("unknown conduit '" + conduit +
-                                "' (expected gige|ib-qdr|ib-ddr)");
-  }
-  cfg.threads = threads;
-  cfg.backend = backend;
-  return cfg;
 }
 
 /// The UPC-style pairwise all-to-all: one non-blocking `bytes` copy to

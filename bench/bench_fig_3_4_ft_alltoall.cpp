@@ -63,7 +63,7 @@ struct ExchangeTimes {
 
 ExchangeTimes run_exchange(const Variant& v, int threads, bool async) {
   sim::Engine engine;
-  auto cfg = bench::make_config("lehman", 4, threads, v.backend);
+  auto cfg = gas::preset_config("lehman", 4, threads, v.backend);
   cfg.pshm = v.pshm;
   if (v.cast) {
     // Hand optimization: castable destinations use plain memcpy — the

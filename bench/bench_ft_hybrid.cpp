@@ -67,7 +67,7 @@ std::string cell_id(const FtKey& k) {
 
 void run_cell(perf::Context& ctx, const FtKey& k) {
   sim::Engine engine;
-  auto config = bench::make_config(k.machine, k.nodes, k.upc,
+  auto config = gas::preset_config(k.machine, k.nodes, k.upc,
                                    k.exec == Exec::upc_pthreads
                                        ? gas::Backend::pthreads
                                        : gas::Backend::processes);

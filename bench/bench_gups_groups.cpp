@@ -27,9 +27,8 @@ void run_point(perf::Context& ctx, const std::string& conduit, int threads,
                int nodes, stream::GupsVariant variant) {
   const std::uint64_t updates = ctx.smoke() ? 2048 : 8192;
   sim::Engine engine;
-  auto config = bench::make_config("pyramid", nodes, threads,
-                                   gas::Backend::processes, conduit);
-  gas::Runtime rt(engine, config);
+  gas::Runtime rt(engine, gas::preset_config("pyramid", nodes, threads,
+                                             gas::Backend::processes, conduit));
   stream::RandomAccess ra(rt, kLog2Table);
   const auto r = ra.run(variant, updates);
 

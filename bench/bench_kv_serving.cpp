@@ -14,12 +14,11 @@
 // (local/read -> amo, remote write -> rpc) has to beat committing to
 // either path wholesale, read-heavy and write-heavy alike.
 //
-// Debug knob (consumed before the perf::Runner sees argv):
+// Debug knob (read with the perf::Runner flags):
 //   --kv-path=auto|amo|rpc   force every cell onto one path
 // Baseline-gated CI runs pass none of these.
 #include <algorithm>
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -52,9 +51,8 @@ void run_cell(perf::Context& ctx, const Cell& cell) {
   const char* conduit = cell.threads > 64 ? "ib-ddr" : "ib-qdr";
 
   sim::Engine engine;
-  auto config = bench::make_config(machine, nodes, cell.threads,
-                                   gas::Backend::processes, conduit);
-  gas::Runtime rt(engine, config);
+  gas::Runtime rt(engine, gas::preset_config(machine, nodes, cell.threads,
+                                             gas::Backend::processes, conduit));
   async::RpcDomain rpc(rt);
   kv::KvStore::Params store_params;
   store_params.capacity = 1024;
@@ -174,17 +172,11 @@ int report(std::ostream& os, const std::vector<perf::Result>& results) {
 int main(int argc, char** argv) {
   return bench::run_main(
       "bench_kv_serving", argc, argv,
-      {{"--kv-path",
-        [](const std::string& v) {
-          const auto parsed = kv::parse_kv_path(v);
-          if (!parsed) {
-            throw std::invalid_argument("unknown --kv-path value '" + v +
-                                        "' (expected auto|amo|rpc)");
-          }
-          g_path_override = *parsed;
-        }}},
       "KV serving — latency percentiles under open-loop load",
       "fine-grained AMO vs RPC-to-owner access paths over the "
       "hierarchical machine (thesis §4 communication trade-offs)",
-      report);
+      report, [](const util::Cli& cli) {
+        g_path_override = *kv::parse_kv_path(
+            cli.choice("kv-path", "auto", {"auto", "amo", "rpc"}));
+      });
 }

@@ -20,6 +20,7 @@
 #include "sim/sim.hpp"
 #include "uts/sha1.hpp"
 #include "uts/tree.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -239,6 +240,8 @@ PERF_BENCHMARK("micro.fft.fft2d_256", .warmup = 1) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const perf::Runner runner("bench_micro_engine", argc, argv);
-  return runner.main();
+  return util::cli_main("bench_micro_engine", argc, argv,
+                        [](const util::Cli& cli) {
+                          return perf::Runner("bench_micro_engine", cli).main();
+                        });
 }

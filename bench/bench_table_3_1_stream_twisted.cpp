@@ -19,7 +19,7 @@ using namespace hupc;  // NOLINT
 void run_twisted(perf::Context& ctx, stream::TriadVariant variant) {
   constexpr std::size_t kElements = 8 << 20;
   sim::Engine engine;
-  gas::Runtime rt(engine, bench::make_config("lehman", 1, 8));
+  gas::Runtime rt(engine, gas::preset_config("lehman", 1, 8));
   ctx.set_config("elements", std::to_string(kElements));
   ctx.report("gbytes_per_s",
              stream::twisted_triad(rt, kElements, variant).gbytes_per_s,

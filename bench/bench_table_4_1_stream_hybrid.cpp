@@ -21,7 +21,7 @@ using namespace hupc;  // NOLINT
 void run_hybrid(perf::Context& ctx, int upc_threads, int subs) {
   constexpr std::size_t kElements = 64 << 20;
   sim::Engine engine;
-  gas::Runtime rt(engine, bench::make_config("lehman", 1, upc_threads));
+  gas::Runtime rt(engine, gas::preset_config("lehman", 1, upc_threads));
   const std::size_t per_master =
       kElements / static_cast<std::size_t>(upc_threads);
   ctx.set_config("elements", std::to_string(kElements));

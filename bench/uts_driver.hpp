@@ -58,8 +58,8 @@ inline UtsRun run_uts(perf::Context& ctx, const uts::TreeParams& tree,
                       UtsVariant variant, int granularity,
                       double latency_s = 0.0) {
   sim::Engine engine;
-  auto config = make_config("pyramid", nodes, threads,
-                            gas::Backend::processes, conduit);
+  auto config = gas::preset_config("pyramid", nodes, threads,
+                                   gas::Backend::processes, conduit);
   if (latency_s > 0.0) config.conduit.latency_s = latency_s;
   gas::Runtime rt(engine, config);
   sched::StealParams params;

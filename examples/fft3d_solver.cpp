@@ -64,31 +64,18 @@ double spectral_poisson_error(std::vector<fft::Complex> f_hat, int n) {
   return max_err;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+int run(const util::Cli& cli) {
   const int threads = static_cast<int>(cli.get_int("threads", 4));
   const int nodes = static_cast<int>(cli.get_int("nodes", 2));
   const int n = static_cast<int>(cli.get_int("size", 32));
-  const std::string vis_opt = cli.get("vis", "off");
+  const std::string vis_opt = cli.choice("vis", "off", {"on", "off"});
   cli.reject_unread("fft3d_solver");
-  if (vis_opt != "on" && vis_opt != "off") {
-    std::fprintf(stderr,
-                 "fft3d_solver: error: unknown --vis value '%s' "
-                 "(expected on|off)\n",
-                 vis_opt.c_str());
-    return 2;
-  }
   const bool vis = vis_opt == "on";
 
   for (const auto variant :
        {fft::CommVariant::split_phase, fft::CommVariant::overlap}) {
     sim::Engine engine;
-    gas::Config config;
-    config.machine = topo::lehman(nodes);
-    config.threads = threads;
-    gas::Runtime rt(engine, config);
+    gas::Runtime rt(engine, gas::preset_config("lehman", nodes, threads));
 
     fft::FtParams grid{n, n, n, 1, "example"};
     fft::FtReal ft(rt, grid, variant, vis);
@@ -139,4 +126,10 @@ int main(int argc, char** argv) {
     if (err > 1e-10) return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main("fft3d_solver", argc, argv, run);
 }

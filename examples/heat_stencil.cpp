@@ -65,55 +65,22 @@ std::vector<double> serial_reference(std::size_t cells, int steps) {
   return u;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) try {
-  const util::Cli cli(argc, argv);
+int run(const util::Cli& cli) {
   const int threads = static_cast<int>(cli.get_int("threads", 8));
   const int nodes = static_cast<int>(cli.get_int("nodes", 2));
   const auto cells = static_cast<std::size_t>(cli.get_int("cells", 4096));
   const int steps = static_cast<int>(cli.get_int("steps", 200));
-  const std::string async_opt = cli.get("async", "off");
-  const std::string coll_algo_opt = cli.get("coll-algo", "auto");
-  const std::string team_split = cli.get("team-split", "none");
-  const std::string vis_opt = cli.get("vis", "off");
+  const bool run_async = cli.choice("async", "off", {"on", "off"}) == "on";
+  const gas::CollAlgo coll_algo = *gas::parse_coll_algo(cli.choice(
+      "coll-algo", "auto", {"auto", "flat", "hier", "ring", "dissem"}));
+  const std::string team_split =
+      cli.choice("team-split", "none", {"none", "node", "socket"});
+  const bool vis = cli.choice("vis", "off", {"on", "off"}) == "on";
   cli.reject_unread("heat_stencil");
-  if (vis_opt != "on" && vis_opt != "off") {
-    std::fprintf(stderr,
-                 "heat_stencil: error: unknown --vis value '%s' "
-                 "(expected on|off)\n",
-                 vis_opt.c_str());
-    return 2;
-  }
-  if (async_opt != "on" && async_opt != "off") {
-    std::fprintf(stderr,
-                 "heat_stencil: error: unknown --async value '%s' "
-                 "(expected on|off)\n",
-                 async_opt.c_str());
-    return 2;
-  }
-  const auto coll_algo = gas::parse_coll_algo(coll_algo_opt);
-  if (!coll_algo) {
-    std::fprintf(stderr,
-                 "heat_stencil: error: unknown --coll-algo value '%s' "
-                 "(expected auto|flat|hier|ring|dissem)\n",
-                 coll_algo_opt.c_str());
-    return 2;
-  }
-  if (team_split != "none" && team_split != "node" && team_split != "socket") {
-    std::fprintf(stderr,
-                 "heat_stencil: error: unknown --team-split value '%s' "
-                 "(expected none|node|socket)\n",
-                 team_split.c_str());
-    return 2;
-  }
-  const bool run_async = async_opt == "on";
   if (threads < 1 || cells % static_cast<std::size_t>(threads) != 0) {
-    std::fprintf(stderr,
-                 "heat_stencil: error: --cells %zu must divide by --threads "
-                 "%d\n",
-                 cells, threads);
-    return 2;
+    throw std::invalid_argument("--cells " + std::to_string(cells) +
+                                " must divide by --threads " +
+                                std::to_string(threads));
   }
   const std::size_t per = cells / static_cast<std::size_t>(threads);
 
@@ -121,10 +88,7 @@ int main(int argc, char** argv) try {
 
   for (const bool privatized : {false, true}) {
     sim::Engine engine;
-    gas::Config config;
-    config.machine = topo::lehman(nodes);
-    config.threads = threads;
-    gas::Runtime rt(engine, config);
+    gas::Runtime rt(engine, gas::preset_config("lehman", nodes, threads));
 
     // Two block-distributed buffers (ping-pong).
     auto u = rt.heap().all_alloc<double>(cells, per);
@@ -206,10 +170,7 @@ int main(int argc, char** argv) try {
     // interior while the puts are in flight, then settles the futures with
     // when_all before touching the boundary cells.
     sim::Engine engine;
-    gas::Config config;
-    config.machine = topo::lehman(nodes);
-    config.threads = threads;
-    gas::Runtime rt(engine, config);
+    gas::Runtime rt(engine, gas::preset_config("lehman", nodes, threads));
 
     auto u = rt.heap().all_alloc<double>(cells, per);
     auto v = rt.heap().all_alloc<double>(cells, per);
@@ -297,16 +258,13 @@ int main(int argc, char** argv) try {
   // collective matching). Both verified against host-side folds.
   {
     sim::Engine engine;
-    gas::Config config;
-    config.machine = topo::lehman(nodes);
-    config.threads = threads;
-    gas::Runtime rt(engine, config);
+    gas::Runtime rt(engine, gas::preset_config("lehman", nodes, threads));
     auto rod = rt.heap().all_alloc<double>(cells, per);
 
     std::vector<int> everyone(static_cast<std::size_t>(threads));
     std::iota(everyone.begin(), everyone.end(), 0);
     gas::CollectiveSelector sel;
-    sel.override_algo = *coll_algo;
+    sel.override_algo = coll_algo;
     core::Team world(rt, std::move(everyone), sel);
     std::vector<core::Team> subteams;
     if (team_split == "node") subteams = world.split_by_node();
@@ -357,7 +315,7 @@ int main(int argc, char** argv) try {
     std::printf("%-12s %zu cells, %d threads: energy err %.2e "
                 "(coll-algo %s, team-split %s, %zu subteams)\n",
                 "team-reduce", cells, threads, max_err,
-                gas::coll_algo_name(*coll_algo), team_split.c_str(),
+                gas::coll_algo_name(coll_algo), team_split.c_str(),
                 subteams.size());
     if (max_err > 1e-9) return 1;
   }
@@ -368,17 +326,14 @@ int main(int argc, char** argv) try {
   // element-loop variant pushes it with one put per row; the VIS variant
   // ships the same column as ONE packed strided message per neighbour.
   // Same arithmetic, same order — the final grids must be bit-identical.
-  if (vis_opt == "on") {
+  if (vis) {
     constexpr std::size_t kW2 = 8;       // columns per rank
     constexpr std::size_t kNy2 = 32;     // rows
     constexpr int kSteps2 = 10;
     constexpr double kAlpha2 = 0.125;
     auto run_2d = [&](bool use_vis) {
       sim::Engine engine;
-      gas::Config config;
-      config.machine = topo::lehman(nodes);
-      config.threads = threads;
-      gas::Runtime rt(engine, config);
+      gas::Runtime rt(engine, gas::preset_config("lehman", nodes, threads));
 
       std::vector<gas::GlobalPtr<double>> strip, lhalo, rhalo;
       for (int r = 0; r < threads; ++r) {
@@ -477,8 +432,10 @@ int main(int argc, char** argv) try {
     if (!identical) return 1;
   }
   return 0;
-} catch (const std::invalid_argument& e) {
-  // A config that fails validation (bad --threads/--nodes) is a usage error.
-  std::fprintf(stderr, "heat_stencil: error: %s\n", e.what());
-  return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main("heat_stencil", argc, argv, run);
 }

@@ -31,27 +31,24 @@
 //          is 1 if any case fails, 0 for a clean sweep.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "example_flags.hpp"
 #include "fault/fuzzer.hpp"
-#include "fault/plan.hpp"
 #include "fft/ft_model.hpp"
 #include "gas/gas.hpp"
 #include "linalg/summa.hpp"
-#include "net/conduit.hpp"
 #include "sched/work_stealing.hpp"
 #include "sim/sim.hpp"
 #include "stream/random_access.hpp"
 #include "stream/stream.hpp"
-#include "trace/trace.hpp"
 #include "util/cli.hpp"
 #include "uts/tree.hpp"
 
@@ -59,131 +56,57 @@ using namespace hupc;  // NOLINT
 
 namespace {
 
-std::unique_ptr<trace::Tracer> make_tracer(const util::Cli& cli) {
-  if (cli.get("trace", "").empty() && cli.get("trace-summary", "").empty()) {
-    return nullptr;
-  }
-  return std::make_unique<trace::Tracer>();
-}
-
-int export_trace(const util::Cli& cli, const trace::Tracer* tracer) {
-  if (!tracer) return 0;
-  if (const std::string file = cli.get("trace", ""); !file.empty()) {
-    std::ofstream os(file);
-    tracer->export_chrome(os);
-    if (!os) {
-      std::fprintf(stderr, "error: cannot write trace to %s\n", file.c_str());
-      return 1;
-    }
-    std::printf("-- trace: %llu events (%llu dropped) -> %s\n",
-                static_cast<unsigned long long>(tracer->recorded()),
-                static_cast<unsigned long long>(tracer->dropped()),
-                file.c_str());
-  }
-  if (const std::string file = cli.get("trace-summary", ""); !file.empty()) {
-    std::ofstream os(file);
-    tracer->export_summary(os);
-    if (!os) {
-      std::fprintf(stderr, "error: cannot write trace summary to %s\n",
-                   file.c_str());
-      return 1;
-    }
-  }
-  return 0;
-}
-
-gas::Config build_config(const util::Cli& cli,
-                         trace::Tracer* tracer = nullptr) {
-  gas::Config config;
-  config.tracer = tracer;
-  const std::string machine = cli.get("machine", "lehman");
-  const int nodes = static_cast<int>(cli.get_int("nodes", 4));
-  if (machine == "pyramid") {
-    config.machine = topo::pyramid(nodes);
-  } else if (machine == "lehman") {
-    config.machine = topo::lehman(nodes);
-  } else {
-    throw std::invalid_argument("unknown machine preset '" + machine +
-                                "' (expected pyramid|lehman)");
-  }
-  config.threads = static_cast<int>(cli.get_int("threads", 16));
-  const std::string backend = cli.get("backend", "processes");
-  if (backend == "pthreads") {
-    config.backend = gas::Backend::pthreads;
-  } else if (backend == "processes") {
-    config.backend = gas::Backend::processes;
-  } else {
-    throw std::invalid_argument("unknown backend '" + backend +
-                                "' (expected processes|pthreads)");
-  }
-  const std::string conduit = cli.get(
-      "conduit", machine == "pyramid" ? "ib-ddr" : "ib-qdr");
-  if (conduit == "gige") {
-    config.conduit = net::gige();
-  } else if (conduit == "ib-ddr") {
-    config.conduit = net::ib_ddr();
-  } else if (conduit == "ib-qdr") {
-    config.conduit = net::ib_qdr();
-  } else {
-    throw std::invalid_argument("unknown conduit '" + conduit +
-                                "' (expected gige|ib-qdr|ib-ddr)");
-  }
-  return config;
+gas::Config build_config(const util::Cli& cli) {
+  return gas::preset_config(
+      cli.get("machine", "lehman"), static_cast<int>(cli.get_int("nodes", 4)),
+      static_cast<int>(cli.get_int("threads", 16)),
+      gas::parse_backend(cli.get("backend", "processes")),
+      cli.get("conduit", ""));
 }
 
 /// `--variant` must name one of the workload's variants; a typo must not
 /// silently measure the default.
 std::string get_variant(const util::Cli& cli, const char* fallback,
-                        std::initializer_list<const char*> allowed) {
-  const std::string variant = cli.get("variant", fallback);
-  for (const char* a : allowed) {
-    if (variant == a) return variant;
+                        std::initializer_list<std::string_view> allowed) {
+  return util::one_of("variant", cli.get("variant", fallback), allowed);
+}
+
+/// One workload run: the engine, the tracer the trace flags ask for, the
+/// runtime `config` describes, and the fault plan the fault flags ask for,
+/// installed before the workload builds anything on the runtime.
+struct Run {
+  Run(const util::Cli& cli, gas::Config config)
+      : trace(cli),
+        rt(engine, traced(std::move(config), trace.tracer.get())),
+        plan(examples::install_fault_plan(examples::fault_plan_flags(cli),
+                                          rt)) {}
+
+  /// Prints the fault and run footers and writes the trace; returns the
+  /// exit status.
+  int finish() {
+    examples::fault_footer(plan.get());
+    std::printf("-- virtual time %.3f ms | %llu events | %llu network msgs, "
+                "%.1f MB\n",
+                sim::to_seconds(engine.now()) * 1e3,
+                static_cast<unsigned long long>(engine.events_executed()),
+                static_cast<unsigned long long>(rt.network().total_messages()),
+                rt.network().total_bytes() / 1e6);
+    return trace.write("hupc_bench", "-- trace");
   }
-  std::string expected;
-  for (const char* a : allowed) {
-    if (!expected.empty()) expected += '|';
-    expected += a;
+
+  static gas::Config traced(gas::Config config, trace::Tracer* tracer) {
+    config.tracer = tracer;
+    return config;
   }
-  throw std::invalid_argument("unknown variant '" + variant + "' (expected " +
-                              expected + ")");
-}
 
-/// `--fault-plan=NAME --fault-seed=S`: build + install a fault plan on `rt`.
-/// Must run before constructing layers that read hooks at construction time
-/// (WorkStealing, SubPool). Returns null when no plan was requested.
-std::unique_ptr<fault::FaultPlan> make_fault_plan(const util::Cli& cli,
-                                                  gas::Runtime& rt) {
-  const std::string name = cli.get("fault-plan", "");
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("fault-seed", 1));
-  if (name.empty()) return nullptr;
-  auto plan =
-      std::make_unique<fault::FaultPlan>(fault::plan_template(name, seed));
-  plan->install(rt);
-  std::printf("-- fault: %s\n", plan->params().describe().c_str());
-  return plan;
-}
-
-void fault_footer(const fault::FaultPlan* plan) {
-  if (plan == nullptr) return;
-  std::printf("-- fault: injected %llu perturbations\n",
-              static_cast<unsigned long long>(plan->stats().total()));
-}
-
-void footer(const sim::Engine& engine, const gas::Runtime& rt) {
-  std::printf("-- virtual time %.3f ms | %llu events | %llu network msgs, "
-              "%.1f MB\n",
-              sim::to_seconds(engine.now()) * 1e3,
-              static_cast<unsigned long long>(engine.events_executed()),
-              static_cast<unsigned long long>(
-                  const_cast<gas::Runtime&>(rt).network().total_messages()),
-              const_cast<gas::Runtime&>(rt).network().total_bytes() / 1e6);
-}
+  sim::Engine engine;
+  examples::TraceFlags trace;
+  gas::Runtime rt;
+  std::unique_ptr<fault::FaultPlan> plan;
+};
 
 int run_uts(const util::Cli& cli) {
-  sim::Engine engine;
-  auto tracer = make_tracer(cli);
-  gas::Runtime rt(engine, build_config(cli, tracer.get()));
-  const auto plan = make_fault_plan(cli, rt);
+  Run run(cli, build_config(cli));
   uts::TreeParams tree;
   tree.root_seed = static_cast<std::uint32_t>(cli.get_int("seed", 42));
   const std::string variant =
@@ -194,79 +117,53 @@ int run_uts(const util::Cli& cli) {
                                         : sched::VictimPolicy::local_first;
   params.rapid_diffusion = variant == "diffusion";
   sched::WorkStealing<uts::Node> ws(
-      rt, params, [&tree](const uts::Node& n, std::vector<uts::Node>& out) {
+      run.rt, params, [&tree](const uts::Node& n, std::vector<uts::Node>& out) {
         uts::expand(tree, n, out);
       });
   ws.seed_work(0, {uts::root_node(tree)});
-  rt.spmd([&ws](gas::Thread& t) -> sim::Task<void> { co_await ws.run(t); });
-  rt.run_to_completion();
+  run.rt.spmd(
+      [&ws](gas::Thread& t) -> sim::Task<void> { co_await ws.run(t); });
+  run.rt.run_to_completion();
   std::printf("uts[%s]: %llu nodes, %.1f Mnodes/s, local steals %.1f%%\n",
               variant.c_str(),
               static_cast<unsigned long long>(ws.total_processed()),
               static_cast<double>(ws.total_processed()) /
-                  sim::to_seconds(engine.now()) / 1e6,
+                  sim::to_seconds(run.engine.now()) / 1e6,
               ws.local_steal_ratio() * 100.0);
-  fault_footer(plan.get());
-  footer(engine, rt);
-  return export_trace(cli, tracer.get());
-}
-
-/// `--coll-algo=auto|flat|hier|ring|dissem`: pin the collective algorithm
-/// (fft: the all-to-all exchange schedule). Exits 2 on anything unknown —
-/// a typo must not silently benchmark the wrong algorithm.
-gas::CollAlgo coll_algo_flag(const util::Cli& cli, const char* program) {
-  const std::string v = cli.get("coll-algo", "auto");
-  const auto algo = gas::parse_coll_algo(v);
-  if (!algo) {
-    std::fprintf(stderr,
-                 "%s: error: unknown --coll-algo value '%s' "
-                 "(expected auto|flat|hier|ring|dissem)\n",
-                 program, v.c_str());
-    std::exit(2);
-  }
-  return *algo;
+  return run.finish();
 }
 
 int run_ft(const util::Cli& cli) {
-  sim::Engine engine;
-  auto tracer = make_tracer(cli);
-  gas::Runtime rt(engine, build_config(cli, tracer.get()));
-  const auto plan = make_fault_plan(cli, rt);
+  Run run(cli, build_config(cli));
   fft::FtConfig fc;
-  const std::string cls = cli.get("class", "A");
-  if (cls != "S" && cls != "A" && cls != "B") {
-    throw std::invalid_argument("unknown class '" + cls +
-                                "' (expected S|A|B)");
-  }
+  const std::string cls = util::one_of("class", cli.get("class", "A"),
+                                       {"S", "A", "B"});
   fc.grid = cls == "B"   ? fft::FtParams::class_b()
             : cls == "S" ? fft::FtParams::class_s()
                          : fft::FtParams::class_a();
-  fc.variant = get_variant(cli, "split", {"split", "overlap"}) == "overlap"
-                   ? fft::CommVariant::overlap
-                   : fft::CommVariant::split_phase;
+  const std::string variant = get_variant(cli, "split", {"split", "overlap"});
+  fc.variant = variant == "overlap" ? fft::CommVariant::overlap
+                                    : fft::CommVariant::split_phase;
   fc.subs = static_cast<int>(cli.get_int("subs", 0));
-  fc.coll_algo = coll_algo_flag(cli, "hupc_bench");
+  fc.coll_algo = *gas::parse_coll_algo(cli.choice(
+      "coll-algo", "auto", {"auto", "flat", "hier", "ring", "dissem"}));
   cli.reject_unread("hupc_bench");
-  fft::FtModel ft(rt, fc);
-  rt.spmd([&ft](gas::Thread& t) -> sim::Task<void> { co_await ft.run(t); });
-  rt.run_to_completion();
+  fft::FtModel ft(run.rt, fc);
+  run.rt.spmd(
+      [&ft](gas::Thread& t) -> sim::Task<void> { co_await ft.run(t); });
+  run.rt.run_to_completion();
   const auto m = ft.mean();
   std::printf("ft[class %s, %s, subs %d]: total %.3fs | evolve %.3f fft2d "
               "%.3f transpose %.3f comm %.3f fft1d %.3f\n",
-              fc.grid.name, cli.get("variant", "split").c_str(), fc.subs,
-              m.total, m.evolve, m.fft2d, m.transpose, m.comm, m.fft1d);
-  fault_footer(plan.get());
-  footer(engine, rt);
-  return export_trace(cli, tracer.get());
+              fc.grid.name, variant.c_str(), fc.subs, m.total, m.evolve,
+              m.fft2d, m.transpose, m.comm, m.fft1d);
+  return run.finish();
 }
 
 int run_stream(const util::Cli& cli) {
-  sim::Engine engine;
-  auto tracer = make_tracer(cli);
-  auto config = build_config(cli, tracer.get());
+  auto config = build_config(cli);
   config.machine = topo::lehman(1);  // single-node study
-  gas::Runtime rt(engine, config);
-  const auto plan = make_fault_plan(cli, rt);
+  Run run(cli, std::move(config));
   const std::string variant = get_variant(
       cli, "cast", {"baseline", "relocalize", "cast", "openmp"});
   stream::TriadVariant v = stream::TriadVariant::upc_cast;
@@ -276,42 +173,24 @@ int run_stream(const util::Cli& cli) {
   const auto elements =
       static_cast<std::size_t>(cli.get_int("elements", 4 << 20));
   cli.reject_unread("hupc_bench");
-  const auto r = stream::twisted_triad(rt, elements, v);
+  const auto r = stream::twisted_triad(run.rt, elements, v);
   std::printf("stream[twisted %s]: %.1f GB/s\n", variant.c_str(),
               r.gbytes_per_s);
-  fault_footer(plan.get());
-  footer(engine, rt);
-  return export_trace(cli, tracer.get());
-}
-
-/// `--read-cache=on|off` plus the geometry knobs `--cache-lines` and
-/// `--cache-line-bytes`. Strict on|off: a typo must not silently measure
-/// the uncached path.
-bool read_cache_flags(const util::Cli& cli, comm::CacheParams& params) {
-  const std::string rc = cli.get("read-cache", "off");
-  if (rc != "on" && rc != "off") {
-    throw std::invalid_argument("unknown --read-cache value '" + rc +
-                                "' (expected on|off)");
-  }
-  params.lines = static_cast<std::size_t>(cli.get_int("cache-lines", 256));
-  params.line_bytes =
-      static_cast<std::size_t>(cli.get_int("cache-line-bytes", 64));
-  return rc == "on";
+  return run.finish();
 }
 
 int run_gups(const util::Cli& cli) {
-  sim::Engine engine;
-  auto tracer = make_tracer(cli);
-  gas::Runtime rt(engine, build_config(cli, tracer.get()));
-  const auto plan = make_fault_plan(cli, rt);
-  stream::RandomAccess ra(rt, static_cast<int>(cli.get_int("log2-table", 16)));
+  Run run(cli, build_config(cli));
+  stream::RandomAccess ra(run.rt,
+                          static_cast<int>(cli.get_int("log2-table", 16)));
   const std::string variant =
       get_variant(cli, "grouped", {"naive", "grouped", "gather"});
   if (variant == "gather") {
     stream::GatherParams gp;
     gp.bursts = static_cast<std::uint64_t>(cli.get_int("bursts", 64));
     gp.burst_len = static_cast<std::uint64_t>(cli.get_int("burst-len", 64));
-    gp.cached = read_cache_flags(cli, gp.cache);
+    gp.cached = examples::read_cache_flag(cli, "off");
+    gp.cache = examples::cache_geometry(cli);
     cli.reject_unread("hupc_bench");
     const auto g = ra.run_gather(gp);
     std::printf("gups[gather, cache %s]: %.2f Mreads/s (%llu reads, %llu "
@@ -320,9 +199,7 @@ int run_gups(const util::Cli& cli) {
                 static_cast<unsigned long long>(g.reads),
                 static_cast<unsigned long long>(g.remote),
                 static_cast<unsigned long long>(g.checksum));
-    fault_footer(plan.get());
-    footer(engine, rt);
-    return export_trace(cli, tracer.get());
+    return run.finish();
   }
   const bool grouped = variant == "grouped";
   const auto updates =
@@ -337,36 +214,29 @@ int run_gups(const util::Cli& cli) {
               100.0 * static_cast<double>(r.local) /
                   static_cast<double>(r.updates),
               ra.verify() ? "" : "[table changed as expected after 1 pass]");
-  fault_footer(plan.get());
-  footer(engine, rt);
-  return export_trace(cli, tracer.get());
+  return run.finish();
 }
 
 int run_summa(const util::Cli& cli) {
-  sim::Engine engine;
-  auto tracer = make_tracer(cli);
-  auto config = build_config(cli, tracer.get());
+  auto config = build_config(cli);
   const int p = static_cast<int>(
       std::lround(std::sqrt(static_cast<double>(config.threads))));
   if (p * p != config.threads) {
     throw std::invalid_argument("summa: --threads must be a perfect square");
   }
-  gas::Runtime rt(engine, config);
-  const auto plan = make_fault_plan(cli, rt);
+  Run run(cli, std::move(config));
   const auto size = static_cast<std::size_t>(cli.get_int("size", 256));
   cli.reject_unread("hupc_bench");
-  linalg::Summa summa(rt, linalg::ProcessGrid{p, p}, size, size, size);
+  linalg::Summa summa(run.rt, linalg::ProcessGrid{p, p}, size, size, size);
   summa.fill(1);
-  rt.spmd([&summa](gas::Thread& t) -> sim::Task<void> {
+  run.rt.spmd([&summa](gas::Thread& t) -> sim::Task<void> {
     co_await summa.run(t);
   });
-  rt.run_to_completion();
+  run.rt.run_to_completion();
   const double flops = 2.0 * static_cast<double>(size) * size * size;
   std::printf("summa[%zu^3 on %dx%d]: %.2f GF/s effective\n", size, p, p,
-              flops / sim::to_seconds(engine.now()) / 1e9);
-  fault_footer(plan.get());
-  footer(engine, rt);
-  return export_trace(cli, tracer.get());
+              flops / sim::to_seconds(run.engine.now()) / 1e9);
+  return run.finish();
 }
 
 int run_fuzz(const util::Cli& cli) {
@@ -380,10 +250,7 @@ int run_fuzz(const util::Cli& cli) {
   return fuzzer.run(std::cout).ok() ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) try {
-  const util::Cli cli(argc, argv);
+int dispatch(const util::Cli& cli) {
   const std::string workload = cli.get("workload", "");
   if (workload == "uts") return run_uts(cli);
   if (workload == "ft") return run_ft(cli);
@@ -392,7 +259,8 @@ int main(int argc, char** argv) try {
   if (workload == "summa") return run_summa(cli);
   if (workload == "fuzz") return run_fuzz(cli);
   if (!workload.empty()) {
-    std::fprintf(stderr, "error: unknown --workload '%s'\n", workload.c_str());
+    std::fprintf(stderr, "hupc_bench: error: unknown --workload '%s'\n",
+                 workload.c_str());
   }
   std::fprintf(workload.empty() ? stdout : stderr,
                "usage: hupc_bench --workload uts|ft|stream|gups|summa|fuzz "
@@ -402,12 +270,10 @@ int main(int argc, char** argv) try {
                "                  [--fault-plan=NAME --fault-seed=S] | "
                "--workload fuzz [--budget N] [--fuzz-seed S]\n");
   return workload.empty() ? 0 : 2;
-} catch (const std::invalid_argument& e) {
-  // Bad input (an unknown name, or a config that fails validation) is a
-  // usage error: exit 2, as unknown flags do.
-  std::fprintf(stderr, "error: %s\n", e.what());
-  return 2;
-} catch (const std::exception& e) {
-  std::fprintf(stderr, "error: %s\n", e.what());
-  return 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main("hupc_bench", argc, argv, dispatch);
 }

@@ -19,8 +19,9 @@
 
 using namespace hupc;  // NOLINT
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+namespace {
+
+int run(const util::Cli& cli) {
   const int threads = static_cast<int>(cli.get_int("threads", 4));
   const int nodes = static_cast<int>(cli.get_int("nodes", 2));
   const int subs = static_cast<int>(cli.get_int("subs", 4));
@@ -29,10 +30,7 @@ int main(int argc, char** argv) {
   const std::size_t items_per_rank = 64;
 
   sim::Engine engine;
-  gas::Config config;
-  config.machine = topo::lehman(nodes);
-  config.threads = threads;
-  gas::Runtime rt(engine, config);
+  gas::Runtime rt(engine, gas::preset_config("lehman", nodes, threads));
 
   // Distributed dataset: each rank's slice holds "work sizes"; results
   // gather into rank 0's inbox, one slot per (round, rank).
@@ -88,4 +86,10 @@ int main(int argc, char** argv) {
   std::printf("done in %.3f ms virtual time (%d masters x %d subs)\n",
               sim::to_seconds(engine.now()) * 1e3, threads, subs);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main("hybrid_pipeline", argc, argv, run);
 }

@@ -18,30 +18,31 @@
 //               [--seed S] [--fault-plan=NAME] [--fault-seed=S]
 //               [--trace FILE] [--trace-summary FILE]
 #include <cstdio>
-#include <fstream>
-#include <memory>
+#include <stdexcept>
 #include <string>
 
-#include "fault/plan.hpp"
+#include "example_flags.hpp"
 #include "gas/gas.hpp"
 #include "kv/shard_map.hpp"
 #include "kv/store.hpp"
 #include "kv/workload.hpp"
 #include "sim/sim.hpp"
-#include "trace/trace.hpp"
 #include "util/cli.hpp"
 
 using namespace hupc;  // NOLINT
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+namespace {
+
+int serve(const util::Cli& cli) {
   const int threads = static_cast<int>(cli.get_int("threads", 16));
   const int nodes = static_cast<int>(cli.get_int("nodes", 4));
   const std::string machine = cli.get("machine", "lehman");
-  const std::string dist_opt = cli.get("dist", "zipfian");
+  const kv::KeyDist dist = *kv::parse_key_dist(
+      cli.choice("dist", "zipfian", {"zipfian", "uniform"}));
   const double zipf_s = cli.get_double("zipf-s", 0.99);
   const double rw_mix = cli.get_double("rw-mix", 0.95);
-  const std::string path_opt = cli.get("kv-path", "auto");
+  const kv::KvPath path =
+      *kv::parse_kv_path(cli.choice("kv-path", "auto", {"auto", "amo", "rpc"}));
   const auto keys = static_cast<std::size_t>(cli.get_int("keys", 4096));
   const auto ops = static_cast<std::size_t>(cli.get_int("ops", 128));
   const int shards = static_cast<int>(cli.get_int("shards", 0));
@@ -50,72 +51,21 @@ int main(int argc, char** argv) {
   const double burst = cli.get_double("burst", 1.0);
   const auto burst_len = static_cast<std::size_t>(cli.get_int("burst-len", 16));
   const double slo_us = cli.get_double("slo-us", 50.0);
-  const std::string cache_opt = cli.get("read-cache", "on");
+  const bool read_cache = examples::read_cache_flag(cli, "on");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const std::string plan_name = cli.get("fault-plan", "");
-  const auto fault_seed =
-      static_cast<std::uint64_t>(cli.get_int("fault-seed", 1));
-  const std::string trace_file = cli.get("trace", "");
-  const std::string summary_file = cli.get("trace-summary", "");
+  const auto fault_plan = examples::fault_plan_flags(cli);
+  const examples::TraceFlags trace(cli);
   cli.reject_unread("kv_server");
-
-  if (machine != "lehman" && machine != "pyramid") {
-    std::fprintf(stderr,
-                 "kv_server: error: unknown machine preset '%s' "
-                 "(expected lehman|pyramid)\n",
-                 machine.c_str());
-    return 2;
-  }
-  const auto dist = kv::parse_key_dist(dist_opt);
-  if (!dist) {
-    std::fprintf(stderr,
-                 "kv_server: error: unknown --dist value '%s' "
-                 "(expected zipfian|uniform)\n",
-                 dist_opt.c_str());
-    return 2;
-  }
-  const auto path = kv::parse_kv_path(path_opt);
-  if (!path) {
-    std::fprintf(stderr,
-                 "kv_server: error: unknown --kv-path value '%s' "
-                 "(expected auto|amo|rpc)\n",
-                 path_opt.c_str());
-    return 2;
-  }
   if (!(rw_mix >= 0.0 && rw_mix <= 1.0)) {
-    std::fprintf(stderr,
-                 "kv_server: error: --rw-mix must be in [0,1] (got '%s')\n",
-                 cli.get("rw-mix", "0.95").c_str());
-    return 2;
-  }
-  if (cache_opt != "on" && cache_opt != "off") {
-    std::fprintf(stderr,
-                 "kv_server: error: unknown --read-cache value '%s' "
-                 "(expected on|off)\n",
-                 cache_opt.c_str());
-    return 2;
-  }
-
-  std::unique_ptr<trace::Tracer> tracer;
-  if (!trace_file.empty() || !summary_file.empty()) {
-    tracer = std::make_unique<trace::Tracer>();
+    throw std::invalid_argument("--rw-mix must be in [0,1] (got '" +
+                                cli.get("rw-mix", "0.95") + "')");
   }
 
   sim::Engine engine;
-  gas::Config config;
-  config.machine =
-      machine == "pyramid" ? topo::pyramid(nodes) : topo::lehman(nodes);
-  config.threads = threads;
-  config.tracer = tracer.get();
+  gas::Config config = gas::preset_config(machine, nodes, threads);
+  config.tracer = trace.tracer.get();
   gas::Runtime rt(engine, config);
-
-  std::unique_ptr<fault::FaultPlan> plan;
-  if (!plan_name.empty()) {
-    plan = std::make_unique<fault::FaultPlan>(
-        fault::plan_template(plan_name, fault_seed));
-    plan->install(rt);
-    std::printf("-- fault: %s\n", plan->params().describe().c_str());
-  }
+  const auto plan = examples::install_fault_plan(fault_plan, rt);
 
   async::RpcDomain rpc(rt);
   kv::KvStore::Params store_params;
@@ -125,15 +75,15 @@ int main(int argc, char** argv) {
   kv::ServingParams params;
   params.keys = keys;
   params.ops_per_rank = ops;
-  params.dist = *dist;
+  params.dist = dist;
   params.zipf_s = zipf_s;
   params.read_fraction = rw_mix;
-  params.path = *path;
+  params.path = path;
   params.arrival_rate_hz = arrival_hz;
   params.burst = burst;
   params.burst_len = burst_len;
   params.slo_s = slo_us * 1e-6;
-  params.read_cache = cache_opt == "on";
+  params.read_cache = read_cache;
   params.seed = seed;
 
   const kv::ServingResult res = kv::run_serving(rt, store, params);
@@ -142,8 +92,8 @@ int main(int argc, char** argv) {
   std::printf("kv_server: %d threads on %s(%d), %zu keys over %d shards, "
               "%s keys (s=%.2f), rw-mix %.2f, path %s, read-cache %s\n",
               threads, machine.c_str(), nodes, keys,
-              store.shard_map().shards(), kv::key_dist_name(*dist), zipf_s,
-              rw_mix, kv::kv_path_name(*path), cache_opt.c_str());
+              store.shard_map().shards(), kv::key_dist_name(dist), zipf_s,
+              rw_mix, kv::kv_path_name(path), read_cache ? "on" : "off");
   std::printf("  ops %llu (%llu reads, %llu writes) in %.3f ms virtual "
               "makespan\n",
               static_cast<unsigned long long>(res.ops),
@@ -167,32 +117,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.probes),
               static_cast<unsigned long long>(stats.retries),
               static_cast<unsigned long long>(store.live()));
-  if (plan) {
-    std::printf("-- fault: injected %llu perturbations\n",
-                static_cast<unsigned long long>(plan->stats().total()));
-  }
-
-  if (tracer) {
-    if (!trace_file.empty()) {
-      std::ofstream os(trace_file);
-      tracer->export_chrome(os);
-      if (!os) {
-        std::fprintf(stderr, "kv_server: error: cannot write trace to %s\n",
-                     trace_file.c_str());
-        return 1;
-      }
-    }
-    if (!summary_file.empty()) {
-      std::ofstream os(summary_file);
-      tracer->export_summary(os);
-      if (!os) {
-        std::fprintf(stderr,
-                     "kv_server: error: cannot write trace summary to %s\n",
-                     summary_file.c_str());
-        return 1;
-      }
-    }
-  }
+  examples::fault_footer(plan.get());
+  if (trace.write("kv_server", nullptr) != 0) return 1;
 
   // The preload puts every key exactly once and the measured phase never
   // erases: a live count that drifted from the key universe means the slot
@@ -203,4 +129,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main("kv_server", argc, argv, serve);
 }

@@ -18,26 +18,17 @@
 
 using namespace hupc;  // NOLINT
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+namespace {
+
+int run(const util::Cli& cli) {
   const int p = static_cast<int>(cli.get_int("grid", 2));
   const auto size = static_cast<std::size_t>(cli.get_int("size", 64));
   const int nodes = static_cast<int>(cli.get_int("nodes", 2));
-  const std::string vis_opt = cli.get("vis", "off");
+  const std::string vis_opt = cli.choice("vis", "off", {"on", "off"});
   cli.reject_unread("matmul_summa");
-  if (vis_opt != "on" && vis_opt != "off") {
-    std::fprintf(stderr,
-                 "matmul_summa: error: unknown --vis value '%s' "
-                 "(expected on|off)\n",
-                 vis_opt.c_str());
-    return 2;
-  }
 
   sim::Engine engine;
-  gas::Config config;
-  config.machine = topo::lehman(nodes);
-  config.threads = p * p;
-  gas::Runtime rt(engine, config);
+  gas::Runtime rt(engine, gas::preset_config("lehman", nodes, p * p));
 
   linalg::Summa summa(rt, linalg::ProcessGrid{p, p}, size, size, size,
                       vis_opt == "on");
@@ -71,4 +62,10 @@ int main(int argc, char** argv) {
               flops / secs / 1e9,
               static_cast<unsigned long long>(rt.network().total_messages()));
   return max_err < 1e-9 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main("matmul_summa", argc, argv, run);
 }

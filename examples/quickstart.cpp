@@ -14,8 +14,9 @@
 
 using namespace hupc;  // NOLINT
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+namespace {
+
+int run(const util::Cli& cli) {
   const int threads = static_cast<int>(cli.get_int("threads", 8));
   const int nodes = static_cast<int>(cli.get_int("nodes", 1));
   cli.reject_unread("quickstart");
@@ -81,4 +82,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(engine.events_executed()),
               sim::to_micros(engine.now()));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main("quickstart", argc, argv, run);
 }

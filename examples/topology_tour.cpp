@@ -33,30 +33,16 @@ void describe(const topo::MachineSpec& m) {
               m.smt_throughput);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+int run(const util::Cli& cli) {
   const std::string name = cli.get("machine", "lehman");
   const int nodes = static_cast<int>(cli.get_int("nodes", 2));
   const int threads = static_cast<int>(cli.get_int("threads", 8));
   cli.reject_unread("topology_tour");
 
-  if (name != "pyramid" && name != "lehman") {
-    std::fprintf(stderr,
-                 "topology_tour: error: unknown machine preset '%s' "
-                 "(expected pyramid|lehman)\n",
-                 name.c_str());
-    return 2;
-  }
-  const topo::MachineSpec machine =
-      name == "pyramid" ? topo::pyramid(nodes) : topo::lehman(nodes);
-  describe(machine);
+  const gas::Config config = gas::preset_config(name, nodes, threads);
+  describe(config.machine);
 
   sim::Engine engine;
-  gas::Config config;
-  config.machine = machine;
-  config.threads = threads;
   gas::Runtime rt(engine, config);
 
   std::printf("placement of %d UPC threads (cyclic-by-socket):\n", threads);
@@ -73,7 +59,7 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   std::printf("socket teams on node 0:\n");
-  for (int s = 0; s < machine.sockets_per_node; ++s) {
+  for (int s = 0; s < config.machine.sockets_per_node; ++s) {
     const auto team = core::Team::socket_team(rt, 0, s);
     std::printf("  socket %d:", s);
     for (int r : team.members()) std::printf(" %d", r);
@@ -99,4 +85,10 @@ int main(int argc, char** argv) {
   });
   rt.run_to_completion();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main("topology_tour", argc, argv, run);
 }

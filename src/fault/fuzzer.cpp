@@ -1,10 +1,10 @@
 #include "fault/fuzzer.hpp"
 
 #include <cassert>
+#include <exception>
 #include <memory>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -13,12 +13,11 @@
 #include "gas/collectives.hpp"
 #include "gas/runtime.hpp"
 #include "kv/store.hpp"
-#include "net/conduit.hpp"
 #include "sched/work_stealing.hpp"
 #include "sim/engine.hpp"
 #include "stream/random_access.hpp"
-#include "topo/machine.hpp"
 #include "trace/trace.hpp"
+#include "util/names.hpp"
 #include "util/rng.hpp"
 #include "uts/tree.hpp"
 
@@ -46,27 +45,9 @@ constexpr std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t v) {
 }
 
 gas::Config base_config(const CaseSpec& spec, trace::Tracer* tracer) {
-  gas::Config cfg;
-  cfg.machine = topo::lehman(kFuzzNodes);
-  cfg.threads = kFuzzThreads;
-  if (spec.backend == "processes") {
-    cfg.backend = gas::Backend::processes;
-  } else if (spec.backend == "pthreads") {
-    cfg.backend = gas::Backend::pthreads;
-  } else {
-    throw std::invalid_argument("fuzz: unknown backend '" + spec.backend +
-                                "' (known: processes, pthreads)");
-  }
-  if (spec.conduit == "ib-qdr") {
-    cfg.conduit = net::ib_qdr();
-  } else if (spec.conduit == "ib-ddr") {
-    cfg.conduit = net::ib_ddr();
-  } else if (spec.conduit == "gige") {
-    cfg.conduit = net::gige();
-  } else {
-    throw std::invalid_argument("fuzz: unknown conduit '" + spec.conduit +
-                                "' (known: ib-qdr, ib-ddr, gige)");
-  }
+  gas::Config cfg =
+      gas::preset_config("lehman", kFuzzNodes, kFuzzThreads,
+                         gas::parse_backend(spec.backend), spec.conduit);
   cfg.tracer = tracer;
   return cfg;
 }
@@ -82,25 +63,33 @@ struct Case {
     plan.install(rt);
   }
 
-  // Runs `step`. If it throws, records "<workload>: exception: <what>" and
-  // skips every check; otherwise runs the workload's `checks`, then the
-  // invariants every workload shares. Either way the result then records the
-  // virtual time, the injection count and the trace summary.
+  // Runs `step`. If it throws, records the exception and skips every check;
+  // otherwise runs the workload's `checks`, then the invariants every
+  // workload shares. Either way the result is then finished.
   template <class Step, class Checks>
   void run(Step step, Checks checks) {
-    bool clean = true;
     try {
       step();
     } catch (const std::exception& e) {
-      res.violations.push_back(spec.workload + ": exception: " + e.what());
-      clean = false;
+      fail(e);
+      return;
     }
-    if (clean) {
-      checks(res.violations);
-      check_byte_conservation(rt, res.violations);
-      check_network_counters(rt, res.violations);
-      check_virtual_time(engine, res.violations);
-    }
+    checks(res.violations);
+    check_byte_conservation(rt, res.violations);
+    check_network_counters(rt, res.violations);
+    check_virtual_time(engine, res.violations);
+    finish();
+  }
+
+  // A case that threw — while its body set up or while it ran — records
+  // "<workload>: exception: <what>" and is finished without checks.
+  void fail(const std::exception& e) {
+    res.violations.push_back(spec.workload + ": exception: " + e.what());
+    finish();
+  }
+
+  // Records the virtual time, the injection count and the trace summary.
+  void finish() {
     res.virtual_time = engine.now();
     res.injected = plan.stats().total();
     std::ostringstream summary;
@@ -962,18 +951,6 @@ constexpr Workload kWorkloads[] = {
     {"vis", 1, run_vis},         {"kv", 1, run_kv},
 };
 
-const Workload& workload_named(const std::string& name) {
-  for (const Workload& w : kWorkloads) {
-    if (name == w.name) return w;
-  }
-  std::string known;
-  for (const Workload& w : kWorkloads) {
-    known += known.empty() ? w.name : std::string(", ") + w.name;
-  }
-  throw std::invalid_argument("fuzz: unknown workload '" + name +
-                              "' (known: " + known + ")");
-}
-
 }  // namespace
 
 std::string CaseSpec::replay_command() const {
@@ -1012,9 +989,13 @@ CaseSpec derive_case(std::uint64_t case_seed,
 }
 
 CaseResult run_case(const CaseSpec& spec, const PlanParams& plan) {
-  const Workload& w = workload_named(spec.workload);
+  const Workload& w = util::lookup(kWorkloads, "workload", spec.workload);
   Case c(spec, plan);
-  w.body(c);
+  try {
+    w.body(c);
+  } catch (const std::exception& e) {
+    c.fail(e);
+  }
   return std::move(c.res);
 }
 

@@ -72,9 +72,11 @@ struct CaseResult {
                                    bool plant_split_bug);
 
 /// Execute one case end-to-end under an explicit plan. Deterministic: the
-/// same (spec, plan) pair always produces an identical CaseResult. Throws
-/// std::invalid_argument, listing the known names, for an unknown workload,
-/// backend or conduit.
+/// same (spec, plan) pair always produces an identical CaseResult. An
+/// exception the workload throws, while it sets up or while it runs (say an
+/// injected allocation failure), is recorded as the violation
+/// "<workload>: exception: <what>". Throws std::invalid_argument, listing
+/// the known names, for an unknown workload, backend or conduit.
 [[nodiscard]] CaseResult run_case(const CaseSpec& spec,
                                   const PlanParams& plan);
 

@@ -12,10 +12,7 @@ namespace hupc::fault {
 namespace {
 
 gas::Config sane_config(int threads, int nodes) {
-  gas::Config c;
-  c.machine = topo::lehman(nodes);
-  c.threads = threads;
-  return c;
+  return gas::preset_config("lehman", nodes, threads);
 }
 
 Scenario rejected(std::string name, gas::Config config, std::string needle) {

@@ -113,18 +113,18 @@ enum class CollAlgo : std::uint8_t {
 /// algorithm fall back to flat rather than failing mid-kernel.
 struct CollectiveSelector {
   CollAlgo override_algo = CollAlgo::automatic;
-  /// alltoall: aggregate through node leaders only while the per-pair
-  /// payload is injection/latency dominated (cf. mpl::Mpi's ~1 KiB
-  /// crossover; the gas-level path keeps a wider window because the flat
-  /// exchange serializes its puts per rank).
-  std::size_t hier_alltoall_max_bytes = std::size_t{64} * 1024;
-  /// allgather: dissemination below this per-member block size, ring above.
-  std::size_t dissem_allgather_max_bytes = 4096;
   /// Two-level trees need enough members to amortize the extra leader hop.
   int hier_min_members = 4;
 
   [[nodiscard]] CollAlgo choose(CollOp op, std::size_t bytes, int members,
                                 bool spans_nodes) const noexcept {
+    // alltoall: aggregate through node leaders only while the per-pair
+    // payload is injection/latency dominated (cf. mpl::Mpi's ~1 KiB
+    // crossover; the gas-level path keeps a wider window because the flat
+    // exchange serializes its puts per rank).
+    constexpr std::size_t kHierAlltoallMaxBytes = std::size_t{64} * 1024;
+    // allgather: dissemination below this per-member block size, ring above.
+    constexpr std::size_t kDissemAllgatherMaxBytes = 4096;
     if (override_algo != CollAlgo::automatic) {
       return coll_algo_supported(op, override_algo) ? override_algo
                                                     : CollAlgo::flat;
@@ -132,7 +132,7 @@ struct CollectiveSelector {
     switch (op) {
       case CollOp::alltoall:
         return spans_nodes && members >= hier_min_members &&
-                       bytes <= hier_alltoall_max_bytes
+                       bytes <= kHierAlltoallMaxBytes
                    ? CollAlgo::hier
                    : CollAlgo::flat;
       case CollOp::broadcast:
@@ -141,7 +141,7 @@ struct CollectiveSelector {
                                                           : CollAlgo::flat;
       case CollOp::allgather:
         if (members < 3) return CollAlgo::flat;
-        return bytes <= dissem_allgather_max_bytes ? CollAlgo::dissem
+        return bytes <= kDissemAllgatherMaxBytes ? CollAlgo::dissem
                                                    : CollAlgo::ring;
       case CollOp::gather:
         return CollAlgo::flat;

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/names.hpp"
+
 namespace hupc::gas {
 
 namespace {
@@ -74,6 +76,23 @@ std::vector<int> endpoints_from_placement(
 }
 
 }  // namespace
+
+Backend parse_backend(std::string_view name) {
+  static constexpr util::Named<Backend> kBackends[] = {
+      {"processes", Backend::processes}, {"pthreads", Backend::pthreads}};
+  return util::lookup(kBackends, "backend", name).value;
+}
+
+Config preset_config(std::string_view machine, int nodes, int threads,
+                     Backend backend, std::string_view conduit) {
+  topo::MachinePreset preset = topo::machine_preset(machine, nodes);
+  Config cfg;
+  cfg.machine = std::move(preset.spec);
+  cfg.conduit = net::conduit_preset(conduit.empty() ? preset.conduit : conduit);
+  cfg.threads = threads;
+  cfg.backend = backend;
+  return cfg;
+}
 
 Config validated(Config config) {
   const auto& m = config.machine;

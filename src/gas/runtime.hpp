@@ -41,6 +41,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -62,6 +63,10 @@
 namespace hupc::gas {
 
 enum class Backend { processes, pthreads };
+
+/// "processes" or "pthreads". Throws std::invalid_argument listing the known
+/// names.
+[[nodiscard]] Backend parse_backend(std::string_view name);
 
 /// Const-normalization for shared-source copy overloads: one template
 /// covers GlobalPtr<T> and GlobalPtr<const T> instead of the duplicate
@@ -124,6 +129,15 @@ struct Config {
 /// constants) instead of letting an assert fire deep inside the runtime.
 /// Returns the config unchanged on success.
 [[nodiscard]] Config validated(Config config);
+
+/// The config of a named machine preset (topo::machine_preset) on `nodes`
+/// nodes with `threads` ranks over the named `conduit`, or over the
+/// machine's own network when `conduit` is empty. An unknown name throws
+/// std::invalid_argument: a typo must not silently model another cluster.
+[[nodiscard]] Config preset_config(std::string_view machine, int nodes,
+                                   int threads,
+                                   Backend backend = Backend::processes,
+                                   std::string_view conduit = {});
 
 class Runtime;
 

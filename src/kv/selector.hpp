@@ -74,18 +74,16 @@ enum class KvPath : std::uint8_t {
 /// every operation to one path (the `--kv-path=` escape hatch).
 struct KvSelector {
   KvPath override_path = KvPath::automatic;
-  /// Same-supernode shards: the claim protocol runs at atomic-op cost with
-  /// no wire in the way, so everything stays on the AMO path.
-  bool local_amo = true;
-  /// Remote reads stay fine-grained so a read-cache epoch can serve the
-  /// Zipfian head at local cost; a remote get is one probe round trip
-  /// against the RPC's request + persona + reply.
-  bool reads_amo = true;
 
   [[nodiscard]] KvPath choose(KvOp op, bool same_supernode) const noexcept {
     if (override_path != KvPath::automatic) return override_path;
-    if (same_supernode && local_amo) return KvPath::amo;
-    if (op == KvOp::get && reads_amo) return KvPath::amo;
+    // Same-supernode shards: the claim protocol runs at atomic-op cost with
+    // no wire in the way, so everything stays on the AMO path.
+    if (same_supernode) return KvPath::amo;
+    // Remote reads stay fine-grained so a read-cache epoch can serve the
+    // Zipfian head at local cost; a remote get is one probe round trip
+    // against the RPC's request + persona + reply.
+    if (op == KvOp::get) return KvPath::amo;
     // Remote mutations: one RPC round trip beats the probe + claim +
     // publish sequence (3+ round trips) every time.
     return KvPath::rpc;

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 namespace hupc::net {
 
@@ -55,6 +56,10 @@ struct ConduitSpec {
 [[nodiscard]] inline ConduitSpec gige() {
   return ConduitSpec{"gige", 6.0e-6, 6.0e-6, 45.0e-6, 0.5e9, 0.117e9, 0.117e9};
 }
+
+/// "ib-qdr", "ib-ddr" or "gige". Throws std::invalid_argument listing the
+/// known names.
+[[nodiscard]] ConduitSpec conduit_preset(std::string_view name);
 
 /// Which endpoints own network connections.
 ///   per_process — every UPC rank has its own connection (process backend:

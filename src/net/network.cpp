@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "util/names.hpp"
+
 namespace hupc::net {
 
 namespace {
@@ -17,6 +19,12 @@ const trace::CounterId kLoopback = trace::intern("net.loopback");
 const trace::CounterId kFaultHold = trace::intern("fault.msg.hold");
 const trace::CounterId kFaultDegrade = trace::intern("fault.msg.degrade");
 }  // namespace
+
+ConduitSpec conduit_preset(std::string_view name) {
+  static constexpr util::Named<ConduitSpec (*)()> kPresets[] = {
+      {"ib-qdr", ib_qdr}, {"ib-ddr", ib_ddr}, {"gige", gige}};
+  return util::lookup(kPresets, "conduit", name).value();
+}
 
 Network::Network(sim::Engine& engine, const topo::MachineSpec& machine,
                  ConduitSpec conduit, ConnectionMode mode,

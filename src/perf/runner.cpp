@@ -1,7 +1,6 @@
 #include "perf/runner.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
@@ -58,9 +57,8 @@ Json result_json(const Result& r) {
 Runner::Runner(std::string suite, RunnerOptions options)
     : suite_(std::move(suite)), options_(std::move(options)) {}
 
-Runner::Runner(std::string suite, int argc, const char* const* argv)
+Runner::Runner(std::string suite, const util::Cli& cli)
     : suite_(std::move(suite)) {
-  const util::Cli cli(argc, argv);
   options_.list_only = cli.get_bool("list", false);
   options_.filter = cli.get("filter", "");
   options_.repetitions =
@@ -68,19 +66,11 @@ Runner::Runner(std::string suite, int argc, const char* const* argv)
   options_.warmup = static_cast<int>(cli.get_int("warmup", 0));
   options_.json_path = cli.get("json", "");
   options_.print_table = !cli.get_bool("no-table", false);
-  const std::string tier = cli.get("tier", "full");
+  options_.tier = parse_tier(cli.get("tier", "full"));
   cli.reject_unread(suite_.c_str());
-  try {
-    options_.tier = parse_tier(tier);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s: error: %s\n", suite_.c_str(), e.what());
-    std::exit(2);
-  }
   if (options_.repetitions < 1 || options_.warmup < 0) {
-    std::fprintf(stderr,
-                 "%s: error: --repetitions must be >= 1 and --warmup >= 0\n",
-                 suite_.c_str());
-    std::exit(2);
+    throw std::invalid_argument(
+        "--repetitions must be >= 1 and --warmup >= 0");
   }
 }
 

@@ -1,6 +1,7 @@
 // Drives registered benchmarks and writes the versioned JSON artifact.
 //
-// Flags (unknown flags are a hard error):
+// Flags, read from the binary's util::Cli after the binary has read its own
+// (unknown flags are a hard error):
 //   --list                 print benchmark ids (with tier/repetition info)
 //   --filter=a,b           run benchmarks whose id contains any substring
 //   --repetitions=N        sample count per benchmark (default 1: the
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "perf/benchmark.hpp"
+#include "util/cli.hpp"
 
 namespace hupc::perf {
 
@@ -42,8 +44,9 @@ class Runner {
  public:
   Runner(std::string suite, RunnerOptions options);
 
-  /// Parse `argv` into options; exits(2) on an unknown flag or a bad value.
-  Runner(std::string suite, int argc, const char* const* argv);
+  /// Read the flags above from `cli`, then reject every flag nobody has
+  /// read (exit 2). A malformed value throws std::invalid_argument.
+  Runner(std::string suite, const util::Cli& cli);
 
   [[nodiscard]] const RunnerOptions& options() const noexcept {
     return options_;

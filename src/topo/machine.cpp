@@ -1,5 +1,7 @@
 #include "topo/machine.hpp"
 
+#include "util/names.hpp"
+
 namespace hupc::topo {
 
 MachineSpec lehman(int nodes) {
@@ -35,6 +37,18 @@ MachineSpec pyramid(int nodes) {
   m.numa_penalty = 1.35;
   m.smt_throughput = 1.0;
   return m;
+}
+
+MachinePreset machine_preset(std::string_view name, int nodes) {
+  struct Entry {
+    std::string_view name;
+    MachineSpec (*build)(int);
+    const char* conduit;
+  };
+  static constexpr Entry kPresets[] = {{"lehman", lehman, "ib-qdr"},
+                                       {"pyramid", pyramid, "ib-ddr"}};
+  const Entry& e = util::lookup(kPresets, "machine preset", name);
+  return {e.build(nodes), e.conduit};
 }
 
 MachineSpec toy(int nodes) {

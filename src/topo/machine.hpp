@@ -11,6 +11,7 @@
 #include <cassert>
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 namespace hupc::topo {
 
@@ -91,6 +92,16 @@ enum class Level { hwthread = 0, core = 1, socket = 2, node = 3, machine = 4 };
 /// uses a subset of the cluster (e.g. NAS FT on 8 Lehman nodes).
 [[nodiscard]] MachineSpec lehman(int nodes = 12);
 [[nodiscard]] MachineSpec pyramid(int nodes = 128);
+
+/// A machine preset looked up by name, with the network it was measured on.
+struct MachinePreset {
+  MachineSpec spec;
+  const char* conduit;  // its default conduit: net::conduit_preset's name
+};
+
+/// "lehman" (QDR InfiniBand) or "pyramid" (DDR InfiniBand) on `nodes`
+/// nodes. Throws std::invalid_argument listing the known names.
+[[nodiscard]] MachinePreset machine_preset(std::string_view name, int nodes);
 
 /// A deliberately tiny machine for unit tests: 2 nodes x 1 socket x 2 cores.
 [[nodiscard]] MachineSpec toy(int nodes = 2);

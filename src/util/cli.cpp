@@ -1,11 +1,29 @@
 #include "util/cli.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
-#include <string_view>
+#include <system_error>
 
 namespace hupc::util {
+
+namespace {
+
+// The value of --name as a T: the whole of `value` must parse.
+template <class T>
+T parse(const std::string& name, const std::string& value,
+        const char* expected) {
+  T out{};
+  const char* const end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument("--" + name + ": expected " + expected +
+                                ", got '" + value + "'");
+  }
+  return out;
+}
+
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -25,36 +43,42 @@ Cli::Cli(int argc, const char* const* argv) {
   }
 }
 
-bool Cli::has(const std::string& name) const {
-  read_.insert(name);
-  return flags_.contains(name);
-}
-
-std::string Cli::get(const std::string& name, const std::string& fallback) const {
+const std::string* Cli::find(const std::string& name) const {
   read_.insert(name);
   const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : it->second;
+  return it == flags_.end() ? nullptr : &it->second;
+}
+
+bool Cli::has(const std::string& name) const { return find(name) != nullptr; }
+
+std::string Cli::get(const std::string& name, const std::string& fallback) const {
+  const std::string* v = find(name);
+  return v == nullptr ? fallback : *v;
 }
 
 std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const {
-  read_.insert(name);
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string* v = find(name);
+  return v == nullptr ? fallback : parse<std::int64_t>(name, *v, "an integer");
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
-  read_.insert(name);
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  const std::string* v = find(name);
+  return v == nullptr ? fallback : parse<double>(name, *v, "a number");
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {
-  read_.insert(name);
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* v = find(name);
+  if (v == nullptr) return fallback;
+  if (*v == "true" || *v == "1" || *v == "yes") return true;
+  if (*v == "false" || *v == "0" || *v == "no") return false;
+  throw std::invalid_argument("--" + name +
+                              ": expected true|1|yes or false|0|no, got '" +
+                              *v + "'");
+}
+
+std::string Cli::choice(const std::string& name, const std::string& fallback,
+                        std::initializer_list<std::string_view> allowed) const {
+  return one_of("--" + name + " value", get(name, fallback), allowed);
 }
 
 std::vector<std::string> Cli::unread_flags() const {
@@ -73,6 +97,18 @@ void Cli::reject_unread(const char* program) const {
                  name.c_str());
   }
   std::exit(2);
+}
+
+std::string one_of(std::string_view what, std::string value,
+                   std::initializer_list<std::string_view> allowed) {
+  std::string expected;
+  for (const std::string_view a : allowed) {
+    if (a == value) return value;
+    if (!expected.empty()) expected += '|';
+    expected += a;
+  }
+  throw std::invalid_argument("unknown " + std::string(what) + " '" + value +
+                              "' (expected " + expected + ")");
 }
 
 }  // namespace hupc::util

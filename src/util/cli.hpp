@@ -1,17 +1,27 @@
-// Minimal command-line flag parser for the benchmark/example binaries.
-// Supports `--name=value`, `--name value` and boolean `--flag` forms.
+// The command-line layer every binary parses its flags through. Supports
+// `--name=value`, `--name value` and boolean `--flag` forms.
 //
-// Every accessor (has/get/get_*) marks the flag it names as *read*. After a
-// binary has pulled all the flags it understands, calling reject_unread()
-// turns any leftover flag — a typo, or an option this binary does not take —
-// into a hard error instead of silently ignoring it.
+// Every accessor (has/get/get_*/choice) marks the flag it names as *read*.
+// After a binary has pulled all the flags it understands, calling
+// reject_unread() turns any leftover flag — a typo, or an option this binary
+// does not take — into a hard error instead of silently ignoring it.
+//
+// The typed accessors are strict: get_int and get_double take a value only
+// if it parses in full, get_bool only true|1|yes or false|0|no, and choice
+// only one of its allowed values. Anything else throws std::invalid_argument
+// naming the flag; cli_main turns that into "<program>: error: ..." and
+// exit status 2.
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <exception>
+#include <initializer_list>
 #include <map>
-#include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hupc::util {
@@ -27,6 +37,12 @@ class Cli {
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
+
+  /// The value of `--name`, which must be one of `allowed`; otherwise throws
+  /// "unknown --name value 'v' (expected a|b)".
+  [[nodiscard]] std::string choice(
+      const std::string& name, const std::string& fallback,
+      std::initializer_list<std::string_view> allowed) const;
 
   /// Positional (non-flag) arguments in order of appearance.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
@@ -44,9 +60,36 @@ class Cli {
   void reject_unread(const char* program) const;
 
  private:
+  /// Marks `name` read; its value, or null when the flag is absent.
+  [[nodiscard]] const std::string* find(const std::string& name) const;
+
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
   mutable std::set<std::string> read_;
 };
+
+/// `value` if it is one of `allowed`; otherwise throws std::invalid_argument
+/// "unknown <what> '<value>' (expected a|b)".
+std::string one_of(std::string_view what, std::string value,
+                   std::initializer_list<std::string_view> allowed);
+
+/// The body of a binary's main(): parses argv and returns `body(cli)`. A
+/// std::invalid_argument — a malformed or unknown flag value, or a config
+/// that fails validation — is a usage error and exits 2; any other
+/// std::exception is a failed run and exits 1. Both print one
+/// "<program>: error: <what>" line.
+template <class Body>
+int cli_main(const char* program, int argc, const char* const* argv,
+             Body&& body) {
+  try {
+    return body(Cli(argc, argv));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: error: %s\n", program, e.what());
+    return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: error: %s\n", program, e.what());
+    return 1;
+  }
+}
 
 }  // namespace hupc::util

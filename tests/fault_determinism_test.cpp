@@ -96,6 +96,27 @@ std::string rejection_of(const fault::CaseSpec& spec) {
   return "";
 }
 
+TEST(FuzzCase, SetUpExceptionIsRecordedNotThrown) {
+  // Every allocation past the first byte fails, so a workload that takes
+  // shared memory while it sets up throws before its run step. The case
+  // must come back as a failure the sweep can report and shrink.
+  fault::PlanParams plan;
+  plan.alloc_fail_after_bytes = 1;
+  plan.alloc_fail_p = 1.0;
+  for (const char* workload : {"gather", "vis", "kv"}) {
+    fault::CaseResult res;
+    ASSERT_NO_THROW(res = fault::run_case(spec_of(3, workload, "none"), plan))
+        << workload;
+    ASSERT_EQ(res.violations.size(), 1u) << workload;
+    EXPECT_EQ(res.violations[0].rfind(std::string(workload) + ": exception: ",
+                                      0),
+              0u)
+        << res.violations[0];
+    EXPECT_GT(res.injected, 0u) << workload;
+    EXPECT_FALSE(res.summary.empty()) << workload;
+  }
+}
+
 TEST(FuzzCase, UnknownNamesAreRejectedNotRunAsDefaults) {
   // A misspelt workload used to run UTS, and unknown backend and conduit
   // names fell back to processes and ib-qdr.

@@ -31,6 +31,39 @@ Config small_config(int threads, Backend backend = Backend::processes,
   return cfg;
 }
 
+TEST(PresetConfig, PyramidDefaultsToItsDdrNetwork) {
+  // kv_server once ran Pyramid over gas::Config's default, Lehman's QDR.
+  const Config pyramid = gas::preset_config("pyramid", 2, 16);
+  EXPECT_EQ(pyramid.machine.name, "pyramid");
+  EXPECT_EQ(pyramid.machine.nodes, 2);
+  EXPECT_EQ(pyramid.threads, 16);
+  EXPECT_EQ(pyramid.conduit.name, "ib-ddr");
+  EXPECT_EQ(gas::preset_config("lehman", 2, 16).conduit.name, "ib-qdr");
+  const Config gige =
+      gas::preset_config("pyramid", 2, 16, Backend::pthreads, "gige");
+  EXPECT_EQ(gige.conduit.name, "gige");
+  EXPECT_EQ(gige.backend, Backend::pthreads);
+}
+
+TEST(PresetConfig, UnknownNamesListTheKnownOnes) {
+  EXPECT_EQ(gas::parse_backend("processes"), Backend::processes);
+  EXPECT_EQ(gas::parse_backend("pthreads"), Backend::pthreads);
+  const auto rejection = [](auto f) -> std::string {
+    try {
+      f();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(rejection([] { (void)gas::parse_backend("mpi"); }),
+            "unknown backend 'mpi' (known: processes, pthreads)");
+  EXPECT_EQ(rejection([] { (void)gas::preset_config("lehman", 1, 8,
+                                                    Backend::processes,
+                                                    "myrinet"); }),
+            "unknown conduit 'myrinet' (known: ib-qdr, ib-ddr, gige)");
+}
+
 TEST(SharedArray, BlockCyclicLayout) {
   gas::SharedHeap heap(4);
   auto arr = heap.all_alloc<int>(20, 2);  // shared [2] int a[20] over 4

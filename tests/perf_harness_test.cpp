@@ -16,6 +16,7 @@
 #include "perf/stats.hpp"
 #include "sim/sim.hpp"
 #include "trace/trace.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -293,7 +294,7 @@ TEST(PerfRunner, CliDefaultsToOneRepetition) {
   // The simulation cells are deterministic: a hand-run bench binary costs
   // one simulation per cell unless --repetitions asks for more.
   const char* argv[] = {"perf_harness_test"};
-  const perf::Runner runner("perf_harness_test", 1, argv);
+  const perf::Runner runner("perf_harness_test", util::Cli(1, argv));
   EXPECT_EQ(runner.options().repetitions, 1);
 }
 

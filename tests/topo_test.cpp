@@ -1,11 +1,30 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "topo/machine.hpp"
 #include "topo/placement.hpp"
 
 namespace {
 
 using namespace hupc::topo;  // NOLINT: test-local convenience
+
+TEST(MachineSpec, PresetsByNameCarryTheirNetwork) {
+  const MachinePreset pyramid_preset = machine_preset("pyramid", 4);
+  EXPECT_EQ(pyramid_preset.spec.name, "pyramid");
+  EXPECT_EQ(pyramid_preset.spec.nodes, 4);
+  EXPECT_STREQ(pyramid_preset.conduit, "ib-ddr");
+  const MachinePreset lehman_preset = machine_preset("lehman", 2);
+  EXPECT_EQ(lehman_preset.spec.name, "lehman");
+  EXPECT_STREQ(lehman_preset.conduit, "ib-qdr");
+  try {
+    (void)machine_preset("cray", 1);
+    ADD_FAILURE() << "an unknown preset must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "unknown machine preset 'cray' (known: lehman, pyramid)");
+  }
+}
 
 TEST(MachineSpec, LehmanMatchesThesisTable21) {
   const MachineSpec m = lehman();

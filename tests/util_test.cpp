@@ -2,9 +2,12 @@
 
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/cli.hpp"
+#include "util/names.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -99,6 +102,93 @@ TEST(Cli, ParsesAllForms) {
   ASSERT_EQ(cli.positional().size(), 1u);
   EXPECT_EQ(cli.positional()[0], "pos1");
   EXPECT_EQ(cli.get_int("missing", -7), -7);
+}
+
+// The message of the std::invalid_argument `f` throws ("" if none).
+template <class F>
+std::string rejection(F f) {
+  try {
+    f();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, NumbersMustParseInFull) {
+  const char* argv[] = {"prog",      "--ops=1e3", "--n=-12", "--rate=1e3",
+                        "--frac=0.5x", "--count=", "--big=99999999999999999999"};
+  Cli cli(7, argv);
+  EXPECT_EQ(cli.get_int("n", 0), -12);
+  EXPECT_DOUBLE_EQ(cli.get_double("rate", 0.0), 1000.0);
+  EXPECT_EQ(rejection([&] { (void)cli.get_int("ops", 0); }),
+            "--ops: expected an integer, got '1e3'");
+  EXPECT_EQ(rejection([&] { (void)cli.get_double("frac", 0.0); }),
+            "--frac: expected a number, got '0.5x'");
+  EXPECT_NE(rejection([&] { (void)cli.get_int("count", 0); }), "");
+  EXPECT_NE(rejection([&] { (void)cli.get_int("big", 0); }), "");
+}
+
+TEST(Cli, BoolTakesOnlyFixedSpellings) {
+  const char* argv[] = {"prog",     "--a=true", "--b=1",    "--c=yes",
+                        "--d=false", "--e=0",   "--f=no",   "--g=maybe",
+                        "--h=on",   "--bare"};
+  Cli cli(10, argv);
+  for (const char* on : {"a", "b", "c", "bare"}) {
+    EXPECT_TRUE(cli.get_bool(on, false)) << on;
+  }
+  for (const char* off : {"d", "e", "f"}) {
+    EXPECT_FALSE(cli.get_bool(off, true)) << off;
+  }
+  EXPECT_EQ(rejection([&] { (void)cli.get_bool("g", false); }),
+            "--g: expected true|1|yes or false|0|no, got 'maybe'");
+  EXPECT_NE(rejection([&] { (void)cli.get_bool("h", false); }), "");
+  EXPECT_TRUE(cli.get_bool("missing", true));
+}
+
+TEST(Cli, ChoiceTakesOnlyAllowedValues) {
+  const char* argv[] = {"prog", "--mode=fast", "--vis=maybe"};
+  Cli cli(3, argv);
+  EXPECT_EQ(cli.choice("mode", "slow", {"slow", "fast"}), "fast");
+  EXPECT_EQ(cli.choice("missing", "slow", {"slow", "fast"}), "slow");
+  EXPECT_EQ(rejection([&] { (void)cli.choice("vis", "off", {"on", "off"}); }),
+            "unknown --vis value 'maybe' (expected on|off)");
+  EXPECT_TRUE(cli.unread_flags().empty());
+  EXPECT_EQ(rejection([] {
+              (void)hupc::util::one_of("variant", "typo", {"split", "overlap"});
+            }),
+            "unknown variant 'typo' (expected split|overlap)");
+}
+
+TEST(Cli, CliMainMapsExceptionsToExitStatus) {
+  const char* argv[] = {"prog", "--n=3"};
+  using hupc::util::cli_main;
+  EXPECT_EQ(cli_main("prog", 2, argv,
+                     [](const Cli& cli) {
+                       return static_cast<int>(cli.get_int("n", 0));
+                     }),
+            3);
+  EXPECT_EQ(cli_main("prog", 2, argv,
+                     [](const Cli&) -> int {
+                       throw std::invalid_argument("bad input");
+                     }),
+            2);
+  EXPECT_EQ(cli_main("prog", 2, argv,
+                     [](const Cli&) -> int {
+                       throw std::runtime_error("failed run");
+                     }),
+            1);
+}
+
+TEST(Names, LookupListsTheKnownNames) {
+  struct Entry {
+    const char* name;
+    int value;
+  };
+  constexpr Entry kTable[] = {{"one", 1}, {"two", 2}};
+  EXPECT_EQ(hupc::util::lookup(kTable, "number", "two").value, 2);
+  EXPECT_EQ(rejection([&] { (void)hupc::util::lookup(kTable, "number", "six"); }),
+            "unknown number 'six' (known: one, two)");
 }
 
 }  // namespace
