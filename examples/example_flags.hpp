@@ -70,7 +70,7 @@ struct TraceFlags {
 /// nullopt when no plan is named.
 inline std::optional<fault::PlanParams> fault_plan_flags(const util::Cli& cli) {
   const std::string name = cli.get("fault-plan", "");
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("fault-seed", 1));
+  const auto seed = cli.get_int_in<std::uint64_t>("fault-seed", 1);
   if (name.empty()) return std::nullopt;
   return fault::plan_template(name, seed);
 }
@@ -104,10 +104,8 @@ inline bool read_cache_flag(const util::Cli& cli, const char* fallback) {
 /// (comm::CacheParams' 256 lines of 64 B by default).
 inline comm::CacheParams cache_geometry(const util::Cli& cli) {
   comm::CacheParams params;
-  params.lines = static_cast<std::size_t>(
-      cli.get_int("cache-lines", static_cast<std::int64_t>(params.lines)));
-  params.line_bytes = static_cast<std::size_t>(cli.get_int(
-      "cache-line-bytes", static_cast<std::int64_t>(params.line_bytes)));
+  params.lines = cli.get_int_in("cache-lines", params.lines);
+  params.line_bytes = cli.get_int_in("cache-line-bytes", params.line_bytes);
   return params;
 }
 

@@ -65,9 +65,9 @@ double spectral_poisson_error(std::vector<fft::Complex> f_hat, int n) {
 }
 
 int run(const util::Cli& cli) {
-  const int threads = static_cast<int>(cli.get_int("threads", 4));
-  const int nodes = static_cast<int>(cli.get_int("nodes", 2));
-  const int n = static_cast<int>(cli.get_int("size", 32));
+  const int threads = cli.get_int_in<int>("threads", 4);
+  const int nodes = cli.get_int_in<int>("nodes", 2);
+  const int n = cli.get_int_in<int>("size", 32);
   const std::string vis_opt = cli.choice("vis", "off", {"on", "off"});
   cli.reject_unread("fft3d_solver");
   const bool vis = vis_opt == "on";

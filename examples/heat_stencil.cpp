@@ -66,10 +66,10 @@ std::vector<double> serial_reference(std::size_t cells, int steps) {
 }
 
 int run(const util::Cli& cli) {
-  const int threads = static_cast<int>(cli.get_int("threads", 8));
-  const int nodes = static_cast<int>(cli.get_int("nodes", 2));
-  const auto cells = static_cast<std::size_t>(cli.get_int("cells", 4096));
-  const int steps = static_cast<int>(cli.get_int("steps", 200));
+  const int threads = cli.get_int_in<int>("threads", 8);
+  const int nodes = cli.get_int_in<int>("nodes", 2);
+  const auto cells = cli.get_int_in<std::size_t>("cells", 4096);
+  const int steps = cli.get_int_in<int>("steps", 200);
   const bool run_async = cli.choice("async", "off", {"on", "off"}) == "on";
   const gas::CollAlgo coll_algo = *gas::parse_coll_algo(cli.choice(
       "coll-algo", "auto", {"auto", "flat", "hier", "ring", "dissem"}));

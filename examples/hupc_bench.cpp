@@ -58,8 +58,8 @@ namespace {
 
 gas::Config build_config(const util::Cli& cli) {
   return gas::preset_config(
-      cli.get("machine", "lehman"), static_cast<int>(cli.get_int("nodes", 4)),
-      static_cast<int>(cli.get_int("threads", 16)),
+      cli.get("machine", "lehman"), cli.get_int_in<int>("nodes", 4),
+      cli.get_int_in<int>("threads", 16),
       gas::parse_backend(cli.get("backend", "processes")),
       cli.get("conduit", ""));
 }
@@ -108,7 +108,7 @@ struct Run {
 int run_uts(const util::Cli& cli) {
   Run run(cli, build_config(cli));
   uts::TreeParams tree;
-  tree.root_seed = static_cast<std::uint32_t>(cli.get_int("seed", 42));
+  tree.root_seed = cli.get_int_in<std::uint32_t>("seed", 42);
   const std::string variant =
       get_variant(cli, "diffusion", {"baseline", "local", "diffusion"});
   cli.reject_unread("hupc_bench");
@@ -144,7 +144,7 @@ int run_ft(const util::Cli& cli) {
   const std::string variant = get_variant(cli, "split", {"split", "overlap"});
   fc.variant = variant == "overlap" ? fft::CommVariant::overlap
                                     : fft::CommVariant::split_phase;
-  fc.subs = static_cast<int>(cli.get_int("subs", 0));
+  fc.subs = cli.get_int_in<int>("subs", 0);
   fc.coll_algo = *gas::parse_coll_algo(cli.choice(
       "coll-algo", "auto", {"auto", "flat", "hier", "ring", "dissem"}));
   cli.reject_unread("hupc_bench");
@@ -170,8 +170,7 @@ int run_stream(const util::Cli& cli) {
   if (variant == "baseline") v = stream::TriadVariant::upc_baseline;
   if (variant == "relocalize") v = stream::TriadVariant::upc_relocalize;
   if (variant == "openmp") v = stream::TriadVariant::openmp;
-  const auto elements =
-      static_cast<std::size_t>(cli.get_int("elements", 4 << 20));
+  const auto elements = cli.get_int_in<std::size_t>("elements", 4 << 20);
   cli.reject_unread("hupc_bench");
   const auto r = stream::twisted_triad(run.rt, elements, v);
   std::printf("stream[twisted %s]: %.1f GB/s\n", variant.c_str(),
@@ -181,14 +180,13 @@ int run_stream(const util::Cli& cli) {
 
 int run_gups(const util::Cli& cli) {
   Run run(cli, build_config(cli));
-  stream::RandomAccess ra(run.rt,
-                          static_cast<int>(cli.get_int("log2-table", 16)));
+  stream::RandomAccess ra(run.rt, cli.get_int_in<int>("log2-table", 16));
   const std::string variant =
       get_variant(cli, "grouped", {"naive", "grouped", "gather"});
   if (variant == "gather") {
     stream::GatherParams gp;
-    gp.bursts = static_cast<std::uint64_t>(cli.get_int("bursts", 64));
-    gp.burst_len = static_cast<std::uint64_t>(cli.get_int("burst-len", 64));
+    gp.bursts = cli.get_int_in<std::uint64_t>("bursts", 64);
+    gp.burst_len = cli.get_int_in<std::uint64_t>("burst-len", 64);
     gp.cached = examples::read_cache_flag(cli, "off");
     gp.cache = examples::cache_geometry(cli);
     cli.reject_unread("hupc_bench");
@@ -202,8 +200,7 @@ int run_gups(const util::Cli& cli) {
     return run.finish();
   }
   const bool grouped = variant == "grouped";
-  const auto updates =
-      static_cast<std::uint64_t>(cli.get_int("updates", 4096));
+  const auto updates = cli.get_int_in<std::uint64_t>("updates", 4096);
   cli.reject_unread("hupc_bench");
   const auto r = ra.run(grouped ? stream::GupsVariant::grouped
                                 : stream::GupsVariant::naive,
@@ -225,7 +222,7 @@ int run_summa(const util::Cli& cli) {
     throw std::invalid_argument("summa: --threads must be a perfect square");
   }
   Run run(cli, std::move(config));
-  const auto size = static_cast<std::size_t>(cli.get_int("size", 256));
+  const auto size = cli.get_int_in<std::size_t>("size", 256);
   cli.reject_unread("hupc_bench");
   linalg::Summa summa(run.rt, linalg::ProcessGrid{p, p}, size, size, size);
   summa.fill(1);
@@ -241,8 +238,8 @@ int run_summa(const util::Cli& cli) {
 
 int run_fuzz(const util::Cli& cli) {
   fault::FuzzOptions opt;
-  opt.base_seed = static_cast<std::uint64_t>(cli.get_int("fuzz-seed", 1));
-  opt.budget = static_cast<int>(cli.get_int("budget", 32));
+  opt.base_seed = cli.get_int_in<std::uint64_t>("fuzz-seed", 1);
+  opt.budget = cli.get_int_in<int>("budget", 32);
   opt.plant_split_bug = cli.get_bool("fuzz-test-bug", false);
   opt.verbose = cli.get_bool("fuzz-verbose", false);
   cli.reject_unread("hupc_bench");
@@ -258,7 +255,9 @@ int dispatch(const util::Cli& cli) {
   if (workload == "gups") return run_gups(cli);
   if (workload == "summa") return run_summa(cli);
   if (workload == "fuzz") return run_fuzz(cli);
-  if (!workload.empty()) {
+  if (workload.empty()) {
+    cli.reject_unread("hupc_bench");  // the usage run takes no other flag
+  } else {
     std::fprintf(stderr, "hupc_bench: error: unknown --workload '%s'\n",
                  workload.c_str());
   }

@@ -22,10 +22,10 @@ using namespace hupc;  // NOLINT
 namespace {
 
 int run(const util::Cli& cli) {
-  const int threads = static_cast<int>(cli.get_int("threads", 4));
-  const int nodes = static_cast<int>(cli.get_int("nodes", 2));
-  const int subs = static_cast<int>(cli.get_int("subs", 4));
-  const int rounds = static_cast<int>(cli.get_int("rounds", 3));
+  const int threads = cli.get_int_in<int>("threads", 4);
+  const int nodes = cli.get_int_in<int>("nodes", 2);
+  const int subs = cli.get_int_in<int>("subs", 4);
+  const int rounds = cli.get_int_in<int>("rounds", 3);
   cli.reject_unread("hybrid_pipeline");
   const std::size_t items_per_rank = 64;
 

@@ -34,8 +34,8 @@ using namespace hupc;  // NOLINT
 namespace {
 
 int serve(const util::Cli& cli) {
-  const int threads = static_cast<int>(cli.get_int("threads", 16));
-  const int nodes = static_cast<int>(cli.get_int("nodes", 4));
+  const int threads = cli.get_int_in<int>("threads", 16);
+  const int nodes = cli.get_int_in<int>("nodes", 4);
   const std::string machine = cli.get("machine", "lehman");
   const kv::KeyDist dist = *kv::parse_key_dist(
       cli.choice("dist", "zipfian", {"zipfian", "uniform"}));
@@ -43,16 +43,16 @@ int serve(const util::Cli& cli) {
   const double rw_mix = cli.get_double("rw-mix", 0.95);
   const kv::KvPath path =
       *kv::parse_kv_path(cli.choice("kv-path", "auto", {"auto", "amo", "rpc"}));
-  const auto keys = static_cast<std::size_t>(cli.get_int("keys", 4096));
-  const auto ops = static_cast<std::size_t>(cli.get_int("ops", 128));
-  const int shards = static_cast<int>(cli.get_int("shards", 0));
-  const auto capacity = static_cast<std::size_t>(cli.get_int("capacity", 0));
+  const auto keys = cli.get_int_in<std::size_t>("keys", 4096);
+  const auto ops = cli.get_int_in<std::size_t>("ops", 128);
+  const int shards = cli.get_int_in<int>("shards", 0);
+  const auto capacity = cli.get_int_in<std::size_t>("capacity", 0);
   const double arrival_hz = cli.get_double("arrival", 1.0e6);
   const double burst = cli.get_double("burst", 1.0);
-  const auto burst_len = static_cast<std::size_t>(cli.get_int("burst-len", 16));
+  const auto burst_len = cli.get_int_in<std::size_t>("burst-len", 16);
   const double slo_us = cli.get_double("slo-us", 50.0);
   const bool read_cache = examples::read_cache_flag(cli, "on");
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  const auto seed = cli.get_int_in<std::uint64_t>("seed", 1);
   const auto fault_plan = examples::fault_plan_flags(cli);
   const examples::TraceFlags trace(cli);
   cli.reject_unread("kv_server");

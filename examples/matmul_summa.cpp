@@ -21,9 +21,9 @@ using namespace hupc;  // NOLINT
 namespace {
 
 int run(const util::Cli& cli) {
-  const int p = static_cast<int>(cli.get_int("grid", 2));
-  const auto size = static_cast<std::size_t>(cli.get_int("size", 64));
-  const int nodes = static_cast<int>(cli.get_int("nodes", 2));
+  const int p = cli.get_int_in<int>("grid", 2);
+  const auto size = cli.get_int_in<std::size_t>("size", 64);
+  const int nodes = cli.get_int_in<int>("nodes", 2);
   const std::string vis_opt = cli.choice("vis", "off", {"on", "off"});
   cli.reject_unread("matmul_summa");
 

@@ -17,8 +17,8 @@ using namespace hupc;  // NOLINT
 namespace {
 
 int run(const util::Cli& cli) {
-  const int threads = static_cast<int>(cli.get_int("threads", 8));
-  const int nodes = static_cast<int>(cli.get_int("nodes", 1));
+  const int threads = cli.get_int_in<int>("threads", 8);
+  const int nodes = cli.get_int_in<int>("nodes", 1);
   cli.reject_unread("quickstart");
 
   // 1. Describe the machine and the runtime configuration.

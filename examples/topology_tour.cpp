@@ -35,8 +35,8 @@ void describe(const topo::MachineSpec& m) {
 
 int run(const util::Cli& cli) {
   const std::string name = cli.get("machine", "lehman");
-  const int nodes = static_cast<int>(cli.get_int("nodes", 2));
-  const int threads = static_cast<int>(cli.get_int("threads", 8));
+  const int nodes = cli.get_int_in<int>("nodes", 2);
+  const int threads = cli.get_int_in<int>("threads", 8);
   cli.reject_unread("topology_tour");
 
   const gas::Config config = gas::preset_config(name, nodes, threads);

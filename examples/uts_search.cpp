@@ -65,9 +65,9 @@ RunResult explore(const uts::TreeParams& tree, const gas::Config& config,
 
 int search(const util::Cli& cli) {
   uts::TreeParams tree;
-  tree.root_seed = static_cast<std::uint32_t>(cli.get_int("seed", 42));
-  const int threads = static_cast<int>(cli.get_int("threads", 32));
-  const int nodes = static_cast<int>(cli.get_int("nodes", 4));
+  tree.root_seed = cli.get_int_in<std::uint32_t>("seed", 42);
+  const int threads = cli.get_int_in<int>("threads", 32);
+  const int nodes = cli.get_int_in<int>("nodes", 4);
   const std::string conduit = util::one_of(
       "conduit", cli.get("conduit", "ib-ddr"), {"gige", "ib-ddr"});
   sched::StealParams steal;

@@ -62,8 +62,8 @@ Runner::Runner(std::string suite, const util::Cli& cli)
   options_.list_only = cli.get_bool("list", false);
   options_.filter = cli.get("filter", "");
   options_.repetitions =
-      static_cast<int>(cli.get_int("repetitions", options_.repetitions));
-  options_.warmup = static_cast<int>(cli.get_int("warmup", 0));
+      cli.get_int_in<int>("repetitions", options_.repetitions);
+  options_.warmup = cli.get_int_in<int>("warmup", 0);
   options_.json_path = cli.get("json", "");
   options_.print_table = !cli.get_bool("no-table", false);
   options_.tier = parse_tier(cli.get("tier", "full"));

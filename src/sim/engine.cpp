@@ -28,15 +28,54 @@ std::uint64_t Engine::push(Time at, std::uintptr_t what) {
     at = fault_->perturb_schedule(now_, at);
     if (at < now_) at = now_;  // a hook can delay events, never reorder past
   }
-  const Event ev{at, next_seq_++, what};
-  if (at == now_) {
-    // Every lane event carries at == now(), which no heap event precedes,
-    // and the lane drains before time advances: appending keeps it sorted.
-    lane_.push_back(ev);
+  const std::uint64_t seq = next_seq_++;
+  if (at - now_ < kWheel) {
+    wheel_push(at, seq, what);
   } else {
-    heap_push(ev);
+    heap_push(Event{at, seq, what});
   }
-  return ev.seq;
+  return seq;
+}
+
+void Engine::wheel_push(Time at, std::uint64_t seq, std::uintptr_t what) {
+  // The slot holds only events at `at` (every wheel event is due within
+  // kWheel of now()), and they arrive in seq order: appending keeps the
+  // slot sorted by (at, seq).
+  std::uint32_t r = free_;
+  if (r != kNil) {
+    free_ = records_[r].next;
+    records_[r] = Record{seq, what, kNil};
+  } else {
+    r = static_cast<std::uint32_t>(records_.size());
+    records_.push_back(Record{seq, what, kNil});
+  }
+  const auto s = static_cast<std::size_t>(at) & (kSlots - 1);
+  Slot& slot = slots_[s];
+  if (slot.head == kNil) {
+    slot.head = r;
+    words_[s / 64] |= std::uint64_t{1} << (s % 64);
+    summary_ |= std::uint64_t{1} << (s / 64);
+  } else {
+    records_[slot.tail].next = r;
+  }
+  slot.tail = r;
+  ++wheel_size_;
+}
+
+std::size_t Engine::wheel_first() const noexcept {
+  if (summary_ == 0) return kSlots;
+  const auto from = static_cast<std::size_t>(now_) & (kSlots - 1);
+  const std::size_t w = from / 64;
+  const std::uint64_t here = words_[w] & (~std::uint64_t{0} << (from % 64));
+  if (here != 0) {
+    return w * 64 + static_cast<std::size_t>(__builtin_ctzll(here));
+  }
+  // Later words first, then wrap round to the lowest occupied word (which
+  // may be w itself, below `from`: those slots are the furthest ahead).
+  const std::uint64_t later = summary_ & (~std::uint64_t{1} << w);
+  const auto v =
+      static_cast<std::size_t>(__builtin_ctzll(later != 0 ? later : summary_));
+  return v * 64 + static_cast<std::size_t>(__builtin_ctzll(words_[v]));
 }
 
 void Engine::heap_push(const Event& ev) {
@@ -91,21 +130,27 @@ Engine::Event Engine::heap_pop() {
 }
 
 Engine::Event Engine::pop() {
-  // The lane front runs first unless a heap event was scheduled for this
-  // instant earlier (smaller seq): exactly the (at, seq) order of one heap.
-  if (lane_head_ != lane_.size() &&
-      (heap_.empty() || before(lane_[lane_head_], heap_.front()))) {
-    const Event ev = lane_[lane_head_++];
-    if (lane_head_ == lane_.size()) {
-      lane_.clear();
-      lane_head_ = 0;
-    } else if (lane_head_ >= 4096 && 2 * lane_head_ >= lane_.size()) {
-      // A long same-instant burst: drop the consumed prefix (amortised O(1)).
-      lane_.erase(lane_.begin(),
-                  lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
-      lane_head_ = 0;
+  // The wheel's first slot holds its earliest time, and the slot's front
+  // its smallest seq there. It runs first unless the heap top precedes it
+  // (a far event scheduled earlier for the same time, or an earlier one):
+  // exactly the (at, seq) order of one heap.
+  const std::size_t s = wheel_first();
+  if (s != kSlots) {
+    Slot& slot = slots_[s];
+    const std::uint32_t r = slot.head;
+    const Record rec = records_[r];
+    const Event ev{slot_time(s), rec.seq, rec.what};
+    if (heap_.empty() || before(ev, heap_.front())) {
+      slot.head = rec.next;
+      if (rec.next == kNil) {
+        words_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
+        if (words_[s / 64] == 0) summary_ &= ~(std::uint64_t{1} << (s / 64));
+      }
+      records_[r].next = free_;
+      free_ = r;
+      --wheel_size_;
+      return ev;
     }
-    return ev;
   }
   return heap_pop();
 }
@@ -139,10 +184,10 @@ Time Engine::run() {
 Time Engine::run_until(Time deadline) {
   // If everything finishes early the clock stays where the last event ran;
   // callers that need an exact advance can schedule a no-op at the deadline.
-  // A non-empty lane holds the earliest events (at == now()).
-  while (!empty() &&
-         (lane_head_ != lane_.size() ? lane_[lane_head_].at
-                                     : heap_.front().at) <= deadline) {
+  for (;;) {
+    const std::size_t s = wheel_first();
+    const bool wheel_due = s != kSlots && slot_time(s) <= deadline;
+    if (!wheel_due && (heap_.empty() || heap_.front().at > deadline)) break;
     step();
   }
   return now_;

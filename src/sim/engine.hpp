@@ -14,13 +14,15 @@
 // and when_all settles are nodes themselves, and any other callable (a
 // future's then/finally/forward_into continuation) is a pooled CallNode
 // that frees itself before it calls it. There is no third kind.
-// Future events sit in a 4-ary heap with hole-based sifts; an event for
-// the current instant skips the heap and goes to a FIFO lane, and step()
-// runs whichever of the lane's front and the heap's top has the smaller
-// (time, sequence), so neither the heap's arity nor the lane changes the
-// order, only the cost (DESIGN.md §17).
+// An event due within kWheel ns of now() goes to a timing wheel of one-ns
+// slots, each a FIFO in seq order; only events further ahead go to a 4-ary
+// heap with hole-based sifts. step() runs whichever of the wheel's first
+// event and the heap's top has the smaller (time, sequence), so neither
+// the wheel nor the heap's arity changes the order, only the cost
+// (DESIGN.md §17).
 #pragma once
 
+#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <utility>
@@ -44,6 +46,11 @@ struct EventNode {
 
 class Engine {
  public:
+  /// The timing wheel's span in ns: an event whose final time is before
+  /// now() + kWheel when it is scheduled goes to the wheel, any later one
+  /// to the heap.
+  static constexpr Time kWheel = 4096;
+
   Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -77,11 +84,11 @@ class Engine {
   bool step();
 
   [[nodiscard]] bool empty() const noexcept {
-    return heap_.empty() && lane_head_ == lane_.size();
+    return wheel_size_ == 0 && heap_.empty();
   }
-  /// Events scheduled and not yet run (heap and same-instant lane).
+  /// Events scheduled and not yet run (wheel and heap).
   [[nodiscard]] std::size_t pending() const noexcept {
-    return heap_.size() + (lane_.size() - lane_head_);
+    return wheel_size_ + heap_.size();
   }
 
   /// Total events executed so far (useful for tests and perf counters).
@@ -134,8 +141,37 @@ class Engine {
     return key(a) < key(b);
   }
 
+  static constexpr std::size_t kSlots = static_cast<std::size_t>(kWheel);
+  static constexpr std::size_t kWords = kSlots / 64;
+  // Every wheel event lies in [now(), now() + kWheel), so slot
+  // `at % kWheel` holds events of one time only.
+  static_assert((kSlots & (kSlots - 1)) == 0 && kSlots >= 64 && kWords <= 64,
+                "a power of two, and the occupancy summary is one word");
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  /// A wheel event; its time is its slot's. `next` links the slot's FIFO,
+  /// or the free list once the record is spent.
+  struct Record {
+    std::uint64_t seq;
+    std::uintptr_t what;
+    std::uint32_t next;
+  };
+  struct Slot {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+
   std::uint64_t push(Time at, std::uintptr_t what);
   Event pop();
+  void wheel_push(Time at, std::uint64_t seq, std::uintptr_t what);
+  /// The slot of the wheel's earliest event, or kSlots if the wheel is
+  /// empty: the first occupied slot at or after now()'s, cyclically.
+  [[nodiscard]] std::size_t wheel_first() const noexcept;
+  /// The time of the events in occupied slot `slot`.
+  [[nodiscard]] Time slot_time(std::size_t slot) const noexcept {
+    return now_ + static_cast<Time>((slot - static_cast<std::size_t>(now_)) &
+                                    (kSlots - 1));
+  }
   void heap_push(const Event& ev);
   Event heap_pop();
 
@@ -146,12 +182,21 @@ class Engine {
   trace::Counters own_counters_;
   trace::Counters* counters_ = &own_counters_;
   fault::ScheduleHook* fault_ = nullptr;
-  /// Events scheduled for a later instant: a 4-ary min-heap under
-  /// before(); the children of heap_[i] are heap_[4i+1 .. 4i+4].
+  /// The timing wheel: slots_[s] is the FIFO, in seq order, of the events
+  /// at the one time in [now(), now() + kWheel) that is s modulo kWheel.
+  /// Bit s of words_ is set iff slot s is occupied, and bit w of summary_
+  /// iff words_[w] is non-zero. Records are pooled in records_ and reused
+  /// through the free list at free_.
+  std::vector<Slot> slots_ = std::vector<Slot>(kSlots);
+  std::array<std::uint64_t, kWords> words_{};
+  std::uint64_t summary_ = 0;
+  std::vector<Record> records_;
+  std::uint32_t free_ = kNil;
+  std::size_t wheel_size_ = 0;
+  /// Events due at now() + kWheel or later, when scheduled: a 4-ary
+  /// min-heap under before(); the children of heap_[i] are
+  /// heap_[4i+1 .. 4i+4].
   std::vector<Event> heap_;
-  /// Events at now(), in seq order; lane_[lane_head_] is the front.
-  std::vector<Event> lane_;
-  std::size_t lane_head_ = 0;
 };
 
 /// A callable as a one-shot event node from the frame pool. Firing moves

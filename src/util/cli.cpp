@@ -61,6 +61,19 @@ std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const 
   return v == nullptr ? fallback : parse<std::int64_t>(name, *v, "an integer");
 }
 
+std::int64_t Cli::get_int_in_range(const std::string& name,
+                                  std::int64_t fallback, std::int64_t min,
+                                  std::int64_t max) const {
+  const std::int64_t v = get_int(name, fallback);
+  if (v < min || v > max) {
+    throw std::invalid_argument("--" + name + ": expected an integer in [" +
+                                std::to_string(min) + ", " +
+                                std::to_string(max) + "], got '" +
+                                get(name, "") + "'");
+  }
+  return v;
+}
+
 double Cli::get_double(const std::string& name, double fallback) const {
   const std::string* v = find(name);
   return v == nullptr ? fallback : parse<double>(name, *v, "a number");

@@ -7,21 +7,25 @@
 // does not take — into a hard error instead of silently ignoring it.
 //
 // The typed accessors are strict: get_int and get_double take a value only
-// if it parses in full, get_bool only true|1|yes or false|0|no, and choice
-// only one of its allowed values. Anything else throws std::invalid_argument
-// naming the flag; cli_main turns that into "<program>: error: ..." and
-// exit status 2.
+// if it parses in full, get_int_in only one that also lies in its range (by
+// default the whole range of the type it returns), get_bool only
+// true|1|yes or false|0|no, and choice only one of its allowed values.
+// Anything else throws std::invalid_argument naming the flag; cli_main turns
+// that into "<program>: error: ..." and exit status 2.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <concepts>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace hupc::util {
@@ -35,6 +39,19 @@ class Cli {
                                 const std::string& fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
+  /// get_int as a T within [min, max], by default all of T that an int64_t
+  /// holds; otherwise throws "--name: expected an integer in [min, max],
+  /// got 'v'". An integer flag is never silently narrowed.
+  template <std::integral T>
+  [[nodiscard]] T get_int_in(const std::string& name, T fallback,
+                             T min = std::numeric_limits<T>::min(),
+                             T max = std::numeric_limits<T>::max()) const {
+    constexpr auto kTop = std::numeric_limits<std::int64_t>::max();
+    return static_cast<T>(get_int_in_range(
+        name, static_cast<std::int64_t>(fallback),
+        static_cast<std::int64_t>(min),
+        std::cmp_less(kTop, max) ? kTop : static_cast<std::int64_t>(max)));
+  }
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
@@ -60,6 +77,10 @@ class Cli {
   void reject_unread(const char* program) const;
 
  private:
+  [[nodiscard]] std::int64_t get_int_in_range(const std::string& name,
+                                              std::int64_t fallback,
+                                              std::int64_t min,
+                                              std::int64_t max) const;
   /// Marks `name` read; its value, or null when the flag is absent.
   [[nodiscard]] const std::string* find(const std::string& name) const;
 

@@ -103,8 +103,8 @@ TEST(Engine, StepReturnsFalseWhenEmpty) {
 }
 
 TEST(Engine, LongSameInstantBurstKeepsFifoOrder) {
-  // Enough same-instant events that the lane drops its consumed prefix
-  // while later ones are still being appended.
+  // One wheel slot holds more events than the wheel has slots, and it
+  // drains and reuses their records while later ones are still appended.
   Engine e;
   constexpr int kRoots = 6000;
   std::vector<int> order;
@@ -124,6 +124,46 @@ TEST(Engine, LongSameInstantBurstKeepsFifoOrder) {
   }
   EXPECT_EQ(order.back(), -1);
   EXPECT_EQ(e.now(), 8);
+}
+
+TEST(Engine, FarAndNearEventsAtOneTimeRunInSeqOrder) {
+  // Two events scheduled a full wheel span ahead go to the heap; two more
+  // for the same time, scheduled once it is within the span, go to the
+  // wheel. They run in scheduling order, heap and wheel interleaved.
+  Engine e;
+  const Time at = Engine::kWheel + 10;
+  std::vector<int> order;
+  call_at(e, at, [&] { order.push_back(0); });
+  call_at(e, at, [&] { order.push_back(1); });
+  call_at(e, 20, [&] {
+    call_at(e, at, [&] { order.push_back(2); });
+    call_at(e, at, [&] { order.push_back(3); });
+  });
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(e.now(), at);
+}
+
+TEST(Engine, RunUntilStopsBetweenWheelAndHeapEvents) {
+  Engine e;
+  std::vector<int> order;
+  const Time far = Engine::kWheel + 50;
+  call_at(e, 100, [&] { order.push_back(0); });  // wheel
+  call_at(e, far, [&] { order.push_back(1); });  // heap
+  // Scheduled at 100, for a wheel slot after the heap event.
+  call_at(e, 100, [&] { call_at(e, far + 5, [&] { order.push_back(2); }); });
+
+  // The deadline falls between the wheel event and the heap event.
+  EXPECT_EQ(e.run_until(far - 1), 100);
+  EXPECT_EQ(order, (std::vector<int>{0}));
+  EXPECT_EQ(e.pending(), 2u);
+  // Now between the heap event and the later wheel event.
+  EXPECT_EQ(e.run_until(far + 4), far);
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(e.pending(), 1u);
+  EXPECT_EQ(e.run_until(far + 5), far + 5);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_TRUE(e.empty());
 }
 
 // ---- Order equivalence against a reference (at, seq) model ----
@@ -171,19 +211,27 @@ struct Child {
 
 /// How a Program fans out: each event schedules 0 .. max_children - 1
 /// children, `budget` of them in all. A child is far-future (up to `far`
-/// ahead) with weight `far_weight` against 4 for the other delay kinds.
+/// ahead) with weight `far_weight`, and at the wheel's edge with weight
+/// `edge_weight`, against 4 for the other delay kinds.
 struct Shape {
   int max_children;
   int budget;
   Time far;
   int far_weight;
+  int edge_weight = 0;
 };
-/// Mixed same-instant and future events around a shallow heap.
+/// Mixed same-instant and near-future events, all within the wheel.
 constexpr Shape kMixed{4, 2500, 1000, 1};
 /// Wide fan-out, mostly into the far future: over 10 k events pending at
 /// the peak, so the heap is many 4-child groups deep and its size passes
 /// through every remainder of a group as it fills and drains.
 constexpr Shape kDeep{128, 16000, 1'000'000, 12};
+/// Mostly events at the wheel's edge: delays of kWheel - 1, kWheel and
+/// kWheel + 1, and times on a coarse grid up to two spans ahead, so heap
+/// events share their time with wheel events scheduled later.
+constexpr Shape kEdge{4, 3000, 1000, 1, 6};
+/// The grid kEdge's shared times lie on.
+constexpr Time kEdgeGrid = Engine::kWheel / 8;
 
 class Program {
  public:
@@ -211,8 +259,14 @@ class Program {
           delta = static_cast<Time>(1 + rng_() % 3);
           break;
         default:
-          delta = static_cast<Time>(
-              1 + rng_() % static_cast<std::uint64_t>(shape_.far));
+          if (rng_() % static_cast<std::uint64_t>(shape_.far_weight +
+                                                  shape_.edge_weight) <
+              static_cast<std::uint64_t>(shape_.edge_weight)) {
+            delta = edge_delay(now);
+          } else {
+            delta = static_cast<Time>(
+                1 + rng_() % static_cast<std::uint64_t>(shape_.far));
+          }
           break;
       }
       c.when = c.absolute ? now + delta : delta;
@@ -222,6 +276,16 @@ class Program {
   }
 
  private:
+  Time edge_delay(Time now) {
+    if (rng_() % 2 == 0) {
+      return Engine::kWheel - 1 + static_cast<Time>(rng_() % 3);
+    }
+    const Time steps = 1 + static_cast<Time>(
+                               rng_() % static_cast<std::uint64_t>(
+                                            2 * Engine::kWheel / kEdgeGrid));
+    return (now / kEdgeGrid + steps) * kEdgeGrid - now;
+  }
+
   std::mt19937_64 rng_;
   Shape shape_;
   int spawned_ = 0;
@@ -390,7 +454,17 @@ class ModelSide {
       at = hook_->perturb_schedule(now, at);
       if (at < now) at = now;
     }
-    queue_.push_back({at, seq_++, next_id_++});
+    const bool far = at - now >= Engine::kWheel;
+    if (at - now >= Engine::kWheel - 1 && at - now <= Engine::kWheel + 1) {
+      edge_delays |= 1u << (at - now - (Engine::kWheel - 1));
+    }
+    if (!far && std::any_of(queue_.begin(), queue_.end(),
+                            [&](const Pending& p) {
+                              return p.far && p.at == at;
+                            })) {
+      ++far_near_ties;
+    }
+    queue_.push_back({at, seq_++, next_id_++, far});
   }
 
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
@@ -411,12 +485,18 @@ class ModelSide {
 
   Time now = 0;
   std::vector<Dispatch> log;
+  /// Bit d set iff some event's final delay was kWheel - 1 + d.
+  unsigned edge_delays = 0;
+  /// Events scheduled within the wheel's span for a time that an event
+  /// scheduled at least kWheel ahead (a heap event) still holds.
+  std::size_t far_near_ties = 0;
 
  private:
   struct Pending {
     Time at;
     std::uint64_t seq;
     int id;
+    bool far;  // scheduled at least kWheel ahead
   };
   [[nodiscard]] std::vector<Pending>::const_iterator front() const {
     return std::min_element(queue_.begin(), queue_.end(),
@@ -441,8 +521,15 @@ struct Depth {
   unsigned deep_remainders = 0;
 };
 
+/// What the reference model saw of the wheel's edge in one run.
+struct Edge {
+  unsigned delays = 0;
+  std::size_t far_near_ties = 0;
+};
+
 void check_order_equivalence(std::uint64_t seed, bool with_hook,
-                             Shape shape = kMixed, Depth* depth = nullptr) {
+                             Shape shape = kMixed, Depth* depth = nullptr,
+                             Edge* edge = nullptr) {
   SCOPED_TRACE(testing::Message() << "seed " << seed << " hook " << with_hook);
   JitterHook real_hook(seed * 7919);
   JitterHook model_hook(seed * 7919);
@@ -484,6 +571,7 @@ void check_order_equivalence(std::uint64_t seed, bool with_hook,
     ++steps;
   }
   EXPECT_FALSE(model.step());
+  if (edge != nullptr) *edge = {model.edge_delays, model.far_near_ties};
   EXPECT_EQ(real.log, model.log);
   EXPECT_EQ(real_hook.calls, model_hook.calls);
   EXPECT_GT(real.log.size(), 1000u);
@@ -515,6 +603,20 @@ TEST(EngineProperty, DeepHeapDispatchOrderMatchesReferenceModel) {
     check_order_equivalence(seed, with_hook, kDeep, &depth);
     EXPECT_GT(depth.peak, 10'000u) << "seed " << seed;
     EXPECT_EQ(depth.deep_remainders, 0xfu) << "seed " << seed;
+  }
+}
+
+TEST(EngineProperty, WheelEdgeDispatchOrderMatchesReferenceModel) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    for (const bool with_hook : {false, true}) {
+      Edge edge;
+      check_order_equivalence(seed, with_hook, kEdge, nullptr, &edge);
+      // Delays of kWheel - 1, kWheel and kWheel + 1 all occurred, and
+      // wheel events joined heap events at one time.
+      EXPECT_EQ(edge.delays, 0x7u) << "seed " << seed << " hook " << with_hook;
+      EXPECT_GT(edge.far_near_ties, 10u)
+          << "seed " << seed << " hook " << with_hook;
+    }
   }
 }
 

@@ -202,9 +202,10 @@ struct UtsOutcome {
   sim::Time elapsed = 0;
 };
 
-UtsOutcome run_uts_traced(gas::Backend backend, trace::Tracer* tracer) {
+UtsOutcome run_uts_traced(gas::Backend backend, trace::Tracer* tracer,
+                          int b0 = 200) {
   uts::TreeParams tree;
-  tree.b0 = 200;
+  tree.b0 = b0;
   tree.root_seed = 7;
   sim::Engine e;
   gas::Config c;
@@ -243,11 +244,24 @@ TEST(TraceUts, NodeCountsMatchOracleOnBothBackends) {
   }
 }
 
+// The two tests below run four searches each, about 55 and 60 s under
+// AddressSanitizer on a 4-vCPU VM against a 60 s ctest budget. An ASan
+// build runs them on a smaller tree: b0 = 72 keeps the root's first 72
+// subtrees, 1,017 nodes. (The 73rd alone adds 2.9 M, nearly all of the
+// 2,909,681 nodes at b0 = 200, so no b0 in between is much smaller.) What
+// they compare, traced against bare runs and two runs of one seed, does
+// not depend on the size.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr int kPairB0 = 72;
+#else
+constexpr int kPairB0 = 200;
+#endif
+
 TEST(TraceUts, TracerAttachmentDoesNotPerturbVirtualTime) {
   for (const auto backend : {gas::Backend::processes, gas::Backend::pthreads}) {
     trace::Tracer tracer;
-    const auto traced = run_uts_traced(backend, &tracer);
-    const auto bare = run_uts_traced(backend, nullptr);
+    const auto traced = run_uts_traced(backend, &tracer, kPairB0);
+    const auto bare = run_uts_traced(backend, nullptr, kPairB0);
     EXPECT_EQ(traced.elapsed, bare.elapsed);
     EXPECT_EQ(traced.nodes, bare.nodes);
   }
@@ -256,8 +270,8 @@ TEST(TraceUts, TracerAttachmentDoesNotPerturbVirtualTime) {
 TEST(TraceUts, SameSeedRunsProduceIdenticalEventStreams) {
   for (const auto backend : {gas::Backend::processes, gas::Backend::pthreads}) {
     trace::Tracer t1, t2;
-    (void)run_uts_traced(backend, &t1);
-    (void)run_uts_traced(backend, &t2);
+    (void)run_uts_traced(backend, &t1, kPairB0);
+    (void)run_uts_traced(backend, &t2, kPairB0);
     EXPECT_EQ(t1.recorded(), t2.recorded());
     const auto e1 = t1.snapshot();
     const auto e2 = t2.snapshot();

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -127,6 +129,28 @@ TEST(Cli, NumbersMustParseInFull) {
             "--frac: expected a number, got '0.5x'");
   EXPECT_NE(rejection([&] { (void)cli.get_int("count", 0); }), "");
   EXPECT_NE(rejection([&] { (void)cli.get_int("big", 0); }), "");
+}
+
+TEST(Cli, NarrowedIntegersMustFitTheirRange) {
+  const char* argv[] = {"prog",       "--threads=4294967312", "--keys=-1",
+                        "--nodes=8",  "--seed=18446744073709551615",
+                        "--grid=3"};
+  Cli cli(6, argv);
+  EXPECT_EQ(cli.get_int_in("nodes", 4), 8);
+  EXPECT_EQ(cli.get_int_in<std::size_t>("missing", 7), 7u);
+  EXPECT_EQ(cli.get_int_in("grid", 2, 1, 3), 3);
+  EXPECT_EQ(rejection([&] { (void)cli.get_int_in("threads", 16); }),
+            "--threads: expected an integer in [-2147483648, 2147483647], "
+            "got '4294967312'");
+  EXPECT_EQ(rejection([&] { (void)cli.get_int_in<std::size_t>("keys", 1); }),
+            "--keys: expected an integer in [0, 9223372036854775807], "
+            "got '-1'");
+  EXPECT_EQ(rejection([&] { (void)cli.get_int_in("grid", 2, 1, 2); }),
+            "--grid: expected an integer in [1, 2], got '3'");
+  // An unsigned 64-bit flag takes what an int64_t holds; beyond that the
+  // value does not parse at all.
+  EXPECT_NE(rejection([&] { (void)cli.get_int_in<std::uint64_t>("seed", 1); }),
+            "");
 }
 
 TEST(Cli, BoolTakesOnlyFixedSpellings) {
