@@ -150,40 +150,6 @@ sim::Task<void> SubPool::parallel_for(std::size_t n, Schedule schedule,
   for (const auto& w : workers) co_await w;
 }
 
-sim::Task<void> SubPool::spawn_all(std::vector<TaskFn> tasks) {
-  HUPC_TRACE_SCOPE(master_->runtime().tracer(), trace::Category::core,
-                   "region.spawn_all", master_->rank(), tasks.size(),
-                   static_cast<std::uint64_t>(width()));
-  master_->runtime().counters().add(kRegion, master_->rank());
-  master_->runtime().counters().add(kTask, master_->rank(), tasks.size());
-  co_await region_prologue();
-  if (tasks.empty()) co_return;
-  live_tasks_.push_back(std::move(tasks));
-  const auto& fns = live_tasks_.back();
-
-  auto& engine = master_->runtime().engine();
-  const auto width = static_cast<std::size_t>(this->width());
-  auto next = std::make_shared<std::size_t>(0);
-
-  std::vector<async::future<>> workers;
-  workers.reserve(width);
-  for (std::size_t w = 0; w < width && w < fns.size(); ++w) {
-    workers.push_back(sim::spawn(
-        engine,
-        [](SubContext& c, const std::vector<TaskFn>& fs,
-           std::shared_ptr<std::size_t> nx, double oh) -> sim::Task<void> {
-          auto& eng = c.master().runtime().engine();
-          for (;;) {
-            const std::size_t i = (*nx)++;
-            if (i >= fs.size()) break;
-            co_await sim::delay(eng, sim::from_seconds(oh));
-            co_await fs[i](c);
-          }
-        }(*contexts_[w], fns, next, params_.task_overhead_s)));
-  }
-  for (const auto& w : workers) co_await w;
-}
-
 gas::Thread& SubContext::master() noexcept { return pool_->master(); }
 
 sim::DelayAwaiter SubContext::compute(double single_thread_seconds) {

@@ -122,16 +122,12 @@ class SubPool {
 
   using ForBody =
       std::function<sim::Task<void>(SubContext&, std::size_t, std::size_t)>;
-  using TaskFn = std::function<sim::Task<void>(SubContext&)>;
 
   /// Fork-join parallel loop over [0, n): every context runs chunks per the
   /// schedule; returns when all iterations complete (implicit join).
   [[nodiscard]] sim::Task<void> parallel_for(std::size_t n, Schedule schedule,
                                              ForBody body,
                                              std::size_t chunk = 0);
-
-  /// Cilk-style: spawn the given tasks onto the pool, join all.
-  [[nodiscard]] sim::Task<void> spawn_all(std::vector<TaskFn> tasks);
 
  private:
   friend class SubContext;
@@ -147,7 +143,6 @@ class SubPool {
   bool started_ = false;
   // Keeps region bodies alive while their coroutines run.
   std::vector<ForBody> live_bodies_;
-  std::vector<std::vector<TaskFn>> live_tasks_;
 };
 
 }  // namespace hupc::core

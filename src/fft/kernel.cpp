@@ -82,20 +82,4 @@ void fft_3d_serial(Complex* grid, std::size_t nx, std::size_t ny,
   fft_strided(grid, nz, plane, plane, 1, sign);
 }
 
-std::vector<Complex> dft_naive(std::span<const Complex> in, int sign) {
-  const std::size_t n = in.size();
-  std::vector<Complex> out(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    Complex acc{0.0, 0.0};
-    for (std::size_t j = 0; j < n; ++j) {
-      const double angle = sign * 2.0 * std::numbers::pi *
-                           static_cast<double>(k * j % n) /
-                           static_cast<double>(n);
-      acc += in[j] * Complex(std::cos(angle), std::sin(angle));
-    }
-    out[k] = acc;
-  }
-  return out;
-}
-
 }  // namespace hupc::fft

@@ -36,10 +36,6 @@ void fft_2d(Complex* plane, std::size_t nx, std::size_t ny, int sign);
 void fft_3d_serial(Complex* grid, std::size_t nx, std::size_t ny,
                    std::size_t nz, int sign);
 
-/// Naive O(n^2) DFT oracle for tests.
-[[nodiscard]] std::vector<Complex> dft_naive(std::span<const Complex> in,
-                                             int sign);
-
 /// Analytic operation count for an n-point complex FFT (5 n log2 n), used
 /// by the virtual-time cost models.
 [[nodiscard]] constexpr double fft_flops(double n) noexcept {

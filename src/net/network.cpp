@@ -208,14 +208,6 @@ std::uint64_t Network::total_messages() const noexcept {
   return counters().total(kMsg);
 }
 
-std::uint64_t Network::total_aggregated() const noexcept {
-  return counters().total(kAggregated);
-}
-
-std::uint64_t Network::total_coalesced_ops() const noexcept {
-  return counters().total(kCoalescedOps);
-}
-
 std::uint64_t Network::total_vis_messages() const noexcept {
   return counters().total(kVisMsg);
 }

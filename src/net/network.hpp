@@ -94,8 +94,6 @@ class Network {
 
   // Views over the net.* counters, summed over every issuing rank.
   [[nodiscard]] std::uint64_t total_messages() const noexcept;
-  [[nodiscard]] std::uint64_t total_aggregated() const noexcept;
-  [[nodiscard]] std::uint64_t total_coalesced_ops() const noexcept;
   [[nodiscard]] std::uint64_t total_vis_messages() const noexcept;
   [[nodiscard]] std::uint64_t total_vis_regions() const noexcept;
   /// Exact byte totals (the net.*bytes counters truncate per message):

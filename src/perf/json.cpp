@@ -1,9 +1,8 @@
 #include "perf/json.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
+#include <cstdio>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -11,13 +10,6 @@
 namespace hupc::perf {
 
 namespace {
-
-const Json kNull;
-
-[[noreturn]] void fail(std::string_view what, std::size_t offset) {
-  throw std::runtime_error("json: " + std::string(what) + " at offset " +
-                           std::to_string(offset));
-}
 
 void write_escaped(std::ostream& os, const std::string& s) {
   os << '"';
@@ -53,176 +45,6 @@ void write_number(std::ostream& os, double v) {
   os.write(buf, res.ptr - buf);
 }
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Json run() {
-    Json v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters", pos_);
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input", pos_);
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'", pos_);
-    ++pos_;
-  }
-
-  bool consume_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-
-  Json value() {
-    skip_ws();
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return Json(string());
-      case 't':
-        if (consume_literal("true")) return Json(true);
-        fail("invalid literal", pos_);
-      case 'f':
-        if (consume_literal("false")) return Json(false);
-        fail("invalid literal", pos_);
-      case 'n':
-        if (consume_literal("null")) return Json(nullptr);
-        fail("invalid literal", pos_);
-      default: return number();
-    }
-  }
-
-  Json object() {
-    expect('{');
-    Json obj = Json::object();
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return obj;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = string();
-      skip_ws();
-      expect(':');
-      obj.set(key, value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return obj;
-    }
-  }
-
-  Json array() {
-    expect('[');
-    Json arr = Json::array();
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return arr;
-    }
-    while (true) {
-      arr.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return arr;
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      const char c = peek();
-      ++pos_;
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      const char esc = peek();
-      ++pos_;
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape", pos_);
-          unsigned code = 0;
-          const auto res = std::from_chars(text_.data() + pos_,
-                                           text_.data() + pos_ + 4, code, 16);
-          if (res.ptr != text_.data() + pos_ + 4) fail("bad \\u escape", pos_);
-          pos_ += 4;
-          // Artifacts only ever escape control characters; encode the code
-          // point as UTF-8 (no surrogate-pair handling needed for < 0x80,
-          // but cover the BMP for robustness).
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default: fail("bad escape", pos_);
-      }
-    }
-  }
-
-  Json number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    double v = 0;
-    const auto res =
-        std::from_chars(text_.data() + start, text_.data() + pos_, v);
-    if (res.ec != std::errc{} || res.ptr != text_.data() + pos_ ||
-        pos_ == start) {
-      fail("invalid number", start);
-    }
-    return Json(v);
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
 }  // namespace
 
 Json Json::array() {
@@ -237,36 +59,10 @@ Json Json::object() {
   return j;
 }
 
-bool Json::as_bool() const {
-  if (type_ != Type::boolean) throw std::runtime_error("json: not a bool");
-  return bool_;
-}
-
-double Json::as_number() const {
-  if (type_ != Type::number) throw std::runtime_error("json: not a number");
-  return num_;
-}
-
-const std::string& Json::as_string() const {
-  if (type_ != Type::string) throw std::runtime_error("json: not a string");
-  return str_;
-}
-
 void Json::push_back(Json v) {
   if (type_ == Type::null) type_ = Type::array;
   if (type_ != Type::array) throw std::runtime_error("json: not an array");
   arr_.push_back(std::move(v));
-}
-
-const std::vector<Json>& Json::items() const {
-  if (type_ != Type::array) throw std::runtime_error("json: not an array");
-  return arr_;
-}
-
-std::size_t Json::size() const {
-  if (type_ == Type::array) return arr_.size();
-  if (type_ == Type::object) return obj_.size();
-  throw std::runtime_error("json: not a container");
 }
 
 void Json::set(std::string_view key, Json v) {
@@ -280,29 +76,6 @@ void Json::set(std::string_view key, Json v) {
   }
   obj_.emplace_back(std::string(key), std::move(v));
 }
-
-const Json& Json::at(std::string_view key) const {
-  if (type_ != Type::object) throw std::runtime_error("json: not an object");
-  for (const auto& [k, v] : obj_) {
-    if (k == key) return v;
-  }
-  return kNull;
-}
-
-bool Json::contains(std::string_view key) const {
-  if (type_ != Type::object) return false;
-  for (const auto& [k, v] : obj_) {
-    if (k == key) return true;
-  }
-  return false;
-}
-
-const std::vector<std::pair<std::string, Json>>& Json::members() const {
-  if (type_ != Type::object) throw std::runtime_error("json: not an object");
-  return obj_;
-}
-
-Json Json::parse(std::string_view text) { return Parser(text).run(); }
 
 void Json::write(std::ostream& os, int indent) const {
   write_indented(os, indent, 0);
@@ -359,19 +132,6 @@ std::string Json::dump(int indent) const {
   std::ostringstream os;
   write(os, indent);
   return os.str();
-}
-
-bool operator==(const Json& a, const Json& b) {
-  if (a.type_ != b.type_) return false;
-  switch (a.type_) {
-    case Json::Type::null: return true;
-    case Json::Type::boolean: return a.bool_ == b.bool_;
-    case Json::Type::number: return a.num_ == b.num_;
-    case Json::Type::string: return a.str_ == b.str_;
-    case Json::Type::array: return a.arr_ == b.arr_;
-    case Json::Type::object: return a.obj_ == b.obj_;
-  }
-  return false;
 }
 
 }  // namespace hupc::perf

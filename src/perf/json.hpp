@@ -1,15 +1,15 @@
-// Minimal JSON document model for the benchmark-artifact pipeline.
+// Minimal JSON writer for the benchmark-artifact pipeline.
 //
-// The perf subsystem needs exactly three things from JSON: (1) write the
-// versioned benchmark artifact (`BENCH_results.json`), (2) parse it back for
-// schema round-trip tests, (3) keep object key order stable so artifacts
-// diff cleanly and a deterministic run re-serializes bit-identically.
-// A dependency-free recursive value type covers all three; anything fancier
-// (SAX, string_view zero-copy, NaN extensions) is out of scope.
+// The perf subsystem writes the versioned benchmark artifact
+// (`BENCH_results.json`) with object key order kept stable, so artifacts
+// diff cleanly and a deterministic run re-serializes bit-identically. A
+// dependency-free recursive value type covers that; the binaries never read
+// JSON back, so the reader (parser and accessors) is test support
+// (tests/json_reader.hpp).
 //
 // Numbers are serialized with std::to_chars (shortest round-trip form), so
-// parse(dump(x)) == x holds exactly for every finite double — the property
-// the "bit-identical modeled metrics" regression gate relies on.
+// parsing a dump gives back every finite double exactly — the property the
+// "bit-identical modeled metrics" regression gate relies on.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +26,6 @@ namespace hupc::perf {
 /// are small).
 class Json {
  public:
-  enum class Type : std::uint8_t { null, boolean, number, string, array, object };
-
   Json() = default;
   Json(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
   Json(bool b) : type_(Type::boolean), bool_(b) {}  // NOLINT
@@ -41,40 +39,19 @@ class Json {
   [[nodiscard]] static Json array();
   [[nodiscard]] static Json object();
 
-  [[nodiscard]] Type type() const noexcept { return type_; }
-  [[nodiscard]] bool is_null() const noexcept { return type_ == Type::null; }
-  [[nodiscard]] bool is_object() const noexcept { return type_ == Type::object; }
-
-  [[nodiscard]] bool as_bool() const;
-  [[nodiscard]] double as_number() const;
-  [[nodiscard]] const std::string& as_string() const;
-
-  // --- arrays -----------------------------------------------------------
+  /// Append to an array (a null value becomes an empty array first).
   void push_back(Json v);
-  [[nodiscard]] const std::vector<Json>& items() const;
-  [[nodiscard]] std::size_t size() const;
-
-  // --- objects (insertion-ordered) --------------------------------------
-  /// Insert or overwrite `key`.
+  /// Insert or overwrite `key` in an object (a null value becomes an empty
+  /// object first); an overwrite keeps the key's position.
   void set(std::string_view key, Json v);
-  /// Null-constant reference if absent (use contains() to distinguish an
-  /// absent key from a stored null).
-  [[nodiscard]] const Json& at(std::string_view key) const;
-  [[nodiscard]] bool contains(std::string_view key) const;
-  [[nodiscard]] const std::vector<std::pair<std::string, Json>>& members() const;
-
-  // --- (de)serialization ------------------------------------------------
-  /// Parse one JSON document; throws std::runtime_error with an offset on
-  /// malformed input or trailing garbage.
-  [[nodiscard]] static Json parse(std::string_view text);
 
   /// Serialize; `indent` > 0 pretty-prints with that many spaces per level.
   void write(std::ostream& os, int indent = 0) const;
   [[nodiscard]] std::string dump(int indent = 0) const;
 
-  friend bool operator==(const Json& a, const Json& b);
-
  private:
+  enum class Type : std::uint8_t { null, boolean, number, string, array, object };
+
   void write_indented(std::ostream& os, int indent, int depth) const;
 
   Type type_ = Type::null;

@@ -51,21 +51,4 @@ MachinePreset machine_preset(std::string_view name, int nodes) {
   return {e.build(nodes), e.conduit};
 }
 
-MachineSpec toy(int nodes) {
-  MachineSpec m;
-  m.name = "toy";
-  m.nodes = nodes;
-  m.sockets_per_node = 1;
-  m.cores_per_socket = 2;
-  m.smt_per_core = 1;
-  m.clock_ghz = 1.0;
-  m.flops_per_cycle = 1.0;
-  m.cache = CacheSpec{32 * 1024, 256 * 1024, 4 * 1024 * 1024};
-  m.socket_mem_bw = 10e9;
-  m.interconnect_bw = 5e9;
-  m.numa_penalty = 1.5;
-  m.smt_throughput = 1.0;
-  return m;
-}
-
 }  // namespace hupc::topo

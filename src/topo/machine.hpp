@@ -103,7 +103,4 @@ struct MachinePreset {
 /// nodes. Throws std::invalid_argument listing the known names.
 [[nodiscard]] MachinePreset machine_preset(std::string_view name, int nodes);
 
-/// A deliberately tiny machine for unit tests: 2 nodes x 1 socket x 2 cores.
-[[nodiscard]] MachineSpec toy(int nodes = 2);
-
 }  // namespace hupc::topo

@@ -83,18 +83,6 @@ double LogHistogram::bucket_floor(int index) const {
   return base * (1.0 + static_cast<double>(sub) / subs);
 }
 
-double LogHistogram::percentile_ceiling(double p) const {
-  if (total_ == 0) return 0.0;
-  const auto target = static_cast<std::uint64_t>(
-      std::ceil(std::clamp(p, 0.0, 1.0) * static_cast<double>(total_)));
-  std::uint64_t seen = 0;
-  for (int i = 0; i < buckets(); ++i) {
-    seen += counts_[static_cast<std::size_t>(i)];
-    if (seen >= target) return bucket_floor(i + 1);
-  }
-  return bucket_floor(buckets());
-}
-
 double LogHistogram::percentile(double p) const {
   if (total_ == 0) return 0.0;
   const auto target = std::max<std::uint64_t>(

@@ -47,10 +47,6 @@ class LogHistogram {
   /// Lower bound of bucket `index`.
   [[nodiscard]] double bucket_floor(int index) const;
 
-  /// Smallest bucket ceiling covering at least fraction `p` (0..1) of the
-  /// weight. Returns 0 for an empty histogram.
-  [[nodiscard]] double percentile_ceiling(double p) const;
-
   /// Percentile estimate: locates the bucket covering rank ceil(p*total),
   /// interpolates linearly within it placing each rank at the midpoint of
   /// its 1/count sliver (approximating util::percentile_sorted without the

@@ -1,6 +1,5 @@
 // Plain-text table printer used by the benchmark harnesses to emit
-// paper-style tables (fixed column widths, right-aligned numerics) plus a
-// CSV emitter so results can be post-processed.
+// paper-style tables (fixed column widths, right-aligned numerics).
 #pragma once
 
 #include <iosfwd>
@@ -21,7 +20,6 @@ class Table {
   static std::string pct(double fraction, int precision = 1);
 
   void print(std::ostream& os) const;
-  void print_csv(std::ostream& os) const;
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
 

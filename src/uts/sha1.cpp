@@ -89,17 +89,6 @@ Digest sha1(std::span<const std::uint8_t> message) {
   return out;
 }
 
-std::string to_hex(const Digest& digest) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string s;
-  s.reserve(40);
-  for (std::uint8_t b : digest) {
-    s.push_back(kHex[b >> 4]);
-    s.push_back(kHex[b & 0xF]);
-  }
-  return s;
-}
-
 Digest split_state(const Digest& parent, std::uint32_t child_index) {
   std::uint8_t buf[24];
   std::memcpy(buf, parent.data(), 20);

@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 
 namespace hupc::uts {
 
@@ -18,9 +17,6 @@ using Digest = std::array<std::uint8_t, 20>;
 
 /// One-shot SHA-1 of an arbitrary message.
 [[nodiscard]] Digest sha1(std::span<const std::uint8_t> message);
-
-/// Hex rendering (for known-answer tests and debugging).
-[[nodiscard]] std::string to_hex(const Digest& digest);
 
 /// The UTS state-split operation: digest of parent_state || child_index
 /// (child index as 4 big-endian bytes, per the reference implementation).

@@ -111,8 +111,8 @@ TEST(Coalescer, CapacityTriggersIntermediateFlushes) {
   EXPECT_EQ(s->flushes_capacity, 2u);  // ops 4 and 8
   EXPECT_EQ(s->flushes_fence, 1u);     // the trailing 2
   EXPECT_EQ(s->flush_messages, 3u);
-  EXPECT_EQ(rt.network().total_aggregated(), 3u);
-  EXPECT_EQ(rt.network().total_coalesced_ops(), 10u);
+  EXPECT_EQ(rt.counters().total("net.aggregated"), 3u);
+  EXPECT_EQ(rt.counters().total("net.coalesced_ops"), 10u);
 }
 
 TEST(Coalescer, BarrierFencesBufferedPutsForPeers) {
@@ -190,7 +190,7 @@ TEST(Coalescer, RaiiGuardAbandonStillAppliesPutsUncharged) {
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->abandoned_ops, 1u);
   EXPECT_EQ(s->flush_messages, 0u);
-  EXPECT_EQ(rt.network().total_aggregated(), 0u);  // never charged
+  EXPECT_EQ(rt.counters().total("net.aggregated"), 0u);  // never charged
 }
 
 TEST(Coalescer, EpochsDoNotNestAndConfigRejectsNonsense) {
@@ -256,8 +256,8 @@ TEST(Coalescer, CountersReconcileWithNetworkAndTrace) {
   EXPECT_EQ(flushes, static_cast<std::uint64_t>(kThreads) * (kThreads - 1));
   EXPECT_EQ(absorbed, kPerPeer * kThreads * (kThreads - 1));
   // Network view: every flush became one aggregated message.
-  EXPECT_EQ(rt.network().total_aggregated(), flushes);
-  EXPECT_EQ(rt.network().total_coalesced_ops(), absorbed);
+  EXPECT_EQ(rt.counters().total("net.aggregated"), flushes);
+  EXPECT_EQ(rt.counters().total("net.coalesced_ops"), absorbed);
   // Trace view: the tracer's registry carries the identical totals, at
   // every trace level.
   EXPECT_EQ(tracer.counter_total("comm.flush.msgs"), flushes);
@@ -335,8 +335,8 @@ std::pair<double, std::string> plain_run() {
     EXPECT_EQ(t.coalesce_stats(), nullptr);  // engine never engaged
   });
   rt.run_to_completion();
-  EXPECT_EQ(rt.network().total_aggregated(), 0u);
-  EXPECT_EQ(rt.network().total_coalesced_ops(), 0u);
+  EXPECT_EQ(rt.counters().total("net.aggregated"), 0u);
+  EXPECT_EQ(rt.counters().total("net.coalesced_ops"), 0u);
   EXPECT_EQ(tracer.counter_total("gas.access.coalesced"), 0u);
   std::ostringstream os;
   tracer.export_summary(os);

@@ -146,25 +146,6 @@ TEST(SubPool, CilkModelAddsStartupLagAndInflation) {
   EXPECT_GT(cilk - omp, 0.2);  // the constant Cilk++ lag
 }
 
-TEST(SubPool, SpawnAllLoadBalancesTasks) {
-  sim::Engine e;
-  Runtime rt(e, one_node_cfg(1));
-  std::vector<int> ran(16, 0);
-  rt.spmd([&](Thread& t) -> sim::Task<void> {
-    SubPool pool(t, 4);
-    std::vector<SubPool::TaskFn> tasks;
-    for (int i = 0; i < 16; ++i) {
-      tasks.push_back([&ran, i](SubContext& c) -> sim::Task<void> {
-        co_await c.compute(1e-5);
-        ++ran[static_cast<std::size_t>(i)];
-      });
-    }
-    co_await pool.spawn_all(std::move(tasks));
-  });
-  rt.run_to_completion();
-  for (int r : ran) EXPECT_EQ(r, 1);
-}
-
 TEST(SubPool, GasFromSubThreadsRespectsSafetyLevels) {
   auto attempt = [](ThreadSafety safety) {
     sim::Engine e;

@@ -1,24 +1,28 @@
 // Edge cases and cross-cutting properties not covered by the per-module
-// suites: atomics, eager/rendezvous boundaries, modeled-vs-real timing
-// equivalence, degenerate machines, and engine stress.
+// suites: degenerate configurations, atomics, eager/rendezvous boundaries,
+// modeled-vs-real timing equivalence, and engine stress.
 //
-// The ad-hoc failure-case catalogue (zero-capacity conduit links, degenerate
-// machine shapes, negative costs, empty transfers, self-messages) lives in
-// fault::degenerate_scenarios — the seeded scenario API — so every run
-// probes freshly-drawn members of each rejection family and the accepted
-// scenarios additionally execute their micro-workload under fault plans.
+// Degenerate configurations (DESIGN.md §9) are two tables below: the configs
+// the runtime must reject, each with the needle its diagnostic must mention
+// and with magnitudes drawn from a seed so every seed probes a different
+// member of each family; and the degenerate-but-legal machines, which must
+// construct and then survive a micro-workload (self-messages, an empty
+// transfer, two barriers) under quiescent and perturbing fault plans.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/subthread.hpp"
+#include "fault/invariants.hpp"
 #include "fault/plan.hpp"
-#include "fault/scenario.hpp"
 #include "gas/gas.hpp"
 #include "mpl/mpi.hpp"
 #include "sim/sim.hpp"
+#include "toy_machine.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -35,32 +39,193 @@ Config cfg(int threads, int nodes) {
   return c;
 }
 
-TEST(Scenarios, RejectionAndAcceptanceContractsHold) {
-  // Every scenario in the catalogue honours its contract — bad configs are
-  // rejected with a precise diagnostic, degenerate-but-legal ones are not —
-  // across several seeds (each seed draws different magnitudes).
-  int rejecting = 0, accepting = 0;
-  for (const std::uint64_t seed : {1ULL, 7ULL, 99ULL, 12345ULL}) {
-    for (const fault::Scenario& s : fault::degenerate_scenarios(seed)) {
-      fault::Violations v;
-      fault::check_scenario_contract(s, v);
-      for (const std::string& violation : v) {
-        ADD_FAILURE() << "seed " << seed << ": " << violation;
-      }
-      (s.expect_rejection() ? rejecting : accepting) += 1;
+// --- degenerate configurations ---------------------------------------------
+
+/// A config the runtime must reject, and the needle its
+/// std::invalid_argument message must contain.
+struct Rejection {
+  std::string name;
+  Config config;
+  std::string needle;
+};
+
+/// Every rejection family (threads, machine shape, cost constants, conduit
+/// bandwidths) as mutations of cfg(4, 2). The magnitudes are drawn from
+/// `seed`: any negative cost and any non-positive count must be rejected,
+/// not just the one value a hand-written test picked.
+std::vector<Rejection> rejected_configs(std::uint64_t seed) {
+  util::SplitMix64 sm(seed ^ 0xDE6E4EA7ULL);
+  const int neg_small = -1 - static_cast<int>(sm.next() % 64);
+  const double neg_cost = -1e-9 * static_cast<double>(1 + sm.next() % 1000);
+  const double neg_bw = -1e6 * static_cast<double>(1 + sm.next() % 1000);
+
+  std::vector<Rejection> all;
+  const auto reject = [&all](std::string name, std::string needle,
+                             const auto& mutate) {
+    Config c = cfg(4, 2);
+    mutate(c);
+    all.push_back({std::move(name), std::move(c), std::move(needle)});
+  };
+  // thread counts
+  reject("threads-zero", "threads", [](Config& c) { c.threads = 0; });
+  reject("threads-negative", "threads",
+         [&](Config& c) { c.threads = neg_small; });
+  // machine shapes
+  reject("machine-no-nodes", "machine shape",
+         [](Config& c) { c.machine.nodes = 0; });
+  reject("machine-no-sockets", "machine shape",
+         [](Config& c) { c.machine.sockets_per_node = 0; });
+  reject("machine-negative-cores", "machine shape",
+         [&](Config& c) { c.machine.cores_per_socket = neg_small; });
+  reject("machine-no-smt", "machine shape",
+         [](Config& c) { c.machine.smt_per_core = 0; });
+  // cost constants
+  reject("cost-ptr-overhead", "ptr_overhead_s",
+         [&](Config& c) { c.costs.ptr_overhead_s = neg_cost; });
+  reject("cost-barrier-hop", "barrier_hop_s",
+         [&](Config& c) { c.costs.barrier_hop_s = neg_cost; });
+  reject("cost-lock-local", "lock_local_s",
+         [&](Config& c) { c.costs.lock_local_s = neg_cost; });
+  reject("cost-loopback-bw", "loopback_bw",
+         [&](Config& c) { c.costs.loopback_bw = neg_bw; });
+  reject("cost-shm-copy", "shm_copy_overhead_s",
+         [&](Config& c) { c.costs.shm_copy_overhead_s = neg_cost; });
+  reject("cost-loopback-overhead", "loopback_overhead_s",
+         [&](Config& c) { c.costs.loopback_overhead_s = neg_cost; });
+  // zero-capacity conduit links
+  reject("conduit-dead-nic", "conduit",
+         [](Config& c) { c.conduit.nic_bw = 0.0; });
+  reject("conduit-negative-conn", "conduit",
+         [&](Config& c) { c.conduit.conn_bw = neg_bw; });
+  reject("conduit-dead-staging", "conduit",
+         [](Config& c) { c.conduit.stage_bw = 0.0; });
+  return all;
+}
+
+struct Accepted {
+  std::string name;
+  Config config;
+};
+
+/// The degenerate but legal machines, plus a sane baseline.
+std::vector<Accepted> accepted_configs() {
+  Config single;
+  single.machine = test::toy_machine(1);
+  single.threads = 1;
+  return {{"single-core-single-thread", single},
+          // 1 rank per node, most of the machine idle.
+          {"more-nodes-than-threads", cfg(3, 12)},
+          {"sane-baseline", cfg(8, 2)}};
+}
+
+/// Empty of violations when `config` constructs a runtime and `needle` is
+/// empty, or when it is rejected with a message containing `needle`.
+fault::Violations check_contract(const std::string& name, const Config& config,
+                                 const std::string& needle) {
+  fault::Violations out;
+  try {
+    sim::Engine engine;
+    Runtime rt(engine, config);
+    if (!needle.empty()) {
+      out.push_back(name +
+                    ": config accepted; expected rejection mentioning \"" +
+                    needle + "\"");
+    }
+  } catch (const std::invalid_argument& err) {
+    if (needle.empty()) {
+      out.push_back(name + ": sane config rejected: " + err.what());
+    } else if (std::string(err.what()).find(needle) == std::string::npos) {
+      out.push_back(name + ": rejection message \"" + err.what() +
+                    "\" does not mention \"" + needle + "\"");
     }
   }
-  // The catalogue keeps covering both halves of the contract.
+  return out;
+}
+
+/// Runs the micro-workload (an empty transfer, a self-message roundtrip and
+/// two barriers on every rank) under `plan` and checks what must survive any
+/// perturbation: payload integrity, no network messages, conserved bytes,
+/// barrier phases and sane virtual time.
+fault::Violations run_micro_workload(const Accepted& a,
+                                     const fault::PlanParams& plan) {
+  fault::Violations out;
+  sim::Engine engine;
+  Runtime rt(engine, a.config);
+  fault::FaultPlan fault(plan);
+  fault.install(rt);
+
+  const int n = rt.threads();
+  auto cells = rt.heap().all_alloc<int>(static_cast<std::size_t>(n), 1);
+  for (int r = 0; r < n; ++r) *cells.at(static_cast<std::size_t>(r)).raw = -1;
+
+  std::vector<int> readback(static_cast<std::size_t>(n), -1);
+  rt.spmd([&](Thread& t) -> sim::Task<void> {
+    const auto me = static_cast<std::size_t>(t.rank());
+    co_await t.barrier();
+    // Empty transfer: must move nothing and inject no messages.
+    co_await t.copy(cells.at(me), static_cast<const int*>(nullptr), 0);
+    // Self-message: a rank writing and reading its own shared cell.
+    co_await t.put(cells.at(me), 100 + t.rank());
+    readback[me] = co_await t.get(cells.at(me));
+    co_await t.barrier();
+  });
+  try {
+    rt.run_to_completion();
+  } catch (const std::exception& e) {
+    out.push_back(a.name + ": exception: " + e.what());
+    return out;
+  }
+
+  for (int r = 0; r < n; ++r) {
+    if (readback[static_cast<std::size_t>(r)] != 100 + r) {
+      out.push_back(a.name + ": rank " + std::to_string(r) +
+                    " self-message readback " +
+                    std::to_string(readback[static_cast<std::size_t>(r)]) +
+                    " != " + std::to_string(100 + r));
+    }
+  }
+  // Self-accesses and empty transfers never cross the wire.
+  if (rt.network().total_messages() != 0) {
+    out.push_back(a.name + ": " +
+                  std::to_string(rt.network().total_messages()) +
+                  " network messages from self/empty transfers (expected 0)");
+  }
+  fault::check_byte_conservation(rt, out);
+  fault::check_barrier(rt, 2, out);
+  fault::check_virtual_time(engine, out);
+  return out;
+}
+
+TEST(Scenarios, RejectionAndAcceptanceContractsHold) {
+  // Bad configs are rejected with a precise diagnostic, degenerate-but-legal
+  // ones are not, across several seeds (each seed draws different
+  // magnitudes).
+  int rejecting = 0, accepting = 0;
+  for (const std::uint64_t seed : {1ULL, 7ULL, 99ULL, 12345ULL}) {
+    for (const Rejection& r : rejected_configs(seed)) {
+      for (const std::string& violation :
+           check_contract(r.name, r.config, r.needle)) {
+        ADD_FAILURE() << "seed " << seed << ": " << violation;
+      }
+      ++rejecting;
+    }
+    for (const Accepted& a : accepted_configs()) {
+      for (const std::string& violation :
+           check_contract(a.name, a.config, "")) {
+        ADD_FAILURE() << "seed " << seed << ": " << violation;
+      }
+      ++accepting;
+    }
+  }
+  // The tables keep covering both halves of the contract.
   EXPECT_GE(rejecting, 4 * 15);
   EXPECT_GE(accepting, 4 * 3);
 }
 
 TEST(Scenarios, AcceptedScenariosRunCleanUnderQuiescentPlan) {
-  for (const fault::Scenario& s : fault::degenerate_scenarios(5)) {
-    if (s.expect_rejection()) continue;
-    const fault::ScenarioResult r =
-        fault::run_scenario(s, fault::plan_template("none", 5));
-    for (const std::string& violation : r.violations) {
+  for (const Accepted& a : accepted_configs()) {
+    for (const std::string& violation :
+         run_micro_workload(a, fault::plan_template("none", 5))) {
       ADD_FAILURE() << violation;
     }
   }
@@ -70,11 +235,9 @@ TEST(Scenarios, AcceptedScenariosSurvivePerturbationPlans) {
   // Self-messages and empty transfers never touch the network, so payload
   // integrity and barrier linearizability must hold under ANY plan.
   for (const std::string plan : {"jitter", "latency-spike", "mixed"}) {
-    for (const fault::Scenario& s : fault::degenerate_scenarios(11)) {
-      if (s.expect_rejection()) continue;
-      const fault::ScenarioResult r =
-          fault::run_scenario(s, fault::plan_template(plan, 11));
-      for (const std::string& violation : r.violations) {
+    for (const Accepted& a : accepted_configs()) {
+      for (const std::string& violation :
+           run_micro_workload(a, fault::plan_template(plan, 11))) {
         ADD_FAILURE() << plan << ": " << violation;
       }
     }
@@ -275,26 +438,24 @@ TEST(MplEdge, ModeledAlltoallTimingEqualsRealData) {
 
 TEST(DegenerateMachines, CatalogueCoversAndRunsThem) {
   // The degenerate-but-legal machines (single core/single thread, more
-  // nodes than ranks) come from the scenario catalogue; beyond the shared
+  // nodes than ranks) come from the accepted-config table; beyond the shared
   // micro-workload, spot-check their placement arithmetic here.
   bool saw_single = false, saw_sparse = false;
-  for (const fault::Scenario& s : fault::degenerate_scenarios(3)) {
-    if (s.expect_rejection()) continue;
-    if (s.name == "single-core-single-thread") {
+  for (const Accepted& a : accepted_configs()) {
+    if (a.name == "single-core-single-thread") {
       saw_single = true;
-      EXPECT_EQ(s.config.threads, 1);
+      EXPECT_EQ(a.config.threads, 1);
     }
-    if (s.name == "more-nodes-than-threads") {
+    if (a.name == "more-nodes-than-threads") {
       saw_sparse = true;
       sim::Engine e;
-      Runtime rt(e, s.config);
+      Runtime rt(e, a.config);
       EXPECT_EQ(rt.ranks_per_node(), 1);
       EXPECT_EQ(rt.nodes_used(), 3);
     }
-    const fault::ScenarioResult r =
-        fault::run_scenario(s, fault::plan_template("none", 3));
-    EXPECT_TRUE(r.ok()) << s.name << ": "
-                        << (r.violations.empty() ? "" : r.violations.front());
+    const fault::Violations v =
+        run_micro_workload(a, fault::plan_template("none", 3));
+    EXPECT_TRUE(v.empty()) << a.name << ": " << (v.empty() ? "" : v.front());
   }
   EXPECT_TRUE(saw_single);
   EXPECT_TRUE(saw_sparse);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numbers>
+#include <span>
 #include <vector>
 
 #include "fft/kernel.hpp"
@@ -9,13 +11,29 @@
 namespace {
 
 using hupc::fft::Complex;
-using hupc::fft::dft_naive;
 using hupc::fft::fft_2d;
 using hupc::fft::fft_3d_serial;
 using hupc::fft::fft_flops;
 using hupc::fft::fft_inplace;
 using hupc::fft::fft_strided;
 using hupc::fft::is_pow2;
+
+/// Naive O(n^2) DFT: the oracle the fast transforms are checked against.
+std::vector<Complex> dft_naive(std::span<const Complex> in, int sign) {
+  const std::size_t n = in.size();
+  std::vector<Complex> out(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    Complex acc{0.0, 0.0};
+    for (std::size_t j = 0; j < n; ++j) {
+      const double angle = sign * 2.0 * std::numbers::pi *
+                           static_cast<double>(k * j % n) /
+                           static_cast<double>(n);
+      acc += in[j] * Complex(std::cos(angle), std::sin(angle));
+    }
+    out[k] = acc;
+  }
+  return out;
+}
 
 std::vector<Complex> random_signal(std::size_t n, std::uint64_t seed) {
   hupc::util::Xoshiro256ss rng(seed);

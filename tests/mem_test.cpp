@@ -4,6 +4,7 @@
 #include "sim/sim.hpp"
 #include "topo/machine.hpp"
 #include "topo/placement.hpp"
+#include "toy_machine.hpp"
 
 namespace {
 
@@ -96,7 +97,7 @@ TEST(MemorySystem, ComputeScalesWithSpeedFactor) {
 
 TEST(MemorySystem, ComputeFlopsUsesCorePeak) {
   sim::Engine e;
-  const auto m = topo::toy(1);  // 1 GHz, 1 flop/cycle
+  const auto m = test::toy_machine(1);  // 1 GHz, 1 flop/cycle
   MemorySystem mem(e, m);
   topo::SlotAllocator slots(m);
   const HwLoc loc{0, 0, 0, 0};

@@ -1,7 +1,8 @@
-// Tests for the src/perf benchmark harness: JSON round-trips, robust
-// statistics, registry/filtering, warmup discarding, counter capture, and
-// the property the regression gate stands on — two Runner runs of a
-// deterministic simulation benchmark serialize bit-identical artifacts.
+// Tests for the src/perf benchmark harness: JSON round-trips (perf::Json's
+// writer against the tests' reader), robust statistics, registry/filtering,
+// warmup discarding, counter capture, and the property the regression gate
+// stands on — two Runner runs of a deterministic simulation benchmark
+// serialize bit-identical artifacts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "json_reader.hpp"
 #include "perf/benchmark.hpp"
 #include "perf/json.hpp"
 #include "perf/runner.hpp"
@@ -21,6 +23,7 @@
 namespace {
 
 using namespace hupc;  // NOLINT
+using test::JsonValue;
 
 // --- Json ------------------------------------------------------------------
 
@@ -28,7 +31,7 @@ TEST(PerfJson, ParseSerializeRoundTrip) {
   const std::string text =
       R"({"schema_version":1,"name":"x","ok":true,"none":null,)"
       R"("nums":[1,-2.5,3e10],"nested":{"a":"b"}})";
-  const perf::Json doc = perf::Json::parse(text);
+  const JsonValue doc = JsonValue::parse(text);
   EXPECT_EQ(doc.at("schema_version").as_number(), 1);
   EXPECT_EQ(doc.at("name").as_string(), "x");
   EXPECT_TRUE(doc.at("ok").as_bool());
@@ -37,8 +40,8 @@ TEST(PerfJson, ParseSerializeRoundTrip) {
   EXPECT_EQ(doc.at("nums").items()[1].as_number(), -2.5);
   EXPECT_EQ(doc.at("nested").at("a").as_string(), "b");
   // Re-parsing the dump reproduces an equal document.
-  EXPECT_EQ(perf::Json::parse(doc.dump()), doc);
-  EXPECT_EQ(perf::Json::parse(doc.dump(2)), doc);
+  EXPECT_EQ(JsonValue::parse(doc.dump()), doc);
+  EXPECT_EQ(JsonValue::parse(doc.dump(2)), doc);
 }
 
 TEST(PerfJson, DoublesRoundTripExactly) {
@@ -48,7 +51,7 @@ TEST(PerfJson, DoublesRoundTripExactly) {
                                       -0.0001, 123456789.123456789};
   for (double v : values) {
     perf::Json num = v;
-    const perf::Json back = perf::Json::parse(num.dump());
+    const JsonValue back = JsonValue::parse(num.dump());
     EXPECT_EQ(back.as_number(), v) << "value " << v;
   }
 }
@@ -64,19 +67,19 @@ TEST(PerfJson, ObjectsPreserveInsertionOrder) {
 }
 
 TEST(PerfJson, StringEscapes) {
-  const perf::Json doc = perf::Json::parse(R"({"s":"a\"b\\c\n\tA"})");
+  const JsonValue doc = JsonValue::parse(R"({"s":"a\"b\\c\n\tA"})");
   EXPECT_EQ(doc.at("s").as_string(), "a\"b\\c\n\tA");
-  EXPECT_EQ(perf::Json::parse(doc.dump()), doc);
+  EXPECT_EQ(JsonValue::parse(doc.dump()), doc);
 }
 
 TEST(PerfJson, MalformedInputThrows) {
-  EXPECT_THROW((void)perf::Json::parse(""), std::runtime_error);
-  EXPECT_THROW((void)perf::Json::parse("{"), std::runtime_error);
-  EXPECT_THROW((void)perf::Json::parse("{\"a\":}"), std::runtime_error);
-  EXPECT_THROW((void)perf::Json::parse("[1,2,]"), std::runtime_error);
-  EXPECT_THROW((void)perf::Json::parse("true false"), std::runtime_error);
-  EXPECT_THROW((void)perf::Json::parse("nul"), std::runtime_error);
-  EXPECT_THROW((void)perf::Json::parse("\"unterminated"), std::runtime_error);
+  EXPECT_THROW((void)JsonValue::parse(""), std::runtime_error);
+  EXPECT_THROW((void)JsonValue::parse("{"), std::runtime_error);
+  EXPECT_THROW((void)JsonValue::parse("{\"a\":}"), std::runtime_error);
+  EXPECT_THROW((void)JsonValue::parse("[1,2,]"), std::runtime_error);
+  EXPECT_THROW((void)JsonValue::parse("true false"), std::runtime_error);
+  EXPECT_THROW((void)JsonValue::parse("nul"), std::runtime_error);
+  EXPECT_THROW((void)JsonValue::parse("\"unterminated"), std::runtime_error);
 }
 
 // --- stats -----------------------------------------------------------------
@@ -238,7 +241,7 @@ TEST(PerfRunner, ArtifactMatchesSchemaV1) {
 
   std::ostringstream os;
   runner.write_artifact(os, runner.run(reg));
-  const perf::Json doc = perf::Json::parse(os.str());
+  const JsonValue doc = JsonValue::parse(os.str());
 
   EXPECT_EQ(doc.at("schema_version").as_number(), 1);
   EXPECT_EQ(doc.at("suite").as_string(), "perf_harness_test");
@@ -249,10 +252,10 @@ TEST(PerfRunner, ArtifactMatchesSchemaV1) {
   EXPECT_TRUE(doc.at("fingerprint").contains("trace_level"));
 
   ASSERT_EQ(doc.at("benchmarks").size(), 1u);
-  const perf::Json& bench = doc.at("benchmarks").items()[0];
+  const JsonValue& bench = doc.at("benchmarks").items()[0];
   EXPECT_EQ(bench.at("id").as_string(), "test.sim.clock");
   EXPECT_EQ(bench.at("config").at("events").as_string(), "1000");
-  const perf::Json& metric = bench.at("metrics").at("events_per_s");
+  const JsonValue& metric = bench.at("metrics").at("events_per_s");
   EXPECT_EQ(metric.at("unit").as_string(), "1/s");
   EXPECT_EQ(metric.at("direction").as_string(), "higher_is_better");
   EXPECT_EQ(metric.at("kind").as_string(), "modeled");

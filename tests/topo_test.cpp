@@ -4,6 +4,7 @@
 
 #include "topo/machine.hpp"
 #include "topo/placement.hpp"
+#include "toy_machine.hpp"
 
 namespace {
 
@@ -87,7 +88,7 @@ TEST(Placement, CompactFillsSocketZeroFirst) {
 }
 
 TEST(Placement, OversubscriptionWrapsSlots) {
-  const MachineSpec m = toy(1);  // 2 hwthreads per node
+  const MachineSpec m = hupc::test::toy_machine(1);  // 2 hwthreads per node
   const auto p = place_ranks(m, 6, Placement::block);
   ASSERT_EQ(p.size(), 6u);
   EXPECT_EQ(p[0], p[2]);
@@ -119,7 +120,7 @@ TEST(SlotAllocator, SpeedFactorReflectsSmtSharing) {
 }
 
 TEST(SlotAllocator, OversubscribedCoreTimeSlices) {
-  const MachineSpec m = toy(1);  // no SMT
+  const MachineSpec m = hupc::test::toy_machine(1);  // no SMT
   SlotAllocator slots(m);
   const HwLoc a{0, 0, 0, 0};
   slots.bind(a);

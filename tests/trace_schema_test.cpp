@@ -1,5 +1,5 @@
-// Chrome-trace exporter schema conformance, validated with the perf
-// subsystem's JSON parser (perf::Json::parse): the exported document must
+// Chrome-trace exporter schema conformance, validated with the tests' JSON
+// reader (test::JsonValue::parse): the exported document must
 // parse, every timestamp must be non-negative, pid/tid must
 // map to node/rank, and B/E events must balance per thread lane — also
 // after the ring has wrapped and dropped a prefix of the stream.
@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "gas/gas.hpp"
-#include "perf/json.hpp"
+#include "json_reader.hpp"
 #include "sched/work_stealing.hpp"
 #include "sim/sim.hpp"
 #include "trace/trace.hpp"
@@ -22,7 +22,7 @@ namespace {
 
 using namespace hupc;  // NOLINT: test-local convenience
 
-using perf::Json;
+using test::JsonValue;
 
 // --- workload that populates a tracer -------------------------------------
 
@@ -52,12 +52,12 @@ std::uint64_t run_uts(trace::Tracer* tracer) {
 void check_schema(const trace::Tracer& tracer) {
   std::ostringstream os;
   tracer.export_chrome(os);
-  Json doc;
-  ASSERT_NO_THROW(doc = Json::parse(os.str()));
+  JsonValue doc;
+  ASSERT_NO_THROW(doc = JsonValue::parse(os.str()));
 
-  ASSERT_EQ(doc.type(), Json::Type::object);
+  ASSERT_EQ(doc.type(), JsonValue::Type::object);
   ASSERT_TRUE(doc.contains("traceEvents"));
-  ASSERT_EQ(doc.at("traceEvents").type(), Json::Type::array);
+  ASSERT_EQ(doc.at("traceEvents").type(), JsonValue::Type::array);
   ASSERT_TRUE(doc.contains("displayTimeUnit"));
   EXPECT_EQ(doc.at("displayTimeUnit").as_string(), "ns");
 
@@ -69,14 +69,14 @@ void check_schema(const trace::Tracer& tracer) {
     EXPECT_FALSE(events.empty());
   }
   for (const auto& ev : events) {
-    ASSERT_EQ(ev.type(), Json::Type::object);
+    ASSERT_EQ(ev.type(), JsonValue::Type::object);
     for (const char* key : {"name", "cat", "ph"}) {
       ASSERT_TRUE(ev.contains(key)) << "missing " << key;
-      EXPECT_EQ(ev.at(key).type(), Json::Type::string);
+      EXPECT_EQ(ev.at(key).type(), JsonValue::Type::string);
     }
     for (const char* key : {"ts", "pid", "tid"}) {
       ASSERT_TRUE(ev.contains(key)) << "missing " << key;
-      ASSERT_EQ(ev.at(key).type(), Json::Type::number);
+      ASSERT_EQ(ev.at(key).type(), JsonValue::Type::number);
     }
     EXPECT_GE(ev.at("ts").as_number(), 0.0);
 
@@ -105,7 +105,7 @@ void check_schema(const trace::Tracer& tracer) {
     }
     if (ph != "E") {
       ASSERT_TRUE(ev.contains("args"));
-      EXPECT_EQ(ev.at("args").type(), Json::Type::object);
+      EXPECT_EQ(ev.at("args").type(), JsonValue::Type::object);
     }
   }
   for (const auto& [lane, open] : depth) {
@@ -137,8 +137,8 @@ TEST(TraceSchema, EscapesSpecialCharactersInNames) {
   tracer.instant(trace::Category::user, "quote\"back\\slash\tctrl", 0);
   std::ostringstream os;
   tracer.export_chrome(os);
-  Json doc;
-  ASSERT_NO_THROW(doc = Json::parse(os.str()));
+  JsonValue doc;
+  ASSERT_NO_THROW(doc = JsonValue::parse(os.str()));
   const auto& events = doc.at("traceEvents").items();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].at("name").as_string(), "quote\"back\\slash\tctrl");
@@ -148,8 +148,8 @@ TEST(TraceSchema, EmptyTracerExportsValidDocument) {
   trace::Tracer tracer;
   std::ostringstream os;
   tracer.export_chrome(os);
-  Json doc;
-  ASSERT_NO_THROW(doc = Json::parse(os.str()));
+  JsonValue doc;
+  ASSERT_NO_THROW(doc = JsonValue::parse(os.str()));
   EXPECT_TRUE(doc.at("traceEvents").items().empty());
 }
 

@@ -56,17 +56,6 @@ TEST(Histogram, WeightsAccumulate) {
   EXPECT_EQ(h.total(), 15u);
 }
 
-TEST(Histogram, PercentileCeiling) {
-  util::LogHistogram h(1.0, 0, 8);
-  for (int i = 0; i < 90; ++i) h.add(1.5);   // bucket [1,2)
-  for (int i = 0; i < 10; ++i) h.add(100.0); // bucket [64,128)
-  EXPECT_DOUBLE_EQ(h.percentile_ceiling(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(h.percentile_ceiling(0.9), 2.0);
-  EXPECT_DOUBLE_EQ(h.percentile_ceiling(0.99), 128.0);
-  const util::LogHistogram empty(1.0, 0, 4);
-  EXPECT_DOUBLE_EQ(empty.percentile_ceiling(0.5), 0.0);
-}
-
 TEST(LogHistogram, SubBucketsRefineOctaves) {
   // sub_bits=2: octave [1,2) splits into [1,1.25) [1.25,1.5) [1.5,1.75)
   // [1.75,2).
@@ -159,7 +148,6 @@ TEST(LogHistogram, MatchesLegacyHistogramLayoutAtUnitGeometry) {
     EXPECT_DOUBLE_EQ(log.bucket_floor(i), floor) << "bucket " << i;
   }
   EXPECT_EQ(log.total(), 7u);
-  EXPECT_DOUBLE_EQ(log.percentile_ceiling(0.5), 4.0);
 }
 
 TEST(Histogram, PrintRendersNonEmptyBuckets) {

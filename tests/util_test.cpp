@@ -74,16 +74,13 @@ TEST(Stats, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(percentile_sorted(sorted, 0.125), 15.0);
 }
 
-TEST(Table, PrintsAlignedAndCsv) {
+TEST(Table, PrintsAligned) {
   Table t({"name", "value"});
   t.add_row({"alpha", Table::num(1.2345, 2)});
   t.add_row({"b", "x"});
   std::ostringstream text;
   t.print(text);
   EXPECT_NE(text.str().find("| alpha | 1.23"), std::string::npos);
-  std::ostringstream csv;
-  t.print_csv(csv);
-  EXPECT_EQ(csv.str(), "name,value\nalpha,1.23\nb,x\n");
 }
 
 TEST(Table, RejectsOverlongRows) {

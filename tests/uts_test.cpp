@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <set>
+#include <string>
 
 #include "uts/sha1.hpp"
 #include "uts/tree.hpp"
@@ -12,6 +13,17 @@ using namespace hupc::uts;  // NOLINT: test-local convenience
 
 std::span<const std::uint8_t> bytes(const char* s) {
   return {reinterpret_cast<const std::uint8_t*>(s), std::strlen(s)};
+}
+
+std::string to_hex(const Digest& digest) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string s;
+  s.reserve(40);
+  for (std::uint8_t b : digest) {
+    s.push_back(kHex[b >> 4]);
+    s.push_back(kHex[b & 0xF]);
+  }
+  return s;
 }
 
 // FIPS 180-1 known-answer tests.
