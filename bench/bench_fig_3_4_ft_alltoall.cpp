@@ -68,7 +68,7 @@ ExchangeTimes run_exchange(const Variant& v, int threads, bool async) {
   if (v.cast) {
     // Hand optimization: castable destinations use plain memcpy — the
     // per-call runtime overhead drops to a bare libc call.
-    cfg.costs.shm_copy_overhead_s = 0.05e-6;
+    cfg.shm_copy_overhead_s = 0.05e-6;
   }
   gas::Runtime rt(engine, cfg);
   const double chunk = fft::FtParams::class_b().total_bytes() /

@@ -91,7 +91,7 @@ inline std::unique_ptr<fault::FaultPlan> install_fault_plan(
 inline void fault_footer(const fault::FaultPlan* plan) {
   if (plan == nullptr) return;
   std::printf("-- fault: injected %llu perturbations\n",
-              static_cast<unsigned long long>(plan->stats().total()));
+              static_cast<unsigned long long>(plan->injected()));
 }
 
 /// --read-cache=on|off (default `fallback`): serve remote reads through a

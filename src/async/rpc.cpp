@@ -22,16 +22,15 @@ RpcDomain::RpcDomain(gas::Runtime& rt) : rt_(&rt) {
 sim::Task<void> RpcDomain::transport(int from_rank, int to_rank,
                                      double bytes) {
   gas::Runtime& rt = *rt_;
-  const auto& costs = rt.config().costs;
   if (from_rank == to_rank) {
     // Self-RPC: an in-process handoff; the persona hop sequences it, the
     // charge is one software dispatch.
     co_await sim::delay(rt.engine(),
-                        sim::from_seconds(costs.shm_copy_overhead_s));
+                        sim::from_seconds(rt.config().shm_copy_overhead_s));
   } else if (rt.same_supernode(from_rank, to_rank)) {
     // Cross-rank within a supernode: plain stores into the peer's inbox.
     co_await sim::delay(rt.engine(),
-                        sim::from_seconds(costs.shm_copy_overhead_s));
+                        sim::from_seconds(rt.config().shm_copy_overhead_s));
     co_await rt.memory().stream(rt.loc_of(from_rank), rt.loc_of(to_rank),
                                 bytes);
   } else if (rt.node_of(from_rank) == rt.node_of(to_rank)) {
@@ -40,7 +39,7 @@ sim::Task<void> RpcDomain::transport(int from_rank, int to_rank,
                                     .src_ep = rt.endpoint_of(from_rank),
                                     .dst_node = rt.node_of(to_rank),
                                     .bytes = bytes},
-                                   costs.loopback_bw);
+                                   gas::kLoopbackBw);
   } else {
     co_await rt.network().rma({.src_node = rt.node_of(from_rank),
                                .src_ep = rt.endpoint_of(from_rank),

@@ -56,10 +56,6 @@ void Coalescer::configure(const Params& params) {
     throw std::invalid_argument(
         "comm::Params: max_bytes and max_ops must be >= 1");
   }
-  if (params.per_op_header_bytes < 0.0 || params.api_scale <= 0.0) {
-    throw std::invalid_argument(
-        "comm::Params: per_op_header_bytes must be >= 0 and api_scale > 0");
-  }
   params_ = params;
 }
 
@@ -79,7 +75,7 @@ bool Coalescer::conflicts(const Buffer& buf, const void* addr,
 bool Coalescer::over_capacity(const Buffer& buf) const noexcept {
   const double gross =
       buf.payload_bytes +
-      static_cast<double>(buf.ops) * params_.per_op_header_bytes;
+      static_cast<double>(buf.ops) * kPerOpHeaderBytes;
   return buf.ops >= params_.max_ops ||
          gross >= static_cast<double>(params_.max_bytes);
 }
@@ -168,7 +164,7 @@ sim::Task<void> Coalescer::drain(int dst_node, Buffer& buf, FlushCause cause) {
   const std::uint64_t ops = buf.ops;
   const double gross =
       buf.payload_bytes +
-      static_cast<double>(ops) * params_.per_op_header_bytes;
+      static_cast<double>(ops) * kPerOpHeaderBytes;
   buffered_ops_ -= ops;
   buf.puts.clear();
   buf.arena.clear();
@@ -186,7 +182,6 @@ sim::Task<void> Coalescer::drain(int dst_node, Buffer& buf, FlushCause cause) {
                                    .src_ep = src_ep_,
                                    .dst_node = dst_node,
                                    .bytes = gross,
-                                   .api_scale = params_.api_scale,
                                    .coalesced_count = ops});
 }
 

@@ -29,9 +29,9 @@
 // them in ascending node order; within a buffer, puts apply in append
 // order. Two runs with the same seed produce bit-identical schedules.
 //
-// Cost model: one flush charges one rma of
-//   sum(payload bytes) + ops * Params::per_op_header_bytes
-// at Params::api_scale — one shared-API traversal for the whole batch,
+// Cost model: one flush charges one normal-API rma of
+//   sum(payload bytes) + ops * kPerOpHeaderBytes
+// — one shared-API traversal for the whole batch,
 // which is precisely the amortization the thesis's §3.2/§4.3.1 analysis
 // says fine-grained UPC lacks. Flushes pass through the normal network
 // fault seam (blackouts / latency plans apply per aggregated message)
@@ -49,6 +49,10 @@
 
 namespace hupc::comm {
 
+/// Modeled aggregation header per fine-grained operation (address +
+/// opcode + length in the packed message).
+inline constexpr double kPerOpHeaderBytes = 8.0;
+
 /// Tuning knobs for one coalescing epoch.
 struct Params {
   /// Per-destination payload threshold (bytes, headers included): the
@@ -56,12 +60,6 @@ struct Params {
   std::size_t max_bytes = 4096;
   /// Per-destination operation-count threshold.
   std::size_t max_ops = 512;
-  /// Modeled aggregation header per fine-grained operation (address +
-  /// opcode + length in the packed message).
-  double per_op_header_bytes = 8.0;
-  /// Shared-API cost scale for the aggregated message (1.0 = a normal
-  /// message; the win comes from paying it once per flush, not per op).
-  double api_scale = 1.0;
 };
 
 /// Lifetime statistics of one rank's coalescer: a view over its comm.*

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "trace/counters.hpp"
 
@@ -32,17 +33,13 @@ void ReadCache::configure(const CacheParams& params) {
     throw std::invalid_argument(
         "comm::CacheParams: line_bytes must be a power of two >= 1");
   }
-  if (params.lines == 0 || params.ways == 0 ||
-      params.lines % params.ways != 0) {
+  if (params.lines == 0 || params.lines % kCacheWays != 0) {
     throw std::invalid_argument(
-        "comm::CacheParams: lines and ways must be >= 1 with lines divisible "
-        "by ways");
-  }
-  if (params.api_scale <= 0.0) {
-    throw std::invalid_argument("comm::CacheParams: api_scale must be > 0");
+        "comm::CacheParams: lines must be a positive multiple of the " +
+        std::to_string(kCacheWays) + " ways");
   }
   params_ = params;
-  sets_ = params.lines / params.ways;
+  sets_ = params.lines / kCacheWays;
   lines_.assign(params.lines, Line{});
   tick_ = 0;
 }
@@ -59,8 +56,8 @@ std::size_t ReadCache::set_index(int owner,
 }
 
 int ReadCache::find(int owner, std::uint64_t line_no) const noexcept {
-  const std::size_t base = set_index(owner, line_no) * params_.ways;
-  for (std::size_t w = 0; w < params_.ways; ++w) {
+  const std::size_t base = set_index(owner, line_no) * kCacheWays;
+  for (std::size_t w = 0; w < kCacheWays; ++w) {
     const Line& ln = lines_[base + w];
     if (ln.valid && ln.owner == owner && ln.line_no == line_no) {
       return static_cast<int>(w);
@@ -86,12 +83,12 @@ sim::Task<bool> ReadCache::read(int owner, int dst_node, std::int64_t offset,
       // modeled cost schedule shifts, deterministically per plan seed.
       if (fault_ != nullptr && fault_->drop_cached_line(rank_)) {
         const std::size_t idx =
-            set_index(owner, line_no) * params_.ways +
+            set_index(owner, line_no) * kCacheWays +
             static_cast<std::size_t>(way);
         lines_[idx].valid = false;
         net_->counters().add(kInvalidations, rank_);
       } else {
-        lines_[set_index(owner, line_no) * params_.ways +
+        lines_[set_index(owner, line_no) * kCacheWays +
                static_cast<std::size_t>(way)]
             .tick = ++tick_;
         net_->counters().add(kHits, rank_);
@@ -105,9 +102,9 @@ sim::Task<bool> ReadCache::read(int owner, int dst_node, std::int64_t offset,
 }
 
 void ReadCache::install(int owner, std::uint64_t line_no) {
-  const std::size_t base = set_index(owner, line_no) * params_.ways;
+  const std::size_t base = set_index(owner, line_no) * kCacheWays;
   std::size_t victim = base;
-  for (std::size_t w = 0; w < params_.ways; ++w) {
+  for (std::size_t w = 0; w < kCacheWays; ++w) {
     if (!lines_[base + w].valid) {
       victim = base + w;
       break;
@@ -137,7 +134,6 @@ sim::Task<void> ReadCache::fill(int owner, int dst_node,
       .src_ep = src_ep_,
       .dst_node = dst_node,
       .bytes = static_cast<double>(params_.line_bytes),
-      .api_scale = params_.api_scale,
       .coalesced_count = amortized});
 }
 
@@ -164,7 +160,7 @@ sim::Task<std::size_t> ReadCache::prefetch(int owner, int dst_node,
   for (const std::uint64_t line_no : touched) {
     const int way = find(owner, line_no);
     if (way >= 0) {
-      const std::size_t idx = set_index(owner, line_no) * params_.ways +
+      const std::size_t idx = set_index(owner, line_no) * kCacheWays +
                               static_cast<std::size_t>(way);
       if (fault_ != nullptr && fault_->drop_cached_line(rank_)) {
         lines_[idx].valid = false;
@@ -190,7 +186,6 @@ sim::Task<std::size_t> ReadCache::prefetch(int owner, int dst_node,
       .src_ep = src_ep_,
       .dst_node = dst_node,
       .bytes = payload,
-      .api_scale = params_.api_scale,
       .coalesced_count = static_cast<std::uint64_t>(filled),
       .regions = static_cast<std::uint64_t>(filled),
       .payload_bytes = payload});
@@ -207,7 +202,7 @@ void ReadCache::invalidate_range(int owner, std::int64_t offset,
   for (std::uint64_t line_no = first; line_no <= last; ++line_no) {
     const int way = find(owner, line_no);
     if (way < 0) continue;
-    lines_[set_index(owner, line_no) * params_.ways +
+    lines_[set_index(owner, line_no) * kCacheWays +
            static_cast<std::size_t>(way)]
         .valid = false;
     net_->counters().add(kInvalidations, rank_);

@@ -46,17 +46,15 @@
 
 namespace hupc::comm {
 
+/// Set associativity of the tag store: every set holds this many lines.
+inline constexpr std::size_t kCacheWays = 4;
+
 /// Tuning knobs for one cached epoch.
 struct CacheParams {
   /// Line size in bytes (power of two). One miss fetches this much.
   std::size_t line_bytes = 64;
-  /// Total number of lines in the tag store.
+  /// Total number of lines in the tag store (a multiple of kCacheWays).
   std::size_t lines = 256;
-  /// Set associativity (lines % ways must be 0). 1 = direct-mapped.
-  std::size_t ways = 4;
-  /// Shared-API cost scale for the line-fill message (1.0 = a normal
-  /// message; the win comes from paying it once per line, not per word).
-  double api_scale = 1.0;
 };
 
 /// Lifetime statistics of one rank's cache: a view over its gas.cache.*
@@ -80,7 +78,7 @@ class ReadCache {
 
   /// (Re)open an epoch with fresh parameters: validates them, drops every
   /// tag and rebuilds the store. Throws std::invalid_argument on nonsense
-  /// (non-power-of-two line size, lines not divisible by ways, ...).
+  /// (non-power-of-two line size, lines not a multiple of kCacheWays).
   void configure(const CacheParams& params);
 
   [[nodiscard]] const CacheParams& params() const noexcept { return params_; }
@@ -156,7 +154,8 @@ class ReadCache {
   mutable CacheStats view_{};  // last stats() result
   std::uint64_t tick_ = 0;
   std::size_t sets_ = 0;
-  // sets_ * ways lines, set-major: set s occupies [s*ways, (s+1)*ways).
+  // sets_ * kCacheWays lines, set-major: set s occupies
+  // [s*kCacheWays, (s+1)*kCacheWays).
   std::vector<Line> lines_;
 };
 

@@ -10,7 +10,6 @@ namespace hupc::core {
 namespace {
 const trace::CounterId kRegion = trace::intern("core.region");
 const trace::CounterId kTask = trace::intern("core.task");
-const trace::CounterId kSpawnThrottle = trace::intern("fault.spawn.throttle");
 }  // namespace
 
 SubModelParams params_for(SubModel model) {
@@ -47,10 +46,7 @@ SubPool::SubPool(gas::Thread& master, int width, SubModel model,
   // works at the reduced width; callers observe it via width().
   if (fault::SpawnHook* throttle = rt.fault_hooks().spawn) {
     const int clamped = throttle->clamp_spawn_width(width);
-    if (clamped >= 1 && clamped < width) {
-      rt.counters().add(kSpawnThrottle, master.rank());
-      width = clamped;
-    }
+    if (clamped >= 1 && clamped < width) width = clamped;
   }
   serialize_gate_ = std::make_unique<sim::Mutex>(rt.engine());
   contexts_.reserve(static_cast<std::size_t>(width));
@@ -94,7 +90,7 @@ sim::Task<void> SubPool::parallel_for(std::size_t n, Schedule schedule,
   const auto width = static_cast<std::size_t>(this->width());
   const double task_cost = params_.task_overhead_s;
 
-  // Shared trip counter for dynamic/guided scheduling.
+  // Shared trip counter for dynamic scheduling.
   auto next = std::make_shared<std::size_t>(0);
 
   std::vector<async::future<>> workers;
@@ -117,32 +113,25 @@ sim::Task<void> SubPool::parallel_for(std::size_t n, Schedule schedule,
             }(ctx, fn, lo, hi, task_cost)));
         break;
       }
-      case Schedule::dynamic:
-      case Schedule::guided: {
+      case Schedule::dynamic: {
         const std::size_t base_chunk =
             chunk != 0 ? chunk : std::max<std::size_t>(1, n / (width * 8));
         workers.push_back(sim::spawn(
             engine,
             [](SubContext& c, const ForBody& f, std::shared_ptr<std::size_t> nx,
-               std::size_t total, std::size_t chunk_sz, bool guided,
-               std::size_t nworkers, double oh) -> sim::Task<void> {
+               std::size_t total, std::size_t chunk_sz,
+               double oh) -> sim::Task<void> {
               auto& eng = c.master().runtime().engine();
               for (;;) {
                 const std::size_t lo = *nx;
                 if (lo >= total) break;
-                std::size_t len = chunk_sz;
-                if (guided) {
-                  len = std::max<std::size_t>(chunk_sz,
-                                              (total - lo) / (2 * nworkers));
-                }
-                const std::size_t hi = std::min(total, lo + len);
+                const std::size_t hi = std::min(total, lo + chunk_sz);
                 *nx = hi;
                 c.master().runtime().counters().add(kTask, c.master().rank());
                 co_await sim::delay(eng, sim::from_seconds(oh));
                 co_await f(c, lo, hi);
               }
-            }(ctx, fn, next, n, base_chunk, schedule == Schedule::guided,
-              width, task_cost)));
+            }(ctx, fn, next, n, base_chunk, task_cost)));
         break;
       }
     }

@@ -97,7 +97,7 @@ class SubContext {
 };
 
 /// Loop-scheduling policies for parallel_for.
-enum class Schedule { static_chunks, dynamic, guided };
+enum class Schedule { static_chunks, dynamic };
 
 class SubPool {
  public:

@@ -91,7 +91,7 @@ struct Case {
   // Records the virtual time, the injection count and the trace summary.
   void finish() {
     res.virtual_time = engine.now();
-    res.injected = plan.stats().total();
+    res.injected = plan.injected();
     std::ostringstream summary;
     tracer.export_summary(summary);
     res.summary = summary.str();

@@ -60,7 +60,7 @@ struct CaseSpec {
 struct CaseResult {
   Violations violations;
   sim::Time virtual_time = 0;
-  std::uint64_t injected = 0;  // InjectionStats::total() of the plan
+  std::uint64_t injected = 0;  // FaultPlan::injected() after the run
   std::string summary;         // trace summary export (golden determinism)
 
   [[nodiscard]] bool ok() const noexcept { return violations.empty(); }

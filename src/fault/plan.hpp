@@ -22,6 +22,7 @@
 #include "fault/hooks.hpp"
 #include "gas/runtime.hpp"
 #include "sim/engine.hpp"
+#include "trace/counters.hpp"
 #include "util/rng.hpp"
 
 namespace hupc::fault {
@@ -82,27 +83,10 @@ struct PlanParams {
   [[nodiscard]] std::string describe() const;
 };
 
-/// What a plan actually did during a run (diagnostics + test assertions).
-struct InjectionStats {
-  std::uint64_t events_jittered = 0;
-  std::uint64_t messages_delayed = 0;
-  std::uint64_t messages_degraded = 0;
-  std::uint64_t messages_held_blackout = 0;
-  std::uint64_t steals_failed = 0;
-  std::uint64_t allocs_failed = 0;
-  std::uint64_t spawns_throttled = 0;
-  std::uint64_t cache_lines_dropped = 0;
-  std::uint64_t completions_delayed = 0;
-
-  [[nodiscard]] std::uint64_t total() const noexcept {
-    return events_jittered + messages_delayed + messages_degraded +
-           messages_held_blackout + steals_failed + allocs_failed +
-           spawns_throttled + cache_lines_dropped + completions_delayed;
-  }
-};
-
 /// The installable plan: implements every hook seam, draws decisions from
-/// per-seam streams seeded off PlanParams::seed.
+/// per-seam streams seeded off PlanParams::seed, and counts each decision
+/// it makes once into its engine's counter registry under a fault.* name
+/// (attributed to the rank the hook receives, else to the engine lane).
 class FaultPlan final : public ScheduleHook,
                         public MessageHook,
                         public StealHook,
@@ -117,11 +101,12 @@ class FaultPlan final : public ScheduleHook,
   /// spawn seams are read by WorkStealing/SubPool at their construction, so
   /// install before building those). Only enabled groups are exposed.
   void install(gas::Runtime& rt);
-  /// Remove every fault hook from `rt`.
-  static void uninstall(gas::Runtime& rt);
 
   [[nodiscard]] const PlanParams& params() const noexcept { return params_; }
-  [[nodiscard]] const InjectionStats& stats() const noexcept { return stats_; }
+  /// Perturbations injected so far: the sum of the plan's fault.* counters
+  /// (0 before install()). A message both blacked out and delayed counts
+  /// twice, once per decision.
+  [[nodiscard]] std::uint64_t injected() const;
 
   // --- hook implementations (called by the runtime seams) ----------------
   [[nodiscard]] std::int64_t perturb_schedule(std::int64_t now,
@@ -136,9 +121,10 @@ class FaultPlan final : public ScheduleHook,
   [[nodiscard]] std::int64_t delay_completion(int rank) noexcept override;
 
  private:
+  void count(trace::CounterId id, int rank) noexcept;
+
   PlanParams params_;
-  InjectionStats stats_;
-  sim::Engine* engine_ = nullptr;  // clock for the blackout window
+  sim::Engine* engine_ = nullptr;  // clock for the blackout, counter registry
   util::Xoshiro256ss sched_rng_;
   util::Xoshiro256ss msg_rng_;
   util::Xoshiro256ss steal_rng_;
@@ -149,7 +135,8 @@ class FaultPlan final : public ScheduleHook,
 
 /// Registered plan-template names ("none", "jitter", "latency-spike",
 /// "bw-dip", "blackout", "steal-storm", "spawn-throttle", "heap-pressure",
-/// "cache-storm", "completion-storm", "mixed").
+/// "cache-storm", "completion-storm", "team-storm", "vis-storm", "kv-storm",
+/// "mixed").
 [[nodiscard]] const std::vector<std::string>& plan_template_names();
 
 /// Instantiate a template: magnitudes are drawn deterministically from

@@ -25,10 +25,10 @@ FtModel::FtModel(gas::Runtime& rt, FtConfig config)
 
   const double plane_points = static_cast<double>(g.nx) * g.ny;
   fft2d_plane_s_ =
-      flops_seconds(rt, fft_flops(plane_points), cfg_.fft_efficiency);
+      flops_seconds(rt, fft_flops(plane_points), kFftEfficiency);
   const double pencils = plane_points / T;
   fft1d_total_s_ = flops_seconds(
-      rt, pencils * fft_flops(static_cast<double>(g.nz)), cfg_.fft_efficiency);
+      rt, pencils * fft_flops(static_cast<double>(g.nz)), kFftEfficiency);
 
   if (cfg_.comm == FtComm::mpi_alltoall) {
     mpi_ = std::make_unique<mpl::Mpi>(rt);
@@ -227,7 +227,7 @@ sim::Task<void> FtModel::run(gas::Thread& self) {
   std::unique_ptr<core::SubPool> pool;
   if (cfg_.subs > 0) {
     pool = std::make_unique<core::SubPool>(self, cfg_.subs, cfg_.sub_model,
-                                           cfg_.safety);
+                                           core::ThreadSafety::serialized);
   }
   const auto& g = cfg_.grid;
   const double evolve_flops =

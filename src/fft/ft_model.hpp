@@ -19,9 +19,9 @@
 //
 // Execution variants:
 //   pure UPC (process or pthreads backend per the Runtime config),
-//   hybrid UPC x sub-threads (subs parallelize the compute phases; the
-//   master funnels communication — or subs inject directly under
-//   serialized/multiple safety in the overlap variant),
+//   hybrid UPC x sub-threads (subs parallelize the compute phases under
+//   serialized safety; the master funnels communication — or subs inject
+//   directly in the overlap variant),
 //   MPI (exchange through mpl::Mpi's tuned alltoall).
 #pragma once
 
@@ -53,6 +53,10 @@ struct FtParams {
   [[nodiscard]] static FtParams class_b() { return {512, 256, 256, 20, "B"}; }
 };
 
+/// Fraction of peak FLOP rate the FFT kernels achieve (cache-blocked FFTs
+/// typically run at ~20-25% of peak on Nehalem-class cores).
+inline constexpr double kFftEfficiency = 0.22;
+
 enum class CommVariant { split_phase, overlap };
 enum class FtComm { upc_p2p, mpi_alltoall };
 
@@ -64,10 +68,6 @@ struct FtConfig {
   // compute phases on `subs` sub-thread contexts.
   int subs = 0;
   core::SubModel sub_model = core::SubModel::openmp;
-  core::ThreadSafety safety = core::ThreadSafety::serialized;
-  // Fraction of peak FLOP rate the FFT kernels achieve (cache-blocked
-  // FFTs typically run at ~20-25% of peak on Nehalem-class cores).
-  double fft_efficiency = 0.22;
   // All-to-all algorithm for the upc_p2p split-phase exchange: flat
   // staggered (the §4.3.3.1 reference) or the supernode-leader
   // hierarchical schedule (node-local funnel -> one aggregated message

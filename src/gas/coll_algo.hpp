@@ -113,11 +113,11 @@ enum class CollAlgo : std::uint8_t {
 /// algorithm fall back to flat rather than failing mid-kernel.
 struct CollectiveSelector {
   CollAlgo override_algo = CollAlgo::automatic;
-  /// Two-level trees need enough members to amortize the extra leader hop.
-  int hier_min_members = 4;
 
   [[nodiscard]] CollAlgo choose(CollOp op, std::size_t bytes, int members,
                                 bool spans_nodes) const noexcept {
+    // Two-level trees need enough members to amortize the extra leader hop.
+    constexpr int kHierMinMembers = 4;
     // alltoall: aggregate through node leaders only while the per-pair
     // payload is injection/latency dominated (cf. mpl::Mpi's ~1 KiB
     // crossover; the gas-level path keeps a wider window because the flat
@@ -131,14 +131,14 @@ struct CollectiveSelector {
     }
     switch (op) {
       case CollOp::alltoall:
-        return spans_nodes && members >= hier_min_members &&
+        return spans_nodes && members >= kHierMinMembers &&
                        bytes <= kHierAlltoallMaxBytes
                    ? CollAlgo::hier
                    : CollAlgo::flat;
       case CollOp::broadcast:
       case CollOp::reduce:
-        return spans_nodes && members >= hier_min_members ? CollAlgo::hier
-                                                          : CollAlgo::flat;
+        return spans_nodes && members >= kHierMinMembers ? CollAlgo::hier
+                                                         : CollAlgo::flat;
       case CollOp::allgather:
         if (members < 3) return CollAlgo::flat;
         return bytes <= kDissemAllgatherMaxBytes ? CollAlgo::dissem

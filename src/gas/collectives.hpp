@@ -354,8 +354,7 @@ class Collectives {
   }
 
   [[nodiscard]] sim::Time barrier_cost() const {
-    const auto& costs = rt_->config().costs;
-    double seconds = costs.barrier_hop_s * ceil_log2(size());
+    double seconds = kBarrierHopS * ceil_log2(size());
     if (spans_nodes_) {
       const auto& c = rt_->config().conduit;
       seconds += (c.send_overhead_s + c.latency_s + c.recv_overhead_s) *

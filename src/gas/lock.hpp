@@ -51,20 +51,19 @@ class GlobalLock {
   [[nodiscard]] sim::Task<void> release(Thread& self) {
     rt_->counters().add(detail::kLockRelease, self.rank());
     co_await sim::delay(self.runtime().engine(),
-                        sim::from_seconds(rt_->config().costs.lock_local_s));
+                        sim::from_seconds(kLockLocalS));
     mutex_.unlock();
   }
 
  private:
   [[nodiscard]] sim::DelayAwaiter access_cost(Thread& self) {
-    const auto& costs = rt_->config().costs;
     const auto& c = rt_->config().conduit;
     // Supernode-local: an atomic op. Same node, not cross-mapped: the
     // loopback channel. Remote: a request + acknowledgement round trip.
     const double seconds =
-        rt_->same_supernode(self.rank(), home_) ? costs.lock_local_s
+        rt_->same_supernode(self.rank(), home_) ? kLockLocalS
         : rt_->node_of(self.rank()) == rt_->node_of(home_)
-            ? costs.loopback_overhead_s
+            ? kLoopbackOverheadS
             : 2.0 * (c.send_overhead_s + c.latency_s + c.recv_overhead_s);
     return sim::delay(rt_->engine(), sim::from_seconds(seconds));
   }

@@ -109,22 +109,10 @@ Config validated(Config config) {
         std::to_string(m.cores_per_socket) + "/" +
         std::to_string(m.smt_per_core) + ")");
   }
-  const auto& c = config.costs;
-  const struct { const char* name; double value; } costs[] = {
-      {"ptr_overhead_s", c.ptr_overhead_s},
-      {"shm_copy_overhead_s", c.shm_copy_overhead_s},
-      {"loopback_bw", c.loopback_bw},
-      {"loopback_overhead_s", c.loopback_overhead_s},
-      {"barrier_hop_s", c.barrier_hop_s},
-      {"lock_local_s", c.lock_local_s},
-      {"vis_region_header_bytes", c.vis_region_header_bytes},
-  };
-  for (const auto& [name, value] : costs) {
-    if (value < 0.0) {
-      throw std::invalid_argument(std::string("gas::Config: CostParams.") +
-                                  name + " must be >= 0 (got " +
-                                  std::to_string(value) + ")");
-    }
+  if (config.shm_copy_overhead_s < 0.0) {
+    throw std::invalid_argument(
+        "gas::Config: shm_copy_overhead_s must be >= 0 (got " +
+        std::to_string(config.shm_copy_overhead_s) + ")");
   }
   if (config.conduit.stage_bw <= 0.0 || config.conduit.conn_bw <= 0.0 ||
       config.conduit.nic_bw <= 0.0) {
@@ -137,8 +125,7 @@ Config validated(Config config) {
 Runtime::Runtime(sim::Engine& engine, Config config)
     : engine_(&engine),
       config_(validated(std::move(config))),
-      placement_(topo::place_ranks(config_.machine, config_.threads,
-                                   config_.placement)),
+      placement_(topo::place_ranks(config_.machine, config_.threads)),
       ranks_per_node_((config_.threads + config_.machine.nodes - 1) /
                       config_.machine.nodes),
       nodes_used_((config_.threads + ranks_per_node_ - 1) / ranks_per_node_),
@@ -228,8 +215,7 @@ bool Runtime::same_supernode(int a, int b) const {
 }
 
 sim::Time Runtime::barrier_cost() const {
-  const double intra =
-      config_.costs.barrier_hop_s * ceil_log2(ranks_per_node_);
+  const double intra = kBarrierHopS * ceil_log2(ranks_per_node_);
   double inter = 0.0;
   if (nodes_used_ > 1) {
     const auto& c = config_.conduit;
@@ -362,7 +348,7 @@ sim::Task<void> Thread::shared_loop(int home_rank, std::uint64_t count,
                       rank_, count);
   // CPU side: the translation overhead is serial work on this core.
   if (!privatized) {
-    const double cpu = static_cast<double>(count) * rt_->config().costs.ptr_overhead_s;
+    const double cpu = static_cast<double>(count) * kPtrOverheadS;
     co_await compute(cpu);
   }
   // Memory side: the touched bytes flow through the home socket's pool.
@@ -403,7 +389,7 @@ sim::Task<void> Thread::element_access(int owner, std::size_t bytes) {
                      bytes, static_cast<std::uint64_t>(owner));
   rt_->counters().add(kAccessTranslated, rank_);
   // Translation overhead always applies to un-cast shared accesses.
-  co_await compute(rt_->config().costs.ptr_overhead_s);
+  co_await compute(kPtrOverheadS);
   const topo::HwLoc home = rt_->loc_of(owner);
   if (home.node == loc_.node) {
     co_await rt_->memory().access(loc_, home, 1, static_cast<double>(bytes));
@@ -432,7 +418,7 @@ sim::Task<void> Thread::read_access(int owner, const void* addr,
       rt_->counters().add(kAccessCached, rank_);
       // Pointer translation is CPU work; caching only amortizes the
       // network side of the access.
-      co_await compute(rt_->config().costs.ptr_overhead_s);
+      co_await compute(kPtrOverheadS);
       const int dst_node = rt_->node_of(owner);
       if (coalescing_ &&
           coalescer_->has_conflicting_put(dst_node, addr, bytes)) {
@@ -460,7 +446,7 @@ sim::Task<void> Thread::uncached_read_access(int owner, const void* addr,
     rt_->counters().add(kAccessCoalesced, rank_);
     // Pointer translation is CPU work; coalescing only amortizes the
     // network side of the access.
-    co_await compute(rt_->config().costs.ptr_overhead_s);
+    co_await compute(kPtrOverheadS);
     co_await coalescer_->read(rt_->node_of(owner), addr, bytes);
     co_return;
   }
@@ -481,7 +467,7 @@ sim::Task<void> Thread::coalesced_put(int owner, void* dst, const void* value,
   HUPC_TRACE_INSTANT(rt_->tracer(), trace::Category::gas, "element.coalesced",
                      rank_, bytes, static_cast<std::uint64_t>(owner));
   rt_->counters().add(kAccessCoalesced, rank_);
-  co_await compute(rt_->config().costs.ptr_overhead_s);
+  co_await compute(kPtrOverheadS);
   co_await coalescer_->put(rt_->node_of(owner), dst, value, bytes);
 }
 
@@ -510,7 +496,6 @@ sim::Task<void> Thread::lower_transfer(topo::HwLoc at, int peer,
                                        double payload, std::uint64_t regions) {
   const double b = payload;
   const topo::HwLoc peer_loc = rt_->loc_of(peer);
-  const auto& costs = rt_->config().costs;
 
   if (peer == rank_ || rt_->same_supernode(rank_, peer)) {
     // Plain load/store path: per-call software overhead + both memory
@@ -519,7 +504,7 @@ sim::Task<void> Thread::lower_transfer(topo::HwLoc at, int peer,
     // `regions` adds nothing here.
     rt_->counters().add(kCopyShm, rank_);
     co_await sim::delay(rt_->engine(),
-                        sim::from_seconds(costs.shm_copy_overhead_s));
+                        sim::from_seconds(rt_->config().shm_copy_overhead_s));
     auto read_leg = rt_->memory().stream(at, at, b);
     auto write_leg = rt_->memory().stream(at, peer_loc, b);
     co_await read_leg.wait();
@@ -531,14 +516,14 @@ sim::Task<void> Thread::lower_transfer(topo::HwLoc at, int peer,
     // both sides). PSHM's whole point is eliminating this.
     rt_->counters().add(kCopyLoopback, rank_);
     co_await sim::delay(rt_->engine(),
-                        sim::from_seconds(costs.loopback_overhead_s));
+                        sim::from_seconds(kLoopbackOverheadS));
     auto src_mem = rt_->memory().stream(at, at, 2.0 * b);
     auto dst_mem = rt_->memory().stream(at, peer_loc, 2.0 * b);
     co_await rt_->network().loopback({.src_node = at.node,
                                       .src_ep = rt_->endpoint_of(rank_),
                                       .dst_node = at.node,
                                       .bytes = b},
-                                     costs.loopback_bw);
+                                     kLoopbackBw);
     co_await src_mem.wait();
     co_await dst_mem.wait();
   } else if (regions > 1) {
@@ -548,7 +533,7 @@ sim::Task<void> Thread::lower_transfer(topo::HwLoc at, int peer,
     // from 4096 x 16 B.
     rt_->counters().add(kCopyRma, rank_);
     const double gross =
-        b + static_cast<double>(regions) * costs.vis_region_header_bytes;
+        b + static_cast<double>(regions) * kVisRegionHeaderBytes;
     co_await rt_->network().rma({.src_node = at.node,
                                  .src_ep = rt_->endpoint_of(rank_),
                                  .dst_node = peer_loc.node,

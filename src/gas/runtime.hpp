@@ -74,31 +74,27 @@ enum class Backend { processes, pthreads };
 template <class U, class T>
 concept SourceElement = std::same_as<std::remove_const_t<U>, T>;
 
-/// Software-cost constants (calibration targets in DESIGN.md §6).
-struct CostParams {
-  /// Shared-pointer translation per fine-grained access (runtime call +
-  /// address arithmetic; fitted to Table 3.1 baseline = 3.2 GB/s).
-  double ptr_overhead_s = 52e-9;
-  /// Per-call software cost of a supernode (PSHM/pthreads) bulk copy.
-  double shm_copy_overhead_s = 0.25e-6;
-  /// Intra-node path when segments are NOT cross-mapped (process backend
-  /// without PSHM): the GASNet loopback channel. Bulk puts fragment into
-  /// ~4 KiB AM mediums, each paying a handler dispatch (~25 us), so the
-  /// effective rate is ~0.15 GB/s — the overhead PSHM exists to remove
-  /// (fitted to Fig 3.4a's 20%+ improvements on a 4-node exchange).
-  double loopback_bw = 0.15e9;
-  double loopback_overhead_s = 1.2e-6;
-  /// Dissemination-barrier per-round cost inside a node.
-  double barrier_hop_s = 0.3e-6;
-  /// Local lock acquire/release software cost.
-  double lock_local_s = 0.15e-6;
-  /// Modeled per-region metadata header of a packed VIS message (address +
-  /// length per packed region, like the coalescer's per-op headers).
-  /// Charged only when a descriptor lowers to MORE than one region — a
-  /// single-region transfer is a plain RMA and stays bit-identical to the
-  /// pre-descriptor contiguous copy() path.
-  double vis_region_header_bytes = 8.0;
-};
+// Software-cost constants (calibration targets in DESIGN.md §6).
+/// Shared-pointer translation per fine-grained access (runtime call +
+/// address arithmetic; fitted to Table 3.1 baseline = 3.2 GB/s).
+inline constexpr double kPtrOverheadS = 52e-9;
+/// Intra-node path when segments are NOT cross-mapped (process backend
+/// without PSHM): the GASNet loopback channel. Bulk puts fragment into
+/// ~4 KiB AM mediums, each paying a handler dispatch (~25 us), so the
+/// effective rate is ~0.15 GB/s — the overhead PSHM exists to remove
+/// (fitted to Fig 3.4a's 20%+ improvements on a 4-node exchange).
+inline constexpr double kLoopbackBw = 0.15e9;
+inline constexpr double kLoopbackOverheadS = 1.2e-6;
+/// Dissemination-barrier per-round cost inside a node.
+inline constexpr double kBarrierHopS = 0.3e-6;
+/// Local lock acquire/release software cost.
+inline constexpr double kLockLocalS = 0.15e-6;
+/// Modeled per-region metadata header of a packed VIS message (address +
+/// length per packed region, like the coalescer's per-op headers).
+/// Charged only when a descriptor lowers to MORE than one region — a
+/// single-region transfer is a plain RMA and stays bit-identical to the
+/// pre-descriptor contiguous copy() path.
+inline constexpr double kVisRegionHeaderBytes = 8.0;
 
 struct Config {
   topo::MachineSpec machine;
@@ -106,8 +102,8 @@ struct Config {
   Backend backend = Backend::processes;
   bool pshm = true;
   net::ConduitSpec conduit = net::ib_qdr();
-  topo::Placement placement = topo::Placement::cyclic_socket;
-  CostParams costs{};
+  /// Per-call software cost of a supernode (PSHM/pthreads) bulk copy.
+  double shm_copy_overhead_s = 0.25e-6;
   /// Effective NIC efficiency. <= 0 selects the model: independently
   /// polling connection endpoints degrade the achievable NIC bandwidth,
   ///   eff = 1 / (1 + 0.025 * max(0, connections_per_node - 1)),
@@ -125,8 +121,9 @@ struct Config {
 };
 
 /// Validate `config`, throwing std::invalid_argument with a precise message
-/// on nonsense (threads < 1, degenerate machine shape, negative cost
-/// constants) instead of letting an assert fire deep inside the runtime.
+/// on nonsense (threads < 1, degenerate machine shape, a negative
+/// shm_copy_overhead_s, a dead conduit link) instead of letting an assert
+/// fire deep inside the runtime.
 /// Returns the config unchanged on success.
 [[nodiscard]] Config validated(Config config);
 

@@ -16,8 +16,6 @@ const trace::CounterId kVisRegions = trace::intern("net.vis.regions");
 const trace::CounterId kVisBytes = trace::intern("net.vis.bytes");
 const trace::CounterId kDelivered = trace::intern("net.delivered");
 const trace::CounterId kLoopback = trace::intern("net.loopback");
-const trace::CounterId kFaultHold = trace::intern("fault.msg.hold");
-const trace::CounterId kFaultDegrade = trace::intern("fault.msg.degrade");
 }  // namespace
 
 ConduitSpec conduit_preset(std::string_view name) {
@@ -104,11 +102,9 @@ sim::Task<void> Network::rma(Transfer t) {
     const fault::MessageMutation mut =
         fault_->on_message(t.src_node, t.dst_node, t.bytes);
     if (mut.hold_s > 0.0) {
-      counters.add(kFaultHold, rank);
       co_await sim::delay(*engine_, sim::from_seconds(mut.hold_s));
     }
     if (mut.bw_scale < 1.0) {
-      counters.add(kFaultDegrade, rank);
       // Floor at 1e-4x: a zero-rate flow would never complete (blackouts
       // are modeled as holds, not zero bandwidth).
       wire_cap *= mut.bw_scale < 1e-4 ? 1e-4 : mut.bw_scale;

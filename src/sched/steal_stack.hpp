@@ -18,6 +18,9 @@
 
 namespace hupc::sched {
 
+/// Payload of one stolen item.
+inline constexpr double kBytesPerItem = 24.0;
+
 namespace detail {
 inline const trace::CounterId kRelease = trace::intern("sched.release");
 inline const trace::CounterId kDiffusionSplit =
@@ -95,14 +98,13 @@ class StealStack {
 
   /// Steal up to `granularity` items — or half of the shared portion when
   /// `steal_half` (rapid diffusion) and at least two chunks are available.
-  /// The payload transfer is charged at `bytes_per_item`.
+  /// The payload transfer is charged at kBytesPerItem.
   /// `test_split_off_by_one` plants a deliberate boundary bug in the
   /// diffusion split (the boundary item lands on both sides) — a fuzzer
   /// validation target only, never enable outside tests.
   [[nodiscard]] sim::Task<std::size_t> steal(gas::Thread& thief,
                                              std::vector<T>& out,
                                              int granularity, bool steal_half,
-                                             double bytes_per_item,
                                              bool test_split_off_by_one = false) {
     co_await lock_.acquire(thief);
     std::size_t take = std::min<std::size_t>(
@@ -121,7 +123,7 @@ class StealStack {
       // One bulk transfer for the stolen items.
       co_await thief.copy_raw(owner_, nullptr, nullptr,
                               static_cast<std::size_t>(
-                                  static_cast<double>(take) * bytes_per_item));
+                                  static_cast<double>(take) * kBytesPerItem));
       for (std::size_t i = 0; i < take; ++i) {
         out.push_back(std::move(shared_.front()));
         shared_.pop_front();

@@ -26,7 +26,6 @@
 #include <optional>
 #include <vector>
 
-#include "comm/coalescer.hpp"
 #include "comm/read_cache.hpp"
 #include "fault/hooks.hpp"
 #include "gas/gas.hpp"
@@ -37,6 +36,9 @@
 
 namespace hupc::sched {
 
+/// Compute charged per processed item (~2 Mnodes/s/core).
+inline constexpr double kItemCostS = 0.5e-6;
+
 enum class VictimPolicy { random, local_first };
 
 struct StealParams {
@@ -44,23 +46,13 @@ struct StealParams {
   bool rapid_diffusion = false;
   int granularity = 8;        // items per steal (thesis: 8 on IB, 20 on Eth)
   int chunk = 8;              // release chunk of the steal stacks
-  double item_cost_s = 0.5e-6;   // compute per item (~2 Mnodes/s/core)
-  double bytes_per_item = 24.0;  // payload per stolen item
-  int batch = 64;                // items processed per virtual-time charge
+  int batch = 64;             // items processed per virtual-time charge
   std::uint64_t seed = 0x5EED;
-  /// Run each discovery sweep's remote probe reads inside a coalescing
-  /// epoch: the 8-byte work-counter peeks at every victim on one node
-  /// aggregate into a single metadata message instead of one API call per
-  /// probe. The epoch always closes before an actual steal transfer, so
-  /// stolen payloads still ship on the bulk path.
-  bool coalesce_probes = false;
-  comm::Params coalesce{};
   /// Serve the discovery sweeps' probe reads through a read-cache epoch
   /// held open for the whole run(): re-probing a victim whose count line
   /// is still cached costs a local access instead of a round trip. The
   /// thief's own lock acquires and bulk steal transfers invalidate its
-  /// cache, so every successful steal re-fetches fresh counts. Composes
-  /// with coalesce_probes (the cache is consulted first).
+  /// cache, so every successful steal re-fetches fresh counts.
   bool cache_probes = false;
   comm::CacheParams cache{};
   /// Test-only: plant an off-by-one in the rapid-diffusion split (the
@@ -91,8 +83,6 @@ inline const trace::CounterId kStealSuccess =
 inline const trace::CounterId kStealLocal = trace::intern("sched.steal.local");
 inline const trace::CounterId kStealRemote =
     trace::intern("sched.steal.remote");
-inline const trace::CounterId kFaultStealFail =
-    trace::intern("fault.steal.fail");
 }  // namespace detail
 
 template <class T>
@@ -151,7 +141,7 @@ class WorkStealing {
           ++done;
         }
         counters.add(detail::kProcessed, me, static_cast<std::uint64_t>(done));
-        co_await self.compute(params_.item_cost_s * done);
+        co_await self.compute(kItemCostS * done);
         co_await stack.maybe_release(self);
         backoff = 2 * sim::kMicrosecond;
         continue;
@@ -228,7 +218,6 @@ class WorkStealing {
     }
 
     std::vector<T> loot;
-    if (params_.coalesce_probes) self.begin_coalesce(params_.coalesce);
     for (int victim : order) {
       const bool victim_local = rt_->node_of(victim) == rt_->node_of(me);
       auto& vstack = *stacks_[static_cast<std::size_t>(victim)];
@@ -236,7 +225,6 @@ class WorkStealing {
       // Fault injection: a transient steal failure (contention storm) makes
       // the victim look empty without even probing.
       if (steal_fault_ != nullptr && steal_fault_->fail_steal(me, victim)) {
-        counters.add(detail::kFaultStealFail, me);
         counters.add(detail::kStealFail, me);
         continue;
       }
@@ -245,12 +233,9 @@ class WorkStealing {
         counters.add(detail::kStealFail, me);
         continue;
       }
-      // Close the epoch before the steal itself: the stolen payload is a
-      // bulk transfer and must not queue behind buffered probe charges.
-      if (params_.coalesce_probes) co_await self.end_coalesce();
       const std::size_t got = co_await vstack.steal(
           self, loot, params_.granularity, params_.rapid_diffusion,
-          params_.bytes_per_item, params_.test_split_off_by_one);
+          params_.test_split_off_by_one);
       if (got > 0) {
         auto& mine = *stacks_[static_cast<std::size_t>(me)];
         for (auto& item : loot) mine.push(std::move(item));
@@ -266,10 +251,7 @@ class WorkStealing {
         co_return true;
       }
       counters.add(detail::kStealFail, me);
-      // The failed steal closed the epoch; reopen for the remaining probes.
-      if (params_.coalesce_probes) self.begin_coalesce(params_.coalesce);
     }
-    if (params_.coalesce_probes) co_await self.end_coalesce();
     co_return false;
   }
 

@@ -23,30 +23,27 @@ GatherResult RandomAccess::run_gather(const GatherParams& params) {
   auto& rt = *rt_;
   GatherResult result;
   result.reads = params.bursts * params.burst_len *
-                 static_cast<std::uint64_t>(rt.threads()) *
-                 static_cast<std::uint64_t>(params.passes);
+                 static_cast<std::uint64_t>(rt.threads());
 
   std::uint64_t remote_total = 0, checksum = 0;
 
   rt.spmd([&, params](gas::Thread& t) -> sim::Task<void> {
     co_await t.barrier();
-    // The epoch (if any) spans every pass; barriers inside would fence it,
-    // and the guard's destructor closes it on any unwind.
+    // The epoch (if any) spans the whole gather; the guard's destructor
+    // closes it on any unwind.
     std::optional<gas::CachedEpoch> epoch;
     if (params.cached) epoch.emplace(t, params.cache);
     std::uint64_t x =
         params.seed + 0x9E3779B97F4A7C15ULL *
                           static_cast<std::uint64_t>(t.rank() + 1);
     std::uint64_t sum = 0;
-    for (int pass = 0; pass < params.passes; ++pass) {
-      for (std::uint64_t b = 0; b < params.bursts; ++b) {
-        x = hpcc_next(x);
-        const std::uint64_t start = x & mask_;
-        for (std::uint64_t k = 0; k < params.burst_len; ++k) {
-          const std::uint64_t idx = (start + k) & mask_;
-          if (!t.castable(table_.owner_of(idx))) ++remote_total;
-          sum ^= co_await t.get(table_.at(idx));
-        }
+    for (std::uint64_t b = 0; b < params.bursts; ++b) {
+      x = hpcc_next(x);
+      const std::uint64_t start = x & mask_;
+      for (std::uint64_t k = 0; k < params.burst_len; ++k) {
+        const std::uint64_t idx = (start + k) & mask_;
+        if (!t.castable(table_.owner_of(idx))) ++remote_total;
+        sum ^= co_await t.get(table_.at(idx));
       }
     }
     checksum ^= sum;  // xor-fold: order-independent across ranks

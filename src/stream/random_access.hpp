@@ -51,11 +51,10 @@ struct GupsResult {
 };
 
 /// The read-dominated gather workload: every rank reads `bursts` random
-/// bursts of `burst_len` consecutive table elements per pass.
+/// bursts of `burst_len` consecutive table elements.
 struct GatherParams {
   std::uint64_t bursts = 32;
   std::uint64_t burst_len = 64;
-  int passes = 1;
   /// Serve remote gets through a read-cache epoch (comm::ReadCache).
   bool cached = false;
   comm::CacheParams cache{};

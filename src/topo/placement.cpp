@@ -5,62 +5,21 @@
 
 namespace hupc::topo {
 
-namespace {
-
-/// Enumerate the slots of one node in the order a policy fills them.
-std::vector<HwLoc> node_fill_order(const MachineSpec& m, int node,
-                                   Placement policy) {
-  std::vector<HwLoc> order;
-  order.reserve(static_cast<std::size_t>(m.hwthreads_per_node()));
-  switch (policy) {
-    case Placement::cyclic_socket:
-      // socket0/core0, socket1/core0, socket0/core1, ... then SMT siblings.
-      for (int smt = 0; smt < m.smt_per_core; ++smt) {
-        for (int core = 0; core < m.cores_per_socket; ++core) {
-          for (int socket = 0; socket < m.sockets_per_node; ++socket) {
-            order.push_back(HwLoc{node, socket, core, smt});
-          }
-        }
-      }
-      break;
-    case Placement::compact:
-      // Fill socket 0 completely (cores, then SMT siblings) before socket 1.
-      for (int socket = 0; socket < m.sockets_per_node; ++socket) {
-        for (int smt = 0; smt < m.smt_per_core; ++smt) {
-          for (int core = 0; core < m.cores_per_socket; ++core) {
-            order.push_back(HwLoc{node, socket, core, smt});
-          }
-        }
-      }
-      break;
-    case Placement::block:
-      // Contiguous hardware order: socket-major, core, smt.
-      for (int socket = 0; socket < m.sockets_per_node; ++socket) {
-        for (int core = 0; core < m.cores_per_socket; ++core) {
-          for (int smt = 0; smt < m.smt_per_core; ++smt) {
-            order.push_back(HwLoc{node, socket, core, smt});
-          }
-        }
-      }
-      break;
-  }
-  return order;
-}
-
-}  // namespace
-
-std::vector<HwLoc> place_ranks(const MachineSpec& machine, int nranks,
-                               Placement policy) {
+std::vector<HwLoc> place_ranks(const MachineSpec& machine, int nranks) {
   assert(nranks >= 1);
   std::vector<HwLoc> placement(static_cast<std::size_t>(nranks));
   const int per_node = (nranks + machine.nodes - 1) / machine.nodes;
+  const int sockets = machine.sockets_per_node;
+  const int cores = machine.cores_per_socket;
   for (int rank = 0; rank < nranks; ++rank) {
     const int node = rank / per_node;
-    const int local = rank % per_node;
     assert(node < machine.nodes);
-    const auto order = node_fill_order(machine, node, policy);
+    // socket0/core0, socket1/core0, socket0/core1, ... then SMT siblings;
+    // slots wrap when a node holds more ranks than hardware threads.
+    const int slot = (rank % per_node) % machine.hwthreads_per_node();
     placement[static_cast<std::size_t>(rank)] =
-        order[static_cast<std::size_t>(local) % order.size()];
+        HwLoc{node, slot % sockets, (slot / sockets) % cores,
+              slot / (sockets * cores)};
   }
   return placement;
 }

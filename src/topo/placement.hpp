@@ -1,14 +1,9 @@
 // Placement of execution contexts onto hardware thread slots.
 //
 // UPC language threads are distributed blockwise across nodes (the layout
-// the paper's thread configurations "total/per-node" imply) and bound within
-// a node by a policy:
-//   cyclic_socket — numactl-style round-robin over sockets (the paper's
-//                   default for independent UPC processes, §4.3.2);
-//   compact       — fill socket 0 before socket 1 (what happens to 8*n
-//                   hybrid configurations that pin the master and all its
-//                   sub-threads to one socket, §4.3.3.3);
-//   block         — split the node's cores contiguously among ranks.
+// the paper's thread configurations "total/per-node" imply) and bound
+// within a node cyclic-by-socket: numactl-style round-robin over sockets,
+// the paper's default for independent UPC processes (§4.3.2).
 //
 // SlotAllocator additionally hands out slots for dynamically spawned
 // sub-threads near their master (same socket first: the paper binds
@@ -22,14 +17,13 @@
 
 namespace hupc::topo {
 
-enum class Placement { cyclic_socket, compact, block };
-
 /// Map `nranks` ranks onto the machine: ranks are distributed blockwise over
 /// nodes (ceil(nranks/nodes) per node, earlier nodes filled first), then
-/// bound within the node by `policy`. nranks may exceed hardware threads;
-/// slots then wrap (oversubscription), mirroring real oversubscribed runs.
+/// bound cyclic-by-socket within the node. nranks may exceed hardware
+/// threads; slots then wrap (oversubscription), mirroring real
+/// oversubscribed runs.
 [[nodiscard]] std::vector<HwLoc> place_ranks(const MachineSpec& machine,
-                                             int nranks, Placement policy);
+                                             int nranks);
 
 /// Tracks how many bound contexts occupy each hardware thread slot.
 class SlotAllocator {

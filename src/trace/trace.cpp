@@ -38,14 +38,6 @@ std::uint64_t Summary::counter(const std::string& name, int rank) const {
   return it->second[idx];
 }
 
-VTime Summary::category_time(Category cat) const {
-  VTime total = 0;
-  for (const auto& per_rank : rank_time) {
-    total += per_rank[static_cast<std::size_t>(cat)];
-  }
-  return total;
-}
-
 Tracer::Tracer(std::size_t capacity) : capacity_(std::max<std::size_t>(capacity, 1)) {
   ring_.reserve(std::min<std::size_t>(capacity_, 4096));
 }

@@ -89,7 +89,6 @@ struct Summary {
 
   [[nodiscard]] std::uint64_t counter_total(const std::string& name) const;
   [[nodiscard]] std::uint64_t counter(const std::string& name, int rank) const;
-  [[nodiscard]] VTime category_time(Category cat) const;
 };
 
 class Tracer {

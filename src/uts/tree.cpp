@@ -1,7 +1,5 @@
 #include "uts/tree.hpp"
 
-#include <cmath>
-
 namespace hupc::uts {
 
 Node root_node(const TreeParams& params) {
@@ -14,22 +12,8 @@ Node root_node(const TreeParams& params) {
 }
 
 int num_children(const TreeParams& params, const Node& node) {
-  switch (params.shape) {
-    case Shape::binomial: {
-      if (node.depth == 0) return params.b0;
-      return uniform_from(node.state) < params.q ? params.m : 0;
-    }
-    case Shape::geometric: {
-      if (node.depth >= params.max_depth) return 0;
-      // Geometric with mean geo_b: P(k) = p(1-p)^k, p = 1/(1+b).
-      const double p = 1.0 / (1.0 + params.geo_b);
-      const double u = uniform_from(node.state);
-      // Inverse CDF; clamp the open interval to avoid log(0).
-      const double v = u >= 1.0 ? 0.9999999999 : u;
-      return static_cast<int>(std::floor(std::log(1.0 - v) / std::log(1.0 - p)));
-    }
-  }
-  return 0;
+  if (node.depth == 0) return params.b0;
+  return uniform_from(node.state) < params.q ? params.m : 0;
 }
 
 Node child_of(const Node& parent, std::uint32_t i) {

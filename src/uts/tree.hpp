@@ -1,11 +1,9 @@
-// UTS tree shapes (Prins/Huan/Pugh; thesis §3.3.2).
+// The UTS binomial tree (Prins/Huan/Pugh; thesis §3.3.2).
 //
 // A tree node is its 20-byte SHA-1 state plus depth. Child count is a pure
-// function of the node's state:
-//   binomial  — root spawns b0 children; every other node spawns m children
-//               with probability q, else 0 (m*q < 1 keeps the tree finite;
-//               sizes are heavy-tailed, the source of the load imbalance);
-//   geometric — child count geometric with mean b0, truncated at max_depth.
+// function of the node's state: the root spawns b0 children; every other
+// node spawns m children with probability q, else 0 (m*q < 1 keeps the
+// tree finite; sizes are heavy-tailed, the source of the load imbalance).
 #pragma once
 
 #include <cstdint>
@@ -21,18 +19,12 @@ struct Node {
   std::uint32_t depth = 0;
 };
 
-enum class Shape { binomial, geometric };
-
 struct TreeParams {
-  Shape shape = Shape::binomial;
   std::uint32_t root_seed = 42;
   // Binomial parameters (UTS T3-class workload: ~4.1 M nodes in the thesis).
   int b0 = 2000;
   int m = 8;
   double q = 0.124875;
-  // Geometric parameters.
-  double geo_b = 4.0;
-  std::uint32_t max_depth = 10;
 };
 
 /// The thesis workload: the binomial tree "with total 4.1 million nodes"

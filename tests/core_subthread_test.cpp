@@ -65,7 +65,7 @@ TEST_P(ScheduleParam, AllSchedulesCoverRange) {
 
 INSTANTIATE_TEST_SUITE_P(All, ScheduleParam,
                          ::testing::Values(Schedule::static_chunks,
-                                           Schedule::dynamic, Schedule::guided));
+                                           Schedule::dynamic));
 
 TEST(SubPool, ParallelSpeedupMatchesWidth) {
   auto timed = [](int width) {

@@ -134,7 +134,6 @@ TEST(Team, SubteamsInheritTheSelector) {
   Runtime rt(e, cfg(8, 2));
   gas::CollectiveSelector sel;
   sel.override_algo = gas::CollAlgo::hier;
-  sel.hier_min_members = 2;
   Team everyone(rt, {0, 1, 2, 3, 4, 5, 6, 7}, sel);
   std::vector<Team> subs = everyone.split({0, 1, 0, 1, 0, 1, 0, 1});
   for (auto& by_node : everyone.split_by_node()) subs.push_back(std::move(by_node));
@@ -142,7 +141,6 @@ TEST(Team, SubteamsInheritTheSelector) {
   subs.push_back(everyone.leader_team());
   for (const auto& sub : subs) {
     EXPECT_EQ(sub.selector().override_algo, gas::CollAlgo::hier);
-    EXPECT_EQ(sub.selector().hier_min_members, 2);
   }
   EXPECT_EQ(Team(rt, {0, 1}).selector().override_algo, gas::CollAlgo::automatic);
 }

@@ -80,18 +80,8 @@ std::vector<Rejection> rejected_configs(std::uint64_t seed) {
   reject("machine-no-smt", "machine shape",
          [](Config& c) { c.machine.smt_per_core = 0; });
   // cost constants
-  reject("cost-ptr-overhead", "ptr_overhead_s",
-         [&](Config& c) { c.costs.ptr_overhead_s = neg_cost; });
-  reject("cost-barrier-hop", "barrier_hop_s",
-         [&](Config& c) { c.costs.barrier_hop_s = neg_cost; });
-  reject("cost-lock-local", "lock_local_s",
-         [&](Config& c) { c.costs.lock_local_s = neg_cost; });
-  reject("cost-loopback-bw", "loopback_bw",
-         [&](Config& c) { c.costs.loopback_bw = neg_bw; });
   reject("cost-shm-copy", "shm_copy_overhead_s",
-         [&](Config& c) { c.costs.shm_copy_overhead_s = neg_cost; });
-  reject("cost-loopback-overhead", "loopback_overhead_s",
-         [&](Config& c) { c.costs.loopback_overhead_s = neg_cost; });
+         [&](Config& c) { c.shm_copy_overhead_s = neg_cost; });
   // zero-capacity conduit links
   reject("conduit-dead-nic", "conduit",
          [](Config& c) { c.conduit.nic_bw = 0.0; });
@@ -218,7 +208,7 @@ TEST(Scenarios, RejectionAndAcceptanceContractsHold) {
     }
   }
   // The tables keep covering both halves of the contract.
-  EXPECT_GE(rejecting, 4 * 15);
+  EXPECT_GE(rejecting, 4 * 10);
   EXPECT_GE(accepting, 4 * 3);
 }
 
@@ -493,7 +483,7 @@ TEST(GasEdge, ZeroByteCopyIsFreeAndSafe) {
   rt.run_to_completion();
   EXPECT_EQ(e.now(), 0);
   EXPECT_EQ(rt.network().total_messages(), 0u);
-  EXPECT_EQ(plan.stats().total(), 0u);
+  EXPECT_EQ(plan.injected(), 0u);
 }
 
 TEST(GasEdge, BarrierPhaseCountsMatchCalls) {

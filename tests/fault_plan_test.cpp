@@ -109,9 +109,9 @@ TEST(Seams, HeapPressureThrowsBadAlloc) {
   plan.install(rt);
   (void)rt.heap().alloc<char>(0, 1024);  // fills the grace budget
   EXPECT_THROW((void)rt.heap().alloc<char>(1, 64), std::bad_alloc);
-  EXPECT_GE(plan.stats().allocs_failed, 1u);
+  EXPECT_GE(rt.counters().total("fault.alloc.fail"), 1u);
   // Uninstalling ends the pressure.
-  fault::FaultPlan::uninstall(rt);
+  rt.install_faults({});
   EXPECT_TRUE(rt.heap().alloc<char>(1, 64).valid());
 }
 
@@ -133,18 +133,18 @@ TEST(Seams, SpawnThrottleClampsSubPoolWidth) {
   });
   rt.run_to_completion();
   EXPECT_EQ(width_seen, 1);
-  EXPECT_GE(plan.stats().spawns_throttled, 1u);
+  EXPECT_GE(rt.counters().total("fault.spawn.throttle"), 1u);
 }
 
 TEST(Seams, EventJitterDelaysButNeverReorders) {
   sim::Engine engine;
+  gas::Runtime rt(engine, cfg());  // the plan counts into its registry
   fault::PlanParams p;
   p.seed = 11;
   p.event_jitter_p = 1.0;
   p.event_jitter_max_s = 10e-6;
   fault::FaultPlan plan(p);
-  // Engine-level install (no runtime needed for this seam).
-  engine.set_fault(&plan);
+  plan.install(rt);
   sim::Time last = -1;
   bool monotone = true;
   for (int i = 0; i < 100; ++i) {
@@ -155,7 +155,7 @@ TEST(Seams, EventJitterDelaysButNeverReorders) {
   }
   engine.run();
   EXPECT_TRUE(monotone);
-  EXPECT_EQ(plan.stats().events_jittered, 100u);
+  EXPECT_EQ(rt.counters().total("fault.event.jitter"), 100u);
   EXPECT_GT(last, 99 * 100);  // jitter really stretched the schedule
 }
 
@@ -183,7 +183,7 @@ TEST(Seams, BlackoutHoldsMessagesUntilRecovery) {
     if (t.rank() == 0) co_await t.copy(cell, buf.data(), 64);
   });
   rt.run_to_completion();
-  EXPECT_GE(plan.stats().messages_held_blackout, 1u);
+  EXPECT_GE(rt.counters().total("fault.msg.blackout"), 1u);
   // The put could not complete before the link recovered.
   EXPECT_GE(sim::to_seconds(engine.now()), 2e-3);
   EXPECT_EQ(cell.raw[63], 2.0);  // payload still intact

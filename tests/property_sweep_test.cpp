@@ -1,6 +1,7 @@
 // Parameterized property sweeps across machine shapes, backends and seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -15,22 +16,24 @@ namespace {
 
 using namespace hupc;  // NOLINT: test-local convenience
 
-// --- placement properties over machine x thread-count x policy ----------
+// --- placement properties over machine x thread-count ---------------------
 
 struct PlacementCase {
   int nodes;
   int threads;
-  topo::Placement policy;
+  int oversubscribed;  // ranks per node beyond the node's hardware threads
 };
 
 class PlacementSweep : public ::testing::TestWithParam<PlacementCase> {};
 
 TEST_P(PlacementSweep, AllSlotsValidAndBlockwiseOverNodes) {
-  const auto [nodes, threads, policy] = GetParam();
+  const auto [nodes, threads, oversubscribed] = GetParam();
   const auto machine = topo::lehman(nodes);
-  const auto placement = topo::place_ranks(machine, threads, policy);
+  const auto placement = topo::place_ranks(machine, threads);
   ASSERT_EQ(placement.size(), static_cast<std::size_t>(threads));
   const int per_node = (threads + nodes - 1) / nodes;
+  EXPECT_EQ(std::max(0, per_node - machine.hwthreads_per_node()),
+            oversubscribed);
   for (int r = 0; r < threads; ++r) {
     const auto& loc = placement[static_cast<std::size_t>(r)];
     // Slot coordinates within bounds.
@@ -45,13 +48,12 @@ TEST_P(PlacementSweep, AllSlotsValidAndBlockwiseOverNodes) {
 }
 
 TEST_P(PlacementSweep, NoSlotOversubscribedUntilHardwareExhausted) {
-  const auto [nodes, threads, policy] = GetParam();
+  const auto [nodes, threads, oversubscribed] = GetParam();
   const auto machine = topo::lehman(nodes);
-  const auto placement = topo::place_ranks(machine, threads, policy);
+  const auto placement = topo::place_ranks(machine, threads);
   topo::SlotAllocator slots(machine);
   for (const auto& loc : placement) slots.bind(loc);
-  const int per_node = (threads + nodes - 1) / nodes;
-  if (per_node <= machine.hwthreads_per_node()) {
+  if (oversubscribed == 0) {
     for (const auto& loc : placement) {
       EXPECT_EQ(slots.contexts_on_slot(loc), 1)
           << "slot shared below hardware capacity";
@@ -61,14 +63,8 @@ TEST_P(PlacementSweep, NoSlotOversubscribedUntilHardwareExhausted) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, PlacementSweep,
-    ::testing::Values(PlacementCase{1, 1, topo::Placement::cyclic_socket},
-                      PlacementCase{1, 16, topo::Placement::cyclic_socket},
-                      PlacementCase{4, 13, topo::Placement::cyclic_socket},
-                      PlacementCase{4, 64, topo::Placement::compact},
-                      PlacementCase{8, 128, topo::Placement::cyclic_socket},
-                      PlacementCase{8, 128, topo::Placement::block},
-                      PlacementCase{2, 5, topo::Placement::compact},
-                      PlacementCase{12, 7, topo::Placement::block}));
+    ::testing::Values(PlacementCase{1, 1, 0}, PlacementCase{1, 16, 0},
+                      PlacementCase{4, 13, 0}, PlacementCase{8, 128, 0}));
 
 // --- barrier linearizability over thread counts --------------------------
 

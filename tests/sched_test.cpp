@@ -236,7 +236,7 @@ TEST(StealStackUnit, OwnerOpsAndRelease) {
     EXPECT_EQ(out, 9);  // LIFO at the top
     // The released items are the oldest (0..3).
     std::vector<int> loot;
-    const std::size_t got = co_await stack.steal(t, loot, 2, false, 24.0);
+    const std::size_t got = co_await stack.steal(t, loot, 2, false);
     EXPECT_EQ(got, 2u);
     EXPECT_EQ(loot[0], 0);
     EXPECT_EQ(loot[1], 1);
@@ -256,7 +256,7 @@ TEST(StealStackUnit, StealHalfTakesHalfAboveThreshold) {
     co_await stack.maybe_release(t);
     EXPECT_EQ(stack.shared_count(), 12u);
     std::vector<int> loot;
-    const std::size_t got = co_await stack.steal(t, loot, 2, true, 24.0);
+    const std::size_t got = co_await stack.steal(t, loot, 2, true);
     EXPECT_EQ(got, 6u);  // half of 12, ignoring the granularity of 2
   });
   rt.run_to_completion();

@@ -61,7 +61,7 @@ TEST(HwLoc, SharedLevelAndDistance) {
 
 TEST(Placement, BlockwiseAcrossNodes) {
   const MachineSpec m = lehman(4);
-  const auto p = place_ranks(m, 8, Placement::cyclic_socket);
+  const auto p = place_ranks(m, 8);
   ASSERT_EQ(p.size(), 8u);
   // 2 ranks per node.
   for (int r = 0; r < 8; ++r) EXPECT_EQ(p[static_cast<std::size_t>(r)].node, r / 2);
@@ -69,7 +69,7 @@ TEST(Placement, BlockwiseAcrossNodes) {
 
 TEST(Placement, CyclicSocketAlternatesSockets) {
   const MachineSpec m = lehman(1);
-  const auto p = place_ranks(m, 4, Placement::cyclic_socket);
+  const auto p = place_ranks(m, 4);
   EXPECT_EQ(p[0].socket, 0);
   EXPECT_EQ(p[1].socket, 1);
   EXPECT_EQ(p[2].socket, 0);
@@ -80,16 +80,9 @@ TEST(Placement, CyclicSocketAlternatesSockets) {
   EXPECT_EQ(p[0].smt, 0);
 }
 
-TEST(Placement, CompactFillsSocketZeroFirst) {
-  const MachineSpec m = lehman(1);
-  const auto p = place_ranks(m, 8, Placement::compact);
-  // 8 hwthread slots on socket 0 (4 cores x SMT2) fill before socket 1.
-  for (const auto& loc : p) EXPECT_EQ(loc.socket, 0);
-}
-
 TEST(Placement, OversubscriptionWrapsSlots) {
   const MachineSpec m = hupc::test::toy_machine(1);  // 2 hwthreads per node
-  const auto p = place_ranks(m, 6, Placement::block);
+  const auto p = place_ranks(m, 6);
   ASSERT_EQ(p.size(), 6u);
   EXPECT_EQ(p[0], p[2]);
   EXPECT_EQ(p[0], p[4]);
@@ -98,7 +91,7 @@ TEST(Placement, OversubscriptionWrapsSlots) {
 
 TEST(Placement, FullLehmanSmtPlacementUsesAllSlots) {
   const MachineSpec m = lehman(8);
-  const auto p = place_ranks(m, 128, Placement::cyclic_socket);  // 16/node
+  const auto p = place_ranks(m, 128);  // 16/node
   SlotAllocator slots(m);
   for (const auto& loc : p) slots.bind(loc);
   for (int node = 0; node < 8; ++node) {

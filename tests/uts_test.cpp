@@ -118,17 +118,6 @@ TEST(Tree, NodeAccountingIsConsistent) {
   EXPECT_EQ(children_total, stats.nodes - 1);
 }
 
-TEST(Tree, GeometricRespectsDepthLimit) {
-  TreeParams p;
-  p.shape = Shape::geometric;
-  p.geo_b = 3.0;
-  p.max_depth = 5;
-  p.root_seed = 11;
-  const TreeStats stats = enumerate(p);
-  EXPECT_LE(stats.max_depth, 6u);  // children of depth-5 nodes are cut off
-  EXPECT_GT(stats.nodes, 1u);
-}
-
 TEST(Tree, BinomialIsHeavyTailedAcrossSeeds) {
   // The load-imbalance property the benchmark depends on: subtree sizes
   // vary wildly. Sample the size of single-child subtrees.
