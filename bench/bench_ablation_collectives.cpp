@@ -13,10 +13,6 @@
 // is also a correct one. The report gates hier-vs-flat exchange time at
 // >= 2x on the smoke tier's 256 ranks (32 nodes x 8); the full tier scales
 // to 1024 ranks (128 nodes).
-//
-// Flags: the perf harness set, plus --coll-algo=flat|hier to override the
-// algorithm the tuned variant runs (unknown or unsupported values exit 2 —
-// a typo must not silently measure the wrong schedule).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -32,9 +28,6 @@ using namespace hupc;  // NOLINT
 constexpr int kRanksPerNode = 8;  // pyramid nodes
 constexpr std::size_t kCount = 8;  // int64 elements per (src, dst) block
 constexpr int kRounds = 2;
-
-// The tuned variant's algorithm; settable via --coll-algo.
-gas::CollAlgo g_tuned_algo = gas::CollAlgo::hier;
 
 std::int64_t pattern(int member, std::size_t i) {
   return static_cast<std::int64_t>(member + 1) * 1000003 +
@@ -125,7 +118,9 @@ void run_variant(perf::Context& ctx, gas::CollAlgo algo) {
 PERF_BENCHMARK("coll.alltoall.flat") {
   run_variant(ctx, gas::CollAlgo::flat);
 }
-PERF_BENCHMARK("coll.alltoall.hier") { run_variant(ctx, g_tuned_algo); }
+PERF_BENCHMARK("coll.alltoall.hier") {
+  run_variant(ctx, gas::CollAlgo::hier);
+}
 
 int report(std::ostream& os, const std::vector<perf::Result>& results) {
   const auto* flat = bench::find_result(results, "coll.alltoall.flat");
@@ -143,13 +138,11 @@ int report(std::ostream& os, const std::vector<perf::Result>& results) {
   const double h = hier->median("roundtime");
   const double speedup = h > 0.0 ? f / h : 0.0;
 
-  os << "\nCollectives ablation on the team all-to-all ("
-     << gas::coll_algo_name(g_tuned_algo) << " vs flat, "
+  os << "\nCollectives ablation on the team all-to-all (hier vs flat, "
      << kCount * sizeof(std::int64_t) << " B blocks)\n";
   util::Table table({"Algorithm", "us/round", "vs flat"});
   table.add_row({"flat pairwise", util::Table::num(f, 3), "1.00"});
-  table.add_row({gas::coll_algo_name(g_tuned_algo), util::Table::num(h, 3),
-                 util::Table::num(speedup, 2)});
+  table.add_row({"hier", util::Table::num(h, 3), util::Table::num(speedup, 2)});
   table.print(os);
 
   char line[96];
@@ -169,8 +162,5 @@ int main(int argc, char** argv) {
       "node-local gather + one aggregated message per leader pair + local "
       "scatter turns n^2 wire messages into G^2 (thesis ch. 4 supernode "
       "discipline applied to the collective layer)",
-      report, [](const util::Cli& cli) {
-        g_tuned_algo = *gas::parse_coll_algo(
-            cli.choice("coll-algo", "hier", {"flat", "hier"}));
-      });
+      report);
 }

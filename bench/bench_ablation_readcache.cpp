@@ -11,15 +11,7 @@
 // trace counters that explain it (wire messages, cache hits/misses/
 // evictions/invalidations). The cache-off id runs the IDENTICAL loop with
 // no epoch open and must stay bit-identical to a build without the cache.
-//
-// Debug knobs (read with the perf::Runner flags):
-//   --read-cache=on|off      off forces every cached id to run uncached
-//   --cache-lines=N          override the line count of every cached id
-//   --cache-line-bytes=B     override the line size of every cached id
-// Baseline-gated CI runs pass none of these, so the per-id geometries
-// below are what the checked-in baselines describe.
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -35,23 +27,15 @@ constexpr int kThreads = 64;
 constexpr int kNodes = 8;
 constexpr int kLog2Table = 16;
 
-struct CacheOverrides {
-  bool enabled = true;       // --read-cache=off flips this
-  std::size_t lines = 0;       // 0: keep the per-id geometry
-  std::size_t line_bytes = 0;  // 0: keep the per-id geometry
-};
-CacheOverrides g_overrides;
-
 void run_variant(perf::Context& ctx, bool cached, std::size_t line_bytes,
                  std::size_t lines) {
   stream::GatherParams params;
   params.bursts = ctx.smoke() ? 24 : 64;
   params.burst_len = ctx.smoke() ? 48 : 64;
-  params.cached = cached && g_overrides.enabled;
-  if (params.cached) {
-    params.cache.line_bytes =
-        g_overrides.line_bytes != 0 ? g_overrides.line_bytes : line_bytes;
-    params.cache.lines = g_overrides.lines != 0 ? g_overrides.lines : lines;
+  params.cached = cached;
+  if (cached) {
+    params.cache.line_bytes = line_bytes;
+    params.cache.lines = lines;
   }
 
   sim::Engine engine;
@@ -134,22 +118,6 @@ int report(std::ostream& os, const std::vector<perf::Result>& results) {
   return best / off_mreads >= 5.0 ? 0 : 1;
 }
 
-/// A --cache-lines / --cache-line-bytes override: a positive count, or 0
-/// (keep the per-id geometry) when the flag is absent.
-std::size_t size_override(const util::Cli& cli, const char* name) {
-  const std::int64_t n = cli.get_int(name, 0);
-  if (cli.has(name) && n <= 0) {
-    throw std::invalid_argument(std::string("--") + name + ": expected > 0");
-  }
-  return static_cast<std::size_t>(n);
-}
-
-void read_flags(const util::Cli& cli) {
-  g_overrides.enabled = cli.choice("read-cache", "on", {"on", "off"}) == "on";
-  g_overrides.lines = size_override(cli, "cache-lines");
-  g_overrides.line_bytes = size_override(cli, "cache-line-bytes");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -158,5 +126,5 @@ int main(int argc, char** argv) {
       "Ablation — software read cache on the gather (burst-read) workload",
       "caching remote get lines amortizes fine-grained read latency the "
       "same way privatization does for local data (thesis §4.3)",
-      report, read_flags);
+      report);
 }

@@ -16,10 +16,6 @@
 // All three variants move identical bytes into identical places (the
 // checksum config is the witness); only the modeled message schedule
 // changes. The gate: vis must beat loop by >= 3x modeled exchange rate.
-//
-// Debug knob (read with the perf::Runner flags):
-//   --vis=on|off    off forces the vis cells to run the loop exchange
-//                   (transparency probe; the gate is skipped)
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -39,13 +35,10 @@ constexpr std::size_t kNx = 512;  // px = kNx / kThreads = 8 rows per peer
 constexpr std::size_t kNy = 4;    // 4 complex = 64 B per row (fine-grained)
 constexpr std::size_t kNz = 64;   // pz = 1 plane per rank
 
-bool g_vis_enabled = true;  // --vis=off flips this
-
 enum class Variant { loop, vis, vis_epochs };
 
 void run_variant(perf::Context& ctx, Variant variant) {
-  const bool use_vis =
-      variant != Variant::loop && g_vis_enabled;
+  const bool use_vis = variant != Variant::loop;
   const bool use_epochs = variant == Variant::vis_epochs;
   const std::size_t px = kNx / kThreads;
   const std::size_t plane = kNx * kNy;
@@ -163,7 +156,7 @@ int report(std::ostream& os, const std::vector<perf::Result>& results) {
   }
   table.print(os);
 
-  if (vis == nullptr || !g_vis_enabled) return 0;  // no gate to apply
+  if (vis == nullptr) return 0;  // no gate to apply
   char line[96];
   std::snprintf(line, sizeof line, "\nVIS speedup over per-row loop: %.2fx %s\n",
                 vis_rate / loop_rate,
@@ -181,7 +174,5 @@ int main(int argc, char** argv) {
       "packing a strided footprint into one message amortizes per-message "
       "injection overhead the coalescer pays per fine-grained op (GASNet "
       "VIS; thesis §4.3.1)",
-      report, [](const util::Cli& cli) {
-        g_vis_enabled = cli.choice("vis", "on", {"on", "off"}) == "on";
-      });
+      report);
 }

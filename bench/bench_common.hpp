@@ -53,17 +53,14 @@ inline void banner(std::ostream& os, const char* experiment,
 using Report =
     std::function<int(std::ostream&, const std::vector<perf::Result>&)>;
 
-/// The main() of a paper or ablation binary: read the binary's own flags
-/// with `own_flags` (if any), then the perf::Runner flags, from one
-/// util::Cli — the runner rejects whatever neither read — print the banner,
-/// run the selected cells once per repetition, then hand the results to
-/// `report`. A malformed flag value exits 2.
+/// The main() of a paper or ablation binary: read the perf::Runner flags
+/// from one util::Cli — the runner rejects any other flag — print the
+/// banner, run the selected cells once per repetition, then hand the
+/// results to `report`. A malformed flag value exits 2.
 inline int run_main(const char* suite, int argc, const char* const* argv,
                     const char* experiment, const char* paper_result,
-                    const Report& report,
-                    void (*own_flags)(const util::Cli&) = nullptr) {
+                    const Report& report) {
   return util::cli_main(suite, argc, argv, [&](const util::Cli& cli) {
-    if (own_flags != nullptr) own_flags(cli);
     const perf::Runner runner(suite, cli);
     banner(runner.human_out(), experiment, paper_result);
     return runner.main([&](const std::vector<perf::Result>& results) {

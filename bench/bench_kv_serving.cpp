@@ -13,10 +13,6 @@
 // p99 must land within 5% of the better pinned path — the per-call policy
 // (local/read -> amo, remote write -> rpc) has to beat committing to
 // either path wholesale, read-heavy and write-heavy alike.
-//
-// Debug knob (read with the perf::Runner flags):
-//   --kv-path=auto|amo|rpc   force every cell onto one path
-// Baseline-gated CI runs pass none of these.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -35,9 +31,6 @@ using namespace hupc;  // NOLINT
 
 constexpr int kRanksPerNode = 8;
 constexpr double kSloS = 50e-6;
-
-// --kv-path override: automatic keeps each cell's registered path.
-kv::KvPath g_path_override = kv::KvPath::automatic;
 
 struct Cell {
   int threads;
@@ -64,8 +57,7 @@ void run_cell(perf::Context& ctx, const Cell& cell) {
   params.dist = kv::KeyDist::zipfian;
   params.zipf_s = 0.99;
   params.read_fraction = cell.read_fraction;
-  params.path = g_path_override != kv::KvPath::automatic ? g_path_override
-                                                         : cell.path;
+  params.path = cell.path;
   params.arrival_rate_hz = 1.0e6;
   params.slo_s = kSloS;
   params.seed = 1;
@@ -139,11 +131,6 @@ int report(std::ostream& os, const std::vector<perf::Result>& results) {
   }
   table.print(os);
 
-  if (g_path_override != kv::KvPath::automatic) {
-    os << "\n(--kv-path override active: selector gate skipped)\n";
-    return 0;
-  }
-
   // Selector gate: on both 64-rank mixes auto's p99 must be within 5% of
   // the better pinned path.
   int rc = 0;
@@ -175,8 +162,5 @@ int main(int argc, char** argv) {
       "KV serving — latency percentiles under open-loop load",
       "fine-grained AMO vs RPC-to-owner access paths over the "
       "hierarchical machine (thesis §4 communication trade-offs)",
-      report, [](const util::Cli& cli) {
-        g_path_override = *kv::parse_kv_path(
-            cli.choice("kv-path", "auto", {"auto", "amo", "rpc"}));
-      });
+      report);
 }

@@ -101,11 +101,13 @@ inline bool read_cache_flag(const util::Cli& cli, const char* fallback) {
 }
 
 /// --cache-lines=N --cache-line-bytes=B: the read-cache geometry
-/// (comm::CacheParams' 256 lines of 64 B by default).
+/// (comm::CacheParams' 256 lines of 64 B by default), checked here so a bad
+/// geometry exits 2 whether or not --read-cache turns the cache on.
 inline comm::CacheParams cache_geometry(const util::Cli& cli) {
   comm::CacheParams params;
   params.lines = cli.get_int_in("cache-lines", params.lines);
   params.line_bytes = cli.get_int_in("cache-line-bytes", params.line_bytes);
+  comm::check_geometry(params);
   return params;
 }
 

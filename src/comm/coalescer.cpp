@@ -171,8 +171,8 @@ sim::Task<void> Coalescer::drain(int dst_node, Buffer& buf, FlushCause cause) {
   buf.ops = 0;
   buf.payload_bytes = 0.0;
 
-  HUPC_TRACE_SCOPE(tracer_, trace::Category::net, "coalesce.flush", rank_, ops,
-                   static_cast<std::uint64_t>(dst_node));
+  const trace::Scope span(tracer_, trace::Category::net, "coalesce.flush",
+                          rank_, ops, static_cast<std::uint64_t>(dst_node));
   trace::Counters& counters = net_->counters();
   counters.add(kFlushMsgs, rank_);
   counters.add(kFlushOps, rank_, ops);

@@ -27,7 +27,7 @@ const CacheStats& ReadCache::stats() const {
   return view_;
 }
 
-void ReadCache::configure(const CacheParams& params) {
+void check_geometry(const CacheParams& params) {
   if (params.line_bytes == 0 ||
       (params.line_bytes & (params.line_bytes - 1)) != 0) {
     throw std::invalid_argument(
@@ -38,6 +38,10 @@ void ReadCache::configure(const CacheParams& params) {
         "comm::CacheParams: lines must be a positive multiple of the " +
         std::to_string(kCacheWays) + " ways");
   }
+}
+
+void ReadCache::configure(const CacheParams& params) {
+  check_geometry(params);
   params_ = params;
   sets_ = params.lines / kCacheWays;
   lines_.assign(params.lines, Line{});

@@ -57,6 +57,10 @@ struct CacheParams {
   std::size_t lines = 256;
 };
 
+/// Throws std::invalid_argument unless `params` is a usable geometry: a
+/// power-of-two line size and a positive multiple of kCacheWays lines.
+void check_geometry(const CacheParams& params);
+
 /// Lifetime statistics of one rank's cache: a view over its gas.cache.*
 /// counters, accumulated across epochs.
 struct CacheStats {
@@ -76,9 +80,8 @@ class ReadCache {
   ReadCache(const ReadCache&) = delete;
   ReadCache& operator=(const ReadCache&) = delete;
 
-  /// (Re)open an epoch with fresh parameters: validates them, drops every
-  /// tag and rebuilds the store. Throws std::invalid_argument on nonsense
-  /// (non-power-of-two line size, lines not a multiple of kCacheWays).
+  /// (Re)open an epoch with fresh parameters: validates them
+  /// (check_geometry), drops every tag and rebuilds the store.
   void configure(const CacheParams& params);
 
   [[nodiscard]] const CacheParams& params() const noexcept { return params_; }

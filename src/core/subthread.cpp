@@ -45,7 +45,7 @@ SubPool::SubPool(gas::Thread& master, int width, SubModel model,
   // requested width (slot exhaustion / a crowded node). The pool still
   // works at the reduced width; callers observe it via width().
   if (fault::SpawnHook* throttle = rt.fault_hooks().spawn) {
-    const int clamped = throttle->clamp_spawn_width(width);
+    const int clamped = throttle->clamp_spawn_width(master.rank(), width);
     if (clamped >= 1 && clamped < width) width = clamped;
   }
   serialize_gate_ = std::make_unique<sim::Mutex>(rt.engine());
@@ -77,9 +77,9 @@ sim::Task<void> SubPool::region_prologue() {
 sim::Task<void> SubPool::parallel_for(std::size_t n, Schedule schedule,
                                       ForBody body, std::size_t chunk) {
   // Region fork at B, implicit join at E (scope exit after the joins).
-  HUPC_TRACE_SCOPE(master_->runtime().tracer(), trace::Category::core,
-                   "region", master_->rank(), n,
-                   static_cast<std::uint64_t>(width()));
+  const trace::Scope span(master_->runtime().tracer(), trace::Category::core,
+                          "region", master_->rank(), n,
+                          static_cast<std::uint64_t>(width()));
   master_->runtime().counters().add(kRegion, master_->rank());
   co_await region_prologue();
   if (n == 0) co_return;

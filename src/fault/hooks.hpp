@@ -33,10 +33,11 @@ struct MessageMutation {
   double bw_scale = 1.0;  // scales the per-flow wire cap for this message
 };
 
+/// `rank` is the sending rank, `src_node` and `dst_node` the message's ends.
 struct MessageHook {
   virtual ~MessageHook() = default;
-  [[nodiscard]] virtual MessageMutation on_message(int src_node, int dst_node,
-                                                   double bytes) noexcept = 0;
+  [[nodiscard]] virtual MessageMutation on_message(int rank, int src_node,
+                                                   int dst_node) noexcept = 0;
 };
 
 /// Transient steal-attempt failure (contention storms): a true return makes
@@ -54,11 +55,13 @@ struct AllocHook {
                                         std::size_t allocated) noexcept = 0;
 };
 
-/// Sub-thread spawn throttling: clamps a SubPool's requested width (models
-/// slot exhaustion / a crowded node). Must return a value in [1, requested].
+/// Sub-thread spawn throttling: clamps the requested width of a SubPool
+/// whose master is `rank` (models slot exhaustion / a crowded node). Must
+/// return a value in [1, requested].
 struct SpawnHook {
   virtual ~SpawnHook() = default;
-  [[nodiscard]] virtual int clamp_spawn_width(int requested) noexcept = 0;
+  [[nodiscard]] virtual int clamp_spawn_width(int rank,
+                                              int requested) noexcept = 0;
 };
 
 /// Read-cache pressure (invalidation storms): a true return makes a cache

@@ -135,8 +135,8 @@ std::int64_t FaultPlan::perturb_schedule(std::int64_t /*now*/,
                                 params_.event_jitter_max_s);
 }
 
-MessageMutation FaultPlan::on_message(int src_node, int dst_node,
-                                      double /*bytes*/) noexcept {
+MessageMutation FaultPlan::on_message(int rank, int src_node,
+                                      int dst_node) noexcept {
   MessageMutation mut;
   if (params_.blackout_node >= 0 && engine_ != nullptr &&
       (src_node == params_.blackout_node || dst_node == params_.blackout_node)) {
@@ -145,20 +145,20 @@ MessageMutation FaultPlan::on_message(int src_node, int dst_node,
     if (now >= params_.blackout_start_s && now < end) {
       // The dark link buffers the message until recovery.
       mut.hold_s = end - now;
-      count(kMsgBlackout, trace::kEngineRank);
+      count(kMsgBlackout, rank);
     }
   }
   if (params_.msg_delay_p > 0.0 &&
       msg_rng_.uniform() < params_.msg_delay_p) {
     mut.hold_s += msg_rng_.uniform() * params_.msg_delay_max_s;
-    count(kMsgDelay, trace::kEngineRank);
+    count(kMsgDelay, rank);
   }
   if (params_.msg_bw_degrade_p > 0.0 &&
       msg_rng_.uniform() < params_.msg_bw_degrade_p) {
     mut.bw_scale =
         params_.msg_bw_floor +
         msg_rng_.uniform() * (1.0 - params_.msg_bw_floor);
-    count(kMsgDegrade, trace::kEngineRank);
+    count(kMsgDegrade, rank);
   }
   return mut;
 }
@@ -177,11 +177,11 @@ bool FaultPlan::fail_alloc(int owner, std::size_t /*bytes*/,
   return true;
 }
 
-int FaultPlan::clamp_spawn_width(int requested) noexcept {
+int FaultPlan::clamp_spawn_width(int rank, int requested) noexcept {
   if (params_.spawn_width_cap <= 0 || requested <= params_.spawn_width_cap) {
     return requested;
   }
-  count(kSpawnThrottle, trace::kEngineRank);
+  count(kSpawnThrottle, rank);
   return params_.spawn_width_cap;
 }
 

@@ -111,12 +111,13 @@ class FaultPlan final : public ScheduleHook,
   // --- hook implementations (called by the runtime seams) ----------------
   [[nodiscard]] std::int64_t perturb_schedule(std::int64_t now,
                                               std::int64_t at) noexcept override;
-  [[nodiscard]] MessageMutation on_message(int src_node, int dst_node,
-                                           double bytes) noexcept override;
+  [[nodiscard]] MessageMutation on_message(int rank, int src_node,
+                                           int dst_node) noexcept override;
   [[nodiscard]] bool fail_steal(int thief, int victim) noexcept override;
   [[nodiscard]] bool fail_alloc(int owner, std::size_t bytes,
                                 std::size_t allocated) noexcept override;
-  [[nodiscard]] int clamp_spawn_width(int requested) noexcept override;
+  [[nodiscard]] int clamp_spawn_width(int rank,
+                                      int requested) noexcept override;
   [[nodiscard]] bool drop_cached_line(int rank) noexcept override;
   [[nodiscard]] std::int64_t delay_completion(int rank) noexcept override;
 

@@ -29,8 +29,8 @@ class GlobalLock {
   /// data another rank just published must be re-fetched, not served from
   /// stale lines.
   [[nodiscard]] sim::Task<void> acquire(Thread& self) {
-    HUPC_TRACE_SCOPE(rt_->tracer(), trace::Category::gas, "lock", self.rank(),
-                     static_cast<std::uint64_t>(home_));
+    const trace::Scope span(rt_->tracer(), trace::Category::gas, "lock",
+                            self.rank(), static_cast<std::uint64_t>(home_));
     rt_->counters().add(detail::kLockAcquire, self.rank());
     co_await access_cost(self);
     co_await mutex_.lock();

@@ -305,7 +305,8 @@ void Thread::note_shared_store(int owner, const void* addr,
 }
 
 sim::Task<void> Thread::barrier() {
-  HUPC_TRACE_SCOPE(rt_->tracer(), trace::Category::gas, "barrier", rank_);
+  const trace::Scope span(rt_->tracer(), trace::Category::gas, "barrier",
+                          rank_);
   rt_->counters().add(kBarrier, rank_);
   co_await coalesce_flush();  // fence: buffered puts visible past the barrier
   invalidate_read_cache();    // fence: peers' pre-barrier writes observable
@@ -320,8 +321,8 @@ std::uint64_t Thread::notify() {
 }
 
 sim::Task<void> Thread::wait(std::uint64_t token) {
-  HUPC_TRACE_SCOPE(rt_->tracer(), trace::Category::gas, "barrier.wait", rank_,
-                   token);
+  const trace::Scope span(rt_->tracer(), trace::Category::gas, "barrier.wait",
+                          rank_, token);
   co_await coalesce_flush();  // fence, same as the full barrier
   invalidate_read_cache();
   co_await rt_->barrier_.wait_phase(token);
@@ -342,8 +343,8 @@ async::future<> Thread::stream_local(double bytes) {
 
 sim::Task<void> Thread::shared_loop(int home_rank, std::uint64_t count,
                                     double bytes_each, bool privatized) {
-  HUPC_TRACE_SCOPE(rt_->tracer(), trace::Category::gas, "shared_loop", rank_,
-                   count, static_cast<std::uint64_t>(home_rank));
+  const trace::Scope span(rt_->tracer(), trace::Category::gas, "shared_loop",
+                          rank_, count, static_cast<std::uint64_t>(home_rank));
   rt_->counters().add(privatized ? kAccessPrivatized : kAccessTranslated,
                       rank_, count);
   // CPU side: the translation overhead is serial work on this core.
@@ -385,8 +386,10 @@ sim::Task<void> Thread::complete_async(sim::Task<void> op) {
 }
 
 sim::Task<void> Thread::element_access(int owner, std::size_t bytes) {
-  HUPC_TRACE_INSTANT(rt_->tracer(), trace::Category::gas, "element", rank_,
-                     bytes, static_cast<std::uint64_t>(owner));
+  if (trace::Tracer* tr = rt_->tracer()) {
+    tr->instant(trace::Category::gas, "element", rank_, bytes,
+                static_cast<std::uint64_t>(owner));
+  }
   rt_->counters().add(kAccessTranslated, rank_);
   // Translation overhead always applies to un-cast shared accesses.
   co_await compute(kPtrOverheadS);
@@ -412,9 +415,10 @@ sim::Task<void> Thread::read_access(int owner, const void* addr,
     const std::int64_t off =
         addr == nullptr ? -1 : rt_->heap().offset_of(owner, addr);
     if (off >= 0) {
-      HUPC_TRACE_INSTANT(rt_->tracer(), trace::Category::gas,
-                         "element.cached", rank_, bytes,
-                         static_cast<std::uint64_t>(owner));
+      if (trace::Tracer* tr = rt_->tracer()) {
+        tr->instant(trace::Category::gas, "element.cached", rank_, bytes,
+                    static_cast<std::uint64_t>(owner));
+      }
       rt_->counters().add(kAccessCached, rank_);
       // Pointer translation is CPU work; caching only amortizes the
       // network side of the access.
@@ -441,8 +445,10 @@ sim::Task<void> Thread::read_access(int owner, const void* addr,
 sim::Task<void> Thread::uncached_read_access(int owner, const void* addr,
                                              std::size_t bytes) {
   if (coalescing_ && remote_node(owner)) {
-    HUPC_TRACE_INSTANT(rt_->tracer(), trace::Category::gas, "element.coalesced",
-                       rank_, bytes, static_cast<std::uint64_t>(owner));
+    if (trace::Tracer* tr = rt_->tracer()) {
+      tr->instant(trace::Category::gas, "element.coalesced", rank_, bytes,
+                  static_cast<std::uint64_t>(owner));
+    }
     rt_->counters().add(kAccessCoalesced, rank_);
     // Pointer translation is CPU work; coalescing only amortizes the
     // network side of the access.
@@ -464,8 +470,10 @@ sim::Task<void> Thread::rmw_access(int owner, const void* addr,
 
 sim::Task<void> Thread::coalesced_put(int owner, void* dst, const void* value,
                                       std::size_t bytes) {
-  HUPC_TRACE_INSTANT(rt_->tracer(), trace::Category::gas, "element.coalesced",
-                     rank_, bytes, static_cast<std::uint64_t>(owner));
+  if (trace::Tracer* tr = rt_->tracer()) {
+    tr->instant(trace::Category::gas, "element.coalesced", rank_, bytes,
+                static_cast<std::uint64_t>(owner));
+  }
   rt_->counters().add(kAccessCoalesced, rank_);
   co_await compute(kPtrOverheadS);
   co_await coalescer_->put(rt_->node_of(owner), dst, value, bytes);
@@ -487,8 +495,8 @@ sim::Task<void> Thread::copy_raw_from(topo::HwLoc at, int peer, void* dst,
     std::memcpy(dst, src, bytes);  // the real data moves unconditionally
   }
   if (bytes == 0) co_return;
-  HUPC_TRACE_SCOPE(rt_->tracer(), trace::Category::gas, "copy", rank_, bytes,
-                   static_cast<std::uint64_t>(peer));
+  const trace::Scope span(rt_->tracer(), trace::Category::gas, "copy", rank_,
+                          bytes, static_cast<std::uint64_t>(peer));
   co_await lower_transfer(at, peer, static_cast<double>(bytes), 1);
 }
 
@@ -603,8 +611,8 @@ sim::Task<void> Thread::copy_vis(int dst_owner, void* dst_base, int src_owner,
   }
   const std::size_t payload = vis::payload_bytes(regions);
   if (payload == 0) co_return;
-  HUPC_TRACE_SCOPE(rt_->tracer(), trace::Category::gas, "copy.vis", rank_,
-                   payload, static_cast<std::uint64_t>(peer));
+  const trace::Scope span(rt_->tracer(), trace::Category::gas, "copy.vis",
+                          rank_, payload, static_cast<std::uint64_t>(peer));
   rt_->counters().add(kVisMsg, rank_);
   rt_->counters().add(kVisRegions, rank_,
                       static_cast<std::uint64_t>(regions.size()));

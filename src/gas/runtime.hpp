@@ -115,8 +115,8 @@ struct Config {
   /// it to the engine's virtual clock and the rank->node topology, all
   /// instrumented layers (engine, gas, net, sched, core) record events into
   /// it, and the engine counts into its registry. Null disables event
-  /// recording (counting stays on, in the engine's own registry); building
-  /// with HUPC_TRACE=0 compiles the event sites out entirely.
+  /// recording (counting stays on, in the engine's own registry); each
+  /// event site then costs one null check.
   trace::Tracer* tracer = nullptr;
 };
 

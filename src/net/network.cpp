@@ -66,12 +66,14 @@ sim::Task<void> Network::rma(Transfer t) {
   assert(t.src_node != t.dst_node &&
          "intra-node traffic takes the shared-memory path in hupc::gas");
   const int rank = trace_rank(t.src_node, t.src_ep);
-  HUPC_TRACE_SCOPE(tracer_, trace::Category::net, "rma", rank,
-                   static_cast<std::uint64_t>(t.bytes),
-                   static_cast<std::uint64_t>(t.dst_node));
-  HUPC_TRACE_INSTANT(tracer_, trace::Category::net, "inject", rank,
+  const trace::Scope span(tracer_, trace::Category::net, "rma", rank,
+                          static_cast<std::uint64_t>(t.bytes),
+                          static_cast<std::uint64_t>(t.dst_node));
+  if (tracer_ != nullptr) {
+    tracer_->instant(trace::Category::net, "inject", rank,
                      static_cast<std::uint64_t>(t.bytes),
                      static_cast<std::uint64_t>(t.dst_node));
+  }
   trace::Counters& counters = engine_->counters();
   counters.add(kMsg, rank);
   counters.add(kBytes, rank, static_cast<std::uint64_t>(t.bytes));
@@ -86,9 +88,11 @@ sim::Task<void> Network::rma(Transfer t) {
     // (the "rma" scope above only shows the total).
     vis_payload_bytes_ += t.payload_bytes;
     vis_bytes_ += t.bytes;
-    HUPC_TRACE_INSTANT(tracer_, trace::Category::net, "vis", rank, t.regions,
+    if (tracer_ != nullptr) {
+      tracer_->instant(trace::Category::net, "vis", rank, t.regions,
                        static_cast<std::uint64_t>(
                            t.payload_bytes / static_cast<double>(t.regions)));
+    }
     counters.add(kVisMsg, rank);
     counters.add(kVisRegions, rank, t.regions);
     counters.add(kVisBytes, rank, static_cast<std::uint64_t>(t.payload_bytes));
@@ -100,7 +104,7 @@ sim::Task<void> Network::rma(Transfer t) {
   double wire_cap = conduit_.conn_bw;
   if (fault_ != nullptr) {
     const fault::MessageMutation mut =
-        fault_->on_message(t.src_node, t.dst_node, t.bytes);
+        fault_->on_message(rank, t.src_node, t.dst_node);
     if (mut.hold_s > 0.0) {
       co_await sim::delay(*engine_, sim::from_seconds(mut.hold_s));
     }
@@ -120,7 +124,7 @@ sim::Task<void> Network::rma(Transfer t) {
   {
     // Queue wait + service on the node's software path: the per-connection
     // queueing the thesis blames for pthreads' small-message gap.
-    HUPC_TRACE_SCOPE(tracer_, trace::Category::net, "api_queue", rank);
+    const trace::Scope span(tracer_, trace::Category::net, "api_queue", rank);
     co_await api_queues_[static_cast<std::size_t>(t.src_node)]->serve(
         sim::from_seconds(api * t.api_scale));
   }
@@ -164,22 +168,24 @@ sim::Task<void> Network::rma(Transfer t) {
   co_await sim::delay(
       *engine_,
       sim::from_seconds(conduit_.latency_s + conduit_.recv_overhead_s));
-  HUPC_TRACE_INSTANT(tracer_, trace::Category::net, "deliver", rank,
+  if (tracer_ != nullptr) {
+    tracer_->instant(trace::Category::net, "deliver", rank,
                      static_cast<std::uint64_t>(t.bytes),
                      static_cast<std::uint64_t>(t.dst_node));
+  }
   engine_->counters().add(kDelivered, rank);
 }
 
 sim::Task<void> Network::loopback(Transfer t, double loopback_bw) {
   const int rank = trace_rank(t.src_node, t.src_ep);
-  HUPC_TRACE_SCOPE(tracer_, trace::Category::net, "loopback", rank,
-                   static_cast<std::uint64_t>(t.bytes));
+  const trace::Scope span(tracer_, trace::Category::net, "loopback", rank,
+                          static_cast<std::uint64_t>(t.bytes));
   engine_->counters().add(kLoopback, rank);
   const double api = mode_ == ConnectionMode::per_process
                          ? conduit_.api_overhead_process_s
                          : conduit_.api_overhead_shared_s;
   {
-    HUPC_TRACE_SCOPE(tracer_, trace::Category::net, "api_queue", rank);
+    const trace::Scope span(tracer_, trace::Category::net, "api_queue", rank);
     co_await api_queues_[static_cast<std::size_t>(t.src_node)]->serve(
         sim::from_seconds(api * t.api_scale));
   }

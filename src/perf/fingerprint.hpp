@@ -4,10 +4,10 @@
 // same conditions; the fingerprint records the conditions so the compare
 // tool can warn when apples meet oranges: git revision (from $HUPC_GIT_SHA,
 // exported by tools/run_bench_suite.sh), CMake build type and flags (baked
-// in at compile time), compiler, the compile-time trace level (HUPC_TRACE=0
-// artifacts carry no counters), and the suite tier. Per-benchmark machine /
-// conduit / backend configuration lives next to each benchmark's results,
-// not here — one artifact can mix machine presets.
+// in at compile time), compiler, the trace level (trace::kTraceLevel), and
+// the suite tier. Per-benchmark machine / conduit / backend configuration
+// lives next to each benchmark's results, not here — one artifact can mix
+// machine presets.
 #pragma once
 
 #include <string>
@@ -23,7 +23,7 @@ struct Fingerprint {
   std::string build_type;  // CMAKE_BUILD_TYPE
   std::string cxx_flags;   // CMAKE_CXX_FLAGS
   std::string compiler;    // __VERSION__
-  int trace_level = 0;     // HUPC_TRACE the binary was compiled with
+  int trace_level = 0;     // trace::kTraceLevel
 
   [[nodiscard]] Json to_json() const;
 };

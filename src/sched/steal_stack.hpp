@@ -114,9 +114,10 @@ class StealStack {
       take = shared_.size() / 2;
       diffused = true;
       // Rapid diffusion fired: the thief walks away with half the surplus.
-      HUPC_TRACE_INSTANT(rt_->tracer(), trace::Category::sched, "diffusion",
-                         thief.rank(), take,
-                         static_cast<std::uint64_t>(owner_));
+      if (trace::Tracer* tr = rt_->tracer()) {
+        tr->instant(trace::Category::sched, "diffusion", thief.rank(), take,
+                    static_cast<std::uint64_t>(owner_));
+      }
       rt_->counters().add(detail::kDiffusionSplit, thief.rank());
     }
     if (take > 0) {

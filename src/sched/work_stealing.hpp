@@ -130,7 +130,8 @@ class WorkStealing {
     while (outstanding_ > 0) {
       // --- Working ------------------------------------------------------
       if (stack.local_count() > 0) {
-        HUPC_TRACE_SCOPE(rt_->tracer(), trace::Category::sched, "work", me);
+        const trace::Scope span(rt_->tracer(), trace::Category::sched, "work",
+                                me);
         int done = 0;
         T item;
         while (done < params_.batch && stack.pop(item)) {
@@ -158,8 +159,10 @@ class WorkStealing {
       co_await sim::delay(rt_->engine(), backoff);
       backoff = std::min<sim::Time>(backoff * 2, 100 * sim::kMicrosecond);
     }
-    HUPC_TRACE_INSTANT(rt_->tracer(), trace::Category::sched, "terminate", me,
-                       counters.get(detail::kProcessed, me));
+    if (trace::Tracer* tr = rt_->tracer()) {
+      tr->instant(trace::Category::sched, "terminate", me,
+                  counters.get(detail::kProcessed, me));
+    }
     counters.add(detail::kTerminated, me);
     co_return;
   }
@@ -240,8 +243,10 @@ class WorkStealing {
         auto& mine = *stacks_[static_cast<std::size_t>(me)];
         for (auto& item : loot) mine.push(std::move(item));
         // a0 = victim chosen, a1 = items stolen.
-        HUPC_TRACE_INSTANT(rt_->tracer(), trace::Category::sched, "steal", me,
-                           static_cast<std::uint64_t>(victim), got);
+        if (trace::Tracer* tr = rt_->tracer()) {
+          tr->instant(trace::Category::sched, "steal", me,
+                      static_cast<std::uint64_t>(victim), got);
+        }
         counters.add(detail::kStealSuccess, me);
         if (victim_local) {
           counters.add(detail::kStealLocal, me);

@@ -162,8 +162,10 @@ bool Engine::step() {
   ++executed_;
   // Each dispatch resumes one logical process (a context switch in the
   // cooperative scheduler); a0 carries the scheduling sequence number.
-  HUPC_TRACE_INSTANT(tracer_, trace::Category::engine, "dispatch",
-                     trace::kEngineRank, ev.seq, pending());
+  if (tracer_ != nullptr) {
+    tracer_->instant(trace::Category::engine, "dispatch", trace::kEngineRank,
+                     ev.seq, pending());
+  }
   counters_->add(kDispatch, trace::kEngineRank);
   if ((ev.what & kNodeTag) == 0) {
     std::coroutine_handle<>::from_address(reinterpret_cast<void*>(ev.what))

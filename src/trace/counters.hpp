@@ -5,13 +5,13 @@
 // holds, per id, a dense array of per-rank cells that grows on demand; lane
 // 0 is the engine lane (rank -1) and SPMD rank r sits at lane r + 1.
 //
-// The registry is always on: it is not gated by HUPC_TRACE (which compiles
-// out only the tracer's event ring). Each sim::Engine owns one registry per
-// simulation and every layer counts into it with one add() per event; the
-// subsystems' stats structs (RankStats, comm::Stats, CacheStats, KvStats,
-// RpcDomain::Stats) are views computed from it. A Tracer carries its own
-// registry, and attaching it to an engine redirects the engine's counting
-// there, so the counts outlive the runtime and feed the trace exporters.
+// The registry is always on, with or without a tracer. Each sim::Engine owns
+// one registry per simulation and every layer counts into it with one add()
+// per event; the subsystems' stats structs (RankStats, comm::Stats,
+// CacheStats, KvStats, RpcDomain::Stats) are views computed from it. A Tracer
+// carries its own registry, and attaching it to an engine redirects the
+// engine's counting there, so the counts outlive the runtime and feed the
+// trace exporters.
 #pragma once
 
 #include <cstdint>

@@ -4,12 +4,12 @@
 // timestamp, rank, category, name, two integer args) plus a counter
 // registry (trace::Counters). Instrumentation sites across the stack —
 // engine dispatch, GAS accesses and barriers, network inject/deliver, steal
-// attempts, sub-thread regions — record events through the HUPC_TRACE_*
-// macros, which compile to nothing (arguments unevaluated) when the
-// translation unit is built with HUPC_TRACE=0. Counting is not macro-gated:
-// layers always count into their engine's registry, which is the attached
-// tracer's when there is one. Recording never charges virtual time, so an
-// attached tracer cannot perturb a simulation.
+// attempts, sub-thread regions — are always compiled in and cost one null
+// check when no tracer is attached: a Scope, or an `instant` call behind
+// `if (tracer)`. Counting does not depend on a tracer: layers always count
+// into their engine's registry, which is the attached tracer's when there is
+// one. Recording never charges virtual time, so an attached tracer cannot
+// perturb a simulation.
 //
 // Two exporters:
 //   export_chrome  — chrome://tracing / Perfetto "Trace Event Format" JSON
@@ -35,19 +35,11 @@
 
 #include "trace/counters.hpp"
 
-// Compile-time trace level: 0 compiles every HUPC_TRACE_* macro out
-// (arguments are not evaluated); >= 1 enables recording. Override per
-// build with -DHUPC_TRACE=<level> (see the HUPC_TRACE_LEVEL CMake option).
-#ifndef HUPC_TRACE
-#define HUPC_TRACE 1
-#endif
-
 namespace hupc::trace {
 
-// Internal linkage (namespace-scope constexpr) on purpose: translation
-// units may legitimately compile at different HUPC_TRACE levels.
-constexpr int kTraceLevel = HUPC_TRACE;
-constexpr bool kEnabled = kTraceLevel != 0;
+/// Trace level every build has: event sites are always compiled in.
+/// Recorded in run fingerprints so artifacts stay comparable.
+inline constexpr int kTraceLevel = 1;
 
 /// Virtual timestamp in nanoseconds; same representation as sim::Time.
 using VTime = std::int64_t;
@@ -194,36 +186,3 @@ class Scope {
 };
 
 }  // namespace hupc::trace
-
-// --- instrumentation macros ------------------------------------------------
-//
-// Every site takes a `Tracer*` expression that may be null. With
-// HUPC_TRACE=0 the macros expand to `((void)0)` and NO argument is
-// evaluated — the compiled-out configuration has zero per-event cost.
-#if HUPC_TRACE
-#define HUPC_TRACE_CONCAT_IMPL_(a, b) a##b
-#define HUPC_TRACE_CONCAT_(a, b) HUPC_TRACE_CONCAT_IMPL_(a, b)
-#define HUPC_TRACE_SCOPE(tracer, cat, name, rank, ...)                  \
-  ::hupc::trace::Scope HUPC_TRACE_CONCAT_(hupc_trace_scope_, __LINE__)( \
-      (tracer), (cat), (name), (rank)__VA_OPT__(, ) __VA_ARGS__)
-#define HUPC_TRACE_BEGIN(tracer, cat, name, rank, ...)                       \
-  do {                                                                       \
-    if (::hupc::trace::Tracer* hupc_tr_ = (tracer))                          \
-      hupc_tr_->begin((cat), (name), (rank)__VA_OPT__(, ) __VA_ARGS__);      \
-  } while (0)
-#define HUPC_TRACE_END(tracer, cat, name, rank)                              \
-  do {                                                                       \
-    if (::hupc::trace::Tracer* hupc_tr_ = (tracer))                          \
-      hupc_tr_->end((cat), (name), (rank));                                  \
-  } while (0)
-#define HUPC_TRACE_INSTANT(tracer, cat, name, rank, ...)                     \
-  do {                                                                       \
-    if (::hupc::trace::Tracer* hupc_tr_ = (tracer))                          \
-      hupc_tr_->instant((cat), (name), (rank)__VA_OPT__(, ) __VA_ARGS__);    \
-  } while (0)
-#else
-#define HUPC_TRACE_SCOPE(tracer, cat, name, rank, ...) ((void)0)
-#define HUPC_TRACE_BEGIN(tracer, cat, name, rank, ...) ((void)0)
-#define HUPC_TRACE_END(tracer, cat, name, rank) ((void)0)
-#define HUPC_TRACE_INSTANT(tracer, cat, name, rank, ...) ((void)0)
-#endif

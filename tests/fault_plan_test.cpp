@@ -134,6 +134,9 @@ TEST(Seams, SpawnThrottleClampsSubPoolWidth) {
   rt.run_to_completion();
   EXPECT_EQ(width_seen, 1);
   EXPECT_GE(rt.counters().total("fault.spawn.throttle"), 1u);
+  // Counted on the lane of the master whose pool was clamped.
+  EXPECT_EQ(rt.counters().get("fault.spawn.throttle", 0),
+            rt.counters().total("fault.spawn.throttle"));
 }
 
 TEST(Seams, EventJitterDelaysButNeverReorders) {
@@ -184,6 +187,10 @@ TEST(Seams, BlackoutHoldsMessagesUntilRecovery) {
   });
   rt.run_to_completion();
   EXPECT_GE(rt.counters().total("fault.msg.blackout"), 1u);
+  // Every hold is counted on the sending rank's lane, none on the engine's.
+  EXPECT_EQ(rt.counters().get("fault.msg.blackout", 0),
+            rt.counters().total("fault.msg.blackout"));
+  EXPECT_EQ(rt.counters().get("fault.msg.blackout", trace::kEngineRank), 0u);
   // The put could not complete before the link recovered.
   EXPECT_GE(sim::to_seconds(engine.now()), 2e-3);
   EXPECT_EQ(cell.raw[63], 2.0);  // payload still intact

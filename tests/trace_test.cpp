@@ -1,15 +1,20 @@
 // Tracer behavior under real workloads: UTS and a STREAM-style triad run
 // with a tracer attached under both backends, verifying that (a) results
-// are backend-independent and tracing never perturbs them, (b) same-seed
-// runs produce bit-identical event streams, and (c) summary aggregates
-// (per-category virtual-time totals, counters) are well-formed.
+// are backend-independent and tracing never perturbs them (virtual time,
+// and the UTS and kv counter registries), (b) same-seed runs produce
+// bit-identical event streams, and (c) summary aggregates (per-category
+// virtual-time totals, counters) are well-formed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "async/rpc.hpp"
 #include "gas/gas.hpp"
+#include "kv/store.hpp"
+#include "kv/workload.hpp"
 #include "sched/work_stealing.hpp"
 #include "sim/sim.hpp"
 #include "trace/trace.hpp"
@@ -206,9 +211,12 @@ TEST(Counters, TracerCountsSurviveEngineDestruction) {
 
 // --- UTS under both backends with a tracer attached -----------------------
 
+using CounterMap = std::map<std::string, std::vector<std::uint64_t>>;
+
 struct UtsOutcome {
   std::uint64_t nodes = 0;
   sim::Time elapsed = 0;
+  CounterMap counters;
 };
 
 // Every TraceUts case searches one tree. Under AddressSanitizer the
@@ -250,7 +258,26 @@ UtsOutcome run_uts_traced(gas::Backend backend, trace::Tracer* tracer) {
   ws.seed_work(0, {uts::root_node(tree)});
   rt.spmd([&ws](gas::Thread& t) -> sim::Task<void> { co_await ws.run(t); });
   rt.run_to_completion();
-  return {ws.total_processed(), e.now()};
+  return {ws.total_processed(), e.now(), rt.counters().snapshot()};
+}
+
+// KV serving (64 keys, 16 ops per rank, half reads) on 8 ranks over 2
+// Lehman nodes: the async/RPC and kv layers' counts.
+CounterMap run_kv_counters(trace::Tracer* tracer) {
+  sim::Engine e;
+  gas::Config c;
+  c.machine = topo::lehman(2);
+  c.threads = 8;
+  c.tracer = tracer;
+  gas::Runtime rt(e, c);
+  async::RpcDomain rpc(rt);
+  kv::KvStore store(rt, rpc, kv::ShardMap::over(rt));
+  kv::ServingParams params;
+  params.keys = 64;
+  params.ops_per_rank = 16;
+  params.read_fraction = 0.5;
+  (void)kv::run_serving(rt, store, params);
+  return rt.counters().snapshot();
 }
 
 TEST(TraceUts, NodeCountsMatchOracleOnBothBackends) {
@@ -259,11 +286,8 @@ TEST(TraceUts, NodeCountsMatchOracleOnBothBackends) {
     trace::Tracer tracer;
     const auto r = run_uts_traced(backend, &tracer);
     EXPECT_EQ(r.nodes, oracle.nodes);
-    // Counting is on at every trace level; only events are compiled out.
     EXPECT_EQ(tracer.counter_total("sched.processed"), oracle.nodes);
-    if (trace::kEnabled) {
-      EXPECT_GT(tracer.recorded(), 0u);
-    }
+    EXPECT_GT(tracer.recorded(), 0u);
   }
 }
 
@@ -275,6 +299,65 @@ TEST(TraceUts, TracerAttachmentDoesNotPerturbVirtualTime) {
     EXPECT_EQ(traced.elapsed, bare.elapsed);
     EXPECT_EQ(traced.nodes, bare.nodes);
   }
+}
+
+// --- Tracer attachment never changes results or counters ------------------
+//
+// The suite keeps the name it had while a HUPC_TRACE=0 build existed; with
+// tracing always compiled in, the two configurations left to compare are a
+// run with a tracer attached and the same run without one.
+
+// UTS (b0 = 200, root seed 3) on 8 ranks over 2 Lehman nodes under the
+// default backend.
+UtsOutcome run_uts_seed3(trace::Tracer* tracer) {
+  uts::TreeParams tree;
+  tree.b0 = 200;
+  tree.root_seed = 3;
+  sim::Engine e;
+  gas::Config c;
+  c.machine = topo::lehman(2);
+  c.threads = 8;
+  c.tracer = tracer;
+  gas::Runtime rt(e, c);
+  sched::StealParams params;
+  params.policy = sched::VictimPolicy::local_first;
+  params.rapid_diffusion = true;
+  sched::WorkStealing<uts::Node> ws(
+      rt, params, [&tree](const uts::Node& n, std::vector<uts::Node>& out) {
+        uts::expand(tree, n, out);
+      });
+  ws.seed_work(0, {uts::root_node(tree)});
+  rt.spmd([&ws](gas::Thread& t) -> sim::Task<void> { co_await ws.run(t); });
+  rt.run_to_completion();
+  return {ws.total_processed(), e.now(), rt.counters().snapshot()};
+}
+
+TEST(TraceCompileOut, TracerAttachmentChangesNoBenchmarkResult) {
+  trace::Tracer tracer;
+  const auto traced = run_uts_seed3(&tracer);
+  const auto bare = run_uts_seed3(nullptr);
+  EXPECT_EQ(traced.elapsed, bare.elapsed);
+  EXPECT_EQ(traced.nodes, bare.nodes);
+}
+
+// Counting does not depend on a tracer: a UTS or kv run leaves the same
+// counts whether they land in the tracer's registry or in the engine's own.
+TEST(TraceCompileOut, CountersIdenticalWithTracerWithoutAndCompiledOut) {
+  trace::Tracer tracer;
+  const auto traced = run_uts_seed3(&tracer);
+  EXPECT_GT(tracer.counter_total("sched.processed"), 0u);
+  EXPECT_GT(tracer.counter_total("sched.steal.success"), 0u);
+  EXPECT_GT(tracer.counter_total("net.msg"), 0u);
+  EXPECT_EQ(tracer.summary().counters, traced.counters);
+  EXPECT_EQ(run_uts_seed3(nullptr).counters, traced.counters);
+
+  trace::Tracer kv_tracer;
+  const CounterMap kv_traced = run_kv_counters(&kv_tracer);
+  EXPECT_GT(kv_tracer.counter_total("gas.kv.get"), 0u);
+  EXPECT_GT(kv_tracer.counter_total("async.rpc.sent"), 0u);
+  EXPECT_GT(kv_tracer.counter_total("kv.latency.op"), 0u);
+  EXPECT_EQ(kv_tracer.summary().counters, kv_traced);
+  EXPECT_EQ(run_kv_counters(nullptr), kv_traced);
 }
 
 TEST(TraceUts, SameSeedRunsProduceIdenticalEventStreams) {
@@ -309,9 +392,7 @@ TEST(TraceUts, CategoryTimeTotalsAreNonNegativeAndBounded) {
       EXPECT_LE(ns, r.elapsed);
     }
   }
-  if (trace::kEnabled) {
-    EXPECT_GT(category_time(s, trace::Category::sched), 0);
-  }
+  EXPECT_GT(category_time(s, trace::Category::sched), 0);
 }
 
 TEST(TraceUts, CategoryTimeTotalsAreMonotoneUnderAccumulation) {
@@ -394,14 +475,11 @@ TEST(TraceTriad, ChecksumIdenticalAcrossBackendsAndMatchesSerial) {
   EXPECT_DOUBLE_EQ(procs.checksum, expect);
   EXPECT_DOUBLE_EQ(pthr.checksum, expect);
   EXPECT_DOUBLE_EQ(procs.checksum, pthr.checksum);
-  // Both runs touched the gas layer and counted it (recording events
-  // needs the instrumentation compiled in).
+  // Both runs touched the gas layer, counted it and recorded events.
   EXPECT_GT(tp.counter_total("gas.access.translated") +
                 tp.counter_total("gas.access.privatized"),
             0u);
-  if (trace::kEnabled) {
-    EXPECT_GT(tt.recorded(), 0u);
-  }
+  EXPECT_GT(tt.recorded(), 0u);
 }
 
 TEST(TraceTriad, SameSeedRunsProduceIdenticalEventStreams) {

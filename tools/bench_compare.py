@@ -27,7 +27,7 @@ Policy (DESIGN.md §11):
   * trace counters are behavioral fingerprints: a change of more than
     --max-regress in either direction hard-fails (behavior drifted),
     smaller drifts are annotated; counters missing from the current run
-    (e.g. an HUPC_TRACE=0 build) only warn;
+    only warn;
   * benchmarks present in the baseline but absent from the current run
     warn — a silently vanished benchmark must not pass the gate quietly;
   * --exact replaces the modeled and counter tolerances with equality.
@@ -126,10 +126,7 @@ def compare(current, baseline, max_regress=0.30, noise_mult=3.0, exact=False):
         for name, base_v in base_bench.get("counters", {}).items():
             cur_counters = cur_bench.get("counters", {})
             if name not in cur_counters:
-                missing.append(
-                    f"{bid} counter {name}: missing from current run "
-                    "(trace-disabled build?)"
-                )
+                missing.append(f"{bid} counter {name}: missing from current run")
                 continue
             cur_v = cur_counters[name]
             if exact:
@@ -271,7 +268,7 @@ def self_test():
     chatty = _doc([_bench("b.gups", {"gups": (0.30, 0.0, hi, "modeled")}, {"net.msg": 1600})])
     check("counter +60% fails", chatty, base, want_fail=True)
 
-    # 8. counter missing from current (trace-disabled build) only warns
+    # 8. counter missing from current only warns
     untraced = _doc([_bench("b.gups", {"gups": (0.30, 0.0, hi, "modeled")})])
     check("missing counter warns, not fails", untraced, base, want_fail=False)
 
