@@ -4,7 +4,7 @@
 // Builds a KvStore sharded over every rank of the simulated machine, then
 // runs kv::run_serving: rank-partitioned preload of the key universe, a
 // barrier, and an open-loop measured phase where every rank fires
-// get/put/update requests at precomputed Poisson arrival times (optionally
+// get/put/update requests at seeded Poisson arrival times (optionally
 // bursty) and latency is charged from the INTENDED arrival to completion.
 // The summary prints the latency distribution (p50/p99/p99.9 from the
 // log-bucketed histogram), throughput, goodput under the SLO, and how the

@@ -10,6 +10,9 @@
 //                          values in INPUT order regardless of completion
 //                          order (and the lowest-index exception, so the
 //                          result is independent of completion order);
+//   join j; j.add(f)...; j.seal()
+//                        — the same wait over a stream of void futures,
+//                          counted as they are issued and not kept;
 //   make_ready_future(v) — an already-resolved future;
 //   co_await fut         — suspend a sim::Task until resolution.
 //
@@ -24,9 +27,9 @@
 // Shared states cost no malloc on the hot path: a state is an intrusively
 // ref-counted node from the coroutine frame pool (sim/task.hpp), every
 // callback is one word (a waiting frame, a pooled sim::CallNode holding a
-// then/finally/forward_into continuation, or a when_all node) and the
-// first is stored inline, and when_all counts arrivals instead of
-// scheduling one event per input (DESIGN.md §13). The count is
+// then/finally/forward_into continuation, or a when_all or join node)
+// and the first is stored inline, and when_all and join count arrivals
+// instead of scheduling one event per input (DESIGN.md §13). The count is
 // a plain integer: a simulation runs on one thread.
 //
 // This header is deliberately header-only and depends only on sim/engine
@@ -93,15 +96,15 @@ class Ref {
   S* node_ = nullptr;
 };
 
-/// A when_all node, attached to each of its inputs as a one-word callback.
-/// It settles exactly where a gather with one same-instant arrival event
-/// per engine-backed input (and an inline arrival per engine-less one)
-/// would: those events run in scheduling order, so the last of them is
-/// the one scheduled at the last engine-backed arrival. The node only
-/// counts, schedules that one event, and settles in it or in the last
-/// inline arrival, whichever runs later; the events it leaves out would
-/// only have counted, so no other event moves relative to another
-/// (DESIGN.md §13). Once settled, the node deletes itself.
+/// A when_all or join node, attached to each of its inputs as a one-word
+/// callback. It settles exactly where a gather with one same-instant
+/// arrival event per engine-backed input (and an inline arrival per
+/// engine-less one) would: those events run in scheduling order, so the
+/// last of them is the one scheduled at the last engine-backed arrival.
+/// The node only counts, schedules that one event, and settles in it or
+/// in the last inline arrival, whichever runs later; the events it leaves
+/// out would only have counted, so no other event moves relative to
+/// another (DESIGN.md §13). Once settled, the node deletes itself.
 class GatherBase : public sim::detail::PooledFrame, private sim::EventNode {
  public:
   GatherBase() noexcept : sim::EventNode{&settle_event} {}
@@ -109,14 +112,18 @@ class GatherBase : public sim::detail::PooledFrame, private sim::EventNode {
   GatherBase& operator=(const GatherBase&) = delete;
   virtual ~GatherBase() = default;
 
-  /// Count one input; every input is counted before any is attached.
+  /// Count one input before attaching to it. Nothing may settle before
+  /// the last input is counted: when_all counts every input before it
+  /// attaches any, and a join holds one extra count until its seal.
   void expect(bool engine_backed) noexcept {
     ++(engine_backed ? engine_left_ : inline_left_);
   }
 
   /// One input resolved (or was ready when attached). `engine` is that
-  /// input's engine, null for an engine-less input.
-  void arrive(sim::Engine* engine) {
+  /// input's engine, null for an engine-less input; `error` is its
+  /// exception, if it failed.
+  void arrive(sim::Engine* engine, const std::exception_ptr& error) {
+    if (error) note_exception(error);
     if (engine == nullptr) {
       if (--inline_left_ == 0 && engine_left_ == 0 && !event_pending_) {
         settle();
@@ -129,6 +136,21 @@ class GatherBase : public sim::detail::PooledFrame, private sim::EventNode {
   }
 
  protected:
+  /// Drop a count taken by expect(true) that no input arrives for. With an
+  /// engine it lands as an engine-backed arrival would; without one it
+  /// settles inline if it was the last count, and otherwise leaves the
+  /// settle to the inputs still pending.
+  void release(sim::Engine* engine) {
+    if (engine != nullptr) {
+      arrive(engine, std::exception_ptr{});
+    } else if (--engine_left_ == 0 && inline_left_ == 0 && !event_pending_) {
+      settle();
+    }
+  }
+
+  /// An input failed; called at its arrival, in arrival order.
+  virtual void note_exception(const std::exception_ptr& /*error*/) {}
+
   /// Resolve the result from the (all resolved) inputs, then delete this.
   virtual void settle() = 0;
 
@@ -190,10 +212,11 @@ class StateBase : public sim::detail::PooledFrame {
     assert(!ready && "async::promise: double fulfilment");
     ready = true;
     sim::Engine* const eng = engine;
+    const std::exception_ptr error = exception;
     const std::uintptr_t first = std::exchange(first_, 0);
     std::vector<std::uintptr_t> rest = std::move(overflow_);
-    if (first != 0) dispatch(eng, first);
-    for (const std::uintptr_t word : rest) dispatch(eng, word);
+    if (first != 0) dispatch(eng, first, error);
+    for (const std::uintptr_t word : rest) dispatch(eng, word, error);
   }
 
  private:
@@ -202,7 +225,7 @@ class StateBase : public sim::detail::PooledFrame {
     assert((word & kTagMask) == 0 && "callback address must be 4-aligned");
     word |= tag;
     if (ready) {
-      dispatch(engine, word);
+      dispatch(engine, word, exception);
     } else if (first_ == 0 && overflow_.empty()) {
       first_ = word;
     } else {
@@ -211,11 +234,13 @@ class StateBase : public sim::detail::PooledFrame {
   }
 
   /// Run one callback per the completion-ordering rule. Static: the
-  /// callback may free the state it came from.
-  static void dispatch(sim::Engine* engine, std::uintptr_t word) {
+  /// callback may free the state it came from, so the state's engine and
+  /// exception come in as arguments.
+  static void dispatch(sim::Engine* engine, std::uintptr_t word,
+                       const std::exception_ptr& error) {
     void* const address = reinterpret_cast<void*>(word & ~kTagMask);
     if ((word & kGatherTag) != 0) {
-      static_cast<GatherBase*>(address)->arrive(engine);
+      static_cast<GatherBase*>(address)->arrive(engine, error);
     } else if ((word & kCallTag) != 0) {
       auto* node = static_cast<sim::EventNode*>(address);
       if (engine != nullptr) {
@@ -244,7 +269,7 @@ struct StateValue<void> {};
 template <class T>
 struct State final : StateBase, StateValue<T> {};
 
-/// when_all's access to an input's shared state.
+/// when_all's and join's access to an input's shared state.
 struct Access {
   template <class T>
   static StateBase& state(const future<T>& f) {
@@ -539,6 +564,42 @@ template <class T, class Result>
   return out;
 }
 
+/// The node behind async::join. It holds one engine-backed count from
+/// construction until join::seal() releases it, so no arrival before the
+/// seal can settle it; the FIRST exception in arrival order wins.
+class JoinNode final : public GatherBase {
+ public:
+  JoinNode() { expect(true); }
+
+  promise<> result;  // engine-less: its waiters resume in settle()
+  sim::Engine* engine = nullptr;  // the engine-backed inputs' engine
+
+  /// Count `input`, then attach to it (a ready input arrives at once).
+  void add(StateBase& input) {
+    if (input.engine != nullptr) engine = input.engine;
+    expect(input.engine != nullptr);
+    input.attach(static_cast<GatherBase*>(this));
+  }
+
+  using GatherBase::release;
+
+ private:
+  void note_exception(const std::exception_ptr& error) override {
+    if (!error_) error_ = error;
+  }
+
+  void settle() override {
+    if (error_) {
+      result.set_exception(error_);
+    } else {
+      result.set_value();
+    }
+    delete this;
+  }
+
+  std::exception_ptr error_;
+};
+
 }  // namespace detail
 
 /// Resolve after every input future, collecting values in INPUT order (so
@@ -557,5 +618,49 @@ template <class T>
 [[nodiscard]] inline future<> when_all(std::vector<future<>> futures) {
   return detail::gather<void, void>(std::move(futures));
 }
+
+/// A counting join over a stream of void futures: UPC++'s promise used as
+/// an operation counter (`operation_cx::as_promise` + `finalize()`). add()
+/// each input as it is issued, then seal() once; the sealed future
+/// resolves after every added input. add() attaches to its input and keeps
+/// nothing, so a resolved input's state is freed at once and the join's
+/// memory does not grow with the number of inputs. It resumes its waiters
+/// exactly where when_all over the same inputs, called at the seal, would:
+/// its one settle event is scheduled at the later of seal() and the last
+/// engine-backed arrival (DESIGN.md §13). That holds as long as nothing
+/// else attaches to an input still pending at the seal between its add()
+/// and the seal, since the join's callback runs ahead of such a callback
+/// and when_all's would run behind it. Exceptions: the FIRST
+/// exceptional input in ARRIVAL order wins, since no input is kept to
+/// rank by index. That is deterministic, because a simulation runs on one
+/// thread. A join destroyed unsealed lets its pending inputs drain without
+/// resolving anyone.
+class join {
+ public:
+  join() : node_(new detail::JoinNode) {}
+  join(const join&) = delete;
+  join& operator=(const join&) = delete;
+  ~join() {
+    if (node_ != nullptr) node_->release(nullptr);
+  }
+
+  void add(const future<>& input) {
+    assert(node_ != nullptr && "async::join::add after seal");
+    node_->add(detail::Access::state(input));
+  }
+
+  /// Stop counting and return the future of the whole join. Only the
+  /// release below can settle, and so free, the node.
+  [[nodiscard]] future<> seal() {
+    assert(node_ != nullptr && "async::join sealed twice");
+    detail::JoinNode* const node = std::exchange(node_, nullptr);
+    future<> all = node->result.get_future();
+    node->release(node->engine);
+    return all;
+  }
+
+ private:
+  detail::JoinNode* node_;
+};
 
 }  // namespace hupc::async

@@ -36,21 +36,22 @@ const trace::CounterId kLatencyOp = trace::intern("kv.latency.op");
 const trace::CounterId kSloMiss = trace::intern("kv.latency.slo_miss");
 const trace::CounterId kShardLive = trace::intern("gas.kv.shard.live");
 
-/// One planned operation: intended arrival (seconds after measured-phase
-/// start) plus everything needed to issue it.
+/// One drawn operation: everything needed to issue it.
 struct PlannedOp {
-  double at_s = 0;
   KvOp op = KvOp::get;
   std::uint64_t key = 0;
   std::uint64_t value = 0;
 };
 
-/// Per-rank accumulator the in-flight op coroutines write into.
+/// Per-rank accumulator: the rank counts what it issues, and its in-flight
+/// op coroutines write their completions.
 struct RankAgg {
   util::LogHistogram hist{1e-6, 4, 30};
   double sum_s = 0;
   double max_s = 0;
   double last_done_s = 0;
+  std::uint64_t reads = 0;
+  std::uint64_t writes = 0;
   std::uint64_t done = 0;
   std::uint64_t within_slo = 0;
 };
@@ -120,43 +121,11 @@ ServingResult run_serving(gas::Runtime& rt, KvStore& store,
   validate(p);
   const int n = rt.threads();
 
-  // Host-side plan: deterministic per (seed, rank), independent of the
-  // interleaving the engine later produces.
   std::optional<ZipfSampler> zipf;
   if (p.dist == KeyDist::zipfian) zipf.emplace(p.keys, p.zipf_s);
   const double base_gap_s = 1.0 / p.arrival_rate_hz;
   const double hot_gap_s = base_gap_s / p.burst;
   const double cold_gap_s = base_gap_s * (2.0 - 1.0 / p.burst);
-
-  std::vector<std::vector<PlannedOp>> plans(static_cast<std::size_t>(n));
-  std::uint64_t planned_reads = 0;
-  std::uint64_t planned_writes = 0;
-  for (int r = 0; r < n; ++r) {
-    util::Xoshiro256ss rng(
-        mix64(p.seed ^ 0x5EBD1A11ULL) ^ static_cast<std::uint64_t>(r));
-    auto& plan = plans[static_cast<std::size_t>(r)];
-    plan.reserve(p.ops_per_rank);
-    double at = 0;
-    for (std::size_t i = 0; i < p.ops_per_rank; ++i) {
-      const bool hot = (i / p.burst_len) % 2 == 0;
-      const double mean_gap = hot ? hot_gap_s : cold_gap_s;
-      at += -std::log(1.0 - rng.uniform()) * mean_gap;
-      PlannedOp op;
-      op.at_s = at;
-      op.key = zipf ? zipf->draw(rng.uniform())
-                    : rng.below(static_cast<std::uint64_t>(p.keys));
-      const double u = rng.uniform();
-      if (u < p.read_fraction) {
-        op.op = KvOp::get;
-        ++planned_reads;
-      } else {
-        op.op = rng.uniform() < 2.0 / 3.0 ? KvOp::put : KvOp::update;
-        op.value = rng.next();
-        ++planned_writes;
-      }
-      plan.push_back(op);
-    }
-  }
 
   std::vector<RankAgg> aggs(static_cast<std::size_t>(n));
   std::vector<double> t0s(static_cast<std::size_t>(n), 0.0);
@@ -177,21 +146,40 @@ ServingResult run_serving(gas::Runtime& rt, KvStore& store,
     std::optional<gas::CachedEpoch> epoch;
     if (p.read_cache) epoch.emplace(t);
 
+    // Each rank draws its ops from its own (seed, rank) stream as it
+    // issues them, so the draws never depend on the interleaving the
+    // engine produces, and one join counts them: the rank holds memory for
+    // its ops in flight, not for its whole run.
     RankAgg& agg = aggs[static_cast<std::size_t>(r)];
-    std::vector<async::future<>> inflight;
-    const auto& plan = plans[static_cast<std::size_t>(r)];
-    inflight.reserve(plan.size());
-    for (const PlannedOp& op : plan) {
-      const double due = t0 + op.at_s;
+    util::Xoshiro256ss rng(
+        mix64(p.seed ^ 0x5EBD1A11ULL) ^ static_cast<std::uint64_t>(r));
+    double at = 0;
+    async::join inflight;
+    for (std::size_t i = 0; i < p.ops_per_rank; ++i) {
+      const bool hot = (i / p.burst_len) % 2 == 0;
+      const double mean_gap = hot ? hot_gap_s : cold_gap_s;
+      at += -std::log(1.0 - rng.uniform()) * mean_gap;
+      PlannedOp op;
+      op.key = zipf ? zipf->draw(rng.uniform())
+                    : rng.below(static_cast<std::uint64_t>(p.keys));
+      const double u = rng.uniform();
+      if (u < p.read_fraction) {
+        op.op = KvOp::get;
+        ++agg.reads;
+      } else {
+        op.op = rng.uniform() < 2.0 / 3.0 ? KvOp::put : KvOp::update;
+        op.value = rng.next();
+        ++agg.writes;
+      }
+      const double due = t0 + at;
       const double now = sim::to_seconds(rt.engine().now());
       if (due > now) {
         co_await sim::delay(rt.engine(), sim::from_seconds(due - now));
       }
-      inflight.push_back(
-          t.launch_async(serve_op(t, rt, store, op, due, p.slo_s, p.path,
-                                  agg)));
+      inflight.add(t.launch_async(
+          serve_op(t, rt, store, op, due, p.slo_s, p.path, agg)));
     }
-    co_await async::when_all(std::move(inflight));
+    co_await inflight.seal();
     if (epoch) epoch->end();
     co_await t.barrier();
   });
@@ -205,14 +193,14 @@ ServingResult run_serving(gas::Runtime& rt, KvStore& store,
   }
 
   ServingResult res;
-  res.reads = planned_reads;
-  res.writes = planned_writes;
   double t0_min = t0s.empty() ? 0.0 : t0s.front();
   double last_done = 0;
   for (const double t0 : t0s) t0_min = std::min(t0_min, t0);
   for (const RankAgg& agg : aggs) {
     res.latency.merge(agg.hist);
     res.ops += agg.done;
+    res.reads += agg.reads;
+    res.writes += agg.writes;
     res.within_slo += agg.within_slo;
     res.mean_s += agg.sum_s;
     res.max_s = std::max(res.max_s, agg.max_s);

@@ -1,12 +1,14 @@
 // Open-loop serving workload for the kv store (DESIGN.md §16).
 //
-// The generator is OPEN-LOOP: every operation has a precomputed intended
-// arrival time drawn from a Poisson process (optionally phased into bursts),
-// and latency is measured from the INTENDED arrival to completion — so a
-// store that falls behind accumulates queueing delay in its tail instead of
-// quietly throttling the load, the property that makes p99/p99.9 mean
-// something. Key draws are Zipfian (precomputed CDF, binary-searched) or
-// uniform; the read/write mix splits the write side between put and update.
+// The generator is OPEN-LOOP: every operation has an intended arrival time
+// drawn from a Poisson process (optionally phased into bursts), and latency
+// is measured from the INTENDED arrival to completion — so a store that
+// falls behind accumulates queueing delay in its tail instead of quietly
+// throttling the load, the property that makes p99/p99.9 mean something.
+// Key draws are Zipfian (precomputed CDF, binary-searched) or uniform; the
+// read/write mix splits the write side between put and update.
+// Each rank draws its requests from its own (seed, rank) stream as it issues
+// them, so the draws never depend on the interleaving and no plan is built.
 // The measured phase runs get/put/update only: concurrent first-inserts of
 // one brand-new key are the single race the slot protocol leaves to callers
 // (store.hpp), so every key is preloaded by exactly one rank first, and
@@ -109,7 +111,9 @@ struct ServingResult {
 
 /// Run the full serving experiment on an already-built store: rank-
 /// partitioned preload of every key, barrier, then the open-loop measured
-/// phase (launch_async per op, when_all at the end). Drives rt.spmd +
+/// phase (each rank draws its ops as it issues them, launch_async per op,
+/// counted by one async::join sealed after the last op), so host memory
+/// follows the ops in flight, not the ops per rank. Drives rt.spmd +
 /// run_to_completion itself; the caller installs any fault plan and tracer
 /// beforehand. Throws std::invalid_argument on out-of-range params.
 [[nodiscard]] ServingResult run_serving(gas::Runtime& rt, KvStore& store,

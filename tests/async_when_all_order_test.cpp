@@ -6,7 +6,9 @@
 // checks on seeded mixes that both resume the same processes at the same
 // times in the same order: ready, pending and failed inputs, inputs listed
 // twice, engine-less inputs, extra waiters and `then`s on the same inputs,
-// gathers over gathers and competing same-instant processes.
+// gathers over gathers and competing same-instant processes. The counting
+// `join` must resume like when_all over the same void inputs, whenever it
+// is sealed, while it frees each input's state as the input resolves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -204,16 +206,32 @@ sim::Task<void> wait_and_log(future<T> f, Log& log, std::string who) {
   log.add(who + " resumed: " + describe(f));
 }
 
+/// How a gather over void inputs is made: the oracle, when_all, or a join
+/// that adds every input and then seals at once. Int gathers use the
+/// oracle for `legacy` and when_all otherwise.
+enum class Gatherer { legacy, when_all, join };
+
+future<> join_all(const std::vector<future<>>& inputs) {
+  join j;
+  for (const future<>& f : inputs) j.add(f);
+  return j.seal();
+}
+
 struct Run {
-  bool legacy;
+  Gatherer gatherer;
   Log& log;
   sim::Engine& engine;
   std::vector<future<std::vector<int>>> int_results;
 
   template <class T, class Result>
   future<Result> all(std::vector<future<T>> fs) const {
-    return legacy ? legacy_when_all<T, Result>(std::move(fs))
-                  : detail::gather<T, Result>(std::move(fs));
+    if (gatherer == Gatherer::legacy) {
+      return legacy_when_all<T, Result>(std::move(fs));
+    }
+    if constexpr (std::is_void_v<T>) {
+      if (gatherer == Gatherer::join) return join_all(fs);
+    }
+    return detail::gather<T, Result>(std::move(fs));
   }
 };
 
@@ -243,7 +261,7 @@ sim::Task<void> nested_proc(Run& run, std::size_t expected) {
   co_await sim::delay(run.engine, kHorizon);
   EXPECT_EQ(run.int_results.size(), expected);
   future<std::vector<std::vector<int>>> outer =
-      run.legacy
+      run.gatherer == Gatherer::legacy
           ? legacy_when_all<std::vector<int>, std::vector<std::vector<int>>>(
                 run.int_results)
           : when_all(run.int_results);
@@ -267,10 +285,14 @@ struct Outcome {
   std::uint64_t events = 0;
 };
 
-Outcome execute(const Plan& plan, bool legacy) {
+/// `shared_void_error`: every failing void input throws the same message,
+/// so an outcome does not tell WHICH failed input won (the join keeps the
+/// first to arrive, when_all the lowest index).
+Outcome execute(const Plan& plan, Gatherer gatherer,
+                bool shared_void_error = false) {
   sim::Engine e;
   Log log{&e, {}};
-  Run run{legacy, log, e, {}};
+  Run run{gatherer, log, e, {}};
 
   std::vector<promise<int>> int_ps;
   std::vector<future<int>> int_fs;
@@ -294,8 +316,9 @@ Outcome execute(const Plan& plan, bool legacy) {
   const auto resolve = [&](int k) {
     const bool is_int = k < n_int;
     const InputPlan& in = input_plan(k);
-    const auto fail = std::make_exception_ptr(
-        std::runtime_error("input " + std::to_string(k)));
+    const auto fail = std::make_exception_ptr(std::runtime_error(
+        !is_int && shared_void_error ? "a void input"
+                                     : "input " + std::to_string(k)));
     if (is_int) {
       auto& p = int_ps[static_cast<std::size_t>(k)];
       if (in.fails) {
@@ -367,9 +390,9 @@ TEST(WhenAllOrder, OneEventGatherResumesLikeThePerInputGather) {
   for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
     const Plan plan = make_plan(seed);
     const std::int64_t live = debug_live_states();
-    const Outcome oracle = execute(plan, /*legacy=*/true);
+    const Outcome oracle = execute(plan, Gatherer::legacy);
     ASSERT_EQ(debug_live_states(), live) << "oracle leaked, seed " << seed;
-    const Outcome got = execute(plan, /*legacy=*/false);
+    const Outcome got = execute(plan, Gatherer::when_all);
     ASSERT_EQ(debug_live_states(), live) << "when_all leaked, seed " << seed;
     ASSERT_EQ(got.log, oracle.log) << "seed " << seed;
     ASSERT_LE(got.events, oracle.events) << "seed " << seed;
@@ -399,6 +422,156 @@ TEST(WhenAllOrder, PendingGatherCostsOneEvent) {
     EXPECT_TRUE(all.ready());
     EXPECT_EQ(e.events_executed(), legacy ? 5u : 1u);
   }
+}
+
+TEST(WhenAllOrder, JoinResumesLikeWhenAllOverTheSameVoidInputs) {
+  std::size_t void_failures = 0;
+  for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
+    const Plan plan = make_plan(seed);
+    const std::int64_t live = debug_live_states();
+    const Outcome oracle = execute(plan, Gatherer::legacy, true);
+    const Outcome gathered = execute(plan, Gatherer::when_all, true);
+    const Outcome joined = execute(plan, Gatherer::join, true);
+    ASSERT_EQ(debug_live_states(), live) << "join leaked, seed " << seed;
+    ASSERT_EQ(joined.log, gathered.log) << "seed " << seed;
+    ASSERT_EQ(joined.log, oracle.log) << "seed " << seed;
+    ASSERT_EQ(joined.events, gathered.events) << "seed " << seed;
+    for (const std::string& line : joined.log) {
+      if (line.find("threw a void input") != std::string::npos) {
+        ++void_failures;
+      }
+    }
+  }
+  EXPECT_GT(void_failures, 100u);  // failed joins are exercised too
+}
+
+/// Starts at 0; a join adds `inputs` at once and seals at `seal_at`, or
+/// when_all gathers them at `seal_at`. Either way the result is awaited.
+sim::Task<void> join_or_when_all(sim::Engine& e, bool use_join,
+                                 std::vector<future<>> inputs,
+                                 sim::Time seal_at, Log& log) {
+  future<> all;
+  if (use_join) {
+    join j;
+    for (const future<>& f : inputs) j.add(f);
+    inputs.clear();
+    co_await sim::delay(e, seal_at);
+    all = j.seal();
+  } else {
+    co_await sim::delay(e, seal_at);
+    all = when_all(std::move(inputs));
+  }
+  co_await wait_and_log(all, log, "joiner");
+}
+
+/// Three engine-backed inputs resolve at 1, 2 and 3, among competing
+/// processes at every instant; the joiner seals at `seal_at`.
+Outcome seal_scenario(bool use_join, sim::Time seal_at) {
+  sim::Engine e;
+  Log log{&e, {}};
+  std::vector<promise<>> ps;
+  std::vector<future<>> fs;
+  for (int i = 0; i < 3; ++i) {
+    ps.emplace_back(e);
+    fs.push_back(ps.back().get_future());
+  }
+  for (int i = 0; i < 3; ++i) {
+    sim::call_at(e, i + 1, [&ps, &log, i] {
+      log.add("resolve " + std::to_string(i));
+      ps[static_cast<std::size_t>(i)].set_value();
+    });
+  }
+  sim::spawn(e, join_or_when_all(e, use_join, std::move(fs), seal_at, log));
+  for (int c = 0; c <= 5; ++c) sim::spawn(e, competitor(e, log, c, c));
+  e.run();
+  return {std::move(log.lines), e.events_executed()};
+}
+
+TEST(WhenAllOrder, JoinSealedAfterEveryInputResolvedSettlesAtTheSeal) {
+  const Outcome gathered = seal_scenario(false, 5);
+  const Outcome joined = seal_scenario(true, 5);
+  EXPECT_EQ(joined.log, gathered.log);
+  EXPECT_EQ(joined.events, gathered.events);
+  EXPECT_NE(std::find(joined.log.begin(), joined.log.end(),
+                      "5 joiner resumed: ok"),
+            joined.log.end());
+}
+
+TEST(WhenAllOrder, JoinSealedBeforeAnyInputResolvedSettlesAtTheLastArrival) {
+  const Outcome gathered = seal_scenario(false, 0);
+  const Outcome joined = seal_scenario(true, 0);
+  EXPECT_EQ(joined.log, gathered.log);
+  EXPECT_EQ(joined.events, gathered.events);
+  EXPECT_NE(std::find(joined.log.begin(), joined.log.end(),
+                      "3 joiner resumed: ok"),
+            joined.log.end());
+}
+
+TEST(WhenAllOrder, EmptyJoinIsReadyAtTheSeal) {
+  join j;
+  EXPECT_TRUE(j.seal().ready());
+}
+
+sim::Task<void> finish_at(sim::Engine& e, sim::Time at) {
+  co_await sim::delay(e, at);
+}
+
+TEST(WhenAllOrder, JoinFreesEachInputStateWhenItResolves) {
+  const std::int64_t base = debug_live_states();
+  std::vector<std::int64_t> live;
+  {
+    sim::Engine e;
+    join j;  // one state: the join's result
+    for (const sim::Time at : {2, 4, 6}) j.add(sim::spawn(e, finish_at(e, at)));
+    const future<> all = j.seal();
+    for (const sim::Time at : {1, 3, 5}) {
+      sim::call_at(e, at, [&live, base] {
+        live.push_back(debug_live_states() - base);
+      });
+    }
+    e.run();
+    EXPECT_TRUE(all.ready());
+  }
+  // The join's result plus the inputs still pending, before it settles.
+  EXPECT_EQ(live, (std::vector<std::int64_t>{4, 3, 2}));
+  EXPECT_EQ(debug_live_states(), base);
+}
+
+TEST(WhenAllOrder, JoinKeepsTheFirstExceptionInArrivalOrder) {
+  sim::Engine e;
+  promise<> first(e);
+  promise<> second(e);
+  promise<> fine(e);
+  const std::vector<future<>> inputs{first.get_future(), second.get_future(),
+                                     fine.get_future()};
+  join j;
+  for (const future<>& f : inputs) j.add(f);
+  const future<> joined = j.seal();
+  const future<> gathered = when_all(inputs);
+  sim::call_at(e, 1, [&] {
+    second.set_exception(std::make_exception_ptr(std::runtime_error("b")));
+  });
+  sim::call_at(e, 2, [&] {
+    first.set_exception(std::make_exception_ptr(std::runtime_error("a")));
+    fine.set_value();
+  });
+  e.run();
+  EXPECT_EQ(describe(joined), "threw b");    // first to arrive
+  EXPECT_EQ(describe(gathered), "threw a");  // lowest index
+}
+
+TEST(WhenAllOrder, UnsealedJoinLetsItsInputsDrainWithoutLeaking) {
+  const std::int64_t base = debug_live_states();
+  {
+    sim::Engine e;
+    {
+      join j;
+      j.add(sim::spawn(e, finish_at(e, 1)));
+      j.add(make_ready_future());
+    }
+    e.run();
+  }
+  EXPECT_EQ(debug_live_states(), base);
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 #include <utility>
 #include <vector>
 
+#include "async/future.hpp"
+#include "fault/hooks.hpp"
 #include "gas/gas.hpp"
 #include "kv/selector.hpp"
 #include "kv/shard_map.hpp"
@@ -488,6 +490,70 @@ TEST(KvWorkload, ServingRunProducesCoherentPercentiles) {
   EXPECT_LE(res.within_slo, res.ops);
   EXPECT_GE(res.slo_goodput_ops_s, 0.0);
   EXPECT_LE(res.slo_goodput_ops_s, res.throughput_ops_s + 1e-9);
+}
+
+/// A completion hook that delays nothing and records the most shared
+/// states alive when any op completes.
+struct LiveStateProbe final : fault::CompletionHook {
+  std::int64_t peak = 0;
+  std::int64_t delay_completion(int /*rank*/) noexcept override {
+    peak = std::max(peak, async::debug_live_states());
+    return 0;
+  }
+};
+
+/// Peak live shared states above the pre-run count over a 4-rank serving
+/// run at 10 kops/s per rank: an op takes microseconds and the next
+/// arrives about 100 µs later, so about one op per rank is in flight.
+std::int64_t serving_peak_live_states(std::size_t ops_per_rank) {
+  sim::Engine engine;
+  Runtime rt(engine, small_config(4));
+  async::RpcDomain rpc(rt);
+  kv::KvStore store(rt, rpc, kv::ShardMap::over(rt));
+  LiveStateProbe probe;
+  rt.install_faults({.completion = &probe});
+  kv::ServingParams p;
+  p.keys = 64;
+  p.ops_per_rank = ops_per_rank;
+  p.arrival_rate_hz = 1e4;
+  const std::int64_t base = async::debug_live_states();
+  const kv::ServingResult res = kv::run_serving(rt, store, p);
+  EXPECT_EQ(res.ops, 4 * ops_per_rank);
+  return probe.peak - base;
+}
+
+TEST(KvWorkload, ServingHoldsStatesForOpsInFlightNotForOpsIssued) {
+  const std::int64_t few = serving_peak_live_states(64);
+  const std::int64_t many = serving_peak_live_states(2048);
+  // 32 times the ops, the same ops in flight: the peak must not grow with
+  // the ops issued (keeping one future per op would add over 8,000).
+  EXPECT_LE(many, few + 8) << "64 ops/rank: " << few;
+  EXPECT_LT(many, 64);
+}
+
+TEST(KvWorkload, ServingDrawsThePinnedRequestStream) {
+  sim::Engine engine;
+  Runtime rt(engine, small_config(8));
+  async::RpcDomain rpc(rt);
+  kv::KvStore::Params params;
+  params.capacity = 256;
+  kv::KvStore store(rt, rpc, kv::ShardMap::over(rt), params);
+  kv::ServingParams p;
+  p.keys = 128;
+  p.ops_per_rank = 32;
+  p.read_fraction = 0.7;
+  p.burst = 2;
+  p.burst_len = 4;
+  p.arrival_rate_hz = 2e5;
+  const kv::ServingResult res = kv::run_serving(rt, store, p);
+  // Figures of the plan-ahead generator: drawing each op at issue must
+  // keep the same stream, bit for bit.
+  EXPECT_EQ(res.ops, 256u);
+  EXPECT_EQ(res.reads, 169u);
+  EXPECT_EQ(res.writes, 87u);
+  EXPECT_EQ(res.p50_s, 7.9687499999999999e-07);
+  EXPECT_EQ(res.p99_s, 5.1249999999999992e-06);
+  EXPECT_EQ(res.makespan_s, 0.00016574300000000002);
 }
 
 }  // namespace

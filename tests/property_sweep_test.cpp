@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "gas/gas.hpp"
@@ -16,6 +18,11 @@ namespace {
 
 using namespace hupc;  // NOLINT: test-local convenience
 
+// gtest names a value-parameterised case by its object bytes. A case struct
+// with padding would leak uninitialised bytes into its ctest id, which then
+// changes from build to build, so every case struct below is padding-free
+// (checked by static_assert) and its fields are all printed bytes.
+
 // --- placement properties over machine x thread-count ---------------------
 
 struct PlacementCase {
@@ -23,6 +30,7 @@ struct PlacementCase {
   int threads;
   int oversubscribed;  // ranks per node beyond the node's hardware threads
 };
+static_assert(std::has_unique_object_representations_v<PlacementCase>);
 
 class PlacementSweep : public ::testing::TestWithParam<PlacementCase> {};
 
@@ -102,9 +110,10 @@ INSTANTIATE_TEST_SUITE_P(Counts, BarrierSweep,
 struct WsCase {
   std::uint32_t tree_seed;
   sched::VictimPolicy policy;
-  bool rapid_diffusion;
+  std::uint32_t rapid_diffusion;  // 0 or 1, full width: no padding
   int threads;
 };
+static_assert(std::has_unique_object_representations_v<WsCase>);
 
 class WsSweep : public ::testing::TestWithParam<WsCase> {};
 
@@ -124,7 +133,7 @@ TEST_P(WsSweep, ConservationAndTraceCountersAgreeWithStats) {
   gas::Runtime rt(e, c);
   sched::StealParams params;
   params.policy = policy;
-  params.rapid_diffusion = diffusion;
+  params.rapid_diffusion = diffusion != 0;
   sched::WorkStealing<uts::Node> ws(
       rt, params, [&tree](const uts::Node& n, std::vector<uts::Node>& out) {
         uts::expand(tree, n, out);
@@ -170,8 +179,8 @@ std::vector<WsCase> ws_cases() {
        {sched::VictimPolicy::random, sched::VictimPolicy::local_first}) {
     for (const bool diffusion : {false, true}) {
       for (std::uint32_t seed = 1; seed <= 3; ++seed) {
-        cases.push_back(
-            WsCase{seed, policy, diffusion, threads_for_seed[seed - 1]});
+        cases.push_back(WsCase{seed, policy, diffusion ? 1U : 0U,
+                               threads_for_seed[seed - 1]});
       }
     }
   }
@@ -185,13 +194,15 @@ INSTANTIATE_TEST_SUITE_P(Sweep, WsSweep, ::testing::ValuesIn(ws_cases()));
 struct LayoutCase {
   std::size_t size;
   std::size_t block;
-  int threads;
+  std::size_t threads;  // full width: no padding
 };
+static_assert(std::has_unique_object_representations_v<LayoutCase>);
 
 class LayoutSweep : public ::testing::TestWithParam<LayoutCase> {};
 
 TEST_P(LayoutSweep, LocalSizesSumToTotalAndAddressesAreDistinct) {
-  const auto [size, block, threads] = GetParam();
+  const auto [size, block, wide_threads] = GetParam();
+  const auto threads = static_cast<int>(wide_threads);
   gas::SharedHeap heap(threads);
   auto arr = heap.all_alloc<int>(size, block);
   std::size_t total = 0;
