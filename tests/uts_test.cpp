@@ -3,7 +3,9 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "util/rng.hpp"
 #include "uts/sha1.hpp"
 #include "uts/tree.hpp"
 
@@ -13,6 +15,85 @@ using namespace hupc::uts;  // NOLINT: test-local convenience
 
 std::span<const std::uint8_t> bytes(const char* s) {
   return {reinterpret_cast<const std::uint8_t*>(s), std::strlen(s)};
+}
+
+/// Byte-wise SHA-1 with the full 80-word schedule and the FIPS 180-1 round
+/// functions as written: the oracle the unrolled kernel is checked against.
+Digest oracle_sha1(std::span<const std::uint8_t> message) {
+  const auto rotl = [](std::uint32_t x, int k) {
+    return (x << k) | (x >> (32 - k));
+  };
+  std::uint32_t h[5] = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u,
+                        0xC3D2E1F0u};
+  const auto process_block = [&](const std::uint8_t* block) {
+    std::uint32_t w[80];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (std::uint32_t(block[4 * i]) << 24) |
+             (std::uint32_t(block[4 * i + 1]) << 16) |
+             (std::uint32_t(block[4 * i + 2]) << 8) |
+             std::uint32_t(block[4 * i + 3]);
+    }
+    for (int i = 16; i < 80; ++i) {
+      w[i] = rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
+    }
+    std::uint32_t a = h[0], b = h[1], c = h[2], d = h[3], e = h[4];
+    for (int i = 0; i < 80; ++i) {
+      std::uint32_t f, k;
+      if (i < 20) {
+        f = (b & c) | ((~b) & d);
+        k = 0x5A827999u;
+      } else if (i < 40) {
+        f = b ^ c ^ d;
+        k = 0x6ED9EBA1u;
+      } else if (i < 60) {
+        f = (b & c) | (b & d) | (c & d);
+        k = 0x8F1BBCDCu;
+      } else {
+        f = b ^ c ^ d;
+        k = 0xCA62C1D6u;
+      }
+      const std::uint32_t temp = rotl(a, 5) + f + e + k + w[i];
+      e = d;
+      d = c;
+      c = rotl(b, 30);
+      b = a;
+      a = temp;
+    }
+    h[0] += a;
+    h[1] += b;
+    h[2] += c;
+    h[3] += d;
+    h[4] += e;
+  };
+  // The message, the 0x80 marker, zeros, then the bit length in 8 bytes.
+  std::vector<std::uint8_t> padded(message.begin(), message.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(message.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  for (std::size_t off = 0; off < padded.size(); off += 64) {
+    process_block(padded.data() + off);
+  }
+  Digest out;
+  for (int i = 0; i < 5; ++i) {
+    out[4 * i] = static_cast<std::uint8_t>(h[i] >> 24);
+    out[4 * i + 1] = static_cast<std::uint8_t>(h[i] >> 16);
+    out[4 * i + 2] = static_cast<std::uint8_t>(h[i] >> 8);
+    out[4 * i + 3] = static_cast<std::uint8_t>(h[i]);
+  }
+  return out;
+}
+
+/// The oracle's split: SHA-1 of parent || be32(child_index).
+Digest oracle_split(const Digest& parent, std::uint32_t child_index) {
+  std::uint8_t buf[24];
+  std::memcpy(buf, parent.data(), 20);
+  for (int i = 0; i < 4; ++i) {
+    buf[20 + i] = static_cast<std::uint8_t>(child_index >> (24 - 8 * i));
+  }
+  return oracle_sha1(buf);
 }
 
 std::string to_hex(const Digest& digest) {
@@ -56,6 +137,37 @@ TEST(Sha1, PaddingBoundaries) {
   }
 }
 
+TEST(Sha1, MatchesOracleAtEveryLengthUpTo300) {
+  // Covers one-block and two-block padding (55/56, 119/120 bytes) and the
+  // block edges (63/64, 127/128) by value, not only by distinctness.
+  hupc::util::Xoshiro256ss rng(300);
+  for (std::size_t n = 0; n <= 300; ++n) {
+    std::vector<std::uint8_t> msg(n);
+    for (auto& byte : msg) byte = static_cast<std::uint8_t>(rng.next());
+    EXPECT_EQ(sha1(msg), oracle_sha1(msg)) << "length " << n;
+  }
+}
+
+TEST(Sha1, SplitStateMatchesOracleOnLongChain) {
+  // Every byte of the first two indices is non-zero, so a misplaced or
+  // dropped index byte changes the digest; the last two are the sign-bit and
+  // all-zero edges.
+  Digest d = sha1(bytes("chain"));
+  for (std::uint32_t index : {0x01020304u, 0xFFFFFFFFu, 0x80000000u, 0u}) {
+    ASSERT_EQ(split_state(d, index), oracle_split(d, index)) << index;
+  }
+  // A dependent chain: each parent is the previous child, so one wrong
+  // word would carry into every later step.
+  hupc::util::Xoshiro256ss rng(100'000);
+  for (int step = 0; step < 100'000; ++step) {
+    const auto index = static_cast<std::uint32_t>(
+        step % 2 == 0 ? static_cast<std::uint64_t>(step) : rng.next());
+    const Digest child = split_state(d, index);
+    ASSERT_EQ(child, oracle_split(d, index)) << "step " << step;
+    d = child;
+  }
+}
+
 TEST(Sha1, SplitStateIsDeterministicAndSensitiveToIndex) {
   const Digest parent = sha1(bytes("root"));
   EXPECT_EQ(split_state(parent, 0), split_state(parent, 0));
@@ -79,6 +191,16 @@ TEST(Tree, RootIsDepthZeroWithConfiguredFanout) {
   const Node root = root_node(p);
   EXPECT_EQ(root.depth, 0u);
   EXPECT_EQ(num_children(p, root), 100);
+}
+
+TEST(Tree, DefaultTreeShapeIsPinned) {
+  // The T3 binomial tree that uts_search and hostbench run (root seed 42,
+  // default b0). Its shape is a function of the SHA-1 splits alone, so this
+  // pins the kernel end to end.
+  const TreeStats s = enumerate(TreeParams{});
+  EXPECT_EQ(s.nodes, 490'425u);
+  EXPECT_EQ(s.leaves, 429'371u);
+  EXPECT_EQ(s.max_depth, 541u);
 }
 
 TEST(Tree, BinomialEnumerationIsDeterministic) {
